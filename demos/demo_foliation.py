@@ -38,10 +38,10 @@ def main():
     ga_part = project_foliation(spec, 1)
     ab_part = project_foliation(spec, 2)
     print("\nfactor projections:")
-    print(f"  factor 1 tag: {ga_part.tag}, consistency "
+    print(f"  factor 1 group: {ga_part.group.tag}, consistency "
           f"{ga_part.validate_consistency():.2e}")
-    print(f"  factor 2 tag: {ab_part.tag}, "
-          f"holonomy images {ab_part.holonomy.images}")
+    print(f"  factor 2 group: {ab_part.group.tag}, "
+          f"holonomy images {ab_part.holonomy}")
 
 
 if __name__ == "__main__":

@@ -117,12 +117,6 @@ class AlgebraElement:
                 coeffs[Diag(i + 1)] = m[i, i]
         return cls.from_coeffs(n, coeffs)
 
-    def coeff_map(self) -> Dict[BasisIndex, Fraction]:
-        return dict(self.coeffs)
-
-    def coeff(self, idx: BasisIndex) -> Fraction:
-        return dict(self.coeffs).get(idx, Fraction(0))
-
     def to_matrix(self) -> RMatrix:
         m = RMatrix.zeros(self.n)
         for idx, c in self.coeffs:

@@ -20,7 +20,8 @@ from .algebra import (
     expected_offdiag_bracket,
     structure_table_json,
 )
-from .groups import abelian_project, factor_split, iwasawa_sln
+from .groups import factor_split, iwasawa_sln
+from .linalg import matrix_from_json, matrix_to_json
 from .complexes import homology_generators
 from .foliation import check_equivariance, check_mc
 from .tischler import RationalizeConfig, pipeline_sln, tischler_fibration
@@ -84,19 +85,16 @@ def cmd_verify_brackets(args) -> int:
 
 def cmd_decompose(args) -> int:
     obj = _load_json(args.matrix)
-    m = serialize.matrix_from_json(obj["matrix"] if "matrix" in obj else obj)
-    if hasattr(m, "to_float"):
-        m = m.to_float()
+    m = matrix_from_json(obj["matrix"] if "matrix" in obj else obj).to_float()
     factors = iwasawa_sln(m)
     split = factor_split(m.n)
-    g2 = abelian_project(m)
     report = {
         "n": m.n,
-        "k": serialize.matrix_to_json(factors.k),
+        "k": matrix_to_json(factors.k),
         "chart": list(factors.chart),
         "split": {
             "g1": [factors.chart[i] for i in split.g1_coords],
-            "g2": list(g2),
+            "g2": [factors.chart[i] for i in split.g2_coords],
         },
     }
     return _emit(report, args, f"decompose-{Path(args.matrix).stem}")

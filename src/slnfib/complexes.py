@@ -9,18 +9,17 @@ grid coordinates by shifts of m.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, InputError
-from .linalg import FMatrix, RMatrix, matrix_exp
-from . import algebra
+from .linalg import FMatrix, matrix_exp
 
 Edge = Tuple[int, int]
 Value = Union[float, Fraction]
+
+WINDOW_COPIES = 3  # fundamental domains per axis in a developing-map window
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,9 @@ class TorusCovering:
         out[gen] += power * self.m
         return tuple(out)
 
-    def window(self, copies: int = 3) -> List[Tuple[int, ...]]:
-        """All covering vertices in [0, copies*m)^d."""
-        rng = range(copies * self.m)
+    def window(self) -> List[Tuple[int, ...]]:
+        """All covering vertices in [0, WINDOW_COPIES*m)^d."""
+        rng = range(WINDOW_COPIES * self.m)
         return [tuple(reversed(c)) for c in itertools.product(rng, repeat=self.d)]
 
 
@@ -113,7 +112,8 @@ class SimplicialComplex:
 
     @property
     def top_simplices(self):
-        return self.tetrahedra if self.tetrahedra else self.triangles
+        """Tetrahedra, else triangles, else edges (for a 1-complex)."""
+        return self.tetrahedra or self.triangles or self.edges
 
     def euler_characteristic(self) -> int:
         return (
@@ -248,9 +248,6 @@ class ScalarCochain1:
     def sup(self) -> float:
         return max(abs(v) for v in self.values.values())
 
-    def is_rational(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.values.values())
-
     @classmethod
     def from_vertex_function(cls, complex: SimplicialComplex, f) -> "ScalarCochain1":
         """The exact cochain df with df(u, v) = f(v) - f(u)."""
@@ -296,23 +293,19 @@ def period(w: ScalarCochain1, c: Cycle) -> Value:
     return total
 
 
-MatrixValue = Union[FMatrix, RMatrix]
-
-
 class LieCochain1:
     """Traceless-matrix values on oriented edges, antisymmetric.
 
-    Values live in sl(n, R); exact (RMatrix) and float (FMatrix) entries are
-    both accepted, but one cochain holds a single dimension n.
+    Values live in sl(n, R) as FMatrix entries of a single dimension n.
     """
 
-    def __init__(self, complex: SimplicialComplex, values: Dict[Edge, MatrixValue]):
+    def __init__(self, complex: SimplicialComplex, values: Dict[Edge, FMatrix]):
         self.complex = complex
         dims = {v.n for v in values.values()}
         if len(dims) != 1:
             raise InputError(f"Lie cochain values must share one dimension, got {dims}")
         self.n = dims.pop()
-        self.values: Dict[Edge, MatrixValue] = {}
+        self.values: Dict[Edge, FMatrix] = {}
         for (u, v), val in values.items():
             key = complex.canonical_edge(u, v)
             if key is None:
@@ -322,14 +315,14 @@ class LieCochain1:
         if missing:
             raise InputError(f"Lie cochain missing values on {len(missing)} edges")
 
-    def __call__(self, u: int, v: int) -> MatrixValue:
+    def __call__(self, u: int, v: int) -> FMatrix:
         key = self.complex.canonical_edge(u, v)
         if key is None:
             raise InputError(f"no edge ({u},{v})")
         val = self.values[key]
         return val if key == (u, v) else -val
 
-    def with_edge(self, u: int, v: int, value: MatrixValue) -> "LieCochain1":
+    def with_edge(self, u: int, v: int, value: FMatrix) -> "LieCochain1":
         out = dict(self.values)
         key = self.complex.canonical_edge(u, v)
         out[key] = value if key == (u, v) else -value
@@ -342,11 +335,11 @@ class LieCochain1:
         )
 
 
-def _commutator(a: MatrixValue, b: MatrixValue) -> MatrixValue:
+def _commutator(a: FMatrix, b: FMatrix) -> FMatrix:
     return a @ b - b @ a
 
 
-def flatness_residual(w: LieCochain1) -> List[MatrixValue]:
+def flatness_residual(w: LieCochain1) -> List[FMatrix]:
     """Per-triangle dw + [w(uv), w(vw)], the discrete Maurer-Cartan residual.
 
     The cup-product pairing 1/2([a,b] - [b,a]) = [a,b] reproduces the
@@ -372,21 +365,7 @@ def holonomy_residual(w: LieCochain1) -> List[FMatrix]:
     for u, v, t in w.complex.triangles:
         hol = ident
         for a, b in ((u, v), (v, t), (t, u)):
-            val = w(a, b)
-            if isinstance(val, RMatrix):
-                val = val.to_float()
-            hol = hol @ matrix_exp(val)
+            hol = hol @ matrix_exp(w(a, b))
         out.append(hol - ident)
     return out
 
-
-def lie_cochain_from_vertex_map(
-    complex: SimplicialComplex, g: Dict[int, FMatrix]
-) -> LieCochain1:
-    """w(u, v) = log(g(u)^-1 g(v)) for a group-valued vertex map."""
-    from .linalg import matrix_log
-
-    values = {}
-    for u, v in complex.edges:
-        values[(u, v)] = matrix_log(g[u].inv() @ g[v])
-    return LieCochain1(complex, values)

@@ -7,32 +7,36 @@ the defining conditions: cocycle compatibility on chart overlaps, the
 Maurer-Cartan equation plus pointwise surjectivity, and equivariance
 D(deck_g . x) = h(g) . D(x).
 
-Group tags: "GA", "SL2", "SLn", "R<k>".  Elements are GAElement, FMatrix, and
-float tuples respectively.
+The target group is one of the types GA, SL(n) and R^k of slnfib.groups; it
+supplies the group law, the algebra dimension and the JSON form of elements.
+Matrix groups carry a Lie cochain of FMatrix values, R^k carries k scalar
+cochains.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CheckFailed, DimensionError, InputError, LogDomain
-from .linalg import DEFAULT_TOL, FMatrix, RMatrix, ToleranceContext, matrix_log
+from .errors import CheckFailed, InputError, LogDomain
+from .linalg import EQ_TOL, RESIDUAL_TOL, FMatrix, matrix_log
 from .groups import (
+    GA,
+    SL,
     GAElement,
+    Group,
+    GroupElement,
+    Rk,
+    factor_split,
     ga_embed,
-    ga_inv,
-    ga_mul,
     ga_power,
     iwasawa_sl2,
     iwasawa_sln_ank,
     rotation,
 )
 from .complexes import (
-    Cycle,
     LieCochain1,
     ScalarCochain1,
     SimplicialComplex,
@@ -42,57 +46,6 @@ from .complexes import (
     torus_complex,
 )
 
-GroupElement = Union[GAElement, FMatrix, Tuple[float, ...]]
-
-RK_PREFIX = "R"
-
-
-def rk_dim(tag: str) -> int:
-    if not tag.startswith(RK_PREFIX):
-        raise InputError(f"not an abelian tag: {tag}")
-    return int(tag[len(RK_PREFIX):])
-
-
-def group_identity(tag: str, n: int = 2) -> GroupElement:
-    if tag == "GA":
-        return GAElement(1.0, 0.0)
-    if tag in ("SL2", "SLn"):
-        return FMatrix(np.eye(n))
-    return tuple(0.0 for _ in range(rk_dim(tag)))
-
-
-def group_mul(tag: str, a: GroupElement, b: GroupElement) -> GroupElement:
-    if tag == "GA":
-        return ga_mul(a, b)
-    if tag in ("SL2", "SLn"):
-        return a @ b
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def group_inv(tag: str, a: GroupElement) -> GroupElement:
-    if tag == "GA":
-        return ga_inv(a)
-    if tag in ("SL2", "SLn"):
-        return a.inv()
-    return tuple(-x for x in a)
-
-
-def group_dist(tag: str, a: GroupElement, b: GroupElement) -> float:
-    if tag == "GA":
-        return max(abs(a.a - b.a), abs(a.b - b.b))
-    if tag in ("SL2", "SLn"):
-        return a.dist(b)
-    return max(abs(x - y) for x, y in zip(a, b))
-
-
-def group_power(tag: str, a: GroupElement, k: int) -> GroupElement:
-    out = group_identity(tag, getattr(a, "n", 2))
-    g = a if k >= 0 else group_inv(tag, a)
-    for _ in range(abs(k)):
-        out = group_mul(tag, out, g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Foliated cocycles
 
@@ -101,7 +54,7 @@ def group_power(tag: str, a: GroupElement, k: int) -> GroupElement:
 class FoliatedCocycle:
     """Charts with submersion samples and left-translation transitions."""
 
-    tag: str
+    group: Group
     charts: List[frozenset]
     submersions: List[Dict[int, GroupElement]]
     transitions: Dict[Tuple[int, int], GroupElement]
@@ -136,7 +89,7 @@ def check_cocycle(c: FoliatedCocycle) -> CocycleReport:
 
     Violations are reported, never raised; the report carries the maxima.
     """
-    tag = c.tag
+    group = c.group
     max_trans, worst = 0.0, None
     n_charts = len(c.charts)
     for i in range(n_charts):
@@ -145,8 +98,8 @@ def check_cocycle(c: FoliatedCocycle) -> CocycleReport:
                 continue
             gamma = c.transitions[(i, j)]
             for v in c.charts[i] & c.charts[j]:
-                expect = group_mul(tag, gamma, c.submersions[i][v])
-                dev = group_dist(tag, c.submersions[j][v], expect)
+                expect = group.mul(gamma, c.submersions[i][v])
+                dev = group.dist(c.submersions[j][v], expect)
                 if dev > max_trans:
                     max_trans, worst = dev, (i, j)
     max_coc = 0.0
@@ -154,7 +107,7 @@ def check_cocycle(c: FoliatedCocycle) -> CocycleReport:
         if (i, i) in c.transitions:
             max_coc = max(
                 max_coc,
-                group_dist(tag, c.transitions[(i, i)], group_identity(tag)),
+                group.dist(c.transitions[(i, i)], group.identity()),
             )
         for j in range(n_charts):
             for k in range(n_charts):
@@ -164,78 +117,80 @@ def check_cocycle(c: FoliatedCocycle) -> CocycleReport:
                     and (i, k) in c.transitions
                     and c.charts[i] & c.charts[j] & c.charts[k]
                 ):
-                    composed = group_mul(
-                        tag, c.transitions[(j, k)], c.transitions[(i, j)]
-                    )
+                    composed = group.mul(c.transitions[(j, k)], c.transitions[(i, j)])
                     max_coc = max(
-                        max_coc, group_dist(tag, composed, c.transitions[(i, k)])
+                        max_coc, group.dist(composed, c.transitions[(i, k)])
                     )
     return CocycleReport(max_trans, max_coc, worst)
 
 
 # ---------------------------------------------------------------------------
-# Holonomy, developing map, foliation spec
-
-
-@dataclass
-class HolonomyRep:
-    """Images of the Z^d deck generators; must commute for abelian deck."""
-
-    tag: str
-    images: List[GroupElement]
-
-    def validate(self, tol: ToleranceContext = DEFAULT_TOL):
-        for i, a in enumerate(self.images):
-            for b in self.images[i + 1:]:
-                ab = group_mul(self.tag, a, b)
-                ba = group_mul(self.tag, b, a)
-                if group_dist(self.tag, ab, ba) > tol.eq_tol:
-                    raise InputError("deck generator images do not commute")
-
-
-@dataclass
-class DevelopingMap:
-    """Finite sample window of the developing map on the covering grid."""
-
-    tag: str
-    samples: Dict[Tuple[int, ...], GroupElement]
+# Foliation spec
 
 
 @dataclass
 class LieFoliationSpec:
-    """A complex, a flat cochain, a holonomy rep, and developing samples."""
+    """A complex, a flat cochain, a holonomy rep, and developing samples.
+
+    holonomy holds the images of the Z^d deck generators, which must commute;
+    developing is a finite sample window of the developing map on the
+    covering grid.
+    """
 
     complex: SimplicialComplex
-    tag: str
-    holonomy: HolonomyRep
-    developing: DevelopingMap
+    group: Group
+    holonomy: List[GroupElement]
+    developing: Dict[Tuple[int, ...], GroupElement]
     cochain: Optional[LieCochain1] = None
     scalar_cochains: Optional[List[ScalarCochain1]] = None
-    n: int = 2  # matrix dimension for matrix-group tags
 
     def __post_init__(self):
         if self.complex.covering is None:
             raise InputError("foliation specs require covering data")
-        if (self.cochain is None) == (self.scalar_cochains is None):
-            raise InputError("exactly one of cochain / scalar_cochains required")
-        self.holonomy.validate()
+        group = self.group
+        if isinstance(group, Rk):
+            want = f"{group.k} scalar cochains"
+            ok = (
+                self.cochain is None
+                and self.scalar_cochains is not None
+                and len(self.scalar_cochains) == group.k
+            )
+        else:
+            want = f"a cochain of {group.n}x{group.n} matrices"
+            ok = (
+                self.scalar_cochains is None
+                and self.cochain is not None
+                and self.cochain.n == group.n
+            )
+        if not ok:
+            raise InputError(f"{group.tag} spec needs {want} and no other cochain")
+        d = self.complex.covering.d
+        if len(self.holonomy) != d:
+            raise InputError(f"holonomy needs {d} images, got {len(self.holonomy)}")
+        for i, a in enumerate(self.holonomy):
+            for b in self.holonomy[i + 1:]:
+                if group.dist(group.mul(a, b), group.mul(b, a)) > EQ_TOL:
+                    raise InputError("deck generator images do not commute")
 
     def is_abelian(self) -> bool:
         return self.scalar_cochains is not None
 
     def developing_value(self, z: Tuple[int, ...]) -> GroupElement:
         """Extend the sample window by equivariance D(deck.z) = h . D(z)."""
-        if z in self.developing.samples:
-            return self.developing.samples[z]
+        if z in self.developing:
+            return self.developing[z]
+        group = self.group
         cov = self.complex.covering
         shifts = [c // cov.m for c in z]
         base = tuple(c % cov.m for c in z)
-        out = self.developing.samples[base]
+        out = self.developing[base]
         for gen, k in enumerate(shifts):
             if k:
-                out = group_mul(
-                    self.tag, group_power(self.tag, self.holonomy.images[gen], k), out
-                )
+                h = self.holonomy[gen] if k > 0 else group.inv(self.holonomy[gen])
+                power = group.identity()
+                for _ in range(abs(k)):
+                    power = group.mul(power, h)
+                out = group.mul(power, out)
         return out
 
     def edge_lift(self, u: int, v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -249,7 +204,7 @@ class LieFoliationSpec:
             return tuple(reversed(self.edge_lift(v, u)))
         return zu, tuple(a + x for a, x in zip(zu, e))
 
-    def validate_consistency(self, tol: ToleranceContext = DEFAULT_TOL) -> float:
+    def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
         worst = 0.0
         for u, v in self.complex.edges:
@@ -262,13 +217,9 @@ class LieFoliationSpec:
                     worst, max(abs(float(x) - y) for x, y in zip(got, inc))
                 )
             else:
-                gu = ga_embed(du) if self.tag == "GA" else du
-                gv = ga_embed(dv) if self.tag == "GA" else dv
+                gu, gv = self.group.matrix(du), self.group.matrix(dv)
                 logged = matrix_log(gu.inv() @ gv)
-                val = self.cochain(u, v)
-                if isinstance(val, RMatrix):
-                    val = val.to_float()
-                worst = max(worst, logged.dist(val))
+                worst = max(worst, logged.dist(self.cochain(u, v)))
         return worst
 
 
@@ -297,59 +248,43 @@ class MCReport:
         }
 
 
-def _algebra_dim(spec: LieFoliationSpec) -> int:
-    if spec.is_abelian():
-        return rk_dim(spec.tag)
-    if spec.tag == "GA":
-        return 2
-    return spec.n * spec.n - 1
-
-
 def _edge_value_vector(spec: LieFoliationSpec, u: int, v: int) -> List[float]:
     if spec.is_abelian():
         return [float(w(u, v)) for w in spec.scalar_cochains]
-    val = spec.cochain(u, v)
-    if isinstance(val, RMatrix):
-        val = val.to_float()
-    if spec.tag == "GA":
-        # GA subalgebra of sl(2): span of diag(t, -t) and strict-upper s
-        return [val[0, 0], val[0, 1]]
-    return [val[i, j] for i in range(spec.n) for j in range(spec.n)]
+    return spec.group.coords(spec.cochain(u, v))
 
 
 RANK_THRESHOLD = 1e-8  # singular values below threshold * sigma_max count as zero
+HOLONOMY_TOL = 1e-8  # flatness limit on the triangle holonomy residual
 
 
-def check_mc(
-    spec: LieFoliationSpec,
-    tol: ToleranceContext = DEFAULT_TOL,
-    flatness_tol: Optional[float] = None,
-) -> MCReport:
+def check_mc(spec: LieFoliationSpec) -> MCReport:
     """Discrete Maurer-Cartan conditions.
 
-    Flatness: abelian cochains must have vanishing coboundary within eq_tol;
+    Flatness: abelian cochains must have vanishing coboundary within EQ_TOL;
     matrix-valued cochains are judged by the triangle holonomy residual (the
-    discretization-free oracle), default tolerance 1e-8.  Surjectivity: the
+    discretization-free oracle) within HOLONOMY_TOL.  Surjectivity: the
     cochain values on the edges incident to each vertex must span the target
-    algebra, by exact rank for rational data and thresholded SVD otherwise.
+    algebra, judged by an SVD rank with singular values below RANK_THRESHOLD
+    times the largest counted as zero.
     """
     failing_triangles: List[int] = []
     max_res = 0.0
     if spec.is_abelian():
-        limit = flatness_tol if flatness_tol is not None else tol.eq_tol
+        limit = EQ_TOL
         per_tri = [
             max(abs(float(coboundary(w)[t])) for w in spec.scalar_cochains)
             for t in range(len(spec.complex.triangles))
         ]
     else:
-        limit = flatness_tol if flatness_tol is not None else 1e-8
+        limit = HOLONOMY_TOL
         per_tri = [r.sup() for r in holonomy_residual(spec.cochain)]
     for t, r in enumerate(per_tri):
         max_res = max(max_res, r)
         if r > limit:
             failing_triangles.append(t)
 
-    dim = _algebra_dim(spec)
+    dim = spec.group.dim
     failing_vertices: List[int] = []
     for vtx in range(spec.complex.n_vertices):
         vecs = [
@@ -394,16 +329,16 @@ class EquivarianceReport:
 
 def check_equivariance(spec: LieFoliationSpec) -> EquivarianceReport:
     """Verify D(deck_g . x) = h(g) . D(x) over the stored sample window."""
-    samples = spec.developing.samples
+    samples = spec.developing
     cov = spec.complex.covering
     worst, count = 0.0, 0
     for z, dz in samples.items():
-        for gen, h in enumerate(spec.holonomy.images):
+        for gen, h in enumerate(spec.holonomy):
             shifted = cov.deck(z, gen)
             if shifted not in samples:
                 continue
-            expect = group_mul(spec.tag, h, dz)
-            worst = max(worst, group_dist(spec.tag, samples[shifted], expect))
+            expect = spec.group.mul(h, dz)
+            worst = max(worst, spec.group.dist(samples[shifted], expect))
             count += 1
     if count == 0:
         raise InputError("developing window too small for any equivariance pair")
@@ -414,13 +349,7 @@ def check_equivariance(spec: LieFoliationSpec) -> EquivarianceReport:
 # Constructors
 
 
-def _window_coords(cov, copies: int):
-    return cov.window(copies)
-
-
-def linear_torus_spec(
-    m: int, rows: Sequence[Sequence[float]], window_copies: int = 3
-) -> LieFoliationSpec:
+def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSpec:
     """Abelian R^k foliation on T^d with developing D(z) = A . z / m.
 
     rows is the k x d coefficient matrix A; holonomy of the axis-k deck
@@ -440,29 +369,25 @@ def linear_torus_spec(
         z: tuple(
             sum(row[ax] * z[ax] for ax in range(d)) / m for row in rows
         )
-        for z in _window_coords(complex.covering, window_copies)
+        for z in complex.covering.window()
     }
-    hol = HolonomyRep(f"R{k}", [tuple(float(row[ax]) for row in rows) for ax in range(d)])
     return LieFoliationSpec(
         complex=complex,
-        tag=f"R{k}",
-        holonomy=hol,
-        developing=DevelopingMap(f"R{k}", samples),
+        group=Rk(k),
+        holonomy=[tuple(float(row[ax]) for row in rows) for ax in range(d)],
+        developing=samples,
         scalar_cochains=cochains,
     )
 
 
-def ga_suspension(m: int, hol: GAElement, window_copies: int = 3) -> LieFoliationSpec:
+def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
     """GA foliation on a circle, suspended from one holonomy element.
 
     The developing map follows the one-parameter subgroup through hol, so the
     deck shift by m multiplies by hol on the left.
     """
     complex = torus_complex(1, m)
-    samples = {
-        z: ga_power(hol, z[0] / m)
-        for z in _window_coords(complex.covering, window_copies)
-    }
+    samples = {z: ga_power(hol, z[0] / m) for z in complex.covering.window()}
     values = {}
     for u, v in complex.edges:
         zu = complex.vertex_coords[u]
@@ -472,24 +397,24 @@ def ga_suspension(m: int, hol: GAElement, window_copies: int = 3) -> LieFoliatio
         values[(u, v)] = matrix_log(gu.inv() @ gv)
     return LieFoliationSpec(
         complex=complex,
-        tag="GA",
-        holonomy=HolonomyRep("GA", [hol]),
-        developing=DevelopingMap("GA", samples),
+        group=GA(),
+        holonomy=[hol],
+        developing=samples,
         cochain=LieCochain1(complex, values),
     )
 
 
-def product_foliation(
-    base: LieFoliationSpec, window_copies: int = 3
-) -> LieFoliationSpec:
+def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
     """SL(2) foliation on base x S^1 with D(x, y) = embed(D0(x)) . sigma(y).
 
     The base must be a GA foliation on a circle; the circle factor reuses the
     base subdivision, the section sigma winds once per fundamental domain, and
     holonomy is extended trivially on the new factor.
     """
-    if base.tag != "GA":
-        raise InputError(f"product construction needs a GA base, got {base.tag}")
+    if base.group != GA():
+        raise InputError(
+            f"product construction needs a GA base, got {base.group.tag}"
+        )
     cov = base.complex.covering
     if cov is None or cov.d != 1:
         raise InputError("product construction needs a circle base")
@@ -500,7 +425,7 @@ def product_foliation(
         d0 = base.developing_value((z[0],))
         return ga_embed(d0) @ rotation(2.0 * math.pi * z[1] / m)
 
-    samples = {z: dev(z) for z in _window_coords(complex.covering, window_copies)}
+    samples = {z: dev(z) for z in complex.covering.window()}
     values = {}
     for u, v in complex.edges:
         zu = complex.vertex_coords[u]
@@ -515,21 +440,19 @@ def product_foliation(
                 f"subdivision m={m} too coarse for edge logarithms "
                 f"(rotation step 2*pi/{m}); use m >= 8"
             ) from exc
+    sl2 = SL(2)
     spec = LieFoliationSpec(
         complex=complex,
-        tag="SL2",
-        holonomy=HolonomyRep(
-            "SL2", [ga_embed(base.holonomy.images[0]), FMatrix(np.eye(2))]
-        ),
-        developing=DevelopingMap("SL2", samples),
+        group=sl2,
+        holonomy=[ga_embed(base.holonomy[0]), sl2.identity()],
+        developing=samples,
         cochain=LieCochain1(complex, values),
-        n=2,
     )
     # constructor contract: never emit an unchecked spec
     report = check_mc(spec)
     if not report.flat:
         raise CheckFailed("product foliation failed the flatness check")
-    if spec.validate_consistency() > DEFAULT_TOL.residual_tol * 10:
+    if spec.validate_consistency() > RESIDUAL_TOL * 10:
         raise CheckFailed("product foliation cochain inconsistent with developing map")
     return spec
 
@@ -542,79 +465,60 @@ def _ank_chart(g: FMatrix) -> Tuple[float, ...]:
     return iwasawa_sln_ank(g).chart
 
 
-def project_foliation(
-    spec: LieFoliationSpec,
-    which: int,
-    tol: ToleranceContext = DEFAULT_TOL,
-    split_sizes: Optional[Tuple[int, int]] = None,
-) -> LieFoliationSpec:
+def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     """Project a product-structured foliation onto one factor.
 
-    Abelian specs split by coordinates.  SL(2)/SL(n) specs use the Iwasawa
-    product: factor 1 is the GA part (SL(2) only), factor 2 the final two
-    coordinates of the triangular-left vector chart.  Projected scalar
-    cochains are rebuilt from chart differences of the developing map and
-    re-verified for closedness; a violation raises CheckFailed rather than
-    propagating an unsound fibration input.
+    Abelian specs split by coordinates: R^k into R^(k-2) x R^2, R^2 into
+    R x R.  SL(2)/SL(n) specs use the Iwasawa product: factor 1 is the GA
+    part (SL(2) only), factor 2 the final two coordinates of the
+    triangular-left vector chart.  Projected scalar cochains are rebuilt from
+    chart differences of the developing map and re-verified for closedness; a
+    violation raises CheckFailed rather than propagating an unsound fibration
+    input.
     """
     if which not in (1, 2):
         raise InputError("factor index must be 1 or 2")
-    if spec.is_abelian():
-        k = rk_dim(spec.tag)
-        if split_sizes is None:
-            split_sizes = (k - 2, 2) if k > 2 else (1, k - 1)
-        k1, k2 = split_sizes
-        if k1 + k2 != k or k1 < 1 or k2 < 1:
-            raise InputError(f"bad split {split_sizes} of R^{k}")
-        sel = range(k1) if which == 1 else range(k1, k)
-        sel = list(sel)
-        new_k = len(sel)
-        tag = f"R{new_k}"
-        cochains = [spec.scalar_cochains[i] for i in sel]
-        samples = {
-            z: tuple(val[i] for i in sel)
-            for z, val in spec.developing.samples.items()
-        }
-        hol = HolonomyRep(tag, [tuple(h[i] for i in sel) for h in spec.holonomy.images])
+    group = spec.group
+    if isinstance(group, Rk):
+        k = group.k
+        if k < 2:
+            raise InputError(f"{group.tag} has no product structure")
+        k1 = k - 2 if k > 2 else 1
+        sel = list(range(k1)) if which == 1 else list(range(k1, k))
         out = LieFoliationSpec(
             complex=spec.complex,
-            tag=tag,
-            holonomy=hol,
-            developing=DevelopingMap(tag, samples),
-            scalar_cochains=cochains,
+            group=Rk(len(sel)),
+            holonomy=[tuple(h[i] for i in sel) for h in spec.holonomy],
+            developing={
+                z: tuple(val[i] for i in sel) for z, val in spec.developing.items()
+            },
+            scalar_cochains=[spec.scalar_cochains[i] for i in sel],
         )
-        _require_closed(out, tol)
+        _require_closed(out)
         return out
 
-    if spec.tag not in ("SL2", "SLn"):
-        raise InputError(f"no product structure on tag {spec.tag}")
+    if not isinstance(group, SL):
+        raise InputError(f"no product structure on group {group.tag}")
 
     if which == 1:
-        if spec.tag != "SL2":
+        if group != SL(2):
             raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
-        samples = {
-            z: iwasawa_sl2(g, tol)[0] for z, g in spec.developing.samples.items()
-        }
-        hol = HolonomyRep(
-            "GA", [iwasawa_sl2(h, tol)[0] for h in spec.holonomy.images]
-        )
         values = {}
         for u, v in spec.complex.edges:
             zu, zv = spec.edge_lift(u, v)
-            gu = ga_embed(iwasawa_sl2(spec.developing_value(zu), tol)[0])
-            gv = ga_embed(iwasawa_sl2(spec.developing_value(zv), tol)[0])
+            gu = ga_embed(iwasawa_sl2(spec.developing_value(zu))[0])
+            gv = ga_embed(iwasawa_sl2(spec.developing_value(zv))[0])
             values[(u, v)] = matrix_log(gu.inv() @ gv)
         return LieFoliationSpec(
             complex=spec.complex,
-            tag="GA",
-            holonomy=hol,
-            developing=DevelopingMap("GA", samples),
+            group=GA(),
+            holonomy=[iwasawa_sl2(h)[0] for h in spec.holonomy],
+            developing={z: iwasawa_sl2(g)[0] for z, g in spec.developing.items()},
             cochain=LieCochain1(spec.complex, values),
         )
 
     # which == 2: the abelian R^2 chart factor
-    chart_len = spec.n * (spec.n + 1) // 2 - 1
-    coords = (chart_len - 2, chart_len - 1)
+    coords = factor_split(group.n).g2_coords
     values1, values2 = {}, {}
     for u, v in spec.complex.edges:
         zu, zv = spec.edge_lift(u, v)
@@ -622,33 +526,28 @@ def project_foliation(
         cv = _ank_chart(spec.developing_value(zv))
         values1[(u, v)] = cv[coords[0]] - cu[coords[0]]
         values2[(u, v)] = cv[coords[1]] - cu[coords[1]]
-    cochains = [
-        ScalarCochain1(spec.complex, values1),
-        ScalarCochain1(spec.complex, values2),
-    ]
-    samples = {
-        z: tuple(_ank_chart(g)[c] for c in coords)
-        for z, g in spec.developing.samples.items()
-    }
-    hol = HolonomyRep(
-        "R2", [tuple(_ank_chart(h)[c] for c in coords) for h in spec.holonomy.images]
-    )
     out = LieFoliationSpec(
         complex=spec.complex,
-        tag="R2",
-        holonomy=hol,
-        developing=DevelopingMap("R2", samples),
-        scalar_cochains=cochains,
+        group=Rk(2),
+        holonomy=[tuple(_ank_chart(h)[c] for c in coords) for h in spec.holonomy],
+        developing={
+            z: tuple(_ank_chart(g)[c] for c in coords)
+            for z, g in spec.developing.items()
+        },
+        scalar_cochains=[
+            ScalarCochain1(spec.complex, values1),
+            ScalarCochain1(spec.complex, values2),
+        ],
     )
-    _require_closed(out, tol)
+    _require_closed(out)
     return out
 
 
-def _require_closed(spec: LieFoliationSpec, tol: ToleranceContext):
+def _require_closed(spec: LieFoliationSpec):
     worst = 0.0
     for w in spec.scalar_cochains:
         worst = max(worst, max((abs(float(x)) for x in coboundary(w)), default=0.0))
-    if worst > tol.residual_tol:
+    if worst > RESIDUAL_TOL:
         raise CheckFailed(
             f"projected cochain is not closed: max coboundary {worst:.3e}"
         )

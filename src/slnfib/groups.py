@@ -7,17 +7,20 @@
   mirrored AN-left variant used when left holonomy must act on the vector
   chart.
 * The split of the vector chart into a leading block and a final R^2 factor.
+* One type per target group of a foliation (GA, SL(n), R^k) and the parser
+  of the JSON "group" value that names it.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import ClassVar, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionError, InputError, SingularInput
-from .linalg import DEFAULT_TOL, FMatrix, ToleranceContext, qr_positive
+from .linalg import EQ_TOL, FMatrix, matrix_from_json, matrix_to_json, qr_positive
 
 
 @dataclass(frozen=True)
@@ -80,15 +83,13 @@ def section(angle) -> FMatrix:
     return rotation(angle)
 
 
-def _require_unimodular(g: FMatrix, tol: ToleranceContext):
+def _require_unimodular(g: FMatrix):
     d = g.det()
-    if abs(d - 1.0) > tol.eq_tol * 100:
+    if abs(d - 1.0) > EQ_TOL * 100:
         raise SingularInput(f"matrix has det {d:.12f}, not in SL(n)")
 
 
-def iwasawa_sl2(
-    g: FMatrix, tol: ToleranceContext = DEFAULT_TOL
-) -> Tuple[GAElement, CircleAngle]:
+def iwasawa_sl2(g: FMatrix) -> Tuple[GAElement, CircleAngle]:
     """Unique factorization g = ga_embed(b) . rotation(theta).
 
     Writing the GA factor as [[p, q], [0, 1/p]] with p > 0, the bottom row of
@@ -96,7 +97,7 @@ def iwasawa_sl2(
     """
     if g.n != 2:
         raise DimensionError("iwasawa_sl2 requires a 2x2 matrix")
-    _require_unimodular(g, tol)
+    _require_unimodular(g)
     s_raw, c_raw = g[1, 0], g[1, 1]
     norm = math.hypot(s_raw, c_raw)
     p = 1.0 / norm
@@ -106,9 +107,9 @@ def iwasawa_sl2(
     return GAElement(p * p, q * p), CircleAngle(theta)
 
 
-def circle_project(g: FMatrix, tol: ToleranceContext = DEFAULT_TOL) -> CircleAngle:
+def circle_project(g: FMatrix) -> CircleAngle:
     """Projection SL(2, R) -> S^1 discarding the GA factor."""
-    return iwasawa_sl2(g, tol)[1]
+    return iwasawa_sl2(g)[1]
 
 
 def chart_length(n: int) -> int:
@@ -155,10 +156,10 @@ def _r_from_chart(n: int, chart) -> FMatrix:
     return FMatrix(r)
 
 
-def iwasawa_sln(g: FMatrix, tol: ToleranceContext = DEFAULT_TOL) -> IwasawaFactors:
+def iwasawa_sln(g: FMatrix) -> IwasawaFactors:
     """SO(n)-left decomposition g = K . R via positive-diagonal QR."""
-    _require_unimodular(g, tol)
-    q, r = qr_positive(g, tol)
+    _require_unimodular(g)
+    q, r = qr_positive(g)
     # det R > 0 and det g = 1 force det Q = +1; asserted, not assumed.
     assert abs(q.det() - 1.0) < 1e-6, "QR of a unimodular matrix lost det Q = +1"
     return IwasawaFactors(q, _chart_from_r(r))
@@ -172,15 +173,15 @@ def iwasawa_recompose(f: IwasawaFactors) -> FMatrix:
     return f.k @ _r_from_chart(f.n, f.chart)
 
 
-def iwasawa_sln_ank(g: FMatrix, tol: ToleranceContext = DEFAULT_TOL) -> IwasawaFactors:
+def iwasawa_sln_ank(g: FMatrix) -> IwasawaFactors:
     """Mirrored decomposition g = R . K with the triangular part on the left.
 
     Left translation by upper-triangular holonomy then acts on the chart by
     translation in the log-diagonal coordinates, which is what makes
     chart-difference cochains of an equivariant developing map well defined.
     """
-    _require_unimodular(g, tol)
-    q_inv, r_inv = qr_positive(g.inv(), tol)
+    _require_unimodular(g)
+    q_inv, r_inv = qr_positive(g.inv())
     r = r_inv.inv()
     k = q_inv.transpose()
     assert abs(k.det() - 1.0) < 1e-6
@@ -218,11 +219,167 @@ def factor_split(n: int) -> FactorSplit:
     return FactorSplit(n)
 
 
-def abelian_project(
-    g: FMatrix, tol: ToleranceContext = DEFAULT_TOL
-) -> Tuple[float, float]:
+def abelian_project(g: FMatrix) -> Tuple[float, float]:
     """The two R^2 chart coordinates of g under the factor split."""
     split = factor_split(g.n)
-    chart = iwasawa_sln(g, tol).chart
+    chart = iwasawa_sln(g).chart
     i, j = split.g2_coords
     return (chart[i], chart[j])
+
+
+# ---------------------------------------------------------------------------
+# Target groups of a foliation
+
+
+def _floats(obj, length: int, what: str) -> Tuple[float, ...]:
+    """A JSON array of `length` numbers, as floats."""
+    if isinstance(obj, list) and len(obj) == length:
+        try:
+            return tuple(float(x) for x in obj)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{what} must be an array of {length} numbers, got {obj!r}")
+
+
+@dataclass(frozen=True)
+class GA:
+    """The affine group; elements are GAElement, edge values 2x2 matrices
+    in its subalgebra of sl(2)."""
+
+    tag: ClassVar[str] = "GA"
+    n: ClassVar[int] = 2  # matrix size under ga_embed
+    dim: ClassVar[int] = 2  # dimension of the Lie algebra
+
+    def identity(self) -> GAElement:
+        return GA_IDENTITY
+
+    def mul(self, g: GAElement, h: GAElement) -> GAElement:
+        return ga_mul(g, h)
+
+    def inv(self, g: GAElement) -> GAElement:
+        return ga_inv(g)
+
+    def dist(self, g: GAElement, h: GAElement) -> float:
+        return max(abs(g.a - h.a), abs(g.b - h.b))
+
+    def matrix(self, g: GAElement) -> FMatrix:
+        return ga_embed(g)
+
+    def coords(self, x: FMatrix) -> List[float]:
+        """Coordinates over diag(1, -1) and the strictly upper unit matrix."""
+        return [x[0, 0], x[0, 1]]
+
+    def from_json(self, obj) -> GAElement:
+        return GAElement(*_floats(obj, 2, "GA element [a, b]"))
+
+    def to_json(self, g: GAElement):
+        return [g.a, g.b]
+
+
+@dataclass(frozen=True)
+class SL:
+    """SL(n, R); elements and edge values are n x n FMatrix."""
+
+    n: int
+
+    @property
+    def tag(self) -> str:
+        return "SL2" if self.n == 2 else "SLn"
+
+    @property
+    def dim(self) -> int:
+        return self.n * self.n - 1
+
+    def identity(self) -> FMatrix:
+        return FMatrix.identity(self.n)
+
+    def mul(self, g: FMatrix, h: FMatrix) -> FMatrix:
+        return g @ h
+
+    def inv(self, g: FMatrix) -> FMatrix:
+        return g.inv()
+
+    def dist(self, g: FMatrix, h: FMatrix) -> float:
+        return g.dist(h)
+
+    def matrix(self, g: FMatrix) -> FMatrix:
+        return g
+
+    def coords(self, x: FMatrix) -> List[float]:
+        """All n^2 entries, row-major."""
+        return [x[i, j] for i in range(self.n) for j in range(self.n)]
+
+    def from_json(self, obj) -> FMatrix:
+        g = matrix_from_json(obj).to_float()
+        if g.n != self.n:
+            n = self.n
+            raise InputError(f"SL({n}) element must be {n}x{n}, got {g.n}x{g.n}")
+        return g
+
+    def to_json(self, g: FMatrix):
+        return matrix_to_json(g)
+
+
+@dataclass(frozen=True)
+class Rk:
+    """The abelian group R^k; elements are float k-tuples, and the cochain
+    is given as k scalar cochains."""
+
+    k: int
+
+    @property
+    def tag(self) -> str:
+        return f"R{self.k}"
+
+    @property
+    def dim(self) -> int:
+        return self.k
+
+    def identity(self) -> Tuple[float, ...]:
+        return (0.0,) * self.k
+
+    def mul(self, g: Tuple[float, ...], h: Tuple[float, ...]) -> Tuple[float, ...]:
+        return tuple(x + y for x, y in zip(g, h))
+
+    def inv(self, g: Tuple[float, ...]) -> Tuple[float, ...]:
+        return tuple(-x for x in g)
+
+    def dist(self, g: Tuple[float, ...], h: Tuple[float, ...]) -> float:
+        return max(abs(x - y) for x, y in zip(g, h))
+
+    def from_json(self, obj) -> Tuple[float, ...]:
+        return _floats(obj, self.k, f"{self.tag} element")
+
+    def to_json(self, g: Tuple[float, ...]):
+        return list(g)
+
+
+Group = Union[GA, SL, Rk]
+GroupElement = Union[GAElement, FMatrix, Tuple[float, ...]]
+
+_RK_TAG = re.compile(r"R([1-9][0-9]*)")
+
+
+def parse_group(value, n: Optional[int] = None) -> Group:
+    """The group named by the "group" value of a spec: "GA", "SL2", "SLn" or
+    "R<k>" with k >= 1.
+
+    n is the matrix size of the spec's cochain, when it has one: "SLn" takes
+    its dimension from it, and "SL2" requires it to be 2.
+    """
+    if value == "GA":
+        return GA()
+    if value == "SL2":
+        if n not in (None, 2):
+            raise InputError(f"group 'SL2' needs 2x2 matrices, got {n}x{n}")
+        return SL(2)
+    if value == "SLn":
+        if n is None:
+            raise InputError("group 'SLn' takes its dimension from a 'cochain' field")
+        return SL(n)
+    match = _RK_TAG.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise InputError(
+            f"unknown group {value!r}: expected 'GA', 'SL2', 'SLn' or 'R<k>', k >= 1"
+        )
+    return Rk(int(match.group(1)))

@@ -2,40 +2,29 @@
 
 Exact arithmetic (RMatrix, backed by fractions.Fraction) carries every
 algebra-level computation; FMatrix (numpy float64) is used only where square
-roots, exponentials or orthogonalization force floating point.
+roots, exponentials or orthogonalization force floating point.  Both have a
+JSON form: row-major nested arrays of plain numbers, with exact rationals as
+"p/q" strings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, LogDomain, SingularInput
+from .errors import DimensionError, InputError, LogDomain, SingularInput
 
 MAX_DIM = 8
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ToleranceContext:
-    """Comparison tolerances used by all floating-point checks."""
-
-    eq_tol: float = 1e-10
-    residual_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0.0 < self.eq_tol <= self.residual_tol < 1.0):
-            raise ValueError(
-                "require 0 < eq_tol <= residual_tol < 1, got "
-                f"({self.eq_tol}, {self.residual_tol})"
-            )
-
-
-DEFAULT_TOL = ToleranceContext()
+# Comparison tolerances of the floating-point checks: EQ_TOL for values that
+# should agree exactly, RESIDUAL_TOL for residuals of computed quantities.
+EQ_TOL = 1e-10
+RESIDUAL_TOL = 1e-9
 
 
 def _check_dim(n: int):
@@ -230,6 +219,9 @@ class FMatrix:
     def inv(self) -> "FMatrix":
         return FMatrix(np.linalg.inv(self.arr))
 
+    def to_float(self) -> "FMatrix":
+        return self
+
     def sup(self) -> float:
         """Largest absolute entry."""
         return float(np.max(np.abs(self.arr)))
@@ -244,27 +236,13 @@ class FMatrix:
         return f"FMatrix({self.arr.tolist()})"
 
 
-Matrix = Union[RMatrix, FMatrix]
-
-
-def multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; exact when both operands are RMatrix."""
-    if isinstance(a, RMatrix) != isinstance(b, RMatrix):
-        raise DimensionError("cannot mix exact and float matrices in multiply")
-    return a @ b
-
-
-def determinant(a: Matrix):
-    return a.det()
-
-
-def qr_positive(a: FMatrix, tol: ToleranceContext = DEFAULT_TOL):
+def qr_positive(a: FMatrix):
     """QR factorization normalized to a strictly positive diagonal of R.
 
     Uniqueness of (Q, R) under the positivity constraint is what makes this
     usable as a canonical chart on the invertible matrices.
     """
-    if abs(a.det()) <= tol.residual_tol:
+    if abs(a.det()) <= RESIDUAL_TOL:
         raise SingularInput(f"qr_positive: |det| = {abs(a.det()):.3e} too small")
     q, r = np.linalg.qr(a.arr)
     signs = np.sign(np.diag(r))
@@ -279,12 +257,47 @@ def matrix_exp(a: FMatrix) -> FMatrix:
     return FMatrix(scipy.linalg.expm(a.arr))
 
 
-def matrix_log(a: FMatrix, tol: ToleranceContext = DEFAULT_TOL) -> FMatrix:
+def matrix_log(a: FMatrix) -> FMatrix:
     """Principal logarithm, restricted to the ball ||a - I||_2 < 1."""
     gap = float(np.linalg.norm(a.arr - np.eye(a.n), 2))
     if gap >= 1.0:
         raise LogDomain(f"matrix_log: ||a - I|| = {gap:.4f} >= 1")
     out = scipy.linalg.logm(a.arr)
-    if np.max(np.abs(np.imag(out))) > tol.residual_tol:
+    if np.max(np.abs(np.imag(out))) > RESIDUAL_TOL:
         raise LogDomain("matrix_log: non-real principal logarithm")
     return FMatrix(np.real(out))
+
+
+def scalar_to_json(v):
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return float(v)
+
+
+def scalar_from_json(v) -> Union[float, Fraction]:
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"bad rational literal {v!r}: {e}") from e
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InputError(f"bad scalar {v!r}")
+    return Fraction(v) if isinstance(v, int) else float(v)
+
+
+def matrix_to_json(m):
+    if isinstance(m, RMatrix):
+        return [[scalar_to_json(m[i, j]) for j in range(m.n)] for i in range(m.n)]
+    return [[m[i, j] for j in range(m.n)] for i in range(m.n)]
+
+
+def matrix_from_json(rows) -> Union[RMatrix, FMatrix]:
+    """RMatrix if any entry is a "p/q" string, FMatrix otherwise."""
+    if not isinstance(rows, list) or not rows:
+        raise InputError("matrix must be a non-empty nested array")
+    try:
+        if any(isinstance(x, str) for row in rows for x in row):
+            return RMatrix([[scalar_from_json(x) for x in row] for row in rows])
+        return FMatrix([[float(x) for x in row] for row in rows])
+    except (TypeError, ValueError) as e:
+        raise InputError(f"bad matrix: {e}") from e

@@ -8,54 +8,18 @@ of explicit vertex/edge/triangle lists.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict
 
 from .errors import InputError
-from .linalg import FMatrix, RMatrix
-from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
-from .foliation import (
-    DevelopingMap,
-    HolonomyRep,
-    LieFoliationSpec,
-    rk_dim,
+from .linalg import (
+    matrix_from_json,
+    matrix_to_json,
+    scalar_from_json,
+    scalar_to_json,
 )
-from .groups import GAElement
-
-
-def scalar_to_json(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
-def scalar_from_json(v) -> Union[float, Fraction]:
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad rational literal {v!r}: {e}") from e
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"bad scalar {v!r}")
-    return Fraction(v) if isinstance(v, int) else float(v)
-
-
-def matrix_to_json(m):
-    if isinstance(m, RMatrix):
-        return [[scalar_to_json(m[i, j]) for j in range(m.n)] for i in range(m.n)]
-    return [[m[i, j] for j in range(m.n)] for i in range(m.n)]
-
-
-def matrix_from_json(rows) -> Union[RMatrix, FMatrix]:
-    if not isinstance(rows, list) or not rows:
-        raise InputError("matrix must be a non-empty nested array")
-    exact = any(isinstance(x, str) for row in rows for x in row)
-    try:
-        if exact:
-            return RMatrix([[scalar_from_json(x) for x in row] for row in rows])
-        return FMatrix([[float(x) for x in row] for row in rows])
-    except (TypeError, ValueError) as e:
-        raise InputError(f"bad matrix: {e}") from e
+from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
+from .foliation import LieFoliationSpec
+from .groups import parse_group
 
 
 def load_complex(obj) -> SimplicialComplex:
@@ -92,58 +56,38 @@ def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
 
 
 def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> LieCochain1:
+    """Lie cochain with FMatrix values; "p/q" entries are converted to floats."""
     return LieCochain1(
-        complex, {_edge_key_parse(k): matrix_from_json(v) for k, v in obj.items()}
+        complex,
+        {_edge_key_parse(k): matrix_from_json(v).to_float() for k, v in obj.items()},
     )
 
 
-def group_element_from_json(tag: str, obj):
-    if tag == "GA":
-        a, b = obj
-        return GAElement(float(a), float(b))
-    if tag in ("SL2", "SLn"):
-        m = matrix_from_json(obj)
-        return m.to_float() if isinstance(m, RMatrix) else m
-    return tuple(float(x) for x in obj)
-
-
 def load_foliation_spec(obj) -> LieFoliationSpec:
-    """Spec bundle: complex, group tag, cochain(s), holonomy, developing."""
+    """Spec bundle: complex, group, cochain(s), holonomy, developing."""
     try:
-        tag = obj["group"]
         complex = load_complex(obj)
-        holonomy = HolonomyRep(
-            tag, [group_element_from_json(tag, h) for h in obj["holonomy"]]
+        cochain = (
+            lie_cochain_from_json(complex, obj["cochain"]) if "cochain" in obj else None
         )
-        samples = {}
-        for key, val in obj["developing"].items():
-            coords = tuple(int(c) for c in key.split(","))
-            samples[coords] = group_element_from_json(tag, val)
-        developing = DevelopingMap(tag, samples)
-        if tag.startswith("R"):
-            cochains = [
-                scalar_cochain_from_json(complex, c) for c in obj["scalar_cochains"]
-            ]
-            if len(cochains) != rk_dim(tag):
-                raise InputError(
-                    f"{tag} spec needs {rk_dim(tag)} scalar cochains, "
-                    f"got {len(cochains)}"
-                )
-            return LieFoliationSpec(
-                complex=complex,
-                tag=tag,
-                holonomy=holonomy,
-                developing=developing,
-                scalar_cochains=cochains,
-            )
-        cochain = lie_cochain_from_json(complex, obj["cochain"])
+        group = parse_group(obj["group"], cochain.n if cochain else None)
+        holonomy = [group.from_json(h) for h in obj["holonomy"]]
+        developing = {
+            tuple(int(c) for c in key.split(",")): group.from_json(val)
+            for key, val in obj["developing"].items()
+        }
+        scalar_cochains = (
+            [scalar_cochain_from_json(complex, c) for c in obj["scalar_cochains"]]
+            if "scalar_cochains" in obj
+            else None
+        )
         return LieFoliationSpec(
             complex=complex,
-            tag=tag,
+            group=group,
             holonomy=holonomy,
             developing=developing,
             cochain=cochain,
-            n=cochain.n,
+            scalar_cochains=scalar_cochains,
         )
     except KeyError as e:
         raise InputError(f"foliation spec missing field {e}") from e
@@ -153,13 +97,14 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
     cov = spec.complex.covering
     if cov is None:
         raise InputError("only torus-backed specs are serializable")
+    group = spec.group
     out = {
         "torus": {"d": cov.d, "m": cov.m},
-        "group": spec.tag,
-        "holonomy": [_element_to_json(spec.tag, h) for h in spec.holonomy.images],
+        "group": group.tag,
+        "holonomy": [group.to_json(h) for h in spec.holonomy],
         "developing": {
-            ",".join(str(c) for c in z): _element_to_json(spec.tag, g)
-            for z, g in sorted(spec.developing.samples.items())
+            ",".join(str(c) for c in z): group.to_json(g)
+            for z, g in sorted(spec.developing.items())
         },
     }
     if spec.is_abelian():
@@ -172,11 +117,3 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
             for (u, v), val in sorted(spec.cochain.values.items())
         }
     return out
-
-
-def _element_to_json(tag: str, g):
-    if tag == "GA":
-        return [g.a, g.b]
-    if tag in ("SL2", "SLn"):
-        return matrix_to_json(g)
-    return list(g)

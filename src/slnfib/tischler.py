@@ -23,7 +23,7 @@ from .errors import (
     InputError,
     NonGenericValue,
 )
-from .linalg import DEFAULT_TOL, ToleranceContext
+from .linalg import EQ_TOL, RESIDUAL_TOL
 from .complexes import (
     Cycle,
     ScalarCochain1,
@@ -33,7 +33,8 @@ from .complexes import (
     homology_generators,
     period,
 )
-from .foliation import LieFoliationSpec, check_mc, project_foliation, rk_dim
+from .foliation import LieFoliationSpec, check_mc, project_foliation
+from .groups import Rk, factor_split
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,6 @@ def rationalize(
     cycles: Sequence[Cycle],
     cfg: RationalizeConfig,
     duals: Optional[Sequence[ScalarCochain1]] = None,
-    tol: ToleranceContext = DEFAULT_TOL,
 ) -> RationalizedCochain:
     """Perturb each period to a nearby rational without breaking closedness.
 
@@ -116,7 +116,7 @@ def rationalize(
     exactly.  duals defaults to the coordinate cochains of a torus complex.
     """
     bad = max((abs(float(x)) for x in coboundary(w)), default=0.0)
-    if bad > tol.eq_tol:
+    if bad > EQ_TOL:
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
     complex = w.complex
     if duals is None:
@@ -129,7 +129,7 @@ def rationalize(
     for k, eta in enumerate(duals):
         for j, c in enumerate(cycles):
             expect = 1 if j == k else 0
-            if abs(float(period(eta, c)) - expect) > tol.eq_tol:
+            if abs(float(period(eta, c)) - expect) > EQ_TOL:
                 raise InputError(f"dual {k} is not dual to cycle {j}")
 
     out = w
@@ -162,14 +162,12 @@ class CircleMap:
     q: int
 
 
-def integrate_to_circle(
-    rz: RationalizedCochain, tol: ToleranceContext = DEFAULT_TOL
-) -> CircleMap:
+def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     """Integrate q * w' along a spanning tree and reduce mod 1.
 
     q * w' has integer periods, so the tree-path sums are independent of the
     tree up to integers and descend to R/Z.  Pullback periods over the
-    generator cycles are verified to be integers within residual_tol.
+    generator cycles are verified to be integers within RESIDUAL_TOL.
     """
     w = rz.cochain
     complex = w.complex
@@ -199,7 +197,7 @@ def integrate_to_circle(
     for u, v in complex.edges:
         diff = (cm.values[v] - cm.values[u] - q * float(w(u, v))) % 1.0
         diff = min(diff, 1.0 - diff)
-        if diff > tol.residual_tol * max(1.0, q):
+        if diff > RESIDUAL_TOL * max(1.0, q):
             raise CheckFailed(f"edge increment mismatch {diff:.3e} on ({u},{v})")
     return cm
 
@@ -218,9 +216,7 @@ class SubmersionReport:
         }
 
 
-def check_submersion(
-    w: ScalarCochain1, tol: ToleranceContext = DEFAULT_TOL
-) -> SubmersionReport:
+def check_submersion(w: ScalarCochain1) -> SubmersionReport:
     """No-singularity check: the cochain must be nonzero on some edge of
     every top-dimensional simplex (zero increments on single edges are fine,
     a whole simplex in a fiber is not)."""
@@ -232,7 +228,7 @@ def check_submersion(
             for j in range(i + 1, len(simplex))
             if w.complex.has_edge(simplex[i], simplex[j])
         ]
-        if max(vals, default=0.0) <= tol.eq_tol:
+        if max(vals, default=0.0) <= EQ_TOL:
             failing.append(t)
     return SubmersionReport(failing)
 
@@ -406,7 +402,6 @@ def tischler_fibration(
     cfg: RationalizeConfig,
     cycles: Optional[Sequence[Cycle]] = None,
     duals: Optional[Sequence[ScalarCochain1]] = None,
-    census_levels: int = 10,
 ) -> Tuple[CircleMap, RationalizedCochain, SubmersionReport, List[FiberCensus]]:
     """Closed cochain -> circle map, with submersion check and fiber census."""
     if cycles is None:
@@ -415,16 +410,12 @@ def tischler_fibration(
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
     censuses = [
-        fiber_census(cm, rz.cochain, lvl) for lvl in generic_levels(cm, census_levels)
+        fiber_census(cm, rz.cochain, lvl) for lvl in generic_levels(cm)
     ]
     return cm, rz, sub, censuses
 
 
-def pipeline_sln(
-    spec: LieFoliationSpec,
-    cfg: RationalizeConfig,
-    tol: ToleranceContext = DEFAULT_TOL,
-) -> PipelineReport:
+def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineReport:
     """SL(n) (or abelian R^2) foliation spec -> circle fibration report.
 
     Stages: Maurer-Cartan check, projection onto the abelian R^2 factor,
@@ -441,22 +432,23 @@ def pipeline_sln(
         return report
 
     if spec.is_abelian():
-        if rk_dim(spec.tag) != 2:
-            report.add("failure", reason=f"abelian spec must be R2, got {spec.tag}")
+        if spec.group != Rk(2):
+            reason = f"abelian spec must be R2, got {spec.group.tag}"
+            report.add("failure", reason=reason)
             return report
         projected = spec
         report.add("factor_split", kind="abelian-bypass", components=2)
     else:
-        chart_len = spec.n * (spec.n + 1) // 2 - 1
+        split = factor_split(spec.group.n)
         report.add(
             "factor_split",
             kind="iwasawa-chart",
-            n=spec.n,
-            chart_length=chart_len,
-            g2_coords=[chart_len - 2, chart_len - 1],
+            n=split.n,
+            chart_length=split.chart_len,
+            g2_coords=list(split.g2_coords),
         )
         try:
-            projected = project_foliation(spec, 2, tol)
+            projected = project_foliation(spec, 2)
         except CheckFailed as e:
             report.add("failure", reason=str(e))
             return report
@@ -466,7 +458,7 @@ def pipeline_sln(
         for w in projected.scalar_cochains
     )
     report.add("closedness", max_coboundary=closed_res)
-    if closed_res > tol.residual_tol:
+    if closed_res > RESIDUAL_TOL:
         report.add("failure", reason="projected components are not closed")
         return report
 
@@ -475,7 +467,7 @@ def pipeline_sln(
     for coeffs in _candidate_combinations(len(projected.scalar_cochains)):
         cand = _combine(projected.scalar_cochains, coeffs)
         tried.append(list(coeffs))
-        if check_submersion(cand, tol).passed():
+        if check_submersion(cand).passed():
             chosen = (coeffs, cand)
             break
     if chosen is None:

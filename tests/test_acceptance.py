@@ -164,7 +164,7 @@ def test_criterion_06_maurer_cartan(product_spec):
 
 
 def test_criterion_07_equivariance(product_spec):
-    linear = linear_torus_spec(8, [[1.0, math.sqrt(2)]], window_copies=3)
+    linear = linear_torus_spec(8, [[1.0, math.sqrt(2)]])
     ok = check_equivariance(linear).max_deviation < 1e-12
     ok = ok and check_equivariance(product_spec).max_deviation < 1e-9
     report(7, "equivariance: linear sqrt(2) < 1e-12, SL(2) product < 1e-9", ok)

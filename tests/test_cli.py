@@ -5,7 +5,8 @@ import pytest
 
 from slnfib.cli import main
 from slnfib.complexes import coordinate_cochain, torus_complex
-from slnfib.foliation import linear_torus_spec
+from slnfib.foliation import ga_suspension, linear_torus_spec
+from slnfib.groups import GAElement
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 
 
@@ -90,6 +91,57 @@ class TestCheckFoliation:
         code, _ = run(capsys, ["check-foliation", path])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "base, group, message",
+        [
+            ("r2", "Rx", "unknown group 'Rx'"),
+            ("r2", "XYZ", "unknown group 'XYZ'"),
+            ("sl2", "XYZ", "unknown group 'XYZ'"),
+            ("r0", "R0", "unknown group 'R0'"),
+            ("r2", 5, "unknown group 5"),
+            ("sl2", "GA", "GA element"),
+            ("ga", "SL2", "bad matrix"),
+            ("sl3", "SL2", "group 'SL2' needs 2x2 matrices"),
+            ("r2_one_image", "R2", "holonomy needs 2 images"),
+        ],
+    )
+    def test_exit_2_on_bad_element_shape_or_group(
+        self, capsys, tmp_path, product_spec, base, group, message
+    ):
+        spec = boundary_spec(base, product_spec)
+        spec["group"] = group
+        path = write_json(tmp_path, "bad.json", spec)
+        code = main(["check-foliation", path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+        assert message in err
+
+
+def boundary_spec(base, product_spec):
+    if base == "sl2":
+        return dump_foliation_spec(product_spec)
+    if base == "ga":
+        return dump_foliation_spec(ga_suspension(4, GAElement(2.0, 0.5)))
+    if base == "sl3":
+        k = torus_complex(1, 3)
+        zero = [[0.0] * 3] * 3
+        ident = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
+        return {
+            "torus": {"d": 1, "m": 3},
+            "cochain": {f"{u}-{v}": zero for u, v in k.edges},
+            "holonomy": [ident],
+            "developing": {str(x): ident for x in range(9)},
+        }
+    spec = dump_foliation_spec(linear_torus_spec(4, [[1.0, 0.0], [0.0, 1.0]]))
+    if base == "r0":
+        spec["scalar_cochains"] = []
+        spec["holonomy"] = [[], []]
+        spec["developing"] = {z: [] for z in spec["developing"]}
+    if base == "r2_one_image":
+        spec["holonomy"] = spec["holonomy"][:1]
+    return spec
+
 
 def mixed_cochain_file(tmp_path, m):
     k = torus_complex(2, m)
@@ -122,6 +174,21 @@ class TestTischler:
             ["tischler", path, "--epsilon", "1e-9", "--max-denominator", "100"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("slope, code", [(0.0, 3), (1.0, 0)])
+    def test_circle_submersion(self, capsys, tmp_path, slope, code):
+        # on T^1 the edges are the top simplices: the zero form is singular
+        # on every edge, dx on none
+        w = coordinate_cochain(torus_complex(1, 4), 0).scale(slope)
+        path = write_json(
+            tmp_path,
+            "circle.json",
+            {"torus": {"d": 1, "m": 4}, "cochain": scalar_cochain_to_json(w)},
+        )
+        got, rep = run(capsys, ["tischler", path, "--epsilon", "0.01"])
+        assert got == code
+        failing = [] if code == 0 else [0, 1, 2, 3]
+        assert rep["submersion"] == {"pass": code == 0, "failing_simplices": failing}
 
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})

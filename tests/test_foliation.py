@@ -6,7 +6,6 @@ from slnfib.complexes import coboundary, period, homology_generators
 from slnfib.errors import InputError
 from slnfib.foliation import (
     FoliatedCocycle,
-    HolonomyRep,
     LieFoliationSpec,
     check_cocycle,
     check_equivariance,
@@ -16,14 +15,14 @@ from slnfib.foliation import (
     product_foliation,
     project_foliation,
 )
-from slnfib.groups import GAElement, ga_embed, iwasawa_sl2
+from slnfib.groups import GA, SL, GAElement, Rk, ga_embed, iwasawa_sl2
 from slnfib.linalg import FMatrix
 
 
 class TestCocycle:
     def test_single_chart_passes(self):
         c = FoliatedCocycle(
-            tag="R1",
+            group=Rk(1),
             charts=[frozenset(range(5))],
             submersions=[{v: (0.1 * v,) for v in range(5)}],
             transitions={},
@@ -38,7 +37,7 @@ class TestCocycle:
         f2 = {v: (v / 4 - 1.0 + (perturb if v in (4, 0) else 0),) for v in (3, 4, 0, 1)}
         # overlap {3, 4}: f2 = f1 - 1; overlap handled with one transition
         return FoliatedCocycle(
-            tag="R1",
+            group=Rk(1),
             charts=[frozenset((0, 1, 2, 3, 4)), frozenset((3, 4))],
             submersions=[f1, {3: f2[3], 4: f2[4]}],
             transitions={(0, 1): (-1.0,)},
@@ -51,6 +50,18 @@ class TestCocycle:
         rep = check_cocycle(self.two_chart_circle(perturb=0.25))
         assert abs(rep.max_transition_violation - 0.25) < 1e-12
 
+    def test_sl3_self_transition_against_identity(self):
+        g = FMatrix([[2.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        c = FoliatedCocycle(
+            group=SL(3),
+            charts=[frozenset((0, 1))],
+            submersions=[{0: g, 1: g}],
+            transitions={(0, 0): FMatrix.identity(3)},
+        )
+        rep = check_cocycle(c)
+        assert rep.max_cocycle_violation == 0.0
+        assert rep.passed(0.0)
+
 
 class TestLinearSpec:
     def test_mc_passes(self):
@@ -61,7 +72,7 @@ class TestLinearSpec:
     def test_projection_to_first_component(self):
         spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
         sub = project_foliation(spec, 1)
-        assert sub.tag == "R1"
+        assert sub.group == Rk(1)
         rep = check_mc(sub)
         assert rep.flat and rep.surjective
 
@@ -82,11 +93,10 @@ class TestLinearSpec:
     def test_perturbed_holonomy_detected(self):
         alpha = math.sqrt(2)
         spec = linear_torus_spec(8, [[1.0, alpha]])
-        bumped = HolonomyRep("R1", [(1.0,), (alpha + 0.125,)])
         spec2 = LieFoliationSpec(
             complex=spec.complex,
-            tag="R1",
-            holonomy=bumped,
+            group=Rk(1),
+            holonomy=[(1.0,), (alpha + 0.125,)],
             developing=spec.developing,
             scalar_cochains=spec.scalar_cochains,
         )
@@ -122,7 +132,7 @@ class TestProductFoliation:
         # iwasawa_sl2 of D(x, y) recovers (base developing, circle position)
         m = product_spec.complex.covering.m
         base = ga_suspension(m, GAElement(2.0, 0.0))
-        for z, g in list(product_spec.developing.samples.items())[:50]:
+        for z, g in list(product_spec.developing.items())[:50]:
             b, ang = iwasawa_sl2(g)
             d0 = base.developing_value((z[0],))
             assert abs(b.a - d0.a) < 1e-9 and abs(b.b - d0.b) < 1e-9
@@ -133,7 +143,7 @@ class TestProductFoliation:
     def test_degenerate_base_gives_rotation_family(self):
         base = ga_suspension(8, GAElement(1.0, 0.0))
         prod = product_foliation(base)
-        for z, g in list(prod.developing.samples.items())[:20]:
+        for z, g in list(prod.developing.items())[:20]:
             b, _ = iwasawa_sl2(g)
             assert abs(b.a - 1.0) < 1e-9 and abs(b.b) < 1e-9
 
@@ -146,17 +156,17 @@ class TestProductFoliation:
 class TestProjectFoliation:
     def test_ga_factor_recovers_base(self, product_spec):
         ga_fac = project_foliation(product_spec, 1)
-        assert ga_fac.tag == "GA"
+        assert ga_fac.group == GA()
         m = product_spec.complex.covering.m
         base = ga_suspension(m, GAElement(2.0, 0.0))
-        for z, b in list(ga_fac.developing.samples.items())[:50]:
+        for z, b in list(ga_fac.developing.items())[:50]:
             d0 = base.developing_value((z[0],))
             assert abs(b.a - d0.a) < 1e-9 and abs(b.b - d0.b) < 1e-9
         assert ga_fac.validate_consistency() < 1e-9
 
     def test_abelian_factor_closed_with_log_period(self, product_spec):
         ab = project_foliation(product_spec, 2)
-        assert ab.tag == "R2"
+        assert ab.group == Rk(2)
         for w in ab.scalar_cochains:
             assert max(abs(float(x)) for x in coboundary(w)) < 1e-12
         gens = homology_generators(ab.complex)
@@ -180,16 +190,22 @@ class TestSpecInvariants:
         with pytest.raises(InputError):
             LieFoliationSpec(
                 complex=product_spec.complex,
-                tag="SL2",
+                group=SL(2),
                 holonomy=product_spec.holonomy,
                 developing=product_spec.developing,
             )
 
-    def test_noncommuting_holonomy_rejected(self, t2_8):
+    def test_noncommuting_holonomy_rejected(self, product_spec):
         a = ga_embed(GAElement(2.0, 0.0))
         b = ga_embed(GAElement(1.0, 1.0))
-        with pytest.raises(InputError):
-            HolonomyRep("SL2", [a, b]).validate()
+        with pytest.raises(InputError, match="do not commute"):
+            LieFoliationSpec(
+                complex=product_spec.complex,
+                group=SL(2),
+                holonomy=[a, b],
+                developing=product_spec.developing,
+                cochain=product_spec.cochain,
+            )
 
     def test_consistency_measures_cochain_drift(self, product_spec):
         bump = FMatrix([[0.0, 0.5], [0.0, 0.0]])
@@ -197,7 +213,7 @@ class TestSpecInvariants:
         w2 = product_spec.cochain.with_edge(*e, product_spec.cochain(*e) + bump)
         spec2 = LieFoliationSpec(
             complex=product_spec.complex,
-            tag="SL2",
+            group=SL(2),
             holonomy=product_spec.holonomy,
             developing=product_spec.developing,
             cochain=w2,
