@@ -465,6 +465,20 @@ def _ank_chart(g: FMatrix) -> Tuple[float, ...]:
     return iwasawa_sln_ank(g).chart
 
 
+def _per_vertex(spec: LieFoliationSpec, f):
+    """f of the developing map, computed once per stored sample.
+
+    Returns f over the stored sample window, and a lookup of f at a covering
+    vertex that falls back to the developing map outside the window.
+    """
+    window = {z: f(g) for z, g in spec.developing.items()}
+
+    def at(z):
+        return window[z] if z in window else f(spec.developing_value(z))
+
+    return window, at
+
+
 def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     """Project a product-structured foliation onto one factor.
 
@@ -503,37 +517,33 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     if which == 1:
         if group != SL(2):
             raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
+        window, at = _per_vertex(spec, lambda g: iwasawa_sl2(g)[0])
         values = {}
         for u, v in spec.complex.edges:
             zu, zv = spec.edge_lift(u, v)
-            gu = ga_embed(iwasawa_sl2(spec.developing_value(zu))[0])
-            gv = ga_embed(iwasawa_sl2(spec.developing_value(zv))[0])
-            values[(u, v)] = matrix_log(gu.inv() @ gv)
+            values[(u, v)] = matrix_log(ga_embed(at(zu)).inv() @ ga_embed(at(zv)))
         return LieFoliationSpec(
             complex=spec.complex,
             group=GA(),
             holonomy=[iwasawa_sl2(h)[0] for h in spec.holonomy],
-            developing={z: iwasawa_sl2(g)[0] for z, g in spec.developing.items()},
+            developing=window,
             cochain=LieCochain1(spec.complex, values),
         )
 
     # which == 2: the abelian R^2 chart factor
-    coords = factor_split(group.n).g2_coords
+    i, j = factor_split(group.n).g2_coords
+    window, at = _per_vertex(spec, _ank_chart)
     values1, values2 = {}, {}
     for u, v in spec.complex.edges:
         zu, zv = spec.edge_lift(u, v)
-        cu = _ank_chart(spec.developing_value(zu))
-        cv = _ank_chart(spec.developing_value(zv))
-        values1[(u, v)] = cv[coords[0]] - cu[coords[0]]
-        values2[(u, v)] = cv[coords[1]] - cu[coords[1]]
+        cu, cv = at(zu), at(zv)
+        values1[(u, v)] = cv[i] - cu[i]
+        values2[(u, v)] = cv[j] - cu[j]
     out = LieFoliationSpec(
         complex=spec.complex,
         group=Rk(2),
-        holonomy=[tuple(_ank_chart(h)[c] for c in coords) for h in spec.holonomy],
-        developing={
-            z: tuple(_ank_chart(g)[c] for c in coords)
-            for z, g in spec.developing.items()
-        },
+        holonomy=[(c[i], c[j]) for c in map(_ank_chart, spec.holonomy)],
+        developing={z: (c[i], c[j]) for z, c in window.items()},
         scalar_cochains=[
             ScalarCochain1(spec.complex, values1),
             ScalarCochain1(spec.complex, values2),

@@ -232,13 +232,17 @@ def abelian_project(g: FMatrix) -> Tuple[float, float]:
 
 
 def _floats(obj, length: int, what: str) -> Tuple[float, ...]:
-    """A JSON array of `length` numbers, as floats."""
+    """A JSON array of `length` finite numbers, as floats."""
     if isinstance(obj, list) and len(obj) == length:
         try:
-            return tuple(float(x) for x in obj)
+            out = tuple(float(x) for x in obj)
+            if all(map(math.isfinite, out)):
+                return out
         except (TypeError, ValueError):
             pass
-    raise InputError(f"{what} must be an array of {length} numbers, got {obj!r}")
+    raise InputError(
+        f"{what} must be an array of {length} finite numbers, got {obj!r}"
+    )
 
 
 @dataclass(frozen=True)

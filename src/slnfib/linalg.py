@@ -8,6 +8,7 @@ JSON form: row-major nested arrays of plain numbers, with exact rationals as
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -258,14 +259,50 @@ def matrix_exp(a: FMatrix) -> FMatrix:
 
 
 def matrix_log(a: FMatrix) -> FMatrix:
-    """Principal logarithm, restricted to the ball ||a - I||_2 < 1."""
+    """Principal logarithm, restricted to the ball ||a - I||_2 < 1.
+
+    n = 2 uses the closed form of _log2; n >= 3 uses scipy's logm (inverse
+    scaling and squaring, Al-Mohy & Higham 2012).  Both have the same domain.
+    """
     gap = float(np.linalg.norm(a.arr - np.eye(a.n), 2))
     if gap >= 1.0:
         raise LogDomain(f"matrix_log: ||a - I|| = {gap:.4f} >= 1")
+    if a.n == 2:
+        return FMatrix(_log2(a.arr.tolist()))
     out = scipy.linalg.logm(a.arr)
     if np.max(np.abs(np.imag(out))) > RESIDUAL_TOL:
         raise LogDomain("matrix_log: non-real principal logarithm")
     return FMatrix(np.real(out))
+
+
+LOG2_SERIES_CUTOFF = 1e-2  # |u| below which _log2 sums the series of F(u)
+
+
+def _log2(rows):
+    """Principal logarithm of a real 2x2 matrix a from Cayley-Hamilton.
+
+    With s = tr(a)/2, d = det(a) and N = a - s*I, N^2 = (s^2 - d)*I, so for
+    u = (s^2 - d)/s^2 the log series of I + N/s sums to
+    log a = log(d)/2 * I + F(u)/s * N, where F(u) = sum_k u^k/(2k+1), that is
+    atanh(sqrt(u))/sqrt(u) for u > 0 and atan(sqrt(-u))/sqrt(-u) for u < 0.
+    It is real exactly when s > 0 and d > 0, which holds on ||a - I||_2 < 1.
+    """
+    (p, q), (r, t) = rows
+    s = 0.5 * (p + t)
+    d = p * t - q * r
+    u = (s * s - d) / (s * s) if s > 0 else 1.0
+    if not (d > 0 and u < 1.0):  # u < 1 iff s > 0 and d > 0, up to rounding
+        raise LogDomain("matrix_log: non-real principal logarithm")
+    if abs(u) < LOG2_SERIES_CUTOFF:
+        f = 0.0
+        for k in range(8, -1, -1):  # |u|^9 / 19 < 1e-19
+            f = f * u + 1.0 / (2 * k + 1)
+    elif u > 0:
+        f = math.atanh(math.sqrt(u)) / math.sqrt(u)
+    else:
+        f = math.atan(math.sqrt(-u)) / math.sqrt(-u)
+    h, c, n = 0.5 * math.log(d), f / s, 0.5 * (p - t)
+    return [[h + c * n, c * q], [c * r, h - c * n]]
 
 
 def scalar_to_json(v):
@@ -282,6 +319,8 @@ def scalar_from_json(v) -> Union[float, Fraction]:
             raise InputError(f"bad rational literal {v!r}: {e}") from e
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"bad scalar {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"non-finite scalar {v!r}")
     return Fraction(v) if isinstance(v, int) else float(v)
 
 

@@ -25,7 +25,13 @@ from .groups import parse_group
 def load_complex(obj) -> SimplicialComplex:
     if "torus" in obj:
         t = obj["torus"]
-        return torus_complex(int(t["d"]), int(t["m"]))
+        try:
+            d, m = int(t["d"]), int(t["m"])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise InputError(
+                f"field 'torus' needs integers 'd' and 'm', got {t!r}"
+            ) from e
+        return torus_complex(d, m)
     try:
         return SimplicialComplex(
             int(obj["vertices"]),

@@ -118,6 +118,29 @@ class TestCheckFoliation:
         assert message in err
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["r2_scalar_edge", "ga_holonomy", "r2_developing"])
+    def test_exit_2_on_non_finite_value(self, capsys, tmp_path, where, bad):
+        if where == "ga_holonomy":
+            spec = boundary_spec("ga", None)
+            spec["holonomy"][0][1] = bad
+            message = "finite numbers"
+        else:
+            spec = boundary_spec("r2", None)
+            if where == "r2_scalar_edge":
+                spec["scalar_cochains"][0]["0-1"] = bad
+                message = "non-finite scalar"
+            else:
+                spec["developing"]["0,0"][0] = bad
+                message = "finite numbers"
+        path = write_json(tmp_path, "bad.json", spec)
+        code = main(["check-foliation", path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+        assert message in err
+
+
 def boundary_spec(base, product_spec):
     if base == "sl2":
         return dump_foliation_spec(product_spec)
@@ -189,6 +212,31 @@ class TestTischler:
         assert got == code
         failing = [] if code == 0 else [0, 1, 2, 3]
         assert rep["submersion"] == {"pass": code == 0, "failing_simplices": failing}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_edge_exit_2(self, capsys, tmp_path, bad):
+        w = scalar_cochain_to_json(coordinate_cochain(torus_complex(2, 8), 0))
+        w["0-1"] = bad
+        path = write_json(
+            tmp_path, "nan.json", {"torus": {"d": 2, "m": 8}, "cochain": w}
+        )
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: non-finite scalar")
+
+    @pytest.mark.parametrize(
+        "torus",
+        [{"m": 4}, {"d": 2}, 5, [2, 4], {"d": "two", "m": 4}, {"d": 2, "m": math.inf}],
+    )
+    def test_bad_torus_field_exit_2(self, capsys, tmp_path, torus):
+        path = write_json(tmp_path, "torus.json", {"torus": torus, "cochain": {}})
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: field 'torus'")
 
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})

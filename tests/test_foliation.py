@@ -1,7 +1,12 @@
+import json
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 
+from slnfib import groups
+from slnfib.cli import main
 from slnfib.complexes import coboundary, period, homology_generators
 from slnfib.errors import InputError
 from slnfib.foliation import (
@@ -16,7 +21,8 @@ from slnfib.foliation import (
     project_foliation,
 )
 from slnfib.groups import GA, SL, GAElement, Rk, ga_embed, iwasawa_sl2
-from slnfib.linalg import FMatrix
+from slnfib.linalg import FMatrix, matrix_log
+from slnfib.serialize import dump_foliation_spec
 
 
 class TestCocycle:
@@ -180,9 +186,66 @@ class TestProjectFoliation:
             sub = project_foliation(spec, which)
             assert check_mc(sub).flat
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_lifts_outside_a_partial_window(self, product_spec, which):
+        # edge lifts reach coordinate m, outside a window of the base domain
+        m = product_spec.complex.covering.m
+        partial = LieFoliationSpec(
+            complex=product_spec.complex,
+            group=SL(2),
+            holonomy=product_spec.holonomy,
+            developing={
+                z: g for z, g in product_spec.developing.items() if max(z) < m
+            },
+            cochain=product_spec.cochain,
+        )
+        got = project_foliation(partial, which)
+        ref = project_foliation(product_spec, which)
+        assert len(got.developing) == m * m
+        for u, v in product_spec.complex.edges:
+            if which == 1:
+                assert got.cochain(u, v).dist(ref.cochain(u, v)) < 1e-12
+            else:
+                for w, w_ref in zip(got.scalar_cochains, ref.scalar_cochains):
+                    assert abs(w(u, v) - w_ref(u, v)) < 1e-12
+
     def test_invalid_factor_index(self, product_spec):
         with pytest.raises(InputError):
             project_foliation(product_spec, 3)
+
+
+class TestKernelCounts:
+    def test_sl2_jobs_make_no_scipy_logm_call(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        logm = scipy.linalg.logm
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return logm(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "logm", counted)
+        spec = product_foliation(ga_suspension(8, GAElement(2.0, 0.0)))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dump_foliation_spec(spec)))
+        assert main(["check-foliation", str(path)]) == 0
+        assert main(["pipeline", str(path), "--epsilon", "0.01"]) == 0
+        assert calls == []
+        # the n >= 3 path still goes through scipy, and the counter sees it
+        matrix_log(FMatrix(np.diag([1.1, 1.0, 1.0 / 1.1])))
+        assert calls == [(3, 3)]
+
+    def test_one_chart_per_sample_and_holonomy_image(self, monkeypatch, product_spec):
+        calls = []
+        qr_positive = groups.qr_positive
+
+        def counted(a):
+            calls.append(a)
+            return qr_positive(a)
+
+        monkeypatch.setattr(groups, "qr_positive", counted)
+        project_foliation(product_spec, 2)
+        assert len(product_spec.developing) == 24 * 24
+        assert len(calls) == 24 * 24 + len(product_spec.holonomy)
 
 
 class TestSpecInvariants:

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_sl
 from slnfib.errors import DimensionError, LogDomain, SingularInput
 from slnfib.linalg import (
     EQ_TOL,
+    LOG2_SERIES_CUTOFF,
     RESIDUAL_TOL,
     FMatrix,
     RMatrix,
@@ -118,6 +120,60 @@ class TestExpLog:
     def test_log_domain_guard(self):
         with pytest.raises(LogDomain):
             matrix_log(FMatrix([[-1.0, 0.0], [0.0, -1.0]]))
+
+
+def assert_matches_logm(a):
+    """The closed-form 2x2 log against scipy's inverse scaling and squaring,
+    entrywise within 1e-13 * max(1, |ref|)."""
+    got = matrix_log(FMatrix(a)).arr
+    ref = scipy.linalg.logm(np.array(a, dtype=float))
+    assert np.max(np.abs(np.imag(ref))) == 0.0
+    ref = np.real(ref)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def with_u(u, s=1.0):
+    """s * (I + M) with M^2 = u * I, so tr/2 = s and (s^2 - det)/s^2 = u."""
+    return [[s, s * 0.5], [s * 2.0 * u, s]]
+
+
+class TestClosedFormLog2:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.3, 0.2], [0.1, 0.8]],  # hyperbolic: real distinct eigenvalues
+            [[math.exp(0.4), 0.0], [0.0, math.exp(-0.4)]],
+            [[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]],  # elliptic
+            [[0.9, -0.5], [0.4, 1.0]],
+            [[1.0, 0.7], [0.0, 1.0]],  # parabolic (unipotent)
+            [[1.0, 0.0], [-0.4, 1.0]],
+            [[1.1, 0.3], [-1.0 / 30, 0.9 + 1.0 / 11]],  # det != 1
+            [[0.6, 0.1], [0.2, 0.7]],
+        ],
+    )
+    def test_matches_scipy(self, a):
+        assert_matches_logm(a)
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_both_sides_of_series_cutoff(self, factor, sign):
+        for s in (1.0, 0.9, 1.2):
+            assert_matches_logm(with_u(sign * factor * LOG2_SERIES_CUTOFF, s))
+
+    def test_random_against_scipy(self, rng):
+        for _ in range(500):
+            a = np.eye(2) + rng.normal(size=(2, 2)) * rng.choice([1e-6, 0.05, 0.3])
+            if np.linalg.norm(a - np.eye(2), 2) < 1.0:
+                assert_matches_logm(a)
+
+    def test_positive_det_outside_ball(self):
+        with pytest.raises(LogDomain):
+            matrix_log(FMatrix([[2.5, 0.0], [0.0, 0.4]]))
+
+    def test_sl3_roundtrip_on_scipy_path(self, rng):
+        for _ in range(20):
+            a = random_sl(3, rng, scale=0.15)
+            assert matrix_exp(matrix_log(a)).dist(a) < 1e-12
 
 
 class TestDimensionCap:
