@@ -67,6 +67,11 @@ class SimplicialComplex:
 
         self._edge_index: Dict[Edge, int] = {}
         for i, (u, v) in enumerate(self.edges):
+            if not all(isinstance(x, int) and 0 <= x < n_vertices for x in (u, v)):
+                raise InputError(
+                    f"edge ({u!r},{v!r}) names a vertex outside 0..{n_vertices - 1} "
+                    f"of a complex with {n_vertices} vertices"
+                )
             if u == v:
                 raise InputError(f"degenerate edge ({u},{v})")
             if (u, v) in self._edge_index or (v, u) in self._edge_index:
@@ -105,6 +110,10 @@ class SimplicialComplex:
     def triangles_of_edge(self, u: int, v: int) -> List[int]:
         key = self.canonical_edge(u, v)
         return self._edge_triangles.get(key, []) if key else []
+
+    def loose_edges(self) -> List[Edge]:
+        """Edges in no triangle, e.g. every edge of a 1-complex."""
+        return [e for e in self.edges if e not in self._edge_triangles]
 
     def is_manifold_like(self) -> bool:
         """Every edge lies in at most two triangles (2D criterion)."""
@@ -280,6 +289,11 @@ def coboundary(w: ScalarCochain1) -> List[Value]:
     for u, v, t in w.complex.triangles:
         out.append(w(u, v) + w(v, t) - w(u, t))
     return out
+
+
+def max_coboundary(w: ScalarCochain1) -> float:
+    """Closedness measure: the largest |dw| over triangles (0.0 without any)."""
+    return max((abs(float(x)) for x in coboundary(w)), default=0.0)
 
 
 def is_closed(w: ScalarCochain1, tol: float = 0.0) -> bool:

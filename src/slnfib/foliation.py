@@ -43,6 +43,7 @@ from .complexes import (
     coboundary,
     coordinate_cochain,
     holonomy_residual,
+    max_coboundary,
     torus_complex,
 )
 
@@ -273,8 +274,8 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     if spec.is_abelian():
         limit = EQ_TOL
         per_tri = [
-            max(abs(float(coboundary(w)[t])) for w in spec.scalar_cochains)
-            for t in range(len(spec.complex.triangles))
+            max(abs(float(x)) for x in column)
+            for column in zip(*map(coboundary, spec.scalar_cochains))
         ]
     else:
         limit = HOLONOMY_TOL
@@ -554,9 +555,7 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
 
 
 def _require_closed(spec: LieFoliationSpec):
-    worst = 0.0
-    for w in spec.scalar_cochains:
-        worst = max(worst, max((abs(float(x)) for x in coboundary(w)), default=0.0))
+    worst = max(map(max_coboundary, spec.scalar_cochains), default=0.0)
     if worst > RESIDUAL_TOL:
         raise CheckFailed(
             f"projected cochain is not closed: max coboundary {worst:.3e}"

@@ -219,26 +219,22 @@ def factor_split(n: int) -> FactorSplit:
     return FactorSplit(n)
 
 
-def abelian_project(g: FMatrix) -> Tuple[float, float]:
-    """The two R^2 chart coordinates of g under the factor split."""
-    split = factor_split(g.n)
-    chart = iwasawa_sln(g).chart
-    i, j = split.g2_coords
-    return (chart[i], chart[j])
-
-
 # ---------------------------------------------------------------------------
 # Target groups of a foliation
 
 
 def _floats(obj, length: int, what: str) -> Tuple[float, ...]:
-    """A JSON array of `length` finite numbers, as floats."""
-    if isinstance(obj, list) and len(obj) == length:
+    """A JSON array of `length` finite numbers, as floats.
+
+    Booleans and numeric strings are not numbers here."""
+    if isinstance(obj, list) and len(obj) == length and not any(
+        isinstance(x, (bool, str)) for x in obj
+    ):
         try:
             out = tuple(float(x) for x in obj)
             if all(map(math.isfinite, out)):
                 return out
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise InputError(
         f"{what} must be an array of {length} finite numbers, got {obj!r}"

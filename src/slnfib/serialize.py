@@ -25,12 +25,9 @@ from .groups import parse_group
 def load_complex(obj) -> SimplicialComplex:
     if "torus" in obj:
         t = obj["torus"]
-        try:
-            d, m = int(t["d"]), int(t["m"])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise InputError(
-                f"field 'torus' needs integers 'd' and 'm', got {t!r}"
-            ) from e
+        d, m = (t.get(k) if isinstance(t, dict) else None for k in ("d", "m"))
+        if type(d) is not int or type(m) is not int:
+            raise InputError(f"field 'torus' needs integers 'd' and 'm', got {t!r}")
         return torus_complex(d, m)
     try:
         return SimplicialComplex(

@@ -26,11 +26,12 @@ from .errors import (
 from .linalg import EQ_TOL, RESIDUAL_TOL
 from .complexes import (
     Cycle,
+    Edge,
     ScalarCochain1,
     SimplicialComplex,
-    coboundary,
     coordinate_cochain,
     homology_generators,
+    max_coboundary,
     period,
 )
 from .foliation import LieFoliationSpec, check_mc, project_foliation
@@ -115,7 +116,7 @@ def rationalize(
     correction is a sum of closed cochains, so closedness is preserved
     exactly.  duals defaults to the coordinate cochains of a torus complex.
     """
-    bad = max((abs(float(x)) for x in coboundary(w)), default=0.0)
+    bad = max_coboundary(w)
     if bad > EQ_TOL:
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
     complex = w.complex
@@ -239,12 +240,12 @@ class FiberCensus:
     component_count: int
     crossing_edges: int
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "components": self.component_count,
-            "crossing_edges": self.crossing_edges,
-        }
+
+def _levels_crossed(c: float, start: float, inc: float) -> range:
+    """The integers k with c + k strictly inside the lifted edge interval
+    between start and start + inc."""
+    lo, hi = (start, start + inc) if inc > 0 else (start + inc, start)
+    return range(math.floor(lo - c) + 1, math.ceil(hi - c))
 
 
 def fiber_census(
@@ -252,10 +253,14 @@ def fiber_census(
 ) -> FiberCensus:
     """Extract the level set of f at a generic value and count components.
 
-    Crossings live on edges (a lifted edge of increment q*w' crosses every
-    integer translate of the level in its range); within each triangle the
-    affine extension joins crossings of the same lifted level, and the
-    resulting crossing graph is classified by union-find.
+    A node is a crossing of the level with an edge, keyed by the canonical
+    edge (s, t) and the integer k with c + k crossed by the canonical lift
+    that starts at f(s).  Each triangle lifts its vertices affinely, finds
+    its crossings with _levels_crossed, shifts k by the integer offset of
+    its lift of s, and joins the two crossings of each lifted level; edges in
+    no triangle contribute isolated nodes.  Every node must be met once by
+    each triangle on its edge, else CheckFailed.  Components are counted by
+    union-find.
     """
     c = float(value) % 1.0
     complex = f.complex
@@ -265,24 +270,8 @@ def fiber_census(
         if gap < 1e-9:
             raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
 
-    def crossings(u, v):
-        """Crossing positions t in (0,1) along edge (u, v), with lifted levels."""
-        a = float(f.values[u])
-        inc = q * float(w(u, v))
-        out = []
-        if inc == 0.0:
-            return out
-        lo, hi = sorted((a, a + inc))
-        k = math.ceil(lo - c)
-        while c + k < hi:
-            if c + k > lo:
-                t = (c + k - a) / inc
-                out.append((t, k))
-            k += 1
-        return out
-
-    # node key: (canonical edge, rounded position along it)
-    parent: Dict[Tuple, Tuple] = {}
+    parent: Dict[Tuple[Edge, int], Tuple[Edge, int]] = {}
+    degree: Dict[Tuple[Edge, int], int] = {}
 
     def find(x):
         while parent[x] != x:
@@ -290,50 +279,46 @@ def fiber_census(
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def node_key(u, v, t):
-        key = complex.canonical_edge(u, v)
-        pos = t if key == (u, v) else 1.0 - t
-        return (key, round(pos, 9))
-
-    for u, v in complex.edges:
-        for t, _ in crossings(u, v):
-            nk = node_key(u, v, t)
-            if nk not in parent:
-                parent[nk] = nk
+    for s, t in complex.loose_edges():
+        for k in _levels_crossed(c, float(f.values[s]), q * float(w(s, t))):
+            parent[(s, t), k] = ((s, t), k)
+            degree[(s, t), k] = 0
 
     for tri in complex.triangles:
-        u, v, t_v = tri
+        u, v, x = tri
         # lift the three vertices affinely inside this triangle
         lift = {u: float(f.values[u])}
         lift[v] = lift[u] + q * float(w(u, v))
-        lift[t_v] = lift[v] + q * float(w(v, t_v))
-        local = {}
-        for a, b in ((u, v), (v, t_v), (u, t_v)):
-            a_lift = lift[a]
-            inc = lift[b] - a_lift
-            if inc == 0.0:
-                continue
-            lo, hi = sorted((a_lift, a_lift + inc))
-            k = math.ceil(lo - c)
-            while c + k < hi:
-                if c + k > lo:
-                    t = (c + k - a_lift) / inc
-                    nk = node_key(a, b, t)
-                    parent.setdefault(nk, nk)
-                    local.setdefault(k, []).append(nk)
-                k += 1
+        lift[x] = lift[v] + q * float(w(v, x))
+        lo = min(lift.values())
+        # no edge of a triangle crosses a level outside its lifted range
+        if not _levels_crossed(c, lo, max(lift.values()) - lo):
+            continue
+        local: Dict[int, list] = {}
+        for a, b in ((u, v), (v, x), (u, x)):
+            s, t = complex.canonical_edge(a, b)
+            offset = round(lift[s] - float(f.values[s]))
+            for k in _levels_crossed(c, lift[s], lift[t] - lift[s]):
+                node = ((s, t), k - offset)
+                parent.setdefault(node, node)
+                degree[node] = degree.get(node, 0) + 1
+                local.setdefault(k, []).append(node)
         for k, nodes in local.items():
-            if len(nodes) == 2:
-                union(nodes[0], nodes[1])
-            elif len(nodes) > 2:
+            if len(nodes) != 2:
                 raise CheckFailed(
-                    f"degenerate level set in triangle {tri} at level {c + k}"
+                    f"level {c + k} crosses {len(nodes)} edges of triangle {tri}"
                 )
+            ra, rb = find(nodes[0]), find(nodes[1])
+            if ra != rb:
+                parent[ra] = rb
+
+    for (edge, k), deg in degree.items():
+        expect = len(complex.triangles_of_edge(*edge))
+        if deg != expect:
+            raise CheckFailed(
+                f"fiber at level {c} (lift index {k}) meets edge {edge} in "
+                f"{deg} of its {expect} triangles"
+            )
 
     roots = {find(x) for x in parent}
     return FiberCensus(c, len(roots), len(parent))
@@ -453,10 +438,7 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
             report.add("failure", reason=str(e))
             return report
 
-    closed_res = max(
-        max((abs(float(x)) for x in coboundary(w)), default=0.0)
-        for w in projected.scalar_cochains
-    )
+    closed_res = max(map(max_coboundary, projected.scalar_cochains))
     report.add("closedness", max_coboundary=closed_res)
     if closed_res > RESIDUAL_TOL:
         report.add("failure", reason="projected components are not closed")

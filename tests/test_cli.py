@@ -103,6 +103,9 @@ class TestCheckFoliation:
             ("ga", "SL2", "bad matrix"),
             ("sl3", "SL2", "group 'SL2' needs 2x2 matrices"),
             ("r2_one_image", "R2", "holonomy needs 2 images"),
+            ("ga_bool", "GA", "finite numbers, got [True, 0.5]"),
+            ("ga_string", "GA", "finite numbers, got [2.0, '0.5']"),
+            ("ga_huge", "GA", "finite numbers, got [1000"),
         ],
     )
     def test_exit_2_on_bad_element_shape_or_group(
@@ -144,8 +147,16 @@ class TestCheckFoliation:
 def boundary_spec(base, product_spec):
     if base == "sl2":
         return dump_foliation_spec(product_spec)
-    if base == "ga":
-        return dump_foliation_spec(ga_suspension(4, GAElement(2.0, 0.5)))
+    if base.startswith("ga"):
+        spec = dump_foliation_spec(ga_suspension(4, GAElement(2.0, 0.5)))
+        # JSON booleans and numeric strings are not numbers
+        if base == "ga_bool":
+            spec["holonomy"][0] = [True, 0.5]
+        if base == "ga_string":
+            spec["holonomy"][0] = [2.0, "0.5"]
+        if base == "ga_huge":
+            spec["holonomy"][0] = [10 ** 400, 0.5]
+        return spec
     if base == "sl3":
         k = torus_complex(1, 3)
         zero = [[0.0] * 3] * 3
@@ -228,7 +239,17 @@ class TestTischler:
 
     @pytest.mark.parametrize(
         "torus",
-        [{"m": 4}, {"d": 2}, 5, [2, 4], {"d": "two", "m": 4}, {"d": 2, "m": math.inf}],
+        [
+            {"m": 4},
+            {"d": 2},
+            5,
+            [2, 4],
+            {"d": "two", "m": 4},
+            {"d": 2, "m": math.inf},
+            {"d": 2, "m": 8.9},
+            {"d": True, "m": 8},
+            {"d": 2, "m": "8"},
+        ],
     )
     def test_bad_torus_field_exit_2(self, capsys, tmp_path, torus):
         path = write_json(tmp_path, "torus.json", {"torus": torus, "cochain": {}})
@@ -237,6 +258,21 @@ class TestTischler:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: field 'torus'")
+
+    @pytest.mark.parametrize("vertex, shown", [(5, "5"), ("2", "'2'")])
+    def test_out_of_range_vertex_exit_2(self, capsys, tmp_path, vertex, shown):
+        path = write_json(
+            tmp_path,
+            "complex.json",
+            {"vertices": 3, "edges": [[0, 1], [1, vertex]], "cochain": {}},
+        )
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (
+            f"input error: edge (1,{shown}) names a vertex outside 0..2 "
+            "of a complex with 3 vertices\n"
+        )
 
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slnfib import groups
+from slnfib import foliation, groups
 from slnfib.cli import main
 from slnfib.complexes import coboundary, period, homology_generators
 from slnfib.errors import InputError
@@ -246,6 +246,19 @@ class TestKernelCounts:
         project_foliation(product_spec, 2)
         assert len(product_spec.developing) == 24 * 24
         assert len(calls) == 24 * 24 + len(product_spec.holonomy)
+
+    def test_abelian_flatness_takes_one_coboundary_per_cochain(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return coboundary(w)
+
+        monkeypatch.setattr(foliation, "coboundary", counted)
+        spec = linear_torus_spec(8, [[1.0, math.sqrt(2)], [0.3, 1.0]])
+        rep = check_mc(spec)
+        assert rep.flat
+        assert calls == spec.scalar_cochains
 
 
 class TestSpecInvariants:

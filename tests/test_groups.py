@@ -10,7 +10,6 @@ from slnfib.groups import (
     FactorSplit,
     GAElement,
     IwasawaFactors,
-    abelian_project,
     chart_length,
     circle_project,
     factor_split,
@@ -182,12 +181,6 @@ class TestFactorSplit:
         f2 = iwasawa_sln(g2)
         for i, (a, b) in enumerate(zip(f2.chart, chart)):
             assert abs(a - b) < 1e-9, i
-
-    def test_abelian_project(self, rng):
-        g = random_sl(3, rng)
-        proj = abelian_project(g)
-        f = iwasawa_sln(g)
-        assert proj == (f.chart[3], f.chart[4])
 
 
 def test_circle_angle_canonical_idempotent():

@@ -3,7 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from slnfib.cli import main
 from slnfib.complexes import (
     ScalarCochain1,
     coordinate_cochain,
@@ -11,9 +13,10 @@ from slnfib.complexes import (
     period,
     torus_complex,
 )
-from slnfib.errors import BudgetInfeasible, InputError, NonGenericValue
+from slnfib.errors import BudgetInfeasible, CheckFailed, InputError, NonGenericValue
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
+from slnfib.serialize import scalar_cochain_to_json
 from slnfib.tischler import (
     CircleMap,
     RationalizeConfig,
@@ -195,6 +198,95 @@ class TestFiberCensus:
         images = {round(x, 12) for x in cm.values.values()}
         for lvl in generic_levels(cm):
             assert all(abs((lvl - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in images)
+
+    def test_circle_fiber_is_one_point(self):
+        # T^1 has no triangles: every edge is loose and crossings are points
+        w = coordinate_cochain(torus_complex(1, 4), 0)
+        _, _, sub, censuses = tischler_fibration(w, RationalizeConfig(0.01))
+        assert sub.passed()
+        assert [c.component_count for c in censuses] == [1] * 10
+        assert {c.crossing_edges for c in censuses} == {1}
+
+    def test_inconsistent_lift_fails_degree_check(self):
+        cm, w = self.circle_map_dx(5)
+        cm.values[7] = (cm.values[7] + 0.3) % 1.0
+        with pytest.raises(CheckFailed, match=r"meets edge .* of its 2 triangles"):
+            for lvl in generic_levels(cm):
+                fiber_census(cm, w, lvl)
+
+    def test_half_digit_crossings_repro(self, capsys, tmp_path):
+        # crossing positions of this form land halfway between 9th-digit
+        # values, where the two triangles on an edge used to round apart
+        a, b = 0.9886863694964385, 1.6376747351482408
+        k = torus_complex(2, 5)
+        w = coordinate_cochain(k, 0).scale(a) + coordinate_cochain(k, 1).scale(b)
+        path = tmp_path / "repro.json"
+        path.write_text(
+            json.dumps({"torus": {"d": 2, "m": 5}, "cochain": scalar_cochain_to_json(w)})
+        )
+        code = main(["tischler", str(path), "--epsilon", "0.01"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["periods"] == ["87/88", "18/11"]
+        assert rep["q"] == 88
+        assert rep["pullback_periods"] == [87, 144]
+        assert rep["fiber_components"] == [3] * 10
+        assert code == 0 and rep["ok"]
+
+
+def small_coefficient(max_num, max_den):
+    return st.builds(
+        Fraction, st.integers(-max_num, max_num), st.integers(1, max_den)
+    )
+
+
+def census_of_linear_form(d, m, coeffs, jitter, epsilon):
+    """Fiber counts of sum_i (c_i + jitter_i * epsilon) dx_i on T^d, and the
+    gcd of its pullback periods."""
+    k = torus_complex(d, m)
+    w = coordinate_cochain(k, 0).scale(float(coeffs[0]) + jitter[0] * epsilon)
+    for axis in range(1, d):
+        w = w + coordinate_cochain(k, axis).scale(
+            float(coeffs[axis]) + jitter[axis] * epsilon
+        )
+    cm, _, sub, censuses = tischler_fibration(w, RationalizeConfig(epsilon))
+    assert sub.passed()
+    return [c.component_count for c in censuses], math.gcd(*cm.periods)
+
+
+# |jitter * epsilon| <= 0.02 < 1/(2 q^2) for q <= 4 keeps each c_i = p/q a
+# convergent of the drawn float, so q stays small and the census fast
+JITTER = st.floats(-0.4, 0.4)
+EPSILON = st.sampled_from([0.002, 0.01, 0.05])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example(  # a draw on which 9th-digit float keys split nodes
+    m=3,
+    coeffs=(Fraction(4), Fraction(5, 4)),
+    jitter=(0.19289674233583587, 0.39610054651102),
+    epsilon=0.05,
+)
+@given(
+    m=st.integers(3, 10),
+    coeffs=st.tuples(small_coefficient(6, 4), small_coefficient(6, 4)).filter(any),
+    jitter=st.tuples(JITTER, JITTER),
+    epsilon=EPSILON,
+)
+def test_t2_linear_census_is_gcd_of_pullback_periods(m, coeffs, jitter, epsilon):
+    counts, expect = census_of_linear_form(2, m, coeffs, jitter, epsilon)
+    assert counts == [expect] * len(counts)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(3, 5),
+    coeffs=st.tuples(*[small_coefficient(3, 2)] * 3).filter(any),
+    jitter=st.tuples(JITTER, JITTER, JITTER),
+    epsilon=EPSILON,
+)
+def test_t3_linear_census_is_gcd_of_pullback_periods(m, coeffs, jitter, epsilon):
+    counts, expect = census_of_linear_form(3, m, coeffs, jitter, epsilon)
+    assert counts == [expect] * len(counts)
 
 
 class TestTischlerFibration:
