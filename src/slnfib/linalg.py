@@ -179,7 +179,7 @@ class FMatrix:
             raise DimensionError(f"FMatrix requires a square array, got {a.shape}")
         _check_dim(a.shape[0])
         if not np.all(np.isfinite(a)):
-            raise ValueError("FMatrix entries must be finite")
+            raise InputError("FMatrix entries must be finite")
         a.flags.writeable = False
         self.n = a.shape[0]
         self.arr = a
@@ -254,8 +254,14 @@ def qr_positive(a: FMatrix):
 
 
 def matrix_exp(a: FMatrix) -> FMatrix:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
-    return FMatrix(scipy.linalg.expm(a.arr))
+    """Matrix exponential (scaling-and-squaring, via scipy).
+
+    An overflow gives non-finite entries, which FMatrix rejects with
+    InputError; numpy's overflow warning is silenced in favour of that error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scipy.linalg.expm(a.arr)
+    return FMatrix(out)
 
 
 def matrix_log(a: FMatrix) -> FMatrix:

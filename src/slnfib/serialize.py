@@ -1,17 +1,23 @@
 """JSON schemas for matrices, complexes, cochains, and foliation specs.
 
 Conventions: matrices are row-major nested arrays; exact rationals are
-"p/q" strings, floats plain numbers.  Cochain values are keyed by oriented
-edges as "u-v".  Developing-map samples are keyed by covering coordinates
-"x,y".  Torus complexes may be given as {"torus": {"d": 2, "m": 8}} instead
-of explicit vertex/edge/triangle lists.
+"p/q" strings, floats plain numbers.  A complex is always a triangulated
+torus, given as {"torus": {"d": 2, "m": 8}}.  Cochain values are keyed by
+oriented edges as "u-v"; an edge keyed against its stored orientation gets
+the negated value.  Developing-map samples are keyed by covering coordinates
+"x,y".
+
+Each loader turns a malformed or missing top-level field into one InputError
+that names the field; the checks that run on the parsed objects raise their
+own errors.
 """
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
-from .errors import InputError
+from .errors import InputError, SlnfibError
 from .linalg import (
+    FMatrix,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
@@ -22,22 +28,33 @@ from .foliation import LieFoliationSpec
 from .groups import parse_group
 
 
-def load_complex(obj) -> SimplicialComplex:
-    if "torus" in obj:
-        t = obj["torus"]
-        d, m = (t.get(k) if isinstance(t, dict) else None for k in ("d", "m"))
-        if type(d) is not int or type(m) is not int:
-            raise InputError(f"field 'torus' needs integers 'd' and 'm', got {t!r}")
-        return torus_complex(d, m)
+def _field(obj: Dict, name: str, parse: Callable):
+    """parse(obj[name]), with a parse failure reported as one InputError."""
+    if name not in obj:
+        raise InputError(f"missing field {name!r}")
     try:
-        return SimplicialComplex(
-            int(obj["vertices"]),
-            [tuple(e) for e in obj["edges"]],
-            [tuple(t) for t in obj.get("triangles", [])],
-            [tuple(t) for t in obj.get("tetrahedra", [])],
-        )
-    except KeyError as e:
-        raise InputError(f"complex description missing field {e}") from e
+        return parse(obj[name])
+    except SlnfibError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise InputError(f"bad field {name!r}: {type(e).__name__}: {e}") from e
+
+
+def load_matrix(obj) -> FMatrix:
+    """A float matrix given as a nested array or as {"matrix": [...]}."""
+    if isinstance(obj, dict):
+        return _field(obj, "matrix", matrix_from_json).to_float()
+    return matrix_from_json(obj).to_float()
+
+
+def load_complex(obj) -> SimplicialComplex:
+    if not isinstance(obj, dict) or "torus" not in obj:
+        raise InputError('a complex is given as {"torus": {"d": d, "m": m}}')
+    t = obj["torus"]
+    d, m = (t.get(k) if isinstance(t, dict) else None for k in ("d", "m"))
+    if type(d) is not int or type(m) is not int:
+        raise InputError(f"field 'torus' needs integers 'd' and 'm', got {t!r}")
+    return torus_complex(d, m)
 
 
 def _edge_key_parse(key: str):
@@ -49,57 +66,73 @@ def _edge_key_parse(key: str):
 
 
 def scalar_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> ScalarCochain1:
-    return ScalarCochain1(
-        complex, {_edge_key_parse(k): scalar_from_json(v) for k, v in obj.items()}
-    )
+    """Edges missing from obj get the value 0."""
+    values = {_edge_key_parse(k): scalar_from_json(v) for k, v in obj.items()}
+    return ScalarCochain1(complex, complex.indexed(values, [0] * len(complex.edges)))
+
+
+def _sorted_items(w):
+    return sorted(zip(w.complex.edges, w.values), key=lambda item: item[0])
 
 
 def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
-    return {f"{u}-{v}": scalar_to_json(val) for (u, v), val in sorted(w.values.items())}
+    return {f"{u}-{v}": scalar_to_json(val) for (u, v), val in _sorted_items(w)}
 
 
 def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> LieCochain1:
     """Lie cochain with FMatrix values; "p/q" entries are converted to floats."""
-    return LieCochain1(
-        complex,
-        {_edge_key_parse(k): matrix_from_json(v).to_float() for k, v in obj.items()},
-    )
+    values = {
+        _edge_key_parse(k): matrix_from_json(v).to_float() for k, v in obj.items()
+    }
+    return LieCochain1(complex, complex.indexed(values, [None] * len(complex.edges)))
+
+
+def load_scalar_cochain(obj) -> ScalarCochain1:
+    """The cochain of a {"torus": ..., "cochain": {"u-v": value}} file."""
+    complex = load_complex(obj)
+    return _field(obj, "cochain", lambda c: scalar_cochain_from_json(complex, c))
 
 
 def load_foliation_spec(obj) -> LieFoliationSpec:
     """Spec bundle: complex, group, cochain(s), holonomy, developing."""
-    try:
-        complex = load_complex(obj)
-        cochain = (
-            lie_cochain_from_json(complex, obj["cochain"]) if "cochain" in obj else None
-        )
-        group = parse_group(obj["group"], cochain.n if cochain else None)
-        holonomy = [group.from_json(h) for h in obj["holonomy"]]
-        developing = {
+    complex = load_complex(obj)
+    cochain = (
+        _field(obj, "cochain", lambda c: lie_cochain_from_json(complex, c))
+        if "cochain" in obj
+        else None
+    )
+    n = cochain.n if cochain else None
+    group = _field(obj, "group", lambda g: parse_group(g, n))
+    holonomy = _field(obj, "holonomy", lambda hs: [group.from_json(h) for h in hs])
+    developing = _field(
+        obj,
+        "developing",
+        lambda samples: {
             tuple(int(c) for c in key.split(",")): group.from_json(val)
-            for key, val in obj["developing"].items()
-        }
-        scalar_cochains = (
-            [scalar_cochain_from_json(complex, c) for c in obj["scalar_cochains"]]
-            if "scalar_cochains" in obj
-            else None
+            for key, val in samples.items()
+        },
+    )
+    scalar_cochains = (
+        _field(
+            obj,
+            "scalar_cochains",
+            lambda cs: [scalar_cochain_from_json(complex, c) for c in cs],
         )
-        return LieFoliationSpec(
-            complex=complex,
-            group=group,
-            holonomy=holonomy,
-            developing=developing,
-            cochain=cochain,
-            scalar_cochains=scalar_cochains,
-        )
-    except KeyError as e:
-        raise InputError(f"foliation spec missing field {e}") from e
+        if "scalar_cochains" in obj
+        else None
+    )
+    return LieFoliationSpec(
+        complex=complex,
+        group=group,
+        holonomy=holonomy,
+        developing=developing,
+        cochain=cochain,
+        scalar_cochains=scalar_cochains,
+    )
 
 
 def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
     cov = spec.complex.covering
-    if cov is None:
-        raise InputError("only torus-backed specs are serializable")
     group = spec.group
     out = {
         "torus": {"d": cov.d, "m": cov.m},
@@ -117,6 +150,6 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
     else:
         out["cochain"] = {
             f"{u}-{v}": matrix_to_json(val)
-            for (u, v), val in sorted(spec.cochain.values.items())
+            for (u, v), val in _sorted_items(spec.cochain)
         }
     return out

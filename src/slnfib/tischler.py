@@ -26,7 +26,6 @@ from .errors import (
 from .linalg import EQ_TOL, RESIDUAL_TOL
 from .complexes import (
     Cycle,
-    Edge,
     ScalarCochain1,
     SimplicialComplex,
     coordinate_cochain,
@@ -121,10 +120,7 @@ def rationalize(
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
     complex = w.complex
     if duals is None:
-        cov = complex.covering
-        if cov is None:
-            raise InputError("non-torus complexes require explicit harmonic duals")
-        duals = [coordinate_cochain(complex, ax) for ax in range(cov.d)]
+        duals = [coordinate_cochain(complex, ax) for ax in range(complex.covering.d)]
     if len(duals) != len(cycles):
         raise InputError("one harmonic dual per generator cycle required")
     for k, eta in enumerate(duals):
@@ -143,9 +139,7 @@ def rationalize(
         if delta != 0.0:
             out = out + duals[k].scale(delta)
     q = _lcm([r.denominator for r in periods]) if periods else 1
-    sup_change = max(
-        abs(float(out.values[e]) - float(w.values[e])) for e in complex.edges
-    )
+    sup_change = max(abs(float(a) - float(b)) for a, b in zip(out.values, w.values))
     if sup_change > cfg.epsilon:
         raise BudgetInfeasible(
             f"perturbation sup-norm {sup_change:.3e} exceeds epsilon {cfg.epsilon}"
@@ -178,7 +172,8 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     stack = [root]
     while stack:
         u = stack.pop()
-        for a, b in complex.incident_edges(u):
+        for i in complex.incident_edges(u):
+            a, b = complex.edges[i]
             other = b if a == u else a
             if other not in values:
                 values[other] = values[u] + q * float(w(u, other))
@@ -195,8 +190,8 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
         periods.append(int(scaled))
     cm = CircleMap(complex, values, periods, q)
     # edge increments must reproduce q * w' mod 1
-    for u, v in complex.edges:
-        diff = (cm.values[v] - cm.values[u] - q * float(w(u, v))) % 1.0
+    for (u, v), val in zip(complex.edges, w.values):
+        diff = (cm.values[v] - cm.values[u] - q * float(val)) % 1.0
         diff = min(diff, 1.0 - diff)
         if diff > RESIDUAL_TOL * max(1.0, q):
             raise CheckFailed(f"edge increment mismatch {diff:.3e} on ({u},{v})")
@@ -221,16 +216,12 @@ def check_submersion(w: ScalarCochain1) -> SubmersionReport:
     """No-singularity check: the cochain must be nonzero on some edge of
     every top-dimensional simplex (zero increments on single edges are fine,
     a whole simplex in a fiber is not)."""
-    failing = []
-    for t, simplex in enumerate(w.complex.top_simplices):
-        vals = [
-            abs(float(w(simplex[i], simplex[j])))
-            for i in range(len(simplex))
-            for j in range(i + 1, len(simplex))
-            if w.complex.has_edge(simplex[i], simplex[j])
-        ]
-        if max(vals, default=0.0) <= EQ_TOL:
-            failing.append(t)
+    size = [abs(float(x)) for x in w.values]
+    failing = [
+        t
+        for t, edges in enumerate(w.complex.top_edges)
+        if max(size[i] for i in edges) <= EQ_TOL
+    ]
     return SubmersionReport(failing)
 
 
@@ -253,25 +244,25 @@ def fiber_census(
 ) -> FiberCensus:
     """Extract the level set of f at a generic value and count components.
 
-    A node is a crossing of the level with an edge, keyed by the canonical
-    edge (s, t) and the integer k with c + k crossed by the canonical lift
-    that starts at f(s).  Each triangle lifts its vertices affinely, finds
-    its crossings with _levels_crossed, shifts k by the integer offset of
-    its lift of s, and joins the two crossings of each lifted level; edges in
-    no triangle contribute isolated nodes.  Every node must be met once by
-    each triangle on its edge, else CheckFailed.  Components are counted by
-    union-find.
+    A node is a crossing of the level with an edge (s, t) of complex.edges,
+    keyed by the edge index and the integer k with c + k crossed by the lift
+    of (s, t) that starts at f(s).  Each triangle lifts its vertices
+    affinely, finds its crossings with _levels_crossed, shifts k by the
+    integer offset of its lift of s, and joins the two crossings of each
+    lifted level; edges in no triangle contribute isolated nodes.  Every
+    node must be met once by each triangle on its edge, else CheckFailed.
+    Components are counted by union-find.
     """
     c = float(value) % 1.0
     complex = f.complex
-    q = f.q
+    step = [f.q * float(x) for x in w.values]
     for vtx, x in f.values.items():
         gap = abs((float(x) - c + 0.5) % 1.0 - 0.5)
         if gap < 1e-9:
             raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
 
-    parent: Dict[Tuple[Edge, int], Tuple[Edge, int]] = {}
-    degree: Dict[Tuple[Edge, int], int] = {}
+    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    degree: Dict[Tuple[int, int], int] = {}
 
     def find(x):
         while parent[x] != x:
@@ -279,27 +270,30 @@ def fiber_census(
             x = parent[x]
         return x
 
-    for s, t in complex.loose_edges():
-        for k in _levels_crossed(c, float(f.values[s]), q * float(w(s, t))):
-            parent[(s, t), k] = ((s, t), k)
-            degree[(s, t), k] = 0
+    for i, (s, t) in enumerate(complex.edges):
+        if not complex.edge_triangles[i]:
+            for k in _levels_crossed(c, float(f.values[s]), step[i]):
+                parent[i, k] = (i, k)
+                degree[i, k] = 0
 
-    for tri in complex.triangles:
+    for tri, incidence, (uv, vx, _) in zip(
+        complex.triangles, complex.triangle_edges, complex.triangle_values(step)
+    ):
         u, v, x = tri
         # lift the three vertices affinely inside this triangle
         lift = {u: float(f.values[u])}
-        lift[v] = lift[u] + q * float(w(u, v))
-        lift[x] = lift[v] + q * float(w(v, x))
+        lift[v] = lift[u] + uv
+        lift[x] = lift[v] + vx
         lo = min(lift.values())
         # no edge of a triangle crosses a level outside its lifted range
         if not _levels_crossed(c, lo, max(lift.values()) - lo):
             continue
         local: Dict[int, list] = {}
-        for a, b in ((u, v), (v, x), (u, x)):
-            s, t = complex.canonical_edge(a, b)
+        for i, _ in incidence:
+            s, t = complex.edges[i]
             offset = round(lift[s] - float(f.values[s]))
             for k in _levels_crossed(c, lift[s], lift[t] - lift[s]):
-                node = ((s, t), k - offset)
+                node = (i, k - offset)
                 parent.setdefault(node, node)
                 degree[node] = degree.get(node, 0) + 1
                 local.setdefault(k, []).append(node)
@@ -312,12 +306,12 @@ def fiber_census(
             if ra != rb:
                 parent[ra] = rb
 
-    for (edge, k), deg in degree.items():
-        expect = len(complex.triangles_of_edge(*edge))
+    for (i, k), deg in degree.items():
+        expect = len(complex.edge_triangles[i])
         if deg != expect:
             raise CheckFailed(
-                f"fiber at level {c} (lift index {k}) meets edge {edge} in "
-                f"{deg} of its {expect} triangles"
+                f"fiber at level {c} (lift index {k}) meets edge "
+                f"{complex.edges[i]} in {deg} of its {expect} triangles"
             )
 
     roots = {find(x) for x in parent}
@@ -383,15 +377,11 @@ def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
 
 
 def tischler_fibration(
-    w: ScalarCochain1,
-    cfg: RationalizeConfig,
-    cycles: Optional[Sequence[Cycle]] = None,
-    duals: Optional[Sequence[ScalarCochain1]] = None,
+    w: ScalarCochain1, cfg: RationalizeConfig
 ) -> Tuple[CircleMap, RationalizedCochain, SubmersionReport, List[FiberCensus]]:
-    """Closed cochain -> circle map, with submersion check and fiber census."""
-    if cycles is None:
-        cycles = homology_generators(w.complex)
-    rz = rationalize(w, cycles, cfg, duals)
+    """Closed cochain -> circle map, with submersion check and fiber census
+    over the axis generators of the torus."""
+    rz = rationalize(w, homology_generators(w.complex), cfg)
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
     censuses = [
@@ -462,9 +452,8 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
     coeffs, w = chosen
     report.add("component_selection", coefficients=list(coeffs))
 
-    cycles = homology_generators(projected.complex)
     try:
-        cm, rz, sub, censuses = tischler_fibration(w, cfg, cycles)
+        cm, rz, sub, censuses = tischler_fibration(w, cfg)
     except (BudgetInfeasible, InputError) as e:
         report.add("failure", reason=str(e))
         return report

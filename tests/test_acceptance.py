@@ -213,9 +213,8 @@ def test_criterion_10_negative_controls(t2_8):
     ok = True
     # non-closed rationalize input
     w = coordinate_cochain(t2_8, 0)
-    values = dict(w.values)
-    e = t2_8.edges[2]
-    values[e] = values[e] + Fraction(1, 5)
+    values = [w(u, v) for u, v in t2_8.edges]
+    values[2] = values[2] + Fraction(1, 5)
     from slnfib.complexes import ScalarCochain1
 
     try:

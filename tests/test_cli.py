@@ -259,20 +259,23 @@ class TestTischler:
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: field 'torus'")
 
-    @pytest.mark.parametrize("vertex, shown", [(5, "5"), ("2", "'2'")])
-    def test_out_of_range_vertex_exit_2(self, capsys, tmp_path, vertex, shown):
-        path = write_json(
-            tmp_path,
-            "complex.json",
-            {"vertices": 3, "edges": [[0, 1], [1, vertex]], "cochain": {}},
-        )
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": 3, "edges": [[0, 1], [1, 5]], "cochain": {}},
+            {"vertices": "3", "edges": [[0, 1]], "cochain": {}},
+            {"vertices": 3.9, "edges": [[0, 1]], "cochain": {}},
+            # rejected before any per-vertex allocation
+            {"vertices": 10 ** 9, "edges": [[0, 1]]},
+        ],
+        ids=["explicit", "string-count", "float-count", "huge-count"],
+    )
+    def test_explicit_complex_exit_2(self, capsys, tmp_path, obj):
+        path = write_json(tmp_path, "complex.json", obj)
         code = main(["tischler", path, "--epsilon", "0.01"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == (
-            f"input error: edge (1,{shown}) names a vertex outside 0..2 "
-            "of a complex with 3 vertices\n"
-        )
+        assert err == 'input error: a complex is given as {"torus": {"d": d, "m": m}}\n'
 
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})
@@ -348,3 +351,57 @@ class TestGolden:
         assert (gold / "brackets-n2.json").exists()
         code, _ = run(capsys, ["verify-brackets", "--n", "2", "--golden", str(gold)])
         assert code == 0
+
+
+def overflowing_edge(spec):
+    # finite and traceless, but exp overflows in the triangle holonomy
+    spec["cochain"][sorted(spec["cochain"])[0]] = [[1000, 0], [0, -1000]]
+    return spec
+
+
+def replace_first_key(mapping, key):
+    first = next(iter(mapping))
+    return {key if k == first else k: v for k, v in mapping.items()}
+
+
+@pytest.mark.parametrize(
+    "command, make",
+    [
+        ("decompose", lambda spec: 5),
+        ("check-foliation", lambda spec: []),
+        ("tischler", lambda spec: []),
+        (
+            "check-foliation",
+            lambda spec: dict(
+                spec, developing=replace_first_key(spec["developing"], "a,b")
+            ),
+        ),
+        ("check-foliation", lambda spec: dict(spec, holonomy=5)),
+        ("check-foliation", lambda spec: dict(spec, developing=[1])),
+        ("check-foliation", lambda spec: dict(spec, cochain=[1])),
+        ("tischler", lambda spec: {"torus": {"d": 2, "m": 8}, "cochain": [1, 2]}),
+        ("check-foliation", overflowing_edge),
+        ("pipeline", overflowing_edge),
+    ],
+    ids=[
+        "decompose-number",
+        "check-list",
+        "tischler-list",
+        "developing-key",
+        "holonomy-number",
+        "developing-list",
+        "cochain-list",
+        "tischler-cochain-list",
+        "check-overflow",
+        "pipeline-overflow",
+    ],
+)
+def test_malformed_shape_exit_2(capsys, tmp_path, product_spec, command, make):
+    path = write_json(tmp_path, "input.json", make(dump_foliation_spec(product_spec)))
+    argv = [command, path]
+    if command in ("tischler", "pipeline"):
+        argv += ["--epsilon", "0.01"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")

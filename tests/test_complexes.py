@@ -53,6 +53,34 @@ class TestTorusComplex:
             torus_complex(4, 3)
 
 
+class TestEdgeIndex:
+    def test_orient_both_ways(self, t2_8):
+        for i, (u, v) in enumerate(t2_8.edges):
+            assert t2_8.orient(u, v) == (i, 1)
+            assert t2_8.orient(v, u) == (i, -1)
+        with pytest.raises(InputError):
+            t2_8.orient(0, 0)
+
+    def test_triangle_incidence_names_its_edges(self, t2_8):
+        for t, (a, b, c) in enumerate(t2_8.triangles):
+            incidence = t2_8.triangle_edges[t]
+            got = [set(t2_8.edges[i]) for i, _ in incidence]
+            assert got == [{a, b}, {b, c}, {a, c}]
+            assert sorted(t2_8.top_edges[t]) == sorted(i for i, _ in incidence)
+
+    def test_values_keyed_against_the_stored_orientation_are_negated(self, t2_8):
+        u, v = t2_8.edges[7]
+        base = [Fraction(0)] * len(t2_8.edges)
+        w = ScalarCochain1(t2_8, t2_8.indexed({(v, u): Fraction(2, 3)}, base))
+        assert w.values[7] == Fraction(-2, 3)
+        assert (w(v, u), w(u, v)) == (Fraction(2, 3), Fraction(-2, 3))
+        assert base == [0] * len(t2_8.edges)
+
+    def test_cochain_needs_one_value_per_edge(self, t2_8):
+        with pytest.raises(InputError):
+            ScalarCochain1(t2_8, [Fraction(0)] * (len(t2_8.edges) - 1))
+
+
 class TestCoboundary:
     def test_gradient_is_closed(self, rng):
         k = torus_complex(2, 5)
@@ -67,8 +95,8 @@ class TestCoboundary:
     def test_perturbation_localized(self, t2_8):
         w = coordinate_cochain(t2_8, 0)
         e = t2_8.edges[5]
-        values = dict(w.values)
-        values[e] = values[e] + Fraction(1, 3)
+        values = [w(u, v) for u, v in t2_8.edges]
+        values[5] = values[5] + Fraction(1, 3)
         w2 = ScalarCochain1(t2_8, values)
         bad = [t for t, x in enumerate(coboundary(w2)) if x != 0]
         assert sorted(bad) == sorted(t2_8.triangles_of_edge(*e))
@@ -120,7 +148,7 @@ class TestFlatness:
         dx = coordinate_cochain(t2_8, 0)
         w = LieCochain1(
             t2_8,
-            {e: ga_like(float(dx.values[e]), 0.0) for e in t2_8.edges},
+            [ga_like(float(dx(u, v)), 0.0) for u, v in t2_8.edges],
         )
         assert max(r.sup() for r in flatness_residual(w)) < 1e-14
         assert max(r.sup() for r in holonomy_residual(w)) < 1e-12
@@ -161,7 +189,7 @@ class TestLieCochain:
         assert (product_spec.cochain(u, v) + product_spec.cochain(v, u)).sup() < 1e-15
 
     def test_mixed_dimensions_rejected(self, t2_8):
-        vals = {e: FMatrix([[0.0, 0.0], [0.0, 0.0]]) for e in t2_8.edges}
-        vals[t2_8.edges[0]] = FMatrix([[0.0] * 3] * 3)
+        vals = [FMatrix([[0.0, 0.0], [0.0, 0.0]]) for _ in t2_8.edges]
+        vals[0] = FMatrix([[0.0] * 3] * 3)
         with pytest.raises(InputError):
             LieCochain1(t2_8, vals)

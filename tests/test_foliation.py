@@ -247,6 +247,18 @@ class TestKernelCounts:
         assert len(product_spec.developing) == 24 * 24
         assert len(calls) == 24 * 24 + len(product_spec.holonomy)
 
+    def test_constructors_take_one_log_per_edge(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return matrix_log(a)
+
+        monkeypatch.setattr(foliation, "matrix_log", counted)
+        product_foliation(ga_suspension(8, GAElement(2.0, 0.5)))
+        # 8 circle edges, then 3 * 8 * 8 torus edges
+        assert len(calls) == 8 + 192
+
     def test_abelian_flatness_takes_one_coboundary_per_cochain(self, monkeypatch):
         calls = []
 

@@ -86,9 +86,8 @@ class TestRationalize:
 
     def test_rejects_non_closed(self, t2_8):
         w = coordinate_cochain(t2_8, 0)
-        values = dict(w.values)
-        e = t2_8.edges[3]
-        values[e] = values[e] + Fraction(1, 7)
+        values = [w(u, v) for u, v in t2_8.edges]
+        values[3] = values[3] + Fraction(1, 7)
         bad = ScalarCochain1(t2_8, values)
         with pytest.raises(InputError):
             rationalize(bad, homology_generators(t2_8), RationalizeConfig(0.01))
@@ -136,19 +135,19 @@ class TestSubmersion:
         assert check_submersion(coordinate_cochain(t2_8, 0)).passed()
 
     def test_zero_cochain_fails_everywhere(self, t2_8):
-        w = ScalarCochain1(t2_8, {e: Fraction(0) for e in t2_8.edges})
+        w = ScalarCochain1(t2_8, [Fraction(0)] * len(t2_8.edges))
         rep = check_submersion(w)
         assert len(rep.failing_simplices) == len(t2_8.triangles)
 
     def test_zeroed_triangle_localized(self, t2_8):
         w = coordinate_cochain(t2_8, 0)
-        values = dict(w.values)
         t = 4
-        tri = t2_8.triangles[t]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if t2_8.has_edge(tri[i], tri[j]):
-                    values[t2_8.canonical_edge(tri[i], tri[j])] = Fraction(0)
+        a, b, c = t2_8.triangles[t]
+        zeroed = {(a, b), (b, c), (a, c)}
+        values = [
+            Fraction(0) if (u, v) in zeroed or (v, u) in zeroed else w(u, v)
+            for u, v in t2_8.edges
+        ]
         rep = check_submersion(ScalarCochain1(t2_8, values))
         assert t in rep.failing_simplices
         # zeroing one triangle's edges leaves all others with a live edge
