@@ -166,16 +166,6 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.from_matrix(mx @ my - my @ mx)
 
 
-def cartan_split(x: AlgebraElement) -> Tuple[AlgebraElement, AlgebraElement]:
-    """Split x = h + offdiag with h diagonal-traceless, offdiag off-diagonal."""
-    h = {idx: c for idx, c in x.coeffs if isinstance(idx, Diag)}
-    od = {idx: c for idx, c in x.coeffs if isinstance(idx, OffDiag)}
-    return (
-        AlgebraElement.from_coeffs(x.n, h),
-        AlgebraElement.from_coeffs(x.n, od),
-    )
-
-
 def dims(n: int) -> Tuple[int, int, int]:
     """(dim of diagonal part, dim of off-diagonal part, dim of sl(n))."""
     if n < 2:

@@ -6,11 +6,12 @@ for d = 2 every square splits along the (+1, +1) diagonal.  Every complex is
 such a d-torus on an m^d grid and carries its covering data: the deck group
 Z^d acts on integer grid coordinates by shifts of m.
 
-Each edge is stored once, in the orientation of complex.edges, and a
-1-cochain is one list of values in that order.  The complex maps an oriented
-edge (u, v) to its index and a sign, +1 if it is stored as (u, v) and -1 if
-it is stored as (v, u); SimplicialComplex is the only place that negates a
-value for the orientation.
+Each edge is stored once, in the orientation of complex.edges, together with
+its covering lift (z, z + e), e in {0,1}^d, and a 1-cochain is one list of
+values in that order.  The complex maps an oriented edge (u, v) to its index
+and a sign, +1 if it is stored as (u, v) and -1 if it is stored as (v, u);
+SimplicialComplex is the only place that negates a value for the
+orientation.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ Edge = Tuple[int, int]
 Value = Union[float, Fraction]
 
 WINDOW_COPIES = 3  # fundamental domains per axis in a developing-map window
+MAX_VERTICES = 65536  # torus size cap: T^2 up to m = 256, T^3 up to m = 40
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,9 @@ class TorusCovering:
             idx = idx * self.m + (c % self.m)
         return idx
 
-    def deck(self, coords: Sequence[int], gen: int, power: int = 1) -> Tuple[int, ...]:
+    def deck(self, coords: Sequence[int], gen: int) -> Tuple[int, ...]:
         out = list(coords)
-        out[gen] += power * self.m
+        out[gen] += self.m
         return tuple(out)
 
     def window(self) -> List[Tuple[int, ...]]:
@@ -59,30 +61,35 @@ def _signed(value, sign: int):
 class SimplicialComplex:
     """Oriented 1- and 2-skeleton (plus tetrahedra for d = 3) of a torus.
 
-    Built by torus_complex.  triangle_edges holds orient(a, b), orient(b, c)
-    and orient(a, c) for each triangle (a, b, c), edge_triangles the
-    triangles on each edge, and top_edges the edge indices of each top
-    simplex.
+    Built by torus_complex from the covering lift (z_u, z_v) of each edge,
+    with z_v = z_u + e for a nonzero e in {0,1}^d: edge_lifts keeps the
+    lifts, and edges the base edges (u, v) in the same order.
+    triangle_edges holds orient(a, b), orient(b, c) and orient(a, c) for
+    each triangle (a, b, c), edge_triangles the triangles on each edge, and
+    top_edges the edge indices of each top simplex.
     """
 
     def __init__(
         self,
         covering: TorusCovering,
         vertex_coords: List[Tuple[int, ...]],
-        edges: List[Edge],
+        edge_lifts: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
         triangles: List[Tuple[int, int, int]],
         tetrahedra: List[Tuple[int, int, int, int]],
     ):
         self.covering = covering
         self.vertex_coords = vertex_coords
         self.n_vertices = len(vertex_coords)
-        self.edges = edges
+        self.edge_lifts = edge_lifts
+        self.edges: List[Edge] = [
+            (covering.base_index(zu), covering.base_index(zv)) for zu, zv in edge_lifts
+        ]
         self.triangles = triangles
         self.tetrahedra = tetrahedra
 
         self._orient: Dict[Edge, Tuple[int, int]] = {}
         self._incident: List[List[int]] = [[] for _ in vertex_coords]
-        for i, (u, v) in enumerate(edges):
+        for i, (u, v) in enumerate(self.edges):
             self._orient[u, v] = (i, 1)
             self._orient[v, u] = (i, -1)
             self._incident[u].append(i)
@@ -92,7 +99,7 @@ class SimplicialComplex:
             (self._orient[a, b], self._orient[b, c], self._orient[a, c])
             for a, b, c in triangles
         ]
-        self.edge_triangles: List[List[int]] = [[] for _ in edges]
+        self.edge_triangles: List[List[int]] = [[] for _ in self.edges]
         for t, incidence in enumerate(self.triangle_edges):
             for i, _ in incidence:
                 self.edge_triangles[i].append(t)
@@ -136,22 +143,10 @@ class SimplicialComplex:
     def triangles_of_edge(self, u: int, v: int) -> List[int]:
         return self.edge_triangles[self.orient(u, v)[0]]
 
-    def is_manifold_like(self) -> bool:
-        """Every edge lies in at most two triangles (2D criterion)."""
-        return all(len(ts) <= 2 for ts in self.edge_triangles)
-
     @property
     def top_simplices(self):
         """Tetrahedra, else triangles, else edges (for a 1-complex)."""
         return self.tetrahedra or self.triangles or self.edges
-
-    def euler_characteristic(self) -> int:
-        return (
-            self.n_vertices
-            - len(self.edges)
-            + len(self.triangles)
-            - len(self.tetrahedra)
-        )
 
 
 def _monotone_vectors(d: int) -> List[Tuple[int, ...]]:
@@ -159,11 +154,16 @@ def _monotone_vectors(d: int) -> List[Tuple[int, ...]]:
 
 
 def torus_complex(d: int, m: int) -> SimplicialComplex:
-    """Standard triangulated flat d-torus on an m^d grid, d in {1, 2, 3}."""
+    """Standard triangulated flat d-torus on an m^d grid, d in {1, 2, 3},
+    with at most MAX_VERTICES vertices."""
     if d not in (1, 2, 3):
         raise DimensionError(f"torus dimension must be 1, 2 or 3, got {d}")
     if m < 3:
         raise InputError(f"need m >= 3 subdivisions to avoid degenerate edges, got {m}")
+    if m ** d > MAX_VERTICES:
+        raise InputError(
+            f"torus with m={m}, d={d} has {m}^{d} vertices, over the cap {MAX_VERTICES}"
+        )
     cov = TorusCovering(d, m)
     coords = [None] * (m ** d)
     for c in itertools.product(range(m), repeat=d):
@@ -174,10 +174,7 @@ def torus_complex(d: int, m: int) -> SimplicialComplex:
         return tuple(z_i + e_i for z_i, e_i in zip(z, e))
 
     vecs = _monotone_vectors(d)
-    edges: List[Edge] = []
-    for z in coords:
-        for e in vecs:
-            edges.append((cov.base_index(z), cov.base_index(add(z, e))))
+    lifts = [(z, add(z, e)) for z in coords for e in vecs]
 
     triangles = []
     tets = []
@@ -203,7 +200,7 @@ def torus_complex(d: int, m: int) -> SimplicialComplex:
                                         cov.base_index(add(z, c)),
                                     )
                                 )
-    return SimplicialComplex(cov, coords, edges, triangles, tets)
+    return SimplicialComplex(cov, coords, lifts, triangles, tets)
 
 
 @dataclass
@@ -261,14 +258,6 @@ class ScalarCochain1:
     def scale(self, c) -> "ScalarCochain1":
         return ScalarCochain1(self.complex, [c * x for x in self.values])
 
-    def sup(self) -> float:
-        return max(abs(v) for v in self.values)
-
-    @classmethod
-    def from_vertex_function(cls, complex: SimplicialComplex, f) -> "ScalarCochain1":
-        """The exact cochain df with df(u, v) = f(v) - f(u)."""
-        return cls(complex, [f[v] - f[u] for u, v in complex.edges])
-
 
 def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     """dx_axis on a torus complex: 1/m per unit step along the axis.
@@ -277,14 +266,9 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     the stored harmonic duals of the torus homology basis.
     """
     m = complex.covering.m
-    step = Fraction(1, m)
-    values = []
-    for u, v in complex.edges:
-        delta = (complex.vertex_coords[v][axis] - complex.vertex_coords[u][axis]) % m
-        if delta > m // 2:
-            delta -= m
-        values.append(step * delta)
-    return ScalarCochain1(complex, values)
+    return ScalarCochain1(
+        complex, [Fraction(zv[axis] - zu[axis], m) for zu, zv in complex.edge_lifts]
+    )
 
 
 def coboundary(w: ScalarCochain1) -> List[Value]:
@@ -295,10 +279,6 @@ def coboundary(w: ScalarCochain1) -> List[Value]:
 def max_coboundary(w: ScalarCochain1) -> float:
     """Closedness measure: the largest |dw| over triangles (0.0 without any)."""
     return max((abs(float(x)) for x in coboundary(w)), default=0.0)
-
-
-def is_closed(w: ScalarCochain1, tol: float = 0.0) -> bool:
-    return all(abs(x) <= tol for x in coboundary(w))
 
 
 def period(w: ScalarCochain1, c: Cycle) -> Value:
@@ -333,22 +313,6 @@ class LieCochain1:
     def with_edge(self, u: int, v: int, value: FMatrix) -> "LieCochain1":
         values = self.complex.indexed({(u, v): value}, self.values)
         return LieCochain1(self.complex, values)
-
-
-def _commutator(a: FMatrix, b: FMatrix) -> FMatrix:
-    return a @ b - b @ a
-
-
-def flatness_residual(w: LieCochain1) -> List[FMatrix]:
-    """Per-triangle dw + [w(uv), w(vw)], the discrete Maurer-Cartan residual.
-
-    The cup-product pairing 1/2([a,b] - [b,a]) = [a,b] reproduces the
-    continuum 1/2[w, w] term to second order in the mesh size.
-    """
-    return [
-        a + b - c + _commutator(a, b)
-        for a, b, c in w.complex.triangle_values(w.values)
-    ]
 
 
 def holonomy_residual(w: LieCochain1) -> List[FMatrix]:

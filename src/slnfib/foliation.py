@@ -3,9 +3,8 @@
 A foliation spec bundles a complex with covering data, a flat 1-cochain, a
 holonomy representation of the deck group, and a finite window of the
 developing map on the covering grid.  The checks are the discrete versions of
-the defining conditions: cocycle compatibility on chart overlaps, the
-Maurer-Cartan equation plus pointwise surjectivity, and equivariance
-D(deck_g . x) = h(g) . D(x).
+the defining conditions: the Maurer-Cartan equation plus pointwise
+surjectivity, and equivariance D(deck_g . x) = h(g) . D(x).
 
 The target group is one of the types GA, SL(n) and R^k of slnfib.groups; it
 supplies the group law, the algebra dimension and the JSON form of elements.
@@ -48,84 +47,6 @@ from .complexes import (
 )
 
 # ---------------------------------------------------------------------------
-# Foliated cocycles
-
-
-@dataclass
-class FoliatedCocycle:
-    """Charts with submersion samples and left-translation transitions."""
-
-    group: Group
-    charts: List[frozenset]
-    submersions: List[Dict[int, GroupElement]]
-    transitions: Dict[Tuple[int, int], GroupElement]
-
-    def __post_init__(self):
-        if len(self.charts) != len(self.submersions):
-            raise InputError("one submersion sample set per chart required")
-
-
-@dataclass
-class CocycleReport:
-    max_transition_violation: float
-    max_cocycle_violation: float
-    worst_overlap: Optional[Tuple[int, int]]
-
-    def passed(self, tol: float) -> bool:
-        return (
-            self.max_transition_violation <= tol
-            and self.max_cocycle_violation <= tol
-        )
-
-    def to_dict(self):
-        return {
-            "max_transition_violation": self.max_transition_violation,
-            "max_cocycle_violation": self.max_cocycle_violation,
-            "worst_overlap": list(self.worst_overlap) if self.worst_overlap else None,
-        }
-
-
-def check_cocycle(c: FoliatedCocycle) -> CocycleReport:
-    """Verify f_j = gamma_ij . f_i on overlaps and the triple-cocycle identity.
-
-    Violations are reported, never raised; the report carries the maxima.
-    """
-    group = c.group
-    max_trans, worst = 0.0, None
-    n_charts = len(c.charts)
-    for i in range(n_charts):
-        for j in range(n_charts):
-            if i == j or (i, j) not in c.transitions:
-                continue
-            gamma = c.transitions[(i, j)]
-            for v in c.charts[i] & c.charts[j]:
-                expect = group.mul(gamma, c.submersions[i][v])
-                dev = group.dist(c.submersions[j][v], expect)
-                if dev > max_trans:
-                    max_trans, worst = dev, (i, j)
-    max_coc = 0.0
-    for i in range(n_charts):
-        if (i, i) in c.transitions:
-            max_coc = max(
-                max_coc,
-                group.dist(c.transitions[(i, i)], group.identity()),
-            )
-        for j in range(n_charts):
-            for k in range(n_charts):
-                if (
-                    (i, j) in c.transitions
-                    and (j, k) in c.transitions
-                    and (i, k) in c.transitions
-                    and c.charts[i] & c.charts[j] & c.charts[k]
-                ):
-                    composed = group.mul(c.transitions[(j, k)], c.transitions[(i, j)])
-                    max_coc = max(
-                        max_coc, group.dist(composed, c.transitions[(i, k)])
-                    )
-    return CocycleReport(max_trans, max_coc, worst)
-
-
-# ---------------------------------------------------------------------------
 # Foliation spec
 
 
@@ -135,7 +56,8 @@ class LieFoliationSpec:
 
     holonomy holds the images of the Z^d deck generators, which must commute;
     developing is a finite sample window of the developing map on the
-    covering grid.
+    covering grid, keyed by integer d-tuples, that holds every base vertex
+    in [0, m)^d.
     """
 
     complex: SimplicialComplex
@@ -170,6 +92,15 @@ class LieFoliationSpec:
             for b in self.holonomy[i + 1:]:
                 if group.dist(group.mul(a, b), group.mul(b, a)) > EQ_TOL:
                     raise InputError("deck generator images do not commute")
+        for z in self.developing:
+            if len(z) != d or not all(isinstance(c, int) for c in z):
+                raise InputError(f"developing key {z} is not {d} integer coordinates")
+        missing = [z for z in self.complex.vertex_coords if z not in self.developing]
+        if missing:
+            raise InputError(
+                f"developing window misses {len(missing)} base vertices, "
+                f"first {missing[0]}"
+            )
 
     def is_abelian(self) -> bool:
         return self.scalar_cochains is not None
@@ -192,22 +123,10 @@ class LieFoliationSpec:
                 out = group.mul(power, out)
         return out
 
-    def edge_lift(self, u: int, v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Canonical covering lift of an oriented base edge."""
-        cov = self.complex.covering
-        zu = self.complex.vertex_coords[u]
-        zv_raw = self.complex.vertex_coords[v]
-        e = tuple((b - a) % cov.m for a, b in zip(zu, zv_raw))
-        if any(x not in (0, 1) for x in e):
-            # oriented the other way round in the grid construction
-            return tuple(reversed(self.edge_lift(v, u)))
-        return zu, tuple(a + x for a, x in zip(zu, e))
-
     def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
         worst = 0.0
-        for i, (u, v) in enumerate(self.complex.edges):
-            zu, zv = self.edge_lift(u, v)
+        for i, (zu, zv) in enumerate(self.complex.edge_lifts):
             du, dv = self.developing_value(zu), self.developing_value(zv)
             if self.is_abelian():
                 inc = tuple(b - a for a, b in zip(du, dv))
@@ -385,9 +304,8 @@ def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
     complex = torus_complex(1, m)
     samples = {z: ga_power(hol, z[0] / m) for z in complex.covering.window()}
     values = []
-    for u, _ in complex.edges:
-        (x,) = complex.vertex_coords[u]
-        gu, gv = ga_embed(samples[(x,)]), ga_embed(samples[(x + 1,)])
+    for zu, zv in complex.edge_lifts:
+        gu, gv = ga_embed(samples[zu]), ga_embed(samples[zv])
         values.append(matrix_log(gu.inv() @ gv))
     return LieFoliationSpec(
         complex=complex,
@@ -421,12 +339,7 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
     # both ends of an edge lift lie in the stored window [0, 3m)^2
     samples = {z: dev(z) for z in complex.covering.window()}
     values = []
-    for u, v in complex.edges:
-        zu = complex.vertex_coords[u]
-        e = tuple(
-            (complex.vertex_coords[v][i] - zu[i]) % m for i in range(2)
-        )
-        zv = (zu[0] + e[0], zu[1] + e[1])
+    for zu, zv in complex.edge_lifts:
         try:
             values.append(matrix_log(samples[zu].inv() @ samples[zv]))
         except LogDomain as exc:
@@ -471,37 +384,17 @@ def _per_vertex(spec: LieFoliationSpec, f):
 
 
 def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
-    """Project a product-structured foliation onto one factor.
+    """Project an SL(n) foliation onto one factor of the Iwasawa product.
 
-    Abelian specs split by coordinates: R^k into R^(k-2) x R^2, R^2 into
-    R x R.  SL(2)/SL(n) specs use the Iwasawa product: factor 1 is the GA
-    part (SL(2) only), factor 2 the final two coordinates of the
-    triangular-left vector chart.  Projected scalar cochains are rebuilt from
-    chart differences of the developing map and re-verified for closedness; a
-    violation raises CheckFailed rather than propagating an unsound fibration
-    input.
+    Factor 1 is the GA part (SL(2) only), factor 2 the final two coordinates
+    of the triangular-left vector chart.  Projected scalar cochains are
+    rebuilt from chart differences of the developing map and re-verified for
+    closedness; a violation raises CheckFailed rather than propagating an
+    unsound fibration input.
     """
     if which not in (1, 2):
         raise InputError("factor index must be 1 or 2")
     group = spec.group
-    if isinstance(group, Rk):
-        k = group.k
-        if k < 2:
-            raise InputError(f"{group.tag} has no product structure")
-        k1 = k - 2 if k > 2 else 1
-        sel = list(range(k1)) if which == 1 else list(range(k1, k))
-        out = LieFoliationSpec(
-            complex=spec.complex,
-            group=Rk(len(sel)),
-            holonomy=[tuple(h[i] for i in sel) for h in spec.holonomy],
-            developing={
-                z: tuple(val[i] for i in sel) for z, val in spec.developing.items()
-            },
-            scalar_cochains=[spec.scalar_cochains[i] for i in sel],
-        )
-        _require_closed(out)
-        return out
-
     if not isinstance(group, SL):
         raise InputError(f"no product structure on group {group.tag}")
 
@@ -510,8 +403,7 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
             raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
         window, at = _per_vertex(spec, lambda g: iwasawa_sl2(g)[0])
         values = []
-        for u, v in spec.complex.edges:
-            zu, zv = spec.edge_lift(u, v)
+        for zu, zv in spec.complex.edge_lifts:
             values.append(matrix_log(ga_embed(at(zu)).inv() @ ga_embed(at(zv))))
         return LieFoliationSpec(
             complex=spec.complex,
@@ -525,8 +417,7 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     i, j = factor_split(group.n).g2_coords
     window, at = _per_vertex(spec, _ank_chart)
     values1, values2 = [], []
-    for u, v in spec.complex.edges:
-        zu, zv = spec.edge_lift(u, v)
+    for zu, zv in spec.complex.edge_lifts:
         cu, cv = at(zu), at(zv)
         values1.append(cv[i] - cu[i])
         values2.append(cv[j] - cu[j])

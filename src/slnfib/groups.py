@@ -188,10 +188,6 @@ def iwasawa_sln_ank(g: FMatrix) -> IwasawaFactors:
     return IwasawaFactors(k, _chart_from_r(r))
 
 
-def iwasawa_recompose_ank(f: IwasawaFactors) -> FMatrix:
-    return _r_from_chart(f.n, f.chart) @ f.k
-
-
 @dataclass(frozen=True)
 class FactorSplit:
     """Designation of the last two chart coordinates as the R^2 factor."""

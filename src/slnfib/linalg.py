@@ -57,11 +57,6 @@ class RMatrix:
     def zeros(cls, n: int) -> "RMatrix":
         return cls([[0] * n for _ in range(n)])
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[Scalar]) -> "RMatrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.rows[i][j]
@@ -100,34 +95,8 @@ class RMatrix:
         c = Fraction(c)
         return RMatrix([[c * x for x in row] for row in self.rows])
 
-    def transpose(self) -> "RMatrix":
-        return RMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
-
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def det(self) -> Fraction:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
-        n = self.n
-        a = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    factor = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return det
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)

@@ -114,6 +114,7 @@ def rationalize(
     (r_k - p_k) times the harmonic dual of the k-th generator is added; the
     correction is a sum of closed cochains, so closedness is preserved
     exactly.  duals defaults to the coordinate cochains of a torus complex.
+    A period that is not a finite float raises InputError.
     """
     bad = max_coboundary(w)
     if bad > EQ_TOL:
@@ -132,7 +133,12 @@ def rationalize(
     out = w
     periods: List[Fraction] = []
     for k, c in enumerate(cycles):
-        p = float(period(w, c))
+        try:
+            p = float(period(w, c))
+        except OverflowError:
+            p = math.inf
+        if not math.isfinite(p):
+            raise InputError(f"period {k} of the cochain is not a finite number")
         r = continued_fraction_approx(p, cfg.epsilon, cfg.max_denominator)
         periods.append(r)
         delta = float(r) - p

@@ -5,7 +5,7 @@ import pytest
 
 from slnfib.cli import main
 from slnfib.complexes import coordinate_cochain, torus_complex
-from slnfib.foliation import ga_suspension, linear_torus_spec
+from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 
@@ -277,6 +277,31 @@ class TestTischler:
         assert code == 2 and out == ""
         assert err == 'input error: a complex is given as {"torus": {"d": d, "m": m}}\n'
 
+    @pytest.mark.parametrize(
+        "torus", [{"d": 2, "m": 257}, {"d": 3, "m": 41}], ids=["t2-m257", "t3-m41"]
+    )
+    def test_torus_over_vertex_cap_exit_2(self, capsys, tmp_path, torus):
+        # one past MAX_VERTICES, rejected before the torus is built
+        path = write_json(tmp_path, "big.json", {"torus": torus, "cochain": {}})
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: torus with m=")
+
+    @pytest.mark.parametrize("value", [1e308, 10 ** 400], ids=["inf-sum", "huge-int"])
+    def test_non_finite_period_exit_2(self, capsys, tmp_path, value):
+        w = scalar_cochain_to_json(coordinate_cochain(torus_complex(1, 3), 0))
+        w = {key: value for key in w}
+        path = write_json(
+            tmp_path, "big.json", {"torus": {"d": 1, "m": 3}, "cochain": w}
+        )
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: period 0 ")
+
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})
         code, _ = run(capsys, ["tischler", path, "--epsilon", "0.01"])
@@ -405,3 +430,30 @@ def test_malformed_shape_exit_2(capsys, tmp_path, product_spec, command, make):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def drop_origin(samples):
+    return {k: v for k, v in samples.items() if k != "0,0"}
+
+
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (drop_origin, "developing window misses 1 base vertices, first (0, 0)"),
+        (lambda s: {"0,0": s["0,0"]}, "developing window misses 63 base vertices"),
+        (lambda s: dict(s, **{"1,2,3": s["0,0"]}), "developing key (1, 2, 3) is not 2"),
+    ],
+    ids=["no-origin", "origin-only", "three-coordinates"],
+)
+def test_developing_window_exit_2(capsys, tmp_path, command, window, message):
+    spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(2.0, 0.3))))
+    spec["developing"] = window(spec["developing"])
+    argv = [command, write_json(tmp_path, "window.json", spec)]
+    if command == "pipeline":
+        argv += ["--epsilon", "0.01"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: " + message)

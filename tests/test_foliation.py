@@ -10,9 +10,7 @@ from slnfib.cli import main
 from slnfib.complexes import coboundary, period, homology_generators
 from slnfib.errors import InputError
 from slnfib.foliation import (
-    FoliatedCocycle,
     LieFoliationSpec,
-    check_cocycle,
     check_equivariance,
     check_mc,
     ga_suspension,
@@ -25,62 +23,18 @@ from slnfib.linalg import FMatrix, matrix_log
 from slnfib.serialize import dump_foliation_spec
 
 
-class TestCocycle:
-    def test_single_chart_passes(self):
-        c = FoliatedCocycle(
-            group=Rk(1),
-            charts=[frozenset(range(5))],
-            submersions=[{v: (0.1 * v,) for v in range(5)}],
-            transitions={},
-        )
-        rep = check_cocycle(c)
-        assert rep.passed(1e-12)
-
-    def two_chart_circle(self, perturb=0.0):
-        # two arcs covering a circle; on the second overlap the charts differ
-        # by translation by 1 (the suspension cocycle)
-        f1 = {v: (v / 4,) for v in (0, 1, 2, 3, 4)}
-        f2 = {v: (v / 4 - 1.0 + (perturb if v in (4, 0) else 0),) for v in (3, 4, 0, 1)}
-        # overlap {3, 4}: f2 = f1 - 1; overlap handled with one transition
-        return FoliatedCocycle(
-            group=Rk(1),
-            charts=[frozenset((0, 1, 2, 3, 4)), frozenset((3, 4))],
-            submersions=[f1, {3: f2[3], 4: f2[4]}],
-            transitions={(0, 1): (-1.0,)},
-        )
-
-    def test_suspension_cocycle_passes(self):
-        assert check_cocycle(self.two_chart_circle()).passed(1e-12)
-
-    def test_perturbed_transition_measured(self):
-        rep = check_cocycle(self.two_chart_circle(perturb=0.25))
-        assert abs(rep.max_transition_violation - 0.25) < 1e-12
-
-    def test_sl3_self_transition_against_identity(self):
-        g = FMatrix([[2.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        c = FoliatedCocycle(
-            group=SL(3),
-            charts=[frozenset((0, 1))],
-            submersions=[{0: g, 1: g}],
-            transitions={(0, 0): FMatrix.identity(3)},
-        )
-        rep = check_cocycle(c)
-        assert rep.max_cocycle_violation == 0.0
-        assert rep.passed(0.0)
-
-
 class TestLinearSpec:
     def test_mc_passes(self):
         spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
         rep = check_mc(spec)
         assert rep.flat and rep.surjective
 
-    def test_projection_to_first_component(self):
-        spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
-        sub = project_foliation(spec, 1)
-        assert sub.group == Rk(1)
-        rep = check_mc(sub)
-        assert rep.flat and rep.surjective
+    def test_abelian_spec_has_no_product_structure(self):
+        # abelian specs reach the pipeline's abelian-bypass stage instead
+        spec = linear_torus_spec(8, [[1.0, 0.5], [0.25, 1.0]])
+        for which in (1, 2):
+            with pytest.raises(InputError, match="no product structure on group R2"):
+                project_foliation(spec, which)
 
     def test_rank_deficient_flagged(self):
         # (dx, 0) is flat but nowhere surjective as an R^2 form
@@ -179,12 +133,6 @@ class TestProjectFoliation:
         # the log-scale coordinate picks up log(2)/2 around the base circle
         assert abs(period(ab.scalar_cochains[0], gens[0]) - math.log(2) / 2) < 1e-9
         assert abs(period(ab.scalar_cochains[0], gens[1])) < 1e-12
-
-    def test_projection_commutes_with_flatness(self):
-        spec = linear_torus_spec(8, [[1.0, 0.5], [0.25, 1.0]])
-        for which in (1, 2):
-            sub = project_foliation(spec, which)
-            assert check_mc(sub).flat
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_lifts_outside_a_partial_window(self, product_spec, which):

@@ -18,7 +18,6 @@ from slnfib.groups import (
     ga_mul,
     ga_power,
     iwasawa_recompose,
-    iwasawa_recompose_ank,
     iwasawa_sl2,
     iwasawa_sln,
     iwasawa_sln_ank,
@@ -140,10 +139,13 @@ class TestIwasawaSLn:
             assert max(abs(a - b) for a, b in zip(f.chart, chart)) < 1e-8
 
     def test_ank_roundtrip(self, rng):
+        # g = R . K, so g . K^T = R is its own K . R factorization with K = I
         for n in (2, 3):
             g = random_sl(n, rng)
             f = iwasawa_sln_ank(g)
-            assert iwasawa_recompose_ank(f).dist(g) < 1e-9
+            r = iwasawa_sln(g @ f.k.transpose())
+            assert r.k.dist(FMatrix.identity(n)) < 1e-9
+            assert max(abs(a - b) for a, b in zip(r.chart, f.chart)) < 1e-9
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(SingularInput):

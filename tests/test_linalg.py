@@ -43,21 +43,26 @@ class TestMultiply:
 
 
 class TestDeterminant:
+    """The float determinant that the SL(n) and QR input checks read."""
+
     def test_identity(self):
-        assert RMatrix.identity(3).det() == 1
+        assert FMatrix.identity(3).det() == 1.0
 
     def test_triangular(self):
-        assert RMatrix([[2, 1], [0, Fraction(1, 2)]]).det() == 1
+        assert FMatrix([[2.0, 1.0], [0.0, 0.5]]).det() == 1.0
 
     def test_diagonal(self):
-        assert RMatrix.diagonal([3, Fraction(1, 3), 1]).det() == 1
+        assert abs(FMatrix(np.diag([3.0, 1.0 / 3.0, 1.0])).det() - 1.0) < 1e-15
 
     def test_multiplicativity_random(self, rng):
         for n in (2, 3, 4):
             for _ in range(500):
                 a = RMatrix(rng.integers(-5, 6, size=(n, n)).tolist())
                 b = RMatrix(rng.integers(-5, 6, size=(n, n)).tolist())
-                assert (a @ b).det() == a.det() * b.det()
+                fa, fb = a.to_float(), b.to_float()
+                expect = fa.det() * fb.det()
+                got = (a @ b).to_float().det()
+                assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
 class TestQRPositive:
