@@ -9,7 +9,10 @@ are exact rationals, so the classical commutator identities
     [E_ij, E_ki] = -E_kj    if k != j
     [E_ij, E_ji] = E_ii - E_jj
 
-are verified with zero tolerance rather than assumed.
+are verified with zero tolerance rather than assumed.  An element is stored as
+its coefficients over the basis; its matrix is the map of nonzero entries
+{(row, column): Fraction}, and the commutator is a sparse exact product over
+those entries (a basis element has one or two), never a dense n x n product.
 """
 from __future__ import annotations
 
@@ -59,16 +62,20 @@ def _validate_index(idx: BasisIndex, n: int):
         raise TypeError(f"not a basis index: {idx!r}")
 
 
+Entries = Dict[Tuple[int, int], Fraction]
+
+
+def _index_entries(idx: BasisIndex) -> Dict[Tuple[int, int], int]:
+    """Nonzero entries of a basis matrix, keyed (row, column) from 0:
+    E_ij has one, Y_i = E_ii - E_11 has two."""
+    if isinstance(idx, OffDiag):
+        return {(idx.i - 1, idx.j - 1): 1}
+    return {(0, 0): -1, (idx.i - 1, idx.i - 1): 1}
+
+
 def basis_matrix(idx: BasisIndex, n: int) -> RMatrix:
     """Matrix realization of a basis index."""
-    _validate_index(idx, n)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    if isinstance(idx, OffDiag):
-        rows[idx.i - 1][idx.j - 1] = Fraction(1)
-    else:
-        rows[0][0] = Fraction(-1)
-        rows[idx.i - 1][idx.i - 1] += Fraction(1)
-    return RMatrix(rows)
+    return AlgebraElement.basis(idx, n).to_matrix()
 
 
 @dataclass(frozen=True)
@@ -97,36 +104,45 @@ class AlgebraElement:
         return cls.from_coeffs(n, {idx: Fraction(1)})
 
     @classmethod
-    def from_matrix(cls, m: RMatrix) -> "AlgebraElement":
-        """Decompose a traceless exact matrix over the basis.
+    def from_entries(cls, n: int, entries: Entries) -> "AlgebraElement":
+        """Decompose a traceless matrix, given by its entries, over the basis.
 
         Off-diagonal entries are E_ij coefficients; diagonal entries a_ii for
         i >= 2 are the Y_i coefficients, with a_11 = -sum a_ii forced by the
         zero trace.
         """
-        if m.trace() != 0:
-            raise ValueError(f"matrix has trace {m.trace()}, not in sl(n)")
-        n = m.n
+        trace = sum(v for (i, j), v in entries.items() if i == j)
+        if trace != 0:
+            raise ValueError(f"matrix has trace {trace}, not in sl(n)")
         coeffs: Dict[BasisIndex, Fraction] = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and m[i, j] != 0:
-                    coeffs[OffDiag(i + 1, j + 1)] = m[i, j]
-        for i in range(1, n):
-            if m[i, i] != 0:
-                coeffs[Diag(i + 1)] = m[i, i]
+        for (i, j), v in entries.items():
+            if i != j:
+                coeffs[OffDiag(i + 1, j + 1)] = v
+            elif i:
+                coeffs[Diag(i + 1)] = v
         return cls.from_coeffs(n, coeffs)
 
-    def to_matrix(self) -> RMatrix:
-        m = RMatrix.zeros(self.n)
-        for idx, c in self.coeffs:
-            m = m + basis_matrix(idx, self.n).scale(c)
-        return m
+    @classmethod
+    def from_matrix(cls, m: RMatrix) -> "AlgebraElement":
+        """Decompose a traceless exact matrix over the basis."""
+        n = m.n
+        return cls.from_entries(
+            n, {(i, j): m[i, j] for i in range(n) for j in range(n) if m[i, j]}
+        )
 
-    def coeff_vector(self) -> List[Fraction]:
-        """Coefficients in the order of basis_indices(n)."""
-        lookup = dict(self.coeffs)
-        return [lookup.get(idx, Fraction(0)) for idx in basis_indices(self.n)]
+    def entries(self) -> Entries:
+        """Nonzero entries of the matrix realization, keyed (row, column) from 0."""
+        out: Entries = {}
+        for idx, c in self.coeffs:
+            for ij, v in _index_entries(idx).items():
+                out[ij] = out.get(ij, 0) + v * c
+        return {ij: v for ij, v in out.items() if v}
+
+    def to_matrix(self) -> RMatrix:
+        rows = [[0] * self.n for _ in range(self.n)]
+        for (i, j), v in self.entries().items():
+            rows[i][j] = v
+        return RMatrix(rows)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -159,11 +175,21 @@ def _sort_key(idx: BasisIndex):
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [x, y] = xy - yx, computed on matrix realizations."""
+    """Lie bracket [x, y] = xy - yx, a sparse exact product of the matrix
+    realizations: entry (i, j) of one factor meets only the entries (j, l) of
+    row j of the other."""
     if x.n != y.n:
         raise DimensionError("dimension mismatch")
-    mx, my = x.to_matrix(), y.to_matrix()
-    return AlgebraElement.from_matrix(mx @ my - my @ mx)
+    ex, ey = x.entries(), y.entries()
+    out: Entries = {}
+    for left, right, sign in ((ex, ey, 1), (ey, ex, -1)):
+        rows: Dict[int, List[Tuple[int, Fraction]]] = {}
+        for (k, l), v in right.items():
+            rows.setdefault(k, []).append((l, v))
+        for (i, j), u in left.items():
+            for l, v in rows.get(j, ()):
+                out[(i, l)] = out.get((i, l), 0) + sign * u * v
+    return AlgebraElement.from_entries(x.n, out)
 
 
 def dims(n: int) -> Tuple[int, int, int]:
@@ -247,8 +273,13 @@ def _index_key(idx: BasisIndex) -> str:
 
 def structure_table_json(t: StructureTable) -> Dict[str, List[str]]:
     """Export as '[i,j]x[k,l]' -> coefficient list over the ordered basis."""
+    idxs = basis_indices(t.n)
+    pos = {idx: k for k, idx in enumerate(idxs)}
+    keys = {idx: _index_key(idx) for idx in idxs}
     out = {}
     for (a, b), val in t.items():
-        key = f"{_index_key(a)}x{_index_key(b)}"
-        out[key] = [str(c) for c in val.coeff_vector()]
+        row = ["0"] * len(idxs)
+        for idx, c in val.coeffs:
+            row[pos[idx]] = str(c)
+        out[f"{keys[a]}x{keys[b]}"] = row
     return out

@@ -35,7 +35,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError covers bad JSON, bad UTF-8 and ints over the digit limit
+    except (OSError, ValueError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
 
 

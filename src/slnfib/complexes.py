@@ -16,6 +16,7 @@ orientation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
@@ -276,9 +277,16 @@ def coboundary(w: ScalarCochain1) -> List[Value]:
     return [a + b - c for a, b, c in w.complex.triangle_values(w.values)]
 
 
+def _abs_float(x: Value) -> float:
+    try:
+        return abs(float(x))
+    except OverflowError:  # an exact sum beyond the float range
+        return math.inf
+
+
 def max_coboundary(w: ScalarCochain1) -> float:
     """Closedness measure: the largest |dw| over triangles (0.0 without any)."""
-    return max((abs(float(x)) for x in coboundary(w)), default=0.0)
+    return max(map(_abs_float, coboundary(w)), default=0.0)
 
 
 def period(w: ScalarCochain1, c: Cycle) -> Value:

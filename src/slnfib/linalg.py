@@ -53,10 +53,6 @@ class RMatrix:
     def identity(cls, n: int) -> "RMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int) -> "RMatrix":
-        return cls([[0] * n for _ in range(n)])
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.rows[i][j]
@@ -287,16 +283,26 @@ def scalar_to_json(v):
 
 
 def scalar_from_json(v) -> Union[float, Fraction]:
+    """A JSON number or "p/q" string as a scalar: ints and strings stay exact,
+    but every value must lie in the float range, which later checks use."""
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            x = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational literal {v!r}: {e}") from e
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"bad scalar {v!r}")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise InputError(f"non-finite scalar {v!r}")
-    return Fraction(v) if isinstance(v, int) else float(v)
+    elif isinstance(v, float):
+        if not math.isfinite(v):
+            raise InputError(f"non-finite scalar {v!r}")
+        return v
+    else:
+        x = Fraction(v)
+    try:
+        float(x)
+    except OverflowError:
+        raise InputError(f"scalar {v!r} is beyond the float range") from None
+    return x
 
 
 def matrix_to_json(m):
@@ -313,5 +319,5 @@ def matrix_from_json(rows) -> Union[RMatrix, FMatrix]:
         if any(isinstance(x, str) for row in rows for x in row):
             return RMatrix([[scalar_from_json(x) for x in row] for row in rows])
         return FMatrix([[float(x) for x in row] for row in rows])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad matrix: {e}") from e

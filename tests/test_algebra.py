@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from slnfib import algebra
 from slnfib.algebra import (
     AlgebraElement,
     Diag,
@@ -157,3 +160,60 @@ def test_structure_table_export_keys():
     js = structure_table_json(build_structure_table(2))
     assert "[1,2]x[2,1]" in js
     assert js["[1,2]x[2,1]"] == ["0", "0", "-1"]
+
+
+def sympy_matrix(n, coeffs):
+    """sum c * basis(idx) written out from the basis definition, in sympy."""
+    m = sympy.zeros(n, n)
+    for idx, c in coeffs.items():
+        c = sympy.Rational(c.numerator, c.denominator)
+        if isinstance(idx, OffDiag):
+            m[idx.i - 1, idx.j - 1] += c
+        else:
+            m[idx.i - 1, idx.i - 1] += c
+            m[0, 0] -= c
+    return m
+
+
+@st.composite
+def coefficient_pairs(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    coeffs = st.dictionaries(st.sampled_from(basis_indices(n)), coeff)
+    return n, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coefficient_pairs())
+def test_bracket_is_sympy_commutator(pair):
+    n, cx, cy = pair
+    x, y = AlgebraElement.from_coeffs(n, cx), AlgebraElement.from_coeffs(n, cy)
+    X, Y = sympy_matrix(n, cx), sympy_matrix(n, cy)
+    got = bracket(x, y).to_matrix()
+    got = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(got[i, j])))
+    assert got == X * Y - Y * X
+    assert AlgebraElement.from_matrix(x.to_matrix()) == x
+    assert AlgebraElement.from_matrix(y.to_matrix()) == y
+
+
+class TestKernelCounts:
+    def test_structure_table_makes_no_dense_product(self, monkeypatch):
+        matmuls, brackets = [], []
+        matmul, bracket_of = RMatrix.__matmul__, algebra.bracket
+
+        def counted_matmul(a, b):
+            matmuls.append(a.n)
+            return matmul(a, b)
+
+        def counted_bracket(x, y):
+            brackets.append((x, y))
+            return bracket_of(x, y)
+
+        monkeypatch.setattr(RMatrix, "__matmul__", counted_matmul)
+        monkeypatch.setattr(algebra, "bracket", counted_bracket)
+        table = build_structure_table(5)
+        assert len(brackets) == 24 * 24 == len(table.table)
+        assert matmuls == []
+        # a dense product still goes through the counter
+        RMatrix.identity(2) @ RMatrix.identity(2)
+        assert matmuls == [2]

@@ -1,12 +1,16 @@
 import json
 import math
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from slnfib.cli import main
 from slnfib.complexes import coordinate_cochain, torus_complex
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
+from slnfib.linalg import MAX_DIM
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 
 
@@ -36,6 +40,33 @@ class TestVerifyBrackets:
     def test_out_of_range_n(self, capsys):
         code, _ = run(capsys, ["verify-brackets", "--n", "9"])
         assert code == 2
+
+    def test_max_dim_table_is_integer_commutators(self, capsys):
+        n = MAX_DIM
+        code, rep = run(capsys, ["verify-brackets", "--n", str(n)])
+        assert code == 0
+        assert rep["ok"] and rep["violations"] == []
+        assert rep["offdiag_pairs_checked"] == 56 ** 2
+        basis = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    basis[f"[{i + 1},{j + 1}]"] = np.zeros((n, n), dtype=np.int64)
+                    basis[f"[{i + 1},{j + 1}]"][i, j] = 1
+        for i in range(1, n):
+            basis[f"[{i + 1}]"] = np.zeros((n, n), dtype=np.int64)
+            basis[f"[{i + 1}]"][i, i] = 1
+            basis[f"[{i + 1}]"][0, 0] = -1
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        expected = {}
+        for ka, a in basis.items():
+            for kb, b in basis.items():
+                c = a @ b - b @ a
+                expected[f"{ka}x{kb}"] = [int(c[i, j]) for i, j in off] + [
+                    int(c[i, i]) for i in range(1, n)
+                ]
+        got = {key: [Fraction(c) for c in row] for key, row in rep["table"].items()}
+        assert got == expected
 
 
 class TestDecompose:
@@ -289,8 +320,18 @@ class TestTischler:
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: torus with m=")
 
-    @pytest.mark.parametrize("value", [1e308, 10 ** 400], ids=["inf-sum", "huge-int"])
-    def test_non_finite_period_exit_2(self, capsys, tmp_path, value):
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1e308, "period 0 "),
+            # each edge fits a float, their exact sum does not
+            (10 ** 308, "period 0 "),
+            # rejected where the JSON is read
+            (10 ** 400, f"scalar {10 ** 400} is beyond the float range"),
+        ],
+        ids=["inf-sum", "huge-int-sum", "huge-int"],
+    )
+    def test_non_finite_period_exit_2(self, capsys, tmp_path, value, message):
         w = scalar_cochain_to_json(coordinate_cochain(torus_complex(1, 3), 0))
         w = {key: value for key in w}
         path = write_json(
@@ -300,7 +341,56 @@ class TestTischler:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("input error: period 0 ")
+        assert err.startswith(f"input error: {message}")
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # one edge of a cochain that is not closed
+            (
+                lambda edges: {"0-3": 10 ** 400},
+                r"scalar 10{400} is beyond the float range",
+            ),
+            # the closed cochain 10**400 * d(vertex index)
+            (
+                lambda edges: {f"{u}-{v}": 10 ** 400 * (v - u) for u, v in edges},
+                r"scalar -?\d{401} is beyond the float range",
+            ),
+            # three edges that fit a float around a triangle whose exact
+            # coboundary does not
+            (
+                lambda edges: {"0-3": 10 ** 308, "3-4": 10 ** 308, "0-4": -(10 ** 308)},
+                "rationalize requires a closed cochain, coboundary inf",
+            ),
+        ],
+        ids=["one-edge", "closed", "in-range-edges"],
+    )
+    def test_beyond_float_range_exit_2(self, capsys, tmp_path, make, message):
+        w = make(torus_complex(2, 3).edges)
+        path = write_json(
+            tmp_path, "huge.json", {"torus": {"d": 2, "m": 3}, "cochain": w}
+        )
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert re.fullmatch(f"input error: {message}\n", err)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"torus": {"d": 2, "m": 3}, "cochain": {"0-1": ' + b"1" * 5000 + b"}}",
+            b'{"torus": \xff}',
+        ],
+        ids=["int-digit-limit", "not-utf8"],
+    )
+    def test_unparsable_file_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code = main(["tischler", str(path), "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"input error: cannot read {path}: ")
 
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})
@@ -384,6 +474,11 @@ def overflowing_edge(spec):
     return spec
 
 
+def huge_int_edge(spec):
+    spec["cochain"][sorted(spec["cochain"])[0]] = [[10 ** 400, 0], [0, 1]]
+    return spec
+
+
 def replace_first_key(mapping, key):
     first = next(iter(mapping))
     return {key if k == first else k: v for k, v in mapping.items()}
@@ -407,6 +502,8 @@ def replace_first_key(mapping, key):
         ("tischler", lambda spec: {"torus": {"d": 2, "m": 8}, "cochain": [1, 2]}),
         ("check-foliation", overflowing_edge),
         ("pipeline", overflowing_edge),
+        ("decompose", lambda spec: [[10 ** 400, 0], [0, 1]]),
+        ("check-foliation", huge_int_edge),
     ],
     ids=[
         "decompose-number",
@@ -419,6 +516,8 @@ def replace_first_key(mapping, key):
         "tischler-cochain-list",
         "check-overflow",
         "pipeline-overflow",
+        "decompose-huge-int",
+        "check-huge-int-edge",
     ],
 )
 def test_malformed_shape_exit_2(capsys, tmp_path, product_spec, command, make):
