@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import DimensionError, InputError
 from .linalg import FMatrix, matrix_exp
 
@@ -62,59 +64,88 @@ def _signed(value, sign: int):
 class SimplicialComplex:
     """Oriented 1- and 2-skeleton (plus tetrahedra for d = 3) of a torus.
 
-    Built by torus_complex from the covering lift (z_u, z_v) of each edge,
-    with z_v = z_u + e for a nonzero e in {0,1}^d: edge_lifts keeps the
-    lifts, and edges the base edges (u, v) in the same order.
-    triangle_edges holds orient(a, b), orient(b, c) and orient(a, c) for
-    each triangle (a, b, c), edge_triangles the triangles on each edge, and
-    top_edges the edge indices of each top simplex.
+    Built from the covering alone.  Vertex v has grid coordinates
+    vertex_coords[v] (v = covering.base_index of them); edge
+    u * (2^d - 1) + j is (u, u + e_j) for the j-th nonzero e_j in {0,1}^d
+    (_monotone_vectors order), with covering lift edge_lifts[i] and base
+    edge edges[i].  A grid cell is cut along increasing chains
+    0 < a < b (< c) of such vectors, so each simplex is (z, z + a, z + b,
+    ...) and each of its edges is stored in the direction it is walked.
+
+    The incidence is held once, as int arrays: triangles (T x 3) and
+    tetrahedra (T3 x 4) list vertices; triangle_edges (T x 3 x 2) gives
+    orient(a, b), orient(b, c) and orient(a, c) for each triangle (a, b, c)
+    as (index, sign); top_edges gives the edge indices of each top simplex.
     """
 
-    def __init__(
-        self,
-        covering: TorusCovering,
-        vertex_coords: List[Tuple[int, ...]],
-        edge_lifts: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
-        triangles: List[Tuple[int, int, int]],
-        tetrahedra: List[Tuple[int, int, int, int]],
-    ):
+    def __init__(self, covering: TorusCovering):
+        d, m = covering.d, covering.m
         self.covering = covering
-        self.vertex_coords = vertex_coords
-        self.n_vertices = len(vertex_coords)
-        self.edge_lifts = edge_lifts
-        self.edges: List[Edge] = [
-            (covering.base_index(zu), covering.base_index(zv)) for zu, zv in edge_lifts
+        vecs = _monotone_vectors(d)
+        self._vec_index = {e: j for j, e in enumerate(vecs)}
+        n = m ** d
+        self.vertex_coords: List[Tuple[int, ...]] = [
+            tuple(reversed(c)) for c in itertools.product(range(m), repeat=d)
         ]
-        self.triangles = triangles
-        self.tetrahedra = tetrahedra
-
-        self._orient: Dict[Edge, Tuple[int, int]] = {}
-        self._incident: List[List[int]] = [[] for _ in vertex_coords]
+        self.n_vertices = n
+        self.edge_lifts = [
+            (z, tuple(z_i + e_i for z_i, e_i in zip(z, e)))
+            for z in self.vertex_coords
+            for e in vecs
+        ]
+        self.edges: List[Edge] = [
+            (covering.base_index(zu), covering.base_index(zv))
+            for zu, zv in self.edge_lifts
+        ]
+        self._incident: List[List[int]] = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
-            self._orient[u, v] = (i, 1)
-            self._orient[v, u] = (i, -1)
             self._incident[u].append(i)
             self._incident[v].append(i)
 
-        self.triangle_edges = [
-            (self._orient[a, b], self._orient[b, c], self._orient[a, c])
-            for a, b, c in triangles
-        ]
-        self.edge_triangles: List[List[int]] = [[] for _ in self.edges]
-        for t, incidence in enumerate(self.triangle_edges):
-            for i, _ in incidence:
-                self.edge_triangles[i].append(t)
-        self.top_edges = [
-            tuple(self._orient[e][0] for e in itertools.combinations(s, 2))
-            for s in self.top_simplices
-        ]
+        grid = np.arange(n).reshape((m,) * d)  # grid[c_(d-1), ..., c_0] = v
+
+        def vertex(a):  # the vertex z + a, for every base vertex z
+            shift = [-x for x in reversed(a)]
+            return np.roll(grid, shift, axis=tuple(range(d))).ravel()
+
+        def edge(a, b):  # the index of the edge (z + a, z + b)
+            step = tuple(y - x for x, y in zip(a, b))
+            return vertex(a) * len(vecs) + self._vec_index[step]
+
+        def per_cell(columns, width):  # row z * chains + chain, per base vertex z
+            if not columns:
+                return np.zeros((0, width), dtype=np.int64)
+            return np.stack(columns, axis=1).reshape(-1, width)
+
+        def below(a, b):
+            return a != b and all(x <= y for x, y in zip(a, b))
+
+        zero = (0,) * d
+        tri_chains = [(zero, a, b) for a in vecs for b in vecs if below(a, b)]
+        tet_chains = [ch + (c,) for ch in tri_chains for c in vecs if below(ch[2], c)]
+        top_chains = (None, [(zero, e) for e in vecs], tri_chains, tet_chains)[d]
+        self.triangles = per_cell([vertex(a) for ch in tri_chains for a in ch], 3)
+        self.tetrahedra = per_cell([vertex(a) for ch in tet_chains for a in ch], 4)
+        slots = ((0, 1), (1, 2), (0, 2))
+        along = per_cell([edge(ch[s], ch[t]) for ch in tri_chains for s, t in slots], 3)
+        self.triangle_edges = np.stack([along, np.ones_like(along)], axis=-1)
+        pairs = list(itertools.combinations(range(d + 1), 2))
+        self.top_edges = per_cell(
+            [edge(ch[s], ch[t]) for ch in top_chains for s, t in pairs], len(pairs)
+        )
 
     def orient(self, u: int, v: int) -> Tuple[int, int]:
-        """(index, sign) of the edge from u to v."""
-        try:
-            return self._orient[u, v]
-        except KeyError:
-            raise InputError(f"no edge ({u},{v})") from None
+        """(index, sign) of the edge from u to v: (u, v) is edge
+        u * (2^d - 1) + j if coords[v] - coords[u] = e_j mod m, and (v, u)
+        is that edge with sign -1."""
+        n, m, coords = self.n_vertices, self.covering.m, self.vertex_coords
+        if 0 <= u < n and 0 <= v < n:
+            for a, b, sign in ((u, v, 1), (v, u, -1)):
+                step = tuple([(y - x) % m for x, y in zip(coords[a], coords[b])])
+                j = self._vec_index.get(step)
+                if j is not None:
+                    return a * len(self._vec_index) + j, sign
+        raise InputError(f"no edge ({u},{v})")
 
     def value(self, values: Sequence, u: int, v: int):
         """The value of an edge-indexed list on the oriented edge (u, v)."""
@@ -132,22 +163,23 @@ class SimplicialComplex:
 
     def triangle_values(self, values: Sequence) -> List[tuple]:
         """Per triangle (a, b, c): the values on (a, b), (b, c) and (a, c)."""
-        return [
-            tuple(_signed(values[i], sign) for i, sign in incidence)
-            for incidence in self.triangle_edges
-        ]
+        index = self.triangle_edges[:, :, 0].ravel().tolist()
+        sign = self.triangle_edges[:, :, 1].ravel().tolist()
+        flat = [values[i] if s > 0 else -values[i] for i, s in zip(index, sign)]
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
     def incident_edges(self, v: int) -> List[int]:
         """Indices of the edges at vertex v."""
         return self._incident[v]
 
     def triangles_of_edge(self, u: int, v: int) -> List[int]:
-        return self.edge_triangles[self.orient(u, v)[0]]
+        on_edge = self.triangle_edges[:, :, 0] == self.orient(u, v)[0]
+        return np.flatnonzero(on_edge.any(axis=1)).tolist()
 
     @property
     def top_simplices(self):
         """Tetrahedra, else triangles, else edges (for a 1-complex)."""
-        return self.tetrahedra or self.triangles or self.edges
+        return (self.edges, self.triangles, self.tetrahedra)[self.covering.d - 1]
 
 
 def _monotone_vectors(d: int) -> List[Tuple[int, ...]]:
@@ -165,43 +197,7 @@ def torus_complex(d: int, m: int) -> SimplicialComplex:
         raise InputError(
             f"torus with m={m}, d={d} has {m}^{d} vertices, over the cap {MAX_VERTICES}"
         )
-    cov = TorusCovering(d, m)
-    coords = [None] * (m ** d)
-    for c in itertools.product(range(m), repeat=d):
-        c = tuple(reversed(c))
-        coords[cov.base_index(c)] = c
-
-    def add(z, e):
-        return tuple(z_i + e_i for z_i, e_i in zip(z, e))
-
-    vecs = _monotone_vectors(d)
-    lifts = [(z, add(z, e)) for z in coords for e in vecs]
-
-    triangles = []
-    tets = []
-    for z in coords:
-        for a in vecs:
-            for b in vecs:
-                if all(x <= y for x, y in zip(a, b)) and a != b:
-                    triangles.append(
-                        (
-                            cov.base_index(z),
-                            cov.base_index(add(z, a)),
-                            cov.base_index(add(z, b)),
-                        )
-                    )
-                    if d == 3:
-                        for c in vecs:
-                            if all(x <= y for x, y in zip(b, c)) and b != c:
-                                tets.append(
-                                    (
-                                        cov.base_index(z),
-                                        cov.base_index(add(z, a)),
-                                        cov.base_index(add(z, b)),
-                                        cov.base_index(add(z, c)),
-                                    )
-                                )
-    return SimplicialComplex(cov, coords, lifts, triangles, tets)
+    return SimplicialComplex(TorusCovering(d, m))
 
 
 @dataclass
@@ -285,8 +281,10 @@ def _abs_float(x: Value) -> float:
 
 
 def max_coboundary(w: ScalarCochain1) -> float:
-    """Closedness measure: the largest |dw| over triangles (0.0 without any)."""
-    return max(map(_abs_float, coboundary(w)), default=0.0)
+    """Closedness measure: the largest |dw| over triangles (0.0 without any),
+    NaN if any |dw| is NaN."""
+    sizes = [_abs_float(x) for x in coboundary(w)]
+    return float(np.max(sizes)) if sizes else 0.0
 
 
 def period(w: ScalarCochain1, c: Cycle) -> Value:

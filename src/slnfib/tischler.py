@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import (
     BudgetInfeasible,
     CheckFailed,
@@ -117,7 +119,7 @@ def rationalize(
     A period that is not a finite float raises InputError.
     """
     bad = max_coboundary(w)
-    if bad > EQ_TOL:
+    if not bad <= EQ_TOL:
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
     complex = w.complex
     if duals is None:
@@ -127,7 +129,7 @@ def rationalize(
     for k, eta in enumerate(duals):
         for j, c in enumerate(cycles):
             expect = 1 if j == k else 0
-            if abs(float(period(eta, c)) - expect) > EQ_TOL:
+            if not abs(float(period(eta, c)) - expect) <= EQ_TOL:
                 raise InputError(f"dual {k} is not dual to cycle {j}")
 
     out = w
@@ -145,8 +147,10 @@ def rationalize(
         if delta != 0.0:
             out = out + duals[k].scale(delta)
     q = _lcm([r.denominator for r in periods]) if periods else 1
-    sup_change = max(abs(float(a) - float(b)) for a, b in zip(out.values, w.values))
-    if sup_change > cfg.epsilon:
+    sup_change = float(
+        np.max([abs(float(a) - float(b)) for a, b in zip(out.values, w.values)])
+    )
+    if not sup_change <= cfg.epsilon:
         raise BudgetInfeasible(
             f"perturbation sup-norm {sup_change:.3e} exceeds epsilon {cfg.epsilon}"
         )
@@ -167,8 +171,10 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     """Integrate q * w' along a spanning tree and reduce mod 1.
 
     q * w' has integer periods, so the tree-path sums are independent of the
-    tree up to integers and descend to R/Z.  Pullback periods over the
-    generator cycles are verified to be integers within RESIDUAL_TOL.
+    tree up to integers and descend to R/Z.  A tree-path sum that is not
+    finite raises InputError.  Edge increments must reproduce q * w' mod 1
+    within RESIDUAL_TOL, and the pullback periods over the generator cycles
+    must be integers.
     """
     w = rz.cochain
     complex = w.complex
@@ -182,10 +188,14 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
             a, b = complex.edges[i]
             other = b if a == u else a
             if other not in values:
-                values[other] = values[u] + q * float(w(u, other))
+                x = float(w.values[i])
+                values[other] = values[u] + q * (x if a == u else -x)
                 stack.append(other)
     if len(values) != complex.n_vertices:
         raise InputError("complex is disconnected")
+    for v, x in values.items():
+        if not math.isfinite(x):
+            raise InputError(f"circle map value at vertex {v} is not finite")
     values = {v: x % 1.0 for v, x in values.items()}
 
     periods: List[int] = []
@@ -199,7 +209,7 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     for (u, v), val in zip(complex.edges, w.values):
         diff = (cm.values[v] - cm.values[u] - q * float(val)) % 1.0
         diff = min(diff, 1.0 - diff)
-        if diff > RESIDUAL_TOL * max(1.0, q):
+        if not diff <= RESIDUAL_TOL * max(1.0, q):
             raise CheckFailed(f"edge increment mismatch {diff:.3e} on ({u},{v})")
     return cm
 
@@ -225,7 +235,7 @@ def check_submersion(w: ScalarCochain1) -> SubmersionReport:
     size = [abs(float(x)) for x in w.values]
     failing = [
         t
-        for t, edges in enumerate(w.complex.top_edges)
+        for t, edges in enumerate(w.complex.top_edges.tolist())
         if max(size[i] for i in edges) <= EQ_TOL
     ]
     return SubmersionReport(failing)
@@ -238,11 +248,52 @@ class FiberCensus:
     crossing_edges: int
 
 
-def _levels_crossed(c: float, start: float, inc: float) -> range:
-    """The integers k with c + k strictly inside the lifted edge interval
-    between start and start + inc."""
-    lo, hi = (start, start + inc) if inc > 0 else (start + inc, start)
-    return range(math.floor(lo - c) + 1, math.ceil(hi - c))
+MAX_CROSSINGS = 1 << 22  # crossings that one census holds in memory
+
+
+def _crossings(c: float, start, rise):
+    """Per lifted edge interval between start and start + rise: the first
+    integer k with c + k strictly inside it, and how many such k there are."""
+    end = start + rise
+    first = np.floor(np.minimum(start, end) - c) + 1
+    return first, np.maximum(np.ceil(np.maximum(start, end) - c) - first, 0)
+
+
+def _expand(first, count):
+    """One row per crossing, intervals in flat order and k rising in each:
+    the flat index of the interval, and k."""
+    count = count.astype(np.int64).ravel()
+    seg = np.repeat(np.arange(count.size), count)
+    k = first.astype(np.int64).ravel() - (np.cumsum(count) - count)
+    return seg, k[seg] + np.arange(seg.size)
+
+
+def _pair_key(a, b):
+    """One int64 per row of the int arrays a and b, equal where both are."""
+    low = b.min(initial=0)
+    return a * (b.max(initial=0) - low + 1) + (b - low)
+
+
+def _count_components(n: int, a, b) -> int:
+    """Components of the graph on nodes 0..n-1 with edges (a[j], b[j]).
+
+    Each round hooks the larger root of every edge under the smaller one,
+    then jumps pointers until every node points at its root.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not np.count_nonzero(apart):
+            return int(np.count_nonzero(label == np.arange(n)))
+        # every write lowers a root, whichever write wins on a repeated one
+        la, lb = la[apart], lb[apart]
+        label[np.maximum(la, lb)] = np.minimum(la, lb)
+        while True:
+            up = label[label]
+            if not np.count_nonzero(up != label):
+                break
+            label = up
 
 
 def fiber_census(
@@ -252,76 +303,104 @@ def fiber_census(
 
     A node is a crossing of the level with an edge (s, t) of complex.edges,
     keyed by the edge index and the integer k with c + k crossed by the lift
-    of (s, t) that starts at f(s).  Each triangle lifts its vertices
-    affinely, finds its crossings with _levels_crossed, shifts k by the
-    integer offset of its lift of s, and joins the two crossings of each
-    lifted level; edges in no triangle contribute isolated nodes.  Every
-    node must be met once by each triangle on its edge, else CheckFailed.
-    Components are counted by union-find.
+    of (s, t) that starts at f(s).  Each triangle (u, v, x) lifts its
+    vertices affinely from f(u) along (u, v) and (v, x); each of its edges
+    is crossed at every c + k strictly inside its lifted interval, with k
+    shifted by the integer offset of the triangle's lift of s.  The two
+    crossings of each lifted level of a triangle are joined; edges in no
+    triangle contribute isolated nodes.  Every node must be met once by
+    each triangle on its edge, else CheckFailed.  More than MAX_CROSSINGS
+    crossings, or a lift that is not finite, raise InputError.
+
+    This is array code over complex.triangle_edges: the crossings of every
+    edge of every triangle are expanded at once, paired by sorting, and
+    their components counted by pointer jumping.
     """
     c = float(value) % 1.0
     complex = f.complex
-    step = [f.q * float(x) for x in w.values]
-    for vtx, x in f.values.items():
-        gap = abs((float(x) - c + 0.5) % 1.0 - 0.5)
-        if gap < 1e-9:
+    tri = complex.triangles
+    index, sign = complex.triangle_edges[:, :, 0], complex.triangle_edges[:, :, 1]
+    on_edge = np.bincount(index.ravel(), minlength=len(complex.edges))
+    vertices = np.fromiter(f.values, dtype=np.int64, count=len(f.values))
+    image = np.array([float(x) for x in f.values.values()])
+    with np.errstate(invalid="ignore", over="ignore"):
+        hit = np.flatnonzero(np.abs((image - c + 0.5) % 1.0 - 0.5) < 1e-9)
+        if hit.size:
+            vtx = int(vertices[hit[0]])
             raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
+        at = np.full(complex.n_vertices, np.nan)
+        at[vertices] = image
+        step = float(f.q) * np.array([float(x) for x in w.values])
 
-    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    degree: Dict[Tuple[int, int], int] = {}
+        along = step[index] * sign
+        lift = np.empty(tri.shape)
+        lift[:, 0] = at[tri[:, 0]]
+        lift[:, 1] = lift[:, 0] + along[:, 0]
+        lift[:, 2] = lift[:, 1] + along[:, 1]
+        # skip the triangles whose lifted range meets no level; a NaN count
+        # stays, for the cap below to refuse
+        low = lift.min(axis=1)
+        crossed = np.flatnonzero(_crossings(c, low, lift.max(axis=1) - low)[1] != 0)
+        tri, index, lift = tri[crossed], index[crossed], lift[crossed]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        # edge slot p of a triangle runs between corners (0, 1), (1, 2) or
+        # (0, 2); its stored edge (s, t) runs the same way if sign is +1
+        back = sign[crossed] < 0
+        s_at = np.array([0, 1, 0]) + back * [1, 1, 2]
+        t_at = np.array([1, 2, 2]) - back * [1, 1, 2]
+        lift_s = np.take_along_axis(lift, s_at, axis=1)
+        lift_t = np.take_along_axis(lift, t_at, axis=1)
+        offset = np.rint(lift_s - at[np.take_along_axis(tri, s_at, axis=1)])
+        first, count = _crossings(c, lift_s, lift_t - lift_s)
 
-    for i, (s, t) in enumerate(complex.edges):
-        if not complex.edge_triangles[i]:
-            for k in _levels_crossed(c, float(f.values[s]), step[i]):
-                parent[i, k] = (i, k)
-                degree[i, k] = 0
-
-    for tri, incidence, (uv, vx, _) in zip(
-        complex.triangles, complex.triangle_edges, complex.triangle_values(step)
-    ):
-        u, v, x = tri
-        # lift the three vertices affinely inside this triangle
-        lift = {u: float(f.values[u])}
-        lift[v] = lift[u] + uv
-        lift[x] = lift[v] + vx
-        lo = min(lift.values())
-        # no edge of a triangle crosses a level outside its lifted range
-        if not _levels_crossed(c, lo, max(lift.values()) - lo):
-            continue
-        local: Dict[int, list] = {}
-        for i, _ in incidence:
-            s, t = complex.edges[i]
-            offset = round(lift[s] - float(f.values[s]))
-            for k in _levels_crossed(c, lift[s], lift[t] - lift[s]):
-                node = (i, k - offset)
-                parent.setdefault(node, node)
-                degree[node] = degree.get(node, 0) + 1
-                local.setdefault(k, []).append(node)
-        for k, nodes in local.items():
-            if len(nodes) != 2:
-                raise CheckFailed(
-                    f"level {c + k} crosses {len(nodes)} edges of triangle {tri}"
-                )
-            ra, rb = find(nodes[0]), find(nodes[1])
-            if ra != rb:
-                parent[ra] = rb
-
-    for (i, k), deg in degree.items():
-        expect = len(complex.edge_triangles[i])
-        if deg != expect:
-            raise CheckFailed(
-                f"fiber at level {c} (lift index {k}) meets edge "
-                f"{complex.edges[i]} in {deg} of its {expect} triangles"
+        loose = np.flatnonzero(on_edge == 0)
+        tails = np.array([complex.edges[i][0] for i in loose], dtype=np.int64)
+        loose_first, loose_count = _crossings(c, at[tails], step[loose])
+        total = count.sum() + loose_count.sum()
+        if not total <= MAX_CROSSINGS:
+            raise InputError(
+                f"level {c} has {total:.0f} edge crossings, "
+                f"over the cap {MAX_CROSSINGS}"
             )
 
-    roots = {find(x) for x in parent}
-    return FiberCensus(c, len(roots), len(parent))
+    # crossings ordered by (triangle, slot, k), then those of loose edges
+    seg, k = _expand(first, count)
+    loose_seg, loose_k = _expand(loose_first, loose_count)
+    edge = np.concatenate([index.ravel()[seg], loose[loose_seg]])
+    level = np.concatenate([k - offset.astype(np.int64).ravel()[seg], loose_k])
+    nodes, node_first, node_of = np.unique(
+        _pair_key(edge, level), return_index=True, return_inverse=True
+    )
+
+    # a lifted level meets each triangle it crosses on exactly two edges
+    level_in = _pair_key(seg // 3, k)
+    _, group_first, group_size = np.unique(
+        level_in, return_index=True, return_counts=True
+    )
+    bad = np.flatnonzero(group_size != 2)
+    if bad.size:
+        g = bad[np.argmin(group_first[bad])]
+        j = group_first[g]
+        raise CheckFailed(
+            f"level {c + int(k[j])} crosses {int(group_size[g])} edges of "
+            f"triangle {tuple(tri[seg[j] // 3].tolist())}"
+        )
+
+    degree = np.bincount(node_of[: seg.size], minlength=nodes.size)
+    expect = on_edge[edge[node_first]]
+    wrong = np.flatnonzero(degree != expect)
+    if wrong.size:
+        j = node_first[wrong].min()
+        n = node_of[j]
+        raise CheckFailed(
+            f"fiber at level {c} (lift index {int(level[j])}) meets edge "
+            f"{complex.edges[int(edge[j])]} in {int(degree[n])} of its "
+            f"{int(expect[n])} triangles"
+        )
+
+    pairs = node_of[np.argsort(level_in, kind="stable")].reshape(-1, 2)
+    components = _count_components(nodes.size, pairs[:, 0], pairs[:, 1])
+    return FiberCensus(c, components, int(nodes.size))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +513,9 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
             report.add("failure", reason=str(e))
             return report
 
-    closed_res = max(map(max_coboundary, projected.scalar_cochains))
+    closed_res = float(np.max([max_coboundary(w) for w in projected.scalar_cochains]))
     report.add("closedness", max_coboundary=closed_res)
-    if closed_res > RESIDUAL_TOL:
+    if not closed_res <= RESIDUAL_TOL:
         report.add("failure", reason="projected components are not closed")
         return report
 

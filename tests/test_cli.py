@@ -392,6 +392,18 @@ class TestTischler:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"input error: cannot read {path}: ")
 
+    def test_overflowing_circle_map_exit_2(self, capsys, tmp_path):
+        # the period is 0.5, so q = 2, and 2 * 1e308 overflows on the tree
+        # path to vertex 1
+        w = {"0-1": 1e308, "1-2": -1e308, "2-0": 0.5}
+        path = write_json(
+            tmp_path, "overflow.json", {"torus": {"d": 1, "m": 3}, "cochain": w}
+        )
+        code = main(["tischler", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "input error: circle map value at vertex 1 is not finite\n"
+
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})
         code, _ = run(capsys, ["tischler", path, "--epsilon", "0.01"])

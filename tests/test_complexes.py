@@ -47,7 +47,7 @@ class TestTorusComplex:
     def test_manifold_like_2d(self):
         # a closed surface: every edge lies in exactly two triangles
         k = torus_complex(2, 4)
-        assert all(len(ts) == 2 for ts in k.edge_triangles)
+        assert all(len(k.triangles_of_edge(u, v)) == 2 for u, v in k.edges)
 
     def test_t3_has_tetrahedra(self):
         k = torus_complex(3, 3)
@@ -89,6 +89,28 @@ class TestEdgeIndex:
     def test_cochain_needs_one_value_per_edge(self, t2_8):
         with pytest.raises(InputError):
             ScalarCochain1(t2_8, [Fraction(0)] * (len(t2_8.edges) - 1))
+
+
+class TestArithmeticOrientation:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_orient_matches_the_edge_lifts(self, d, m):
+        k = torus_complex(d, m)
+        base = k.covering.base_index
+        expect = {}
+        for i, (zu, zv) in enumerate(k.edge_lifts):
+            expect[base(zu), base(zv)] = (i, 1)
+            expect[base(zv), base(zu)] = (i, -1)
+        for u in range(k.n_vertices):
+            for v in range(k.n_vertices):
+                if (u, v) in expect:
+                    assert k.orient(u, v) == expect[u, v]
+                else:
+                    with pytest.raises(InputError):
+                        k.orient(u, v)
+        for u, v in [(-1, 0), (0, k.n_vertices), (k.n_vertices, k.n_vertices + 1)]:
+            with pytest.raises(InputError):
+                k.orient(u, v)
 
 
 class TestEdgeLifts:

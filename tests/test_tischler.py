@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -17,9 +19,12 @@ from slnfib.errors import BudgetInfeasible, CheckFailed, InputError, NonGenericV
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
 from slnfib.serialize import scalar_cochain_to_json
+from slnfib import tischler
 from slnfib.tischler import (
     CircleMap,
+    FiberCensus,
     RationalizeConfig,
+    RationalizedCochain,
     check_submersion,
     continued_fraction_approx,
     fiber_census,
@@ -206,6 +211,18 @@ class TestFiberCensus:
         assert [c.component_count for c in censuses] == [1] * 10
         assert {c.crossing_edges for c in censuses} == {1}
 
+    @pytest.mark.parametrize(
+        "rise, vertex, crossings",
+        [(1e7, 0.25, "30000000"), (0.25, math.nan, "nan")],
+        ids=["over-cap", "nan-lift"],
+    )
+    def test_census_refused_before_expanding(self, rise, vertex, crossings):
+        k = torus_complex(1, 3)
+        cm = CircleMap(k, {0: 0.0, 1: vertex, 2: 0.5}, [1], 1)
+        w = ScalarCochain1(k, [rise] * 3)
+        with pytest.raises(InputError, match=f"has {crossings} edge crossings"):
+            fiber_census(cm, w, 0.1)
+
     def test_inconsistent_lift_fails_degree_check(self):
         cm, w = self.circle_map_dx(5)
         cm.values[7] = (cm.values[7] + 0.3) % 1.0
@@ -286,6 +303,218 @@ def test_t2_linear_census_is_gcd_of_pullback_periods(m, coeffs, jitter, epsilon)
 def test_t3_linear_census_is_gcd_of_pullback_periods(m, coeffs, jitter, epsilon):
     counts, expect = census_of_linear_form(3, m, coeffs, jitter, epsilon)
     assert counts == [expect] * len(counts)
+
+
+def loop_census(f, w, value):
+    """The per-triangle union-find census that the array census replaced,
+    kept as its reference: same result, or same error and message."""
+    c = float(value) % 1.0
+    complex = f.complex
+    step = [f.q * float(x) for x in w.values]
+    for vtx, x in f.values.items():
+        if abs((float(x) - c + 0.5) % 1.0 - 0.5) < 1e-9:
+            raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
+
+    def crossed(start, inc):
+        lo, hi = (start, start + inc) if inc > 0 else (start + inc, start)
+        return range(math.floor(lo - c) + 1, math.ceil(hi - c))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    incidences = complex.triangle_edges.tolist()
+    on_edge = collections.Counter(i for incidence in incidences for i, _ in incidence)
+    parent, degree = {}, {}
+    for i, (s, t) in enumerate(complex.edges):
+        if not on_edge[i]:
+            for k in crossed(float(f.values[s]), step[i]):
+                parent[i, k] = (i, k)
+                degree[i, k] = 0
+    triangles, values = complex.triangles.tolist(), complex.triangle_values(step)
+    for tri, incidence, (uv, vx, _) in zip(triangles, incidences, values):
+        u, v, x = tri
+        lift = {u: float(f.values[u])}
+        lift[v] = lift[u] + uv
+        lift[x] = lift[v] + vx
+        lo = min(lift.values())
+        if not crossed(lo, max(lift.values()) - lo):
+            continue
+        local = {}
+        for i, _ in incidence:
+            s, t = complex.edges[i]
+            offset = round(lift[s] - float(f.values[s]))
+            for k in crossed(lift[s], lift[t] - lift[s]):
+                node = (i, k - offset)
+                parent.setdefault(node, node)
+                degree[node] = degree.get(node, 0) + 1
+                local.setdefault(k, []).append(node)
+        for k, nodes in local.items():
+            if len(nodes) != 2:
+                raise CheckFailed(
+                    f"level {c + k} crosses {len(nodes)} edges of triangle {tuple(tri)}"
+                )
+            parent[find(nodes[0])] = find(nodes[1])
+    for (i, k), deg in degree.items():
+        if deg != on_edge[i]:
+            raise CheckFailed(
+                f"fiber at level {c} (lift index {k}) meets edge "
+                f"{complex.edges[i]} in {deg} of its {on_edge[i]} triangles"
+            )
+    return FiberCensus(c, len({find(x) for x in parent}), len(parent))
+
+
+def census_outcome(census, f, w, value):
+    try:
+        return census(f, w, value)
+    except (CheckFailed, NonGenericValue) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example(  # a draw on which a lifted level crosses one edge of a triangle
+    d=2,
+    m=5,
+    coeffs=(Fraction(3, 4), Fraction(-5, 2), Fraction(3, 4)),
+    moves=[(73444, -0.129), (445161, -0.094)],
+    levels=[0.871],
+)
+@given(
+    d=st.sampled_from([1, 2, 2, 3]),
+    m=st.integers(3, 7),
+    coeffs=st.tuples(*[small_coefficient(5, 4)] * 3).filter(lambda c: c[0]),
+    moves=st.lists(
+        st.tuples(st.integers(0, 10 ** 6), st.floats(-0.7, 0.7)), max_size=3
+    ),
+    levels=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
+)
+def test_array_census_matches_the_loop_census(d, m, coeffs, moves, levels):
+    m = min(m, 4) if d == 3 else m
+    k = torus_complex(d, m)
+    w = coordinate_cochain(k, 0).scale(float(coeffs[0]))
+    for axis in range(1, d):
+        w = w + coordinate_cochain(k, axis).scale(float(coeffs[axis]))
+    rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
+    cm = integrate_to_circle(rz)
+    # moved vertex values make lifts that disagree across triangles
+    for v, shift in moves:
+        cm.values[v % k.n_vertices] = (cm.values[v % k.n_vertices] + shift) % 1.0
+    for value in levels + generic_levels(cm, 2):
+        expect = census_outcome(loop_census, cm, rz.cochain, value)
+        assert census_outcome(fiber_census, cm, rz.cochain, value) == expect
+
+
+def crossing_oracle(m, d, periods):
+    """Crossings of a generic level of the linear circle map with integer
+    pullback periods p on T^d: the m edges z, z + e, ..., z + (m - 1) e
+    close up and rise by <p, e> in all, so each of the m^(d-1) such loops
+    crosses every level |<p, e>| times."""
+    rises = [
+        sum(p * x for p, x in zip(periods, e))
+        for e in itertools.product((0, 1), repeat=d)
+        if any(e)
+    ]
+    return m ** (d - 1) * sum(map(abs, rises))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([2, 2, 3]),
+    m=st.integers(3, 9),
+    coeffs=st.tuples(*[small_coefficient(4, 3)] * 3).filter(lambda c: any(c[:2])),
+)
+def test_linear_census_crossings_match_closed_form(d, m, coeffs):
+    coeffs = coeffs[:d]
+    m = m if d == 2 else min(m, 4)
+    k = torus_complex(d, m)
+    w = coordinate_cochain(k, 0).scale(float(coeffs[0]))
+    for axis in range(1, d):
+        w = w + coordinate_cochain(k, axis).scale(float(coeffs[axis]))
+    # denominators <= 3 keep each coefficient its own convergent at 0.01
+    q = math.lcm(*(c.denominator for c in coeffs))
+    periods = [int(q * c) for c in coeffs]
+    cm, rz, _, censuses = tischler_fibration(w, RationalizeConfig(0.01))
+    assert rz.q == q and cm.periods == periods
+    for census in censuses:
+        assert census.crossing_edges == crossing_oracle(m, d, periods)
+        assert census.component_count == math.gcd(*periods)
+
+
+def test_fibration_calls_census_through_module_attribute(monkeypatch):
+    # bench/tracer.py rebinds tischler.fiber_census to count crossings
+    calls = []
+    census = tischler.fiber_census
+
+    def counting(f, w, value):
+        out = census(f, w, value)
+        calls.append((value, out.crossing_edges))
+        return out
+
+    monkeypatch.setattr(tischler, "fiber_census", counting)
+    cm, _, _, censuses = tischler_fibration(mixed_cochain(8), RationalizeConfig(0.01))
+    assert [value for value, _ in calls] == generic_levels(cm)
+    assert [n for _, n in calls] == [c.crossing_edges for c in censuses]
+    assert all(isinstance(n, int) and n > 0 for _, n in calls)
+
+
+def diagonal_edge(k):
+    """An edge on no generator cycle, away from triangle 0."""
+    base = k.covering.base_index
+    return k.orient(base((1, 1)), base((2, 2)))[0]
+
+
+class TestNaNVerdicts:
+    """A NaN residual fails each tolerance test instead of passing it."""
+
+    def test_nan_coboundary_is_not_closed(self, t2_8):
+        values = list(coordinate_cochain(t2_8, 0).values)
+        values[diagonal_edge(t2_8)] = math.nan
+        with pytest.raises(InputError, match="closed cochain, coboundary nan"):
+            rationalize(
+                ScalarCochain1(t2_8, values),
+                homology_generators(t2_8),
+                RationalizeConfig(0.01),
+            )
+
+    def test_nan_dual_period_is_not_dual(self, t2_8):
+        gens = homology_generators(t2_8)
+        dual = list(coordinate_cochain(t2_8, 0).values)
+        dual[t2_8.orient(*gens[0].edges[2])[0]] = math.nan
+        duals = [ScalarCochain1(t2_8, dual), coordinate_cochain(t2_8, 1)]
+        with pytest.raises(InputError, match="dual 0 is not dual to cycle 0"):
+            rationalize(
+                coordinate_cochain(t2_8, 0), gens, RationalizeConfig(0.01), duals=duals
+            )
+
+    def test_nan_sup_change_is_over_budget(self):
+        w = mixed_cochain(8)
+        k = w.complex
+        dual = list(coordinate_cochain(k, 1).values)
+        dual[diagonal_edge(k)] = math.nan
+        duals = [coordinate_cochain(k, 0), ScalarCochain1(k, dual)]
+        with pytest.raises(BudgetInfeasible, match="sup-norm nan"):
+            rationalize(w, homology_generators(k), RationalizeConfig(0.01), duals=duals)
+
+    def test_nan_edge_increment_is_a_mismatch(self):
+        # T^1, m = 3: the spanning tree from vertex 0 takes edges 0 and 2,
+        # so the NaN on edge (1, 2) reaches only the increment check
+        k = torus_complex(1, 3)
+        w = ScalarCochain1(k, [Fraction(1, 3), math.nan, Fraction(1, 3)])
+        rz = RationalizedCochain(w, [Fraction(1)], 1, 0.0)
+        with pytest.raises(CheckFailed, match=r"mismatch nan on \(1,2\)"):
+            integrate_to_circle(rz)
+
+    def test_nan_closedness_fails_the_pipeline(self, monkeypatch):
+        monkeypatch.setattr(tischler, "max_coboundary", lambda w: math.nan)
+        spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
+        rep = pipeline_sln(spec, RationalizeConfig(0.01))
+        assert not rep.ok
+        assert rep.stages[-1] == {
+            "stage": "failure",
+            "reason": "projected components are not closed",
+        }
 
 
 class TestTischlerFibration:
