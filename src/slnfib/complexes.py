@@ -7,19 +7,18 @@ such a d-torus on an m^d grid and carries its covering data: the deck group
 Z^d acts on integer grid coordinates by shifts of m.
 
 Each edge is stored once, in the orientation of complex.edges, together with
-its covering lift (z, z + e), e in {0,1}^d, and a 1-cochain is one list of
-values in that order.  The complex maps an oriented edge (u, v) to its index
-and a sign, +1 if it is stored as (u, v) and -1 if it is stored as (v, u);
-SimplicialComplex is the only place that negates a value for the
-orientation.
+its covering lift (z, z + e), e in {0,1}^d.  A scalar 1-cochain is one
+read-only float64 array in that order, and its coboundary, periods and
+closedness are array expressions over the complex's int incidence arrays; a
+Lie cochain is one list of matrices in that order.  The complex maps oriented
+edges (u, v), one pair or arrays of them, to edge indices and signs, +1 if
+the edge is stored as (u, v) and -1 if it is stored as (v, u).
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import DimensionError, InputError
 from .linalg import FMatrix, matrix_exp
 
 Edge = Tuple[int, int]
-Value = Union[float, Fraction]
 
 WINDOW_COPIES = 3  # fundamental domains per axis in a developing-map window
 MAX_VERTICES = 65536  # torus size cap: T^2 up to m = 256, T^3 up to m = 40
@@ -82,11 +80,12 @@ class SimplicialComplex:
         d, m = covering.d, covering.m
         self.covering = covering
         vecs = _monotone_vectors(d)
-        self._vec_index = {e: j for j, e in enumerate(vecs)}
+        vec_index = {e: j for j, e in enumerate(vecs)}
         n = m ** d
         self.vertex_coords: List[Tuple[int, ...]] = [
             tuple(reversed(c)) for c in itertools.product(range(m), repeat=d)
         ]
+        self._coords = np.array(self.vertex_coords, dtype=np.int64)
         self.n_vertices = n
         self.edge_lifts = [
             (z, tuple(z_i + e_i for z_i, e_i in zip(z, e)))
@@ -110,7 +109,7 @@ class SimplicialComplex:
 
         def edge(a, b):  # the index of the edge (z + a, z + b)
             step = tuple(y - x for x, y in zip(a, b))
-            return vertex(a) * len(vecs) + self._vec_index[step]
+            return vertex(a) * len(vecs) + vec_index[step]
 
         def per_cell(columns, width):  # row z * chains + chain, per base vertex z
             if not columns:
@@ -134,31 +133,39 @@ class SimplicialComplex:
             [edge(ch[s], ch[t]) for ch in top_chains for s, t in pairs], len(pairs)
         )
 
-    def orient(self, u: int, v: int) -> Tuple[int, int]:
-        """(index, sign) of the edge from u to v: (u, v) is edge
-        u * (2^d - 1) + j if coords[v] - coords[u] = e_j mod m, and (v, u)
-        is that edge with sign -1."""
-        n, m, coords = self.n_vertices, self.covering.m, self.vertex_coords
-        if 0 <= u < n and 0 <= v < n:
-            for a, b, sign in ((u, v, 1), (v, u, -1)):
-                step = tuple([(y - x) % m for x, y in zip(coords[a], coords[b])])
-                j = self._vec_index.get(step)
-                if j is not None:
-                    return a * len(self._vec_index) + j, sign
-        raise InputError(f"no edge ({u},{v})")
+    def orient(self, u, v):
+        """(index, sign) of the edge from u to v, elementwise for arrays of
+        vertices: (u, v) is edge u * (2^d - 1) + j if coords[v] - coords[u]
+        = e_j mod m, and (v, u) is that edge with sign -1.  The first pair
+        that is no edge raises InputError."""
+        u, v = _vertex_array(u), _vertex_array(v)
+        inside = (0 <= u) & (u < self.n_vertices) & (0 <= v) & (v < self.n_vertices)
+        u_at, v_at = (np.where(inside, x, 0).astype(np.int64) for x in (u, v))
+        step = self._coords[v_at] - self._coords[u_at]
+        ahead = _step_index(step % self.covering.m)
+        back = _step_index(-step % self.covering.m)
+        bad = np.flatnonzero(~inside | ((ahead < 0) & (back < 0)))
+        if bad.size:
+            raise InputError(f"no edge ({u.flat[bad[0]]},{v.flat[bad[0]]})")
+        width = 2 ** self.covering.d - 1
+        index = np.where(ahead >= 0, u_at * width + ahead, v_at * width + back)
+        # [()] gives scalars for one pair and the arrays themselves otherwise
+        return index[()], np.where(ahead >= 0, 1, -1)[()]
 
     def value(self, values: Sequence, u: int, v: int):
-        """The value of an edge-indexed list on the oriented edge (u, v)."""
+        """The value of an edge-indexed sequence on the oriented edge (u, v)."""
         i, sign = self.orient(u, v)
         return _signed(values[i], sign)
 
     def indexed(self, values: Dict[Edge, object], base: Sequence) -> list:
-        """A copy of the edge-indexed list base, overwritten by values keyed
-        by oriented edges."""
+        """A copy of the edge-indexed sequence base as a list, overwritten by
+        values keyed by oriented edges; of two keys on one edge the later
+        wins."""
         out = list(base)
-        for (u, v), val in values.items():
-            i, sign = self.orient(u, v)
-            out[i] = _signed(val, sign)
+        if values:
+            index, sign = self.orient(*zip(*values))
+            for i, s, val in zip(index.tolist(), sign.tolist(), values.values()):
+                out[i] = _signed(val, s)
         return out
 
     def triangle_values(self, values: Sequence) -> List[tuple]:
@@ -184,6 +191,21 @@ class SimplicialComplex:
 
 def _monotone_vectors(d: int) -> List[Tuple[int, ...]]:
     return [v for v in itertools.product((0, 1), repeat=d) if any(v)]
+
+
+def _vertex_array(x):
+    """x as an int array, or as an object array of Python ints if a value
+    does not fit int64 (a JSON key can name any integer vertex)."""
+    a = np.asarray(x)
+    return a if a.dtype.kind in "iu" else np.array(x, dtype=object)
+
+
+def _step_index(steps):
+    """Per row of the int array steps (... x d): the j with row = e_j, the
+    j-th of _monotone_vectors(d), or -1 if the row is no such vector."""
+    d = steps.shape[-1]
+    j = (steps << np.arange(d - 1, -1, -1)).sum(axis=-1) - 1
+    return np.where((steps <= 1).all(axis=-1), j, -1)
 
 
 def torus_complex(d: int, m: int) -> SimplicialComplex:
@@ -234,26 +256,27 @@ def homology_generators(complex: SimplicialComplex) -> List[Cycle]:
 
 
 class ScalarCochain1:
-    """Real or exact-rational values, one per edge in complex.edges order."""
+    """Real values, one per edge in complex.edges order, as a read-only
+    float64 array."""
 
-    def __init__(self, complex: SimplicialComplex, values: List[Value]):
-        if len(values) != len(complex.edges):
+    def __init__(self, complex: SimplicialComplex, values):
+        arr = np.array(values, dtype=np.float64)
+        if arr.shape != (len(complex.edges),):
             raise InputError(
                 f"cochain needs {len(complex.edges)} edge values, got {len(values)}"
             )
+        arr.flags.writeable = False
         self.complex = complex
-        self.values = values
+        self.values = arr
 
-    def __call__(self, u: int, v: int) -> Value:
+    def __call__(self, u: int, v: int) -> float:
         return self.complex.value(self.values, u, v)
 
     def __add__(self, other: "ScalarCochain1") -> "ScalarCochain1":
-        return ScalarCochain1(
-            self.complex, [a + b for a, b in zip(self.values, other.values)]
-        )
+        return ScalarCochain1(self.complex, self.values + other.values)
 
-    def scale(self, c) -> "ScalarCochain1":
-        return ScalarCochain1(self.complex, [c * x for x in self.values])
+    def scale(self, c: float) -> "ScalarCochain1":
+        return ScalarCochain1(self.complex, c * self.values)
 
 
 def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
@@ -262,35 +285,30 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     Closed, with period 1 on the axis generator and 0 on the others; these are
     the stored harmonic duals of the torus homology basis.
     """
-    m = complex.covering.m
-    return ScalarCochain1(
-        complex, [Fraction(zv[axis] - zu[axis], m) for zu, zv in complex.edge_lifts]
-    )
+    steps = [zv[axis] - zu[axis] for zu, zv in complex.edge_lifts]
+    return ScalarCochain1(complex, np.array(steps) / complex.covering.m)
 
 
-def coboundary(w: ScalarCochain1) -> List[Value]:
-    """Per-triangle values (dw)(u,v,w) = w(u,v) + w(v,w) - w(u,w)."""
-    return [a + b - c for a, b, c in w.complex.triangle_values(w.values)]
-
-
-def _abs_float(x: Value) -> float:
-    try:
-        return abs(float(x))
-    except OverflowError:  # an exact sum beyond the float range
-        return math.inf
+def coboundary(w: ScalarCochain1) -> np.ndarray:
+    """Per-triangle values (dw)(u,v,w) = (w(u,v) + w(v,w)) - w(u,w)."""
+    incidence = w.complex.triangle_edges
+    along = w.values[incidence[:, :, 0]] * incidence[:, :, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (along[:, 0] + along[:, 1]) - along[:, 2]
 
 
 def max_coboundary(w: ScalarCochain1) -> float:
     """Closedness measure: the largest |dw| over triangles (0.0 without any),
     NaN if any |dw| is NaN."""
-    sizes = [_abs_float(x) for x in coboundary(w)]
-    return float(np.max(sizes)) if sizes else 0.0
+    return float(np.max(np.abs(coboundary(w)), initial=0.0))
 
 
-def period(w: ScalarCochain1, c: Cycle) -> Value:
-    total = 0
-    for u, v in c.edges:
-        total = total + w(u, v)
+def period(w: ScalarCochain1, c: Cycle) -> float:
+    """The sum of w over the edges of c, added one at a time in cycle order."""
+    index, sign = w.complex.orient(*zip(*c.edges))
+    total = 0.0
+    for x in (w.values[index] * sign).tolist():
+        total += x
     return total
 
 

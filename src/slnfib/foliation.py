@@ -90,7 +90,7 @@ class LieFoliationSpec:
             raise InputError(f"holonomy needs {d} images, got {len(self.holonomy)}")
         for i, a in enumerate(self.holonomy):
             for b in self.holonomy[i + 1:]:
-                if group.dist(group.mul(a, b), group.mul(b, a)) > EQ_TOL:
+                if not group.dist(group.mul(a, b), group.mul(b, a)) <= EQ_TOL:
                     raise InputError("deck generator images do not commute")
         for z in self.developing:
             if len(z) != d or not all(isinstance(c, int) for c in z):
@@ -125,19 +125,19 @@ class LieFoliationSpec:
 
     def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
+        if self.is_abelian():
+            edge_values = zip(*(w.values.tolist() for w in self.scalar_cochains))
+        else:
+            edge_values = self.cochain.values
         worst = 0.0
-        for i, (zu, zv) in enumerate(self.complex.edge_lifts):
+        for (zu, zv), got in zip(self.complex.edge_lifts, edge_values):
             du, dv = self.developing_value(zu), self.developing_value(zv)
             if self.is_abelian():
                 inc = tuple(b - a for a, b in zip(du, dv))
-                got = tuple(w.values[i] for w in self.scalar_cochains)
-                worst = max(
-                    worst, max(abs(float(x) - y) for x, y in zip(got, inc))
-                )
+                worst = max(worst, max(abs(x - y) for x, y in zip(got, inc)))
             else:
                 gu, gv = self.group.matrix(du), self.group.matrix(dv)
-                logged = matrix_log(gu.inv() @ gv)
-                worst = max(worst, logged.dist(self.cochain.values[i]))
+                worst = max(worst, matrix_log(gu.inv() @ gv).dist(got))
         return worst
 
 
@@ -168,7 +168,7 @@ class MCReport:
 
 def _edge_value_vector(spec: LieFoliationSpec, i: int) -> List[float]:
     if spec.is_abelian():
-        return [float(w.values[i]) for w in spec.scalar_cochains]
+        return [w.values[i] for w in spec.scalar_cochains]
     return spec.group.coords(spec.cochain.values[i])
 
 
@@ -186,21 +186,13 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     algebra, judged by an SVD rank with singular values below RANK_THRESHOLD
     times the largest counted as zero.
     """
-    failing_triangles: List[int] = []
-    max_res = 0.0
     if spec.is_abelian():
         limit = EQ_TOL
-        per_tri = [
-            max(abs(float(x)) for x in column)
-            for column in zip(*map(coboundary, spec.scalar_cochains))
-        ]
+        per_tri = np.max(np.abs([coboundary(w) for w in spec.scalar_cochains]), axis=0)
     else:
         limit = HOLONOMY_TOL
-        per_tri = [r.sup() for r in holonomy_residual(spec.cochain)]
-    for t, r in enumerate(per_tri):
-        max_res = max(max_res, r)
-        if r > limit:
-            failing_triangles.append(t)
+        per_tri = np.array([r.sup() for r in holonomy_residual(spec.cochain)])
+    failing_triangles = np.flatnonzero(~(per_tri <= limit)).tolist()
 
     dim = spec.group.dim
     failing_vertices: List[int] = []
@@ -216,7 +208,7 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
 
     return MCReport(
         flat=not failing_triangles,
-        max_flatness_residual=max_res,
+        max_flatness_residual=float(np.max(per_tri, initial=0.0)),
         surjective=not failing_vertices,
         failing_vertices=failing_vertices,
         failing_triangles=failing_triangles,
@@ -436,8 +428,8 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
 
 
 def _require_closed(spec: LieFoliationSpec):
-    worst = max(map(max_coboundary, spec.scalar_cochains), default=0.0)
-    if worst > RESIDUAL_TOL:
+    worst = float(np.max([max_coboundary(w) for w in spec.scalar_cochains]))
+    if not worst <= RESIDUAL_TOL:
         raise CheckFailed(
             f"projected cochain is not closed: max coboundary {worst:.3e}"
         )

@@ -85,7 +85,7 @@ def section(angle) -> FMatrix:
 
 def _require_unimodular(g: FMatrix):
     d = g.det()
-    if abs(d - 1.0) > EQ_TOL * 100:
+    if not abs(d - 1.0) <= EQ_TOL * 100:
         raise SingularInput(f"matrix has det {d:.12f}, not in SL(n)")
 
 
@@ -306,7 +306,7 @@ class SL:
         return [x[i, j] for i in range(self.n) for j in range(self.n)]
 
     def from_json(self, obj) -> FMatrix:
-        g = matrix_from_json(obj).to_float()
+        g = matrix_from_json(obj)
         if g.n != self.n:
             n = self.n
             raise InputError(f"SL({n}) element must be {n}x{n}, got {g.n}x{g.n}")

@@ -2,9 +2,12 @@
 
 Exact arithmetic (RMatrix, backed by fractions.Fraction) carries every
 algebra-level computation; FMatrix (numpy float64) is used only where square
-roots, exponentials or orthogonalization force floating point.  Both have a
-JSON form: row-major nested arrays of plain numbers, with exact rationals as
-"p/q" strings.
+roots, exponentials or orthogonalization force floating point.
+
+The JSON codec has one rule for every value: a number or a "p/q" string is
+read as its nearest float, and NaN, infinite values, booleans and values
+beyond the float range are refused.  A JSON matrix is a row-major nested
+array of such values and is always read as an FMatrix.
 """
 from __future__ import annotations
 
@@ -103,9 +106,6 @@ class RMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def to_float(self) -> "FMatrix":
-        return FMatrix([[float(x) for x in row] for row in self.rows])
-
     def __repr__(self):
         return f"RMatrix({[[str(x) for x in row] for row in self.rows]})"
 
@@ -185,9 +185,6 @@ class FMatrix:
     def inv(self) -> "FMatrix":
         return FMatrix(np.linalg.inv(self.arr))
 
-    def to_float(self) -> "FMatrix":
-        return self
-
     def sup(self) -> float:
         """Largest absolute entry."""
         return float(np.max(np.abs(self.arr)))
@@ -208,7 +205,7 @@ def qr_positive(a: FMatrix):
     Uniqueness of (Q, R) under the positivity constraint is what makes this
     usable as a canonical chart on the invertible matrices.
     """
-    if abs(a.det()) <= RESIDUAL_TOL:
+    if not abs(a.det()) > RESIDUAL_TOL:
         raise SingularInput(f"qr_positive: |det| = {abs(a.det()):.3e} too small")
     q, r = np.linalg.qr(a.arr)
     signs = np.sign(np.diag(r))
@@ -236,12 +233,12 @@ def matrix_log(a: FMatrix) -> FMatrix:
     scaling and squaring, Al-Mohy & Higham 2012).  Both have the same domain.
     """
     gap = float(np.linalg.norm(a.arr - np.eye(a.n), 2))
-    if gap >= 1.0:
+    if not gap < 1.0:
         raise LogDomain(f"matrix_log: ||a - I|| = {gap:.4f} >= 1")
     if a.n == 2:
         return FMatrix(_log2(a.arr.tolist()))
     out = scipy.linalg.logm(a.arr)
-    if np.max(np.abs(np.imag(out))) > RESIDUAL_TOL:
+    if not np.max(np.abs(np.imag(out))) <= RESIDUAL_TOL:
         raise LogDomain("matrix_log: non-real principal logarithm")
     return FMatrix(np.real(out))
 
@@ -276,48 +273,34 @@ def _log2(rows):
     return [[h + c * n, c * q], [c * r, h - c * n]]
 
 
-def scalar_to_json(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
-def scalar_from_json(v) -> Union[float, Fraction]:
-    """A JSON number or "p/q" string as a scalar: ints and strings stay exact,
-    but every value must lie in the float range, which later checks use."""
+def scalar_from_json(v) -> float:
+    """A JSON number or "p/q" string as its nearest float."""
+    exact = v
     if isinstance(v, str):
         try:
-            x = Fraction(v)
+            exact = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational literal {v!r}: {e}") from e
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"bad scalar {v!r}")
-    elif isinstance(v, float):
-        if not math.isfinite(v):
-            raise InputError(f"non-finite scalar {v!r}")
-        return v
-    else:
-        x = Fraction(v)
     try:
-        float(x)
+        x = float(exact)
     except OverflowError:
         raise InputError(f"scalar {v!r} is beyond the float range") from None
+    if not math.isfinite(x):
+        raise InputError(f"non-finite scalar {v!r}")
     return x
 
 
-def matrix_to_json(m):
-    if isinstance(m, RMatrix):
-        return [[scalar_to_json(m[i, j]) for j in range(m.n)] for i in range(m.n)]
-    return [[m[i, j] for j in range(m.n)] for i in range(m.n)]
+def matrix_to_json(m: FMatrix):
+    return m.arr.tolist()
 
 
-def matrix_from_json(rows) -> Union[RMatrix, FMatrix]:
-    """RMatrix if any entry is a "p/q" string, FMatrix otherwise."""
+def matrix_from_json(rows) -> FMatrix:
+    """An FMatrix from a nested array, each entry read by scalar_from_json."""
     if not isinstance(rows, list) or not rows:
         raise InputError("matrix must be a non-empty nested array")
     try:
-        if any(isinstance(x, str) for row in rows for x in row):
-            return RMatrix([[scalar_from_json(x) for x in row] for row in rows])
-        return FMatrix([[float(x) for x in row] for row in rows])
-    except (TypeError, ValueError, OverflowError) as e:
+        return FMatrix([[scalar_from_json(x) for x in row] for row in rows])
+    except (TypeError, ValueError) as e:
         raise InputError(f"bad matrix: {e}") from e

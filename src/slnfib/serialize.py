@@ -1,11 +1,13 @@
 """JSON schemas for matrices, complexes, cochains, and foliation specs.
 
-Conventions: matrices are row-major nested arrays; exact rationals are
-"p/q" strings, floats plain numbers.  A complex is always a triangulated
-torus, given as {"torus": {"d": 2, "m": 8}}.  Cochain values are keyed by
-oriented edges as "u-v"; an edge keyed against its stored orientation gets
-the negated value.  Developing-map samples are keyed by covering coordinates
-"x,y".
+Conventions: matrices are row-major nested arrays.  Every scalar, in a
+matrix or a cochain, is a plain number or a "p/q" string and is read as its
+nearest float (linalg.scalar_from_json); reports and dumps write floats.  A
+complex is always a triangulated torus, given as {"torus": {"d": 2,
+"m": 8}}.  Cochain values are keyed by oriented edges as "u-v"; an edge
+keyed against its stored orientation gets the negated value.  All keys of a
+cochain are parsed first and then resolved to edges in one array pass.
+Developing-map samples are keyed by covering coordinates "x,y".
 
 Each loader turns a malformed or missing top-level field into one InputError
 that names the field; the checks that run on the parsed objects raise their
@@ -16,13 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from .errors import InputError, SlnfibError
-from .linalg import (
-    FMatrix,
-    matrix_from_json,
-    matrix_to_json,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .linalg import FMatrix, matrix_from_json, matrix_to_json, scalar_from_json
 from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
 from .foliation import LieFoliationSpec
 from .groups import parse_group
@@ -43,8 +39,8 @@ def _field(obj: Dict, name: str, parse: Callable):
 def load_matrix(obj) -> FMatrix:
     """A float matrix given as a nested array or as {"matrix": [...]}."""
     if isinstance(obj, dict):
-        return _field(obj, "matrix", matrix_from_json).to_float()
-    return matrix_from_json(obj).to_float()
+        return _field(obj, "matrix", matrix_from_json)
+    return matrix_from_json(obj)
 
 
 def load_complex(obj) -> SimplicialComplex:
@@ -68,22 +64,21 @@ def _edge_key_parse(key: str):
 def scalar_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> ScalarCochain1:
     """Edges missing from obj get the value 0."""
     values = {_edge_key_parse(k): scalar_from_json(v) for k, v in obj.items()}
-    return ScalarCochain1(complex, complex.indexed(values, [0] * len(complex.edges)))
+    return ScalarCochain1(complex, complex.indexed(values, [0.0] * len(complex.edges)))
 
 
-def _sorted_items(w):
-    return sorted(zip(w.complex.edges, w.values), key=lambda item: item[0])
+def _sorted_items(complex: SimplicialComplex, values):
+    return sorted(zip(complex.edges, values), key=lambda item: item[0])
 
 
 def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
-    return {f"{u}-{v}": scalar_to_json(val) for (u, v), val in _sorted_items(w)}
+    items = _sorted_items(w.complex, w.values.tolist())
+    return {f"{u}-{v}": val for (u, v), val in items}
 
 
 def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> LieCochain1:
-    """Lie cochain with FMatrix values; "p/q" entries are converted to floats."""
-    values = {
-        _edge_key_parse(k): matrix_from_json(v).to_float() for k, v in obj.items()
-    }
+    """Lie cochain with FMatrix values."""
+    values = {_edge_key_parse(k): matrix_from_json(v) for k, v in obj.items()}
     return LieCochain1(complex, complex.indexed(values, [None] * len(complex.edges)))
 
 
@@ -150,6 +145,6 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
     else:
         out["cochain"] = {
             f"{u}-{v}": matrix_to_json(val)
-            for (u, v), val in _sorted_items(spec.cochain)
+            for (u, v), val in _sorted_items(spec.complex, spec.cochain.values)
         }
     return out

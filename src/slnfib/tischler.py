@@ -6,6 +6,10 @@ the perturbation within budget), integrate the scaled cochain over a spanning
 tree into a circle-valued vertex map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
 
+Cochain values are float64 edge arrays throughout; only the rationalized
+periods are exact, as Fraction convergents, and each period is summed edge
+by edge in cycle order so that reports are reproducible to the last bit.
+
 The end-to-end entry point runs the whole chain on an SL(n) (or abelian)
 foliation spec: project to the R^2 factor, pick a submersive component, and
 emit a deterministic report.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,10 +117,11 @@ def rationalize(
     """Perturb each period to a nearby rational without breaking closedness.
 
     Each period p_k is replaced by a continued-fraction convergent r_k and
-    (r_k - p_k) times the harmonic dual of the k-th generator is added; the
-    correction is a sum of closed cochains, so closedness is preserved
-    exactly.  duals defaults to the coordinate cochains of a torus complex.
-    A period that is not a finite float raises InputError.
+    (r_k - p_k) times the harmonic dual of the k-th generator is added, one
+    generator at a time; the correction is a sum of closed cochains, so
+    closedness is preserved up to float rounding.  duals defaults to the
+    coordinate cochains of a torus complex.  A period that is not a finite
+    float raises InputError.
     """
     bad = max_coboundary(w)
     if not bad <= EQ_TOL:
@@ -129,16 +134,13 @@ def rationalize(
     for k, eta in enumerate(duals):
         for j, c in enumerate(cycles):
             expect = 1 if j == k else 0
-            if not abs(float(period(eta, c)) - expect) <= EQ_TOL:
+            if not abs(period(eta, c) - expect) <= EQ_TOL:
                 raise InputError(f"dual {k} is not dual to cycle {j}")
 
     out = w
     periods: List[Fraction] = []
     for k, c in enumerate(cycles):
-        try:
-            p = float(period(w, c))
-        except OverflowError:
-            p = math.inf
+        p = period(w, c)
         if not math.isfinite(p):
             raise InputError(f"period {k} of the cochain is not a finite number")
         r = continued_fraction_approx(p, cfg.epsilon, cfg.max_denominator)
@@ -147,9 +149,7 @@ def rationalize(
         if delta != 0.0:
             out = out + duals[k].scale(delta)
     q = _lcm([r.denominator for r in periods]) if periods else 1
-    sup_change = float(
-        np.max([abs(float(a) - float(b)) for a, b in zip(out.values, w.values)])
-    )
+    sup_change = float(np.max(np.abs(out.values - w.values)))
     if not sup_change <= cfg.epsilon:
         raise BudgetInfeasible(
             f"perturbation sup-norm {sup_change:.3e} exceeds epsilon {cfg.epsilon}"
@@ -162,7 +162,7 @@ class CircleMap:
     """Vertex map into R/Z with integer periods over the generator basis."""
 
     complex: SimplicialComplex
-    values: Dict[int, Union[float, Fraction]]
+    values: Dict[int, float]
     periods: List[int]
     q: int
 
@@ -179,6 +179,7 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     w = rz.cochain
     complex = w.complex
     q = rz.q
+    step = w.values.tolist()
     root = 0
     values: Dict[int, float] = {root: 0.0}
     stack = [root]
@@ -188,8 +189,7 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
             a, b = complex.edges[i]
             other = b if a == u else a
             if other not in values:
-                x = float(w.values[i])
-                values[other] = values[u] + q * (x if a == u else -x)
+                values[other] = values[u] + q * (step[i] if a == u else -step[i])
                 stack.append(other)
     if len(values) != complex.n_vertices:
         raise InputError("complex is disconnected")
@@ -204,14 +204,17 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
         if scaled.denominator != 1:
             raise InputError(f"period {r} did not scale to an integer under q={q}")
         periods.append(int(scaled))
-    cm = CircleMap(complex, values, periods, q)
     # edge increments must reproduce q * w' mod 1
-    for (u, v), val in zip(complex.edges, w.values):
-        diff = (cm.values[v] - cm.values[u] - q * float(val)) % 1.0
-        diff = min(diff, 1.0 - diff)
-        if not diff <= RESIDUAL_TOL * max(1.0, q):
-            raise CheckFailed(f"edge increment mismatch {diff:.3e} on ({u},{v})")
-    return cm
+    image = np.array([values[v] for v in range(complex.n_vertices)])
+    tail, head = np.array(complex.edges).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = (image[head] - image[tail] - float(q) * w.values) % 1.0
+    diff = np.minimum(diff, 1.0 - diff)
+    bad = np.flatnonzero(~(diff <= RESIDUAL_TOL * max(1.0, q)))
+    if bad.size:
+        u, v = complex.edges[bad[0]]
+        raise CheckFailed(f"edge increment mismatch {diff[bad[0]]:.3e} on ({u},{v})")
+    return CircleMap(complex, values, periods, q)
 
 
 @dataclass
@@ -232,13 +235,8 @@ def check_submersion(w: ScalarCochain1) -> SubmersionReport:
     """No-singularity check: the cochain must be nonzero on some edge of
     every top-dimensional simplex (zero increments on single edges are fine,
     a whole simplex in a fiber is not)."""
-    size = [abs(float(x)) for x in w.values]
-    failing = [
-        t
-        for t, edges in enumerate(w.complex.top_edges.tolist())
-        if max(size[i] for i in edges) <= EQ_TOL
-    ]
-    return SubmersionReport(failing)
+    size = np.max(np.abs(w.values)[w.complex.top_edges], axis=1)
+    return SubmersionReport(np.flatnonzero(~(size > EQ_TOL)).tolist())
 
 
 @dataclass
@@ -296,9 +294,7 @@ def _count_components(n: int, a, b) -> int:
             label = up
 
 
-def fiber_census(
-    f: CircleMap, w: ScalarCochain1, value: Union[float, Fraction]
-) -> FiberCensus:
+def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
     """Extract the level set of f at a generic value and count components.
 
     A node is a crossing of the level with an edge (s, t) of complex.edges,
@@ -322,7 +318,7 @@ def fiber_census(
     index, sign = complex.triangle_edges[:, :, 0], complex.triangle_edges[:, :, 1]
     on_edge = np.bincount(index.ravel(), minlength=len(complex.edges))
     vertices = np.fromiter(f.values, dtype=np.int64, count=len(f.values))
-    image = np.array([float(x) for x in f.values.values()])
+    image = np.fromiter(f.values.values(), dtype=np.float64, count=len(f.values))
     with np.errstate(invalid="ignore", over="ignore"):
         hit = np.flatnonzero(np.abs((image - c + 0.5) % 1.0 - 0.5) < 1e-9)
         if hit.size:
@@ -330,7 +326,7 @@ def fiber_census(
             raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
         at = np.full(complex.n_vertices, np.nan)
         at[vertices] = image
-        step = float(f.q) * np.array([float(x) for x in w.values])
+        step = float(f.q) * w.values
 
         along = step[index] * sign
         lift = np.empty(tri.shape)
@@ -448,7 +444,7 @@ def _combine(cochains: Sequence[ScalarCochain1], coeffs) -> ScalarCochain1:
 
 def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
     """Deterministic sample of levels avoiding all vertex images."""
-    taken = sorted({round(float(x) % 1.0, 12) for x in f.values.values()})
+    taken = sorted({round(x % 1.0, 12) for x in f.values.values()})
     out = []
     i = 0
     while len(out) < count and i < 10 * count:

@@ -404,10 +404,55 @@ class TestTischler:
         assert code == 2 and out == ""
         assert err == "input error: circle map value at vertex 1 is not finite\n"
 
+    @pytest.mark.parametrize(
+        "coeffs, exact",
+        [
+            ((Fraction(1, 3), Fraction(3, 2)), lambda x: f"{x.numerator}/{x.denominator}"),
+            # 3 dx + dy: integral edge values as JSON ints, the others floats
+            ((Fraction(3), Fraction(1)), lambda x: int(x) if x.denominator == 1 else float(x)),
+        ],
+        ids=["p/q", "int"],
+    )
+    def test_exact_values_read_as_nearest_floats(self, capsys, tmp_path, coeffs, exact):
+        m = 3
+        k = torus_complex(2, m)
+        values = {
+            f"{u}-{v}": sum(c * (b - a) for c, a, b in zip(coeffs, zu, zv)) / m
+            for (u, v), (zu, zv) in zip(k.edges, k.edge_lifts)
+        }
+        reports = []
+        for name, convert in (("exact", exact), ("nearest", float)):
+            cochain = {key: convert(x) for key, x in values.items()}
+            path = write_json(
+                tmp_path, f"{name}.json", {"torus": {"d": 2, "m": m}, "cochain": cochain}
+            )
+            code = main(["tischler", path, "--epsilon", "0.01"])
+            reports.append((code, *capsys.readouterr()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
     def test_missing_cochain_field_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "nocochain.json", {"torus": {"d": 2, "m": 8}})
         code, _ = run(capsys, ["tischler", path, "--epsilon", "0.01"])
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+def test_overflowing_rk_coboundary_is_not_flat(capsys, tmp_path, command):
+    # three edges around triangle (0, 1, 5) of T^2, m = 4 whose coboundary
+    # overflows: not flat, with no traceback and no numpy warning
+    spec = dump_foliation_spec(linear_torus_spec(4, [[1, 0], [0, 1]]))
+    w = {key: 0 for key in spec["scalar_cochains"][0]}
+    w.update({"0-1": 10 ** 308, "1-5": 10 ** 308, "0-5": -(10 ** 308)})
+    spec["scalar_cochains"][0] = w
+    argv = [command, write_json(tmp_path, "overflow.json", spec)]
+    if command == "pipeline":
+        argv += ["--epsilon", "0.01"]
+    code, rep = run(capsys, argv)
+    assert code == 3 and not rep["ok"]
+    mc = rep["maurer_cartan"] if command == "check-foliation" else rep["stages"][0]
+    assert not mc["flat"] and 0 in mc["failing_triangles"]
+    assert mc["max_flatness_residual"] == math.inf
 
 
 class TestPipeline:
@@ -491,6 +536,16 @@ def huge_int_edge(spec):
     return spec
 
 
+def bool_edge(spec):
+    spec["cochain"][sorted(spec["cochain"])[0]][0][0] = True
+    return spec
+
+
+def bool_holonomy(spec):
+    spec["holonomy"][0] = [[True, 0], [0, True]]
+    return spec
+
+
 def replace_first_key(mapping, key):
     first = next(iter(mapping))
     return {key if k == first else k: v for k, v in mapping.items()}
@@ -516,6 +571,9 @@ def replace_first_key(mapping, key):
         ("pipeline", overflowing_edge),
         ("decompose", lambda spec: [[10 ** 400, 0], [0, 1]]),
         ("check-foliation", huge_int_edge),
+        ("decompose", lambda spec: [[True, 0], [0, True]]),
+        ("check-foliation", bool_edge),
+        ("check-foliation", bool_holonomy),
     ],
     ids=[
         "decompose-number",
@@ -530,6 +588,9 @@ def replace_first_key(mapping, key):
         "pipeline-overflow",
         "decompose-huge-int",
         "check-huge-int-edge",
+        "decompose-bool",
+        "check-bool-edge",
+        "check-bool-holonomy",
     ],
 )
 def test_malformed_shape_exit_2(capsys, tmp_path, product_spec, command, make):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnfib.algebra import AlgebraElement, OffDiag
 from slnfib.complexes import (
@@ -80,11 +81,11 @@ class TestEdgeIndex:
 
     def test_values_keyed_against_the_stored_orientation_are_negated(self, t2_8):
         u, v = t2_8.edges[7]
-        base = [Fraction(0)] * len(t2_8.edges)
-        w = ScalarCochain1(t2_8, t2_8.indexed({(v, u): Fraction(2, 3)}, base))
-        assert w.values[7] == Fraction(-2, 3)
-        assert (w(v, u), w(u, v)) == (Fraction(2, 3), Fraction(-2, 3))
-        assert base == [0] * len(t2_8.edges)
+        base = [0.0] * len(t2_8.edges)
+        w = ScalarCochain1(t2_8, t2_8.indexed({(v, u): 0.625}, base))
+        assert w.values[7] == -0.625
+        assert (w(v, u), w(u, v)) == (0.625, -0.625)
+        assert base == [0.0] * len(t2_8.edges)
 
     def test_cochain_needs_one_value_per_edge(self, t2_8):
         with pytest.raises(InputError):
@@ -113,6 +114,14 @@ class TestArithmeticOrientation:
                 k.orient(u, v)
 
 
+    @pytest.mark.parametrize("huge", [2 ** 63, 2 ** 64 - 1, 10 ** 30])
+    def test_array_orient_names_the_first_pair_that_is_no_edge(self, t2_8, huge):
+        index, sign = t2_8.orient([0, 1], [1, 0])
+        assert (index.tolist(), sign.tolist()) == ([1, 1], [1, -1])
+        with pytest.raises(InputError, match=rf"^no edge \({huge},1\)$"):
+            t2_8.orient([0, huge, 5], [1, 1, 5])
+
+
 class TestEdgeLifts:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_each_edge_lifts_by_a_unit_step(self, d):
@@ -127,8 +136,8 @@ class TestEdgeLifts:
                 assert lift == (zu, tuple(a + x for a, x in zip(zu, e)))
                 steps.append(e)
             for ax in range(d):
-                assert coordinate_cochain(k, ax).values == [
-                    Fraction(e[ax], m) for e in steps
+                assert coordinate_cochain(k, ax).values.tolist() == [
+                    e[ax] / m for e in steps
                 ]
 
 
@@ -240,3 +249,40 @@ class TestLieCochain:
         vals[0] = FMatrix([[0.0] * 3] * 3)
         with pytest.raises(InputError):
             LieCochain1(t2_8, vals)
+
+
+def small_fractions():
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def exact_closed_forms(draw):
+    """(d, m, c, f) for the closed form sum_i c_i dx_i + df on T^d, m
+    subdivisions: rational coefficients c and a rational vertex function f."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(3, 6 if d == 2 else 4))
+    coeffs = draw(st.tuples(*[small_fractions()] * d))
+    f = draw(st.lists(small_fractions(), min_size=m ** d, max_size=m ** d))
+    return d, m, coeffs, f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(exact_closed_forms())
+def test_float_periods_match_exact_sums(form):
+    d, m, coeffs, f = form
+
+    def exact(u, v):
+        # the grid step from u to v, each coordinate in {-1, 0, 1} (m >= 3)
+        step = [((v // m ** i - u // m ** i) % m + 1) % m - 1 for i in range(d)]
+        return sum(c * s for c, s in zip(coeffs, step)) / m + f[v] - f[u]
+
+    k = torus_complex(d, m)
+    w = ScalarCochain1(k, [float(exact(u, v)) for u, v in k.edges])
+    assert max_coboundary(w) <= 1e-12
+    for axis, gen in enumerate(homology_generators(k)):
+        # the reversed generator walks every edge against its stored orientation
+        for cycle, total in ((gen, coeffs[axis]), (gen.reversed(), -coeffs[axis])):
+            walked = [exact(u, v) for u, v in cycle.edges]
+            assert sum(walked) == total
+            error = abs(Fraction(period(w, cycle)) - total)
+            assert error <= m * Fraction(1, 2 ** 52) * sum(map(abs, walked))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import scipy.linalg
 from slnfib import foliation, groups
 from slnfib.cli import main
 from slnfib.complexes import coboundary, period, homology_generators
-from slnfib.errors import InputError
+from slnfib.errors import CheckFailed, InputError
 from slnfib.foliation import (
     LieFoliationSpec,
     check_equivariance,
@@ -255,3 +256,28 @@ class TestSpecInvariants:
             cochain=w2,
         )
         assert spec2.validate_consistency() > 0.4
+
+
+class TestNaNVerdicts:
+    """A NaN residual fails each tolerance test instead of passing it."""
+
+    def test_nan_commutator_distance_does_not_commute(self, monkeypatch, product_spec):
+        monkeypatch.setattr(SL, "dist", lambda self, g, h: math.nan)
+        with pytest.raises(InputError, match="do not commute"):
+            dataclasses.replace(product_spec)
+
+    def test_nan_coboundary_is_not_flat(self, monkeypatch):
+        spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
+        nan_at_0 = np.zeros(len(spec.complex.triangles))
+        nan_at_0[0] = math.nan
+        monkeypatch.setattr(foliation, "coboundary", lambda w: nan_at_0)
+        rep = check_mc(spec)
+        assert not rep.flat and rep.failing_triangles == [0]
+        assert math.isnan(rep.max_flatness_residual)
+
+    def test_nan_projected_coboundary_is_not_closed(self, monkeypatch, product_spec):
+        # NaN on the second of the two projected cochains
+        residuals = iter([0.0, math.nan])
+        monkeypatch.setattr(foliation, "max_coboundary", lambda w: next(residuals))
+        with pytest.raises(CheckFailed, match="not closed: max coboundary nan"):
+            project_foliation(product_spec, 2)

@@ -189,3 +189,9 @@ def test_circle_angle_canonical_idempotent():
     a = CircleAngle(7.5 * math.pi)
     assert 0 <= a.theta < 2 * math.pi
     assert CircleAngle(a.theta).theta == a.theta
+
+
+def test_nan_determinant_is_not_unimodular(monkeypatch):
+    monkeypatch.setattr(FMatrix, "det", lambda self: math.nan)
+    with pytest.raises(SingularInput, match="det nan, not in SL"):
+        iwasawa_sl2(FMatrix.identity(2))

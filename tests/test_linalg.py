@@ -20,6 +20,10 @@ from slnfib.linalg import (
 )
 
 
+def as_float(m: RMatrix) -> FMatrix:
+    return FMatrix([[float(x) for x in row] for row in m.rows])
+
+
 def elementary(i, j, n):
     return RMatrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
 
@@ -59,9 +63,9 @@ class TestDeterminant:
             for _ in range(500):
                 a = RMatrix(rng.integers(-5, 6, size=(n, n)).tolist())
                 b = RMatrix(rng.integers(-5, 6, size=(n, n)).tolist())
-                fa, fb = a.to_float(), b.to_float()
+                fa, fb = as_float(a), as_float(b)
                 expect = fa.det() * fb.det()
-                got = (a @ b).to_float().det()
+                got = as_float(a @ b).det()
                 assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
@@ -203,3 +207,23 @@ def test_rational_rank():
 def test_fmatrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         FMatrix([[1.0, float("nan")], [0.0, 1.0]])
+
+
+class TestNaNVerdicts:
+    """A NaN residual fails each tolerance test instead of passing it."""
+
+    def test_nan_determinant_is_singular(self, monkeypatch):
+        monkeypatch.setattr(FMatrix, "det", lambda self: math.nan)
+        with pytest.raises(SingularInput, match="nan too small"):
+            qr_positive(FMatrix.identity(2))
+
+    def test_nan_distance_to_identity_is_outside_the_ball(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: math.nan)
+        with pytest.raises(LogDomain, match="= nan >= 1"):
+            matrix_log(FMatrix.identity(2))
+
+    def test_nan_imaginary_part_is_not_real(self, monkeypatch):
+        nan_imag = np.full((3, 3), complex(0.0, math.nan))
+        monkeypatch.setattr(scipy.linalg, "logm", lambda a: nan_imag)
+        with pytest.raises(LogDomain, match="non-real principal logarithm"):
+            matrix_log(FMatrix.identity(3))

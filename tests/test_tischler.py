@@ -506,6 +506,12 @@ class TestNaNVerdicts:
         with pytest.raises(CheckFailed, match=r"mismatch nan on \(1,2\)"):
             integrate_to_circle(rz)
 
+    def test_nan_edge_is_not_submersive(self):
+        # on T^1 each edge is a top simplex
+        k = torus_complex(1, 3)
+        w = ScalarCochain1(k, [math.nan, 1 / 3, 1 / 3])
+        assert check_submersion(w).failing_simplices == [0]
+
     def test_nan_closedness_fails_the_pipeline(self, monkeypatch):
         monkeypatch.setattr(tischler, "max_coboundary", lambda w: math.nan)
         spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
