@@ -31,7 +31,7 @@ def main():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 3)) * 0.4
     x -= np.eye(3) * np.trace(x) / 3
-    g3 = matrix_exp(FMatrix(x))
+    g3 = FMatrix(matrix_exp(x))
     f = iwasawa_sln(g3)
     print(f"\nSL(3) chart ({len(f.chart)} coordinates):")
     print("  " + ", ".join(f"{c:+.6f}" for c in f.chart))

@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Subcommands: verify-brackets, decompose, check-foliation, tischler, pipeline.
-Every command prints a JSON report to stdout.  Exit codes: 0 pass, 2 input
-error, 3 check failed.  --golden DIR compares the report byte-for-byte with
-the stored file named <command>-<input-stem>.json (or <command>-n<k>.json for
-verify-brackets); --write-golden DIR stores it instead.
+Every command prints a strict JSON report to stdout: a non-finite float is
+written as the string "Infinity", "-Infinity" or "NaN".  Exit codes: 0 pass,
+2 input error, 3 check failed.  --golden DIR compares the report
+byte-for-byte with the stored file named <command>-<input-stem>.json (or
+<command>-n<k>.json for verify-brackets); --write-golden DIR stores it
+instead.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +24,6 @@ from .algebra import (
     structure_table_json,
 )
 from .groups import factor_split, iwasawa_sln
-from .linalg import matrix_to_json
 from .foliation import check_equivariance, check_mc
 from .tischler import RationalizeConfig, pipeline_sln, tischler_fibration
 from . import serialize
@@ -40,8 +42,25 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {e}") from e
 
 
+def _strict(x):
+    """x with every non-finite float replaced by its JSON name as a string."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return json.dumps(x)  # "Infinity", "-Infinity" or "NaN"
+    return x
+
+
 def _emit(report: dict, args, golden_stem: str) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Print the report and store or compare its golden file.  The exit
+    code: a failed golden comparison, else that of report["ok"] (pass when
+    the report has no "ok")."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float; only then is the report walked
+        text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.write_golden:
         path = Path(args.write_golden) / f"{golden_stem}.json"
@@ -54,7 +73,7 @@ def _emit(report: dict, args, golden_stem: str) -> int:
         if path.read_text() != text:
             sys.stderr.write(f"golden mismatch against {path}\n")
             return EXIT_CHECK
-    return EXIT_PASS
+    return EXIT_PASS if report.get("ok", True) else EXIT_CHECK
 
 
 def cmd_verify_brackets(args) -> int:
@@ -77,10 +96,7 @@ def cmd_verify_brackets(args) -> int:
         "ok": not violations,
         "table": structure_table_json(table),
     }
-    code = _emit(report, args, f"brackets-n{n}")
-    if code != EXIT_PASS:
-        return code
-    return EXIT_PASS if not violations else EXIT_CHECK
+    return _emit(report, args, f"brackets-n{n}")
 
 
 def cmd_decompose(args) -> int:
@@ -89,7 +105,7 @@ def cmd_decompose(args) -> int:
     split = factor_split(m.n)
     report = {
         "n": m.n,
-        "k": matrix_to_json(factors.k),
+        "k": factors.k.arr.tolist(),
         "chart": list(factors.chart),
         "split": {
             "g1": [factors.chart[i] for i in split.g1_coords],
@@ -111,10 +127,7 @@ def cmd_check_foliation(args) -> int:
         "cochain_consistency": consistency,
         "ok": ok,
     }
-    code = _emit(report, args, f"check-{Path(args.spec).stem}")
-    if code != EXIT_PASS:
-        return code
-    return EXIT_PASS if ok else EXIT_CHECK
+    return _emit(report, args, f"check-{Path(args.spec).stem}")
 
 
 def cmd_tischler(args) -> int:
@@ -132,20 +145,14 @@ def cmd_tischler(args) -> int:
         "fiber_components": counts,
         "ok": ok,
     }
-    code = _emit(report, args, f"tischler-{Path(args.cochain).stem}")
-    if code != EXIT_PASS:
-        return code
-    return EXIT_PASS if ok else EXIT_CHECK
+    return _emit(report, args, f"tischler-{Path(args.cochain).stem}")
 
 
 def cmd_pipeline(args) -> int:
     spec = serialize.load_foliation_spec(_load_json(args.spec))
     cfg = RationalizeConfig(args.epsilon, args.max_denominator)
     report = pipeline_sln(spec, cfg)
-    code = _emit(report.to_dict(), args, f"pipeline-{Path(args.spec).stem}")
-    if code != EXIT_PASS:
-        return code
-    return EXIT_PASS if report.ok else EXIT_CHECK
+    return _emit(report.to_dict(), args, f"pipeline-{Path(args.spec).stem}")
 
 
 def build_parser() -> argparse.ArgumentParser:

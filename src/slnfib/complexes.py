@@ -10,9 +10,10 @@ Each edge is stored once, in the orientation of complex.edges, together with
 its covering lift (z, z + e), e in {0,1}^d.  A scalar 1-cochain is one
 read-only float64 array in that order, and its coboundary, periods and
 closedness are array expressions over the complex's int incidence arrays; a
-Lie cochain is one list of matrices in that order.  The complex maps oriented
-edges (u, v), one pair or arrays of them, to edge indices and signs, +1 if
-the edge is stored as (u, v) and -1 if it is stored as (v, u).
+Lie cochain is one read-only float64 array of shape (E, n, n) in that order,
+and its triangle holonomies come from one stacked exponential.  The complex
+maps oriented edges (u, v), one pair or arrays of them, to edge indices and
+signs, +1 if the edge is stored as (u, v) and -1 if it is stored as (v, u).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .linalg import FMatrix, matrix_exp
+from .linalg import FMatrix, matrix_exp, require_finite
 
 Edge = Tuple[int, int]
 
@@ -55,10 +56,6 @@ class TorusCovering:
         return [tuple(reversed(c)) for c in itertools.product(rng, repeat=self.d)]
 
 
-def _signed(value, sign: int):
-    return value if sign > 0 else -value
-
-
 class SimplicialComplex:
     """Oriented 1- and 2-skeleton (plus tetrahedra for d = 3) of a torus.
 
@@ -73,7 +70,9 @@ class SimplicialComplex:
     The incidence is held once, as int arrays: triangles (T x 3) and
     tetrahedra (T3 x 4) list vertices; triangle_edges (T x 3 x 2) gives
     orient(a, b), orient(b, c) and orient(a, c) for each triangle (a, b, c)
-    as (index, sign); top_edges gives the edge indices of each top simplex.
+    as (index, sign); top_edges gives the edge indices of each top simplex;
+    incidence (V x 2(2^d - 1)) gives the edges at each vertex in ascending
+    order.
     """
 
     def __init__(self, covering: TorusCovering):
@@ -96,10 +95,9 @@ class SimplicialComplex:
             (covering.base_index(zu), covering.base_index(zv))
             for zu, zv in self.edge_lifts
         ]
-        self._incident: List[List[int]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(self.edges):
-            self._incident[u].append(i)
-            self._incident[v].append(i)
+        # a stable sort of the edge ends by vertex keeps each row ascending
+        ends = np.argsort(np.ravel(self.edges), kind="stable")
+        self.incidence = (ends // 2).reshape(n, 2 * len(vecs))
 
         grid = np.arange(n).reshape((m,) * d)  # grid[c_(d-1), ..., c_0] = v
 
@@ -152,32 +150,16 @@ class SimplicialComplex:
         # [()] gives scalars for one pair and the arrays themselves otherwise
         return index[()], np.where(ahead >= 0, 1, -1)[()]
 
-    def value(self, values: Sequence, u: int, v: int):
-        """The value of an edge-indexed sequence on the oriented edge (u, v)."""
-        i, sign = self.orient(u, v)
-        return _signed(values[i], sign)
-
-    def indexed(self, values: Dict[Edge, object], base: Sequence) -> list:
-        """A copy of the edge-indexed sequence base as a list, overwritten by
-        values keyed by oriented edges; of two keys on one edge the later
-        wins."""
-        out = list(base)
+    def indexed(self, values: Dict[Edge, object], base) -> np.ndarray:
+        """A float64 copy of the edge-indexed array base, overwritten by values
+        keyed by oriented edges (negated when keyed against the stored
+        orientation); of two keys on one edge the later wins."""
+        out = np.array(base, dtype=np.float64)
         if values:
             index, sign = self.orient(*zip(*values))
             for i, s, val in zip(index.tolist(), sign.tolist(), values.values()):
-                out[i] = _signed(val, s)
+                out[i] = val if s > 0 else -val
         return out
-
-    def triangle_values(self, values: Sequence) -> List[tuple]:
-        """Per triangle (a, b, c): the values on (a, b), (b, c) and (a, c)."""
-        index = self.triangle_edges[:, :, 0].ravel().tolist()
-        sign = self.triangle_edges[:, :, 1].ravel().tolist()
-        flat = [values[i] if s > 0 else -values[i] for i, s in zip(index, sign)]
-        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
-
-    def incident_edges(self, v: int) -> List[int]:
-        """Indices of the edges at vertex v."""
-        return self._incident[v]
 
     def triangles_of_edge(self, u: int, v: int) -> List[int]:
         on_edge = self.triangle_edges[:, :, 0] == self.orient(u, v)[0]
@@ -270,7 +252,8 @@ class ScalarCochain1:
         self.values = arr
 
     def __call__(self, u: int, v: int) -> float:
-        return self.complex.value(self.values, u, v)
+        i, sign = self.complex.orient(u, v)
+        return sign * self.values[i]
 
     def __add__(self, other: "ScalarCochain1") -> "ScalarCochain1":
         return ScalarCochain1(self.complex, self.values + other.values)
@@ -313,41 +296,44 @@ def period(w: ScalarCochain1, c: Cycle) -> float:
 
 
 class LieCochain1:
-    """Traceless-matrix values, one per edge in complex.edges order.
+    """Traceless-matrix values, one per edge in complex.edges order, as one
+    read-only float64 array of shape (E, n, n)."""
 
-    Values live in sl(n, R) as FMatrix entries of a single dimension n.
-    """
-
-    def __init__(self, complex: SimplicialComplex, values: List[FMatrix]):
+    def __init__(self, complex: SimplicialComplex, values):
+        edges = len(complex.edges)
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except ValueError as e:
+            raise InputError(f"Lie cochain needs {edges} n x n values: {e}") from e
+        if arr.ndim != 3 or arr.shape[0] != edges or arr.shape[1] != arr.shape[2]:
+            raise InputError(f"Lie cochain needs {edges} n x n values, got {arr.shape}")
+        require_finite(arr).flags.writeable = False
         self.complex = complex
-        dims = {v.n for v in values if v is not None}
-        if len(dims) != 1:
-            raise InputError(f"Lie cochain values must share one dimension, got {dims}")
-        self.n = dims.pop()
-        if len(values) != len(complex.edges) or None in values:
-            missing = sum(v is None for v in values)
-            raise InputError(
-                f"Lie cochain missing values on {missing} of {len(complex.edges)} edges"
-            )
-        self.values = values
+        self.n = arr.shape[1]
+        self.values = arr
 
     def __call__(self, u: int, v: int) -> FMatrix:
-        return self.complex.value(self.values, u, v)
+        i, sign = self.complex.orient(u, v)
+        return FMatrix(sign * self.values[i])
 
     def with_edge(self, u: int, v: int, value: FMatrix) -> "LieCochain1":
-        values = self.complex.indexed({(u, v): value}, self.values)
+        i, sign = self.complex.orient(u, v)
+        values = self.values.copy()
+        values[i] = sign * value.arr
         return LieCochain1(self.complex, values)
 
 
-def holonomy_residual(w: LieCochain1) -> List[FMatrix]:
-    """Per-triangle exp(w(uv)) exp(w(vw)) exp(w(wu)) - I.
+def holonomy_residual(w: LieCochain1) -> np.ndarray:
+    """Per triangle (u, v, x): exp(w(uv)) exp(w(vx)) exp(w(xu)) - I, as a
+    (T, n, n) array from one stacked exponential of the 3T edge values.
 
     Independent flatness oracle: exact discrete-connection flatness makes the
     triangle holonomy the identity regardless of any Maurer-Cartan
-    discretization convention.
+    discretization convention.  A non-finite residual raises InputError.
     """
-    ident = FMatrix.identity(w.n)
-    return [
-        matrix_exp(a) @ matrix_exp(b) @ matrix_exp(-c) - ident
-        for a, b, c in w.complex.triangle_values(w.values)
-    ]
+    index, sign = w.complex.triangle_edges[:, :, 0], w.complex.triangle_edges[:, :, 1]
+    # w(uv), w(vx) and w(xu) = -w(ux) of every triangle, as one (T, 3, n, n) stack
+    along = w.values[index] * (sign * [1, 1, -1])[:, :, None, None]
+    a, b, c = np.moveaxis(matrix_exp(along), 1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(a @ b @ c - np.eye(w.n))

@@ -8,19 +8,21 @@ surjectivity, and equivariance D(deck_g . x) = h(g) . D(x).
 
 The target group is one of the types GA, SL(n) and R^k of slnfib.groups; it
 supplies the group law, the algebra dimension and the JSON form of elements.
-Matrix groups carry a Lie cochain of FMatrix values, R^k carries k scalar
-cochains.
+Matrix groups carry a Lie cochain, one (E, n, n) array, R^k carries k scalar
+cochains.  Every Lie cochain built from a developing map comes from one
+routine, edge_logarithms, which takes log(D(zu)^-1 D(zv)) over all edge
+lifts (zu, zv) as stacks; flatness and surjectivity are stacked too.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CheckFailed, InputError, LogDomain
-from .linalg import EQ_TOL, RESIDUAL_TOL, FMatrix, matrix_log
+from .errors import CheckFailed, InputError, LogDomain, SingularInput
+from .linalg import EQ_TOL, RESIDUAL_TOL, FMatrix, matrix_log, require_finite
 from .groups import (
     GA,
     SL,
@@ -125,20 +127,33 @@ class LieFoliationSpec:
 
     def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
-        if self.is_abelian():
-            edge_values = zip(*(w.values.tolist() for w in self.scalar_cochains))
-        else:
-            edge_values = self.cochain.values
-        worst = 0.0
-        for (zu, zv), got in zip(self.complex.edge_lifts, edge_values):
-            du, dv = self.developing_value(zu), self.developing_value(zv)
-            if self.is_abelian():
-                inc = tuple(b - a for a, b in zip(du, dv))
-                worst = max(worst, max(abs(x - y) for x, y in zip(got, inc)))
-            else:
-                gu, gv = self.group.matrix(du), self.group.matrix(dv)
-                worst = max(worst, matrix_log(gu.inv() @ gv).dist(got))
-        return worst
+        if not self.is_abelian():
+            logs = edge_logarithms(
+                self.complex, lambda z: self.group.matrix(self.developing_value(z))
+            )
+            return float(np.max(np.abs(logs.values - self.cochain.values)))
+        lifts = self.complex.edge_lifts
+        ends = np.array([[self.developing_value(z) for z in lift] for lift in lifts])
+        got = np.stack([w.values for w in self.scalar_cochains], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(np.abs(got - (ends[:, 1] - ends[:, 0]))))
+
+
+def edge_logarithms(complex: SimplicialComplex, matrix_at: Callable) -> LieCochain1:
+    """log(D(zu)^-1 D(zv)) over the edge lifts (zu, zv) as one Lie cochain,
+    with the FMatrix D(z) = matrix_at(z) gathered at both ends of every lift
+    into two stacks.  A singular D(zu) raises SingularInput, a non-finite
+    step InputError, and the first edge outside the log ball LogDomain."""
+    ends = np.array(
+        [[matrix_at(zu).arr, matrix_at(zv).arr] for zu, zv in complex.edge_lifts]
+    )
+    try:
+        inverse = np.linalg.inv(ends[:, 0])
+    except np.linalg.LinAlgError as e:
+        raise SingularInput(f"developing value at an edge tail is singular: {e}") from e
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = require_finite(inverse @ ends[:, 1])
+    return LieCochain1(complex, matrix_log(step))
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +172,7 @@ class MCReport:
         return self.flat and self.surjective
 
     def to_dict(self):
-        return {
-            "flat": self.flat,
-            "max_flatness_residual": self.max_flatness_residual,
-            "surjective": self.surjective,
-            "failing_vertices": self.failing_vertices,
-            "failing_triangles": self.failing_triangles,
-        }
-
-
-def _edge_value_vector(spec: LieFoliationSpec, i: int) -> List[float]:
-    if spec.is_abelian():
-        return [w.values[i] for w in spec.scalar_cochains]
-    return spec.group.coords(spec.cochain.values[i])
+        return asdict(self)
 
 
 RANK_THRESHOLD = 1e-8  # singular values below threshold * sigma_max count as zero
@@ -184,27 +187,28 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     discretization-free oracle) within HOLONOMY_TOL.  Surjectivity: the
     cochain values on the edges incident to each vertex must span the target
     algebra, judged by an SVD rank with singular values below RANK_THRESHOLD
-    times the largest counted as zero.
+    times the largest counted as zero; one stacked SVD covers all vertices.
+
+    Limitation: the values at a vertex are edge logarithms, not the
+    differential of the developing map.  On T^2 an SL(2) spec reaches rank 3
+    only through their second-order (bracket) term, so the smallest counted
+    ratio sigma_3/sigma_1 decays like 1/m (about 0.17/m on the product spec
+    (1.5, 0.3)), and no submersion R^2 -> SL(2) exists; the verdict still
+    reads surjective.
     """
     if spec.is_abelian():
         limit = EQ_TOL
         per_tri = np.max(np.abs([coboundary(w) for w in spec.scalar_cochains]), axis=0)
+        coords = np.stack([w.values for w in spec.scalar_cochains], axis=1)
     else:
         limit = HOLONOMY_TOL
-        per_tri = np.array([r.sup() for r in holonomy_residual(spec.cochain)])
+        per_tri = np.abs(holonomy_residual(spec.cochain)).max(axis=(1, 2))
+        coords = spec.group.coords(spec.cochain.values)
     failing_triangles = np.flatnonzero(~(per_tri <= limit)).tolist()
 
-    dim = spec.group.dim
-    failing_vertices: List[int] = []
-    for vtx in range(spec.complex.n_vertices):
-        vecs = [_edge_value_vector(spec, i) for i in spec.complex.incident_edges(vtx)]
-        if len(vecs) < dim:
-            failing_vertices.append(vtx)
-            continue
-        s = np.linalg.svd(np.array(vecs), compute_uv=False)
-        rank = int(np.sum(s > RANK_THRESHOLD * s[0])) if s[0] > 0 else 0
-        if rank < dim:
-            failing_vertices.append(vtx)
+    s = np.linalg.svd(coords[spec.complex.incidence], compute_uv=False)
+    rank = np.sum(s > RANK_THRESHOLD * s[:, :1], axis=1)
+    failing_vertices = np.flatnonzero(rank < spec.group.dim).tolist()
 
     return MCReport(
         flat=not failing_triangles,
@@ -228,10 +232,7 @@ class EquivarianceReport:
         return self.max_deviation <= tol
 
     def to_dict(self):
-        return {
-            "max_deviation": self.max_deviation,
-            "checked_pairs": self.checked_pairs,
-        }
+        return asdict(self)
 
 
 def check_equivariance(spec: LieFoliationSpec) -> EquivarianceReport:
@@ -295,16 +296,12 @@ def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
     """
     complex = torus_complex(1, m)
     samples = {z: ga_power(hol, z[0] / m) for z in complex.covering.window()}
-    values = []
-    for zu, zv in complex.edge_lifts:
-        gu, gv = ga_embed(samples[zu]), ga_embed(samples[zv])
-        values.append(matrix_log(gu.inv() @ gv))
     return LieFoliationSpec(
         complex=complex,
         group=GA(),
         holonomy=[hol],
         developing=samples,
-        cochain=LieCochain1(complex, values),
+        cochain=edge_logarithms(complex, lambda z: ga_embed(samples[z])),
     )
 
 
@@ -330,22 +327,20 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
 
     # both ends of an edge lift lie in the stored window [0, 3m)^2
     samples = {z: dev(z) for z in complex.covering.window()}
-    values = []
-    for zu, zv in complex.edge_lifts:
-        try:
-            values.append(matrix_log(samples[zu].inv() @ samples[zv]))
-        except LogDomain as exc:
-            raise InputError(
-                f"subdivision m={m} too coarse for edge logarithms "
-                f"(rotation step 2*pi/{m}); use m >= 8"
-            ) from exc
+    try:
+        cochain = edge_logarithms(complex, lambda z: samples[z])
+    except LogDomain as exc:
+        raise InputError(
+            f"subdivision m={m} too coarse for edge logarithms "
+            f"(rotation step 2*pi/{m}); use m >= 8"
+        ) from exc
     sl2 = SL(2)
     spec = LieFoliationSpec(
         complex=complex,
         group=sl2,
         holonomy=[ga_embed(base.holonomy[0]), sl2.identity()],
         developing=samples,
-        cochain=LieCochain1(complex, values),
+        cochain=cochain,
     )
     # constructor contract: never emit a spec that fails the holonomy oracle
     if not check_mc(spec).flat:
@@ -394,42 +389,30 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
         if group != SL(2):
             raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
         window, at = _per_vertex(spec, lambda g: iwasawa_sl2(g)[0])
-        values = []
-        for zu, zv in spec.complex.edge_lifts:
-            values.append(matrix_log(ga_embed(at(zu)).inv() @ ga_embed(at(zv))))
         return LieFoliationSpec(
             complex=spec.complex,
             group=GA(),
             holonomy=[iwasawa_sl2(h)[0] for h in spec.holonomy],
             developing=window,
-            cochain=LieCochain1(spec.complex, values),
+            cochain=edge_logarithms(spec.complex, lambda z: ga_embed(at(z))),
         )
 
     # which == 2: the abelian R^2 chart factor
     i, j = factor_split(group.n).g2_coords
     window, at = _per_vertex(spec, _ank_chart)
-    values1, values2 = [], []
-    for zu, zv in spec.complex.edge_lifts:
-        cu, cv = at(zu), at(zv)
-        values1.append(cv[i] - cu[i])
-        values2.append(cv[j] - cu[j])
+    ends = np.array([[at(zu), at(zv)] for zu, zv in spec.complex.edge_lifts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = ends[:, 1, [i, j]] - ends[:, 0, [i, j]]
     out = LieFoliationSpec(
         complex=spec.complex,
         group=Rk(2),
         holonomy=[(c[i], c[j]) for c in map(_ank_chart, spec.holonomy)],
         developing={z: (c[i], c[j]) for z, c in window.items()},
-        scalar_cochains=[
-            ScalarCochain1(spec.complex, values1),
-            ScalarCochain1(spec.complex, values2),
-        ],
+        scalar_cochains=[ScalarCochain1(spec.complex, x) for x in steps.T],
     )
-    _require_closed(out)
-    return out
-
-
-def _require_closed(spec: LieFoliationSpec):
-    worst = float(np.max([max_coboundary(w) for w in spec.scalar_cochains]))
+    worst = float(np.max([max_coboundary(w) for w in out.scalar_cochains]))
     if not worst <= RESIDUAL_TOL:
         raise CheckFailed(
             f"projected cochain is not closed: max coboundary {worst:.3e}"
         )
+    return out

@@ -20,7 +20,7 @@ from typing import ClassVar, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DimensionError, InputError, SingularInput
-from .linalg import EQ_TOL, FMatrix, matrix_from_json, matrix_to_json, qr_positive
+from .linalg import EQ_TOL, FMatrix, matrix_from_json, qr_positive
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,14 @@ class FactorSplit:
 
 
 def factor_split(n: int) -> FactorSplit:
+    """The R^2 factor of the SL(n) vector chart: its last two coordinates,
+    r_(n-3, n-1)/r_(n-3, n-3) and r_(n-2, n-1)/r_(n-2, n-2) for n >= 3.
+
+    Both are invariant under left translation by a diagonal matrix, so an
+    SL(3) spec with diagonal holonomy projects to components that descend to
+    the torus and no combination of them is a submersion: pipeline_sln
+    correctly ends at "no submersive component combination found".
+    """
     return FactorSplit(n)
 
 
@@ -261,9 +269,9 @@ class GA:
     def matrix(self, g: GAElement) -> FMatrix:
         return ga_embed(g)
 
-    def coords(self, x: FMatrix) -> List[float]:
-        """Coordinates over diag(1, -1) and the strictly upper unit matrix."""
-        return [x[0, 0], x[0, 1]]
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """(E, 2) coordinates of an (E, 2, 2) stack over diag(1, -1) and E_12."""
+        return x[:, 0, :]
 
     def from_json(self, obj) -> GAElement:
         return GAElement(*_floats(obj, 2, "GA element [a, b]"))
@@ -274,7 +282,7 @@ class GA:
 
 @dataclass(frozen=True)
 class SL:
-    """SL(n, R); elements and edge values are n x n FMatrix."""
+    """SL(n, R); elements are n x n FMatrix, edge values an (E, n, n) stack."""
 
     n: int
 
@@ -301,9 +309,9 @@ class SL:
     def matrix(self, g: FMatrix) -> FMatrix:
         return g
 
-    def coords(self, x: FMatrix) -> List[float]:
-        """All n^2 entries, row-major."""
-        return [x[i, j] for i in range(self.n) for j in range(self.n)]
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """(E, n^2) coordinates of an (E, n, n) stack: all entries, row-major."""
+        return x.reshape(len(x), -1)
 
     def from_json(self, obj) -> FMatrix:
         g = matrix_from_json(obj)
@@ -313,7 +321,7 @@ class SL:
         return g
 
     def to_json(self, g: FMatrix):
-        return matrix_to_json(g)
+        return g.arr.tolist()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Dense matrix kernel: exact rational matrices, float matrices, QR, exp/log.
 
 Exact arithmetic (RMatrix, backed by fractions.Fraction) carries every
-algebra-level computation; FMatrix (numpy float64) is used only where square
-roots, exponentials or orthogonalization force floating point.
+algebra-level computation; FMatrix (numpy float64) is the validated type of
+a single group element, used where square roots, exponentials or
+orthogonalization force floating point.  matrix_exp and matrix_log work on
+float arrays of shape (..., n, n), a stack of matrices at once.
 
 The JSON codec has one rule for every value: a number or a "p/q" string is
 read as its nearest float, and NaN, infinite values, booleans and values
@@ -143,9 +145,7 @@ class FMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"FMatrix requires a square array, got {a.shape}")
         _check_dim(a.shape[0])
-        if not np.all(np.isfinite(a)):
-            raise InputError("FMatrix entries must be finite")
-        a.flags.writeable = False
+        require_finite(a).flags.writeable = False
         self.n = a.shape[0]
         self.arr = a
 
@@ -167,17 +167,8 @@ class FMatrix:
     def __sub__(self, other: "FMatrix") -> "FMatrix":
         return FMatrix(self.arr - other.arr)
 
-    def __neg__(self) -> "FMatrix":
-        return FMatrix(-self.arr)
-
-    def scale(self, c: float) -> "FMatrix":
-        return FMatrix(c * self.arr)
-
     def transpose(self) -> "FMatrix":
         return FMatrix(self.arr.T)
-
-    def trace(self) -> float:
-        return float(np.trace(self.arr))
 
     def det(self) -> float:
         return float(np.linalg.det(self.arr))
@@ -199,6 +190,13 @@ class FMatrix:
         return f"FMatrix({self.arr.tolist()})"
 
 
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """a itself, after an InputError if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(a)):
+        raise InputError("FMatrix entries must be finite")
+    return a
+
+
 def qr_positive(a: FMatrix):
     """QR factorization normalized to a strictly positive diagonal of R.
 
@@ -215,32 +213,40 @@ def qr_positive(a: FMatrix):
     return FMatrix(q), FMatrix(r)
 
 
-def matrix_exp(a: FMatrix) -> FMatrix:
-    """Matrix exponential (scaling-and-squaring, via scipy).
+def matrix_exp(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix of a (..., n, n) float array, in one
+    scipy expm call (scaling and squaring).
 
-    An overflow gives non-finite entries, which FMatrix rejects with
-    InputError; numpy's overflow warning is silenced in favour of that error.
+    An overflow gives non-finite entries, which raise InputError; numpy's
+    overflow warning is silenced in favour of that error.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(a.arr)
-    return FMatrix(out)
+        return require_finite(scipy.linalg.expm(a))
 
 
-def matrix_log(a: FMatrix) -> FMatrix:
-    """Principal logarithm, restricted to the ball ||a - I||_2 < 1.
+def matrix_log(a: np.ndarray) -> np.ndarray:
+    """Principal logarithm of every matrix of a (..., n, n) float array,
+    restricted to the ball ||a - I||_2 < 1.
 
     n = 2 uses the closed form of _log2; n >= 3 uses scipy's logm (inverse
-    scaling and squaring, Al-Mohy & Higham 2012).  Both have the same domain.
+    scaling and squaring, Al-Mohy & Higham 2012) on each matrix.  Both have
+    the same domain.  The first matrix in stack order that fails a domain
+    test raises LogDomain.
     """
-    gap = float(np.linalg.norm(a.arr - np.eye(a.n), 2))
-    if not gap < 1.0:
-        raise LogDomain(f"matrix_log: ||a - I|| = {gap:.4f} >= 1")
-    if a.n == 2:
-        return FMatrix(_log2(a.arr.tolist()))
-    out = scipy.linalg.logm(a.arr)
-    if not np.max(np.abs(np.imag(out))) <= RESIDUAL_TOL:
-        raise LogDomain("matrix_log: non-real principal logarithm")
-    return FMatrix(np.real(out))
+    n = a.shape[-1]
+    gaps = np.asarray(np.linalg.norm(a - np.eye(n), 2, axis=(-2, -1)))
+    out = np.empty(a.shape)
+    for k in np.ndindex(a.shape[:-2]):
+        if not gaps[k] < 1.0:
+            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.4f} >= 1")
+        if n == 2:
+            out[k] = _log2(a[k].tolist())
+            continue
+        x = scipy.linalg.logm(a[k])
+        if not np.max(np.abs(np.imag(x))) <= RESIDUAL_TOL:
+            raise LogDomain("matrix_log: non-real principal logarithm")
+        out[k] = np.real(x)
+    return out
 
 
 LOG2_SERIES_CUTOFF = 1e-2  # |u| below which _log2 sums the series of F(u)
@@ -290,10 +296,6 @@ def scalar_from_json(v) -> float:
     if not math.isfinite(x):
         raise InputError(f"non-finite scalar {v!r}")
     return x
-
-
-def matrix_to_json(m: FMatrix):
-    return m.arr.tolist()
 
 
 def matrix_from_json(rows) -> FMatrix:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+import numpy as np
+
 from .errors import InputError, SlnfibError
-from .linalg import FMatrix, matrix_from_json, matrix_to_json, scalar_from_json
+from .linalg import FMatrix, matrix_from_json, scalar_from_json
 from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
 from .foliation import LieFoliationSpec
 from .groups import parse_group
@@ -64,7 +66,7 @@ def _edge_key_parse(key: str):
 def scalar_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> ScalarCochain1:
     """Edges missing from obj get the value 0."""
     values = {_edge_key_parse(k): scalar_from_json(v) for k, v in obj.items()}
-    return ScalarCochain1(complex, complex.indexed(values, [0.0] * len(complex.edges)))
+    return ScalarCochain1(complex, complex.indexed(values, np.zeros(len(complex.edges))))
 
 
 def _sorted_items(complex: SimplicialComplex, values):
@@ -77,9 +79,19 @@ def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
 
 
 def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> LieCochain1:
-    """Lie cochain with FMatrix values."""
-    values = {_edge_key_parse(k): matrix_from_json(v) for k, v in obj.items()}
-    return LieCochain1(complex, complex.indexed(values, [None] * len(complex.edges)))
+    """Lie cochain with a matrix on every edge, all of one size; of two keys
+    on one edge the later wins."""
+    values = {_edge_key_parse(k): matrix_from_json(v).arr for k, v in obj.items()}
+    dims = {a.shape[0] for a in values.values()}
+    if len(dims) != 1:
+        raise InputError(f"Lie cochain values must share one dimension, got {dims}")
+    n, edges = dims.pop(), len(complex.edges)
+    # an edge no key names stays NaN, which no value read from JSON can be
+    out = complex.indexed(values, np.full((edges, n, n), np.nan))
+    missing = int(np.isnan(out[:, 0, 0]).sum())
+    if missing:
+        raise InputError(f"Lie cochain missing values on {missing} of {edges} edges")
+    return LieCochain1(complex, out)
 
 
 def load_scalar_cochain(obj) -> ScalarCochain1:
@@ -144,7 +156,7 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
         ]
     else:
         out["cochain"] = {
-            f"{u}-{v}": matrix_to_json(val)
-            for (u, v), val in _sorted_items(spec.complex, spec.cochain.values)
+            f"{u}-{v}": val
+            for (u, v), val in _sorted_items(spec.complex, spec.cochain.values.tolist())
         }
     return out

@@ -180,12 +180,13 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     complex = w.complex
     q = rz.q
     step = w.values.tolist()
+    incidence = complex.incidence.tolist()
     root = 0
     values: Dict[int, float] = {root: 0.0}
     stack = [root]
     while stack:
         u = stack.pop()
-        for i in complex.incident_edges(u):
+        for i in incidence[u]:
             a, b = complex.edges[i]
             other = b if a == u else a
             if other not in values:

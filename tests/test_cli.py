@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from slnfib.cli import main
-from slnfib.complexes import coordinate_cochain, torus_complex
-from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
-from slnfib.groups import GAElement
-from slnfib.linalg import MAX_DIM
+from slnfib.complexes import LieCochain1, coordinate_cochain, torus_complex
+from slnfib.foliation import (
+    LieFoliationSpec,
+    ga_suspension,
+    linear_torus_spec,
+    product_foliation,
+)
+from slnfib.groups import SL, GAElement
+from slnfib.linalg import MAX_DIM, FMatrix
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 
 
@@ -448,11 +453,16 @@ def test_overflowing_rk_coboundary_is_not_flat(capsys, tmp_path, command):
     argv = [command, write_json(tmp_path, "overflow.json", spec)]
     if command == "pipeline":
         argv += ["--epsilon", "0.01"]
-    code, rep = run(capsys, argv)
+    code = main(argv)
+
+    def refuse(token):
+        pytest.fail(f"report is not strict JSON: bare {token}")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert code == 3 and not rep["ok"]
     mc = rep["maurer_cartan"] if command == "check-foliation" else rep["stages"][0]
     assert not mc["flat"] and 0 in mc["failing_triangles"]
-    assert mc["max_flatness_residual"] == math.inf
+    assert mc["max_flatness_residual"] == "Infinity"
 
 
 class TestPipeline:
@@ -469,6 +479,52 @@ class TestPipeline:
         code, rep = run(capsys, ["pipeline", path, "--epsilon", "0.01"])
         assert code == 3
         assert not rep["ok"]
+
+
+def unipotent_spec(n, m=4):
+    """SL(n) spec on T^3 with D(z) = I + ((z0 + sqrt(2) z2)/m) E_(n-3, n-1)
+    + (z1/m) E_(n-2, n-1) (0-based).
+
+    The two generators commute and square to zero, so D is a homomorphism
+    of Z^3, the holonomy of deck generator k is D(m e_k), and the edge
+    logarithm log(D(zu)^-1 D(zv)) is exactly D(zv) - D(zu).
+    """
+    complex = torus_complex(3, m)
+
+    def D(z):
+        a = np.eye(n)
+        a[n - 3, n - 1] = (z[0] + math.sqrt(2) * z[2]) / m
+        a[n - 2, n - 1] = z[1] / m
+        return a
+
+    samples = {z: D(z) for z in complex.covering.window()}
+    return LieFoliationSpec(
+        complex=complex,
+        group=SL(n),
+        holonomy=[FMatrix(D(m * e)) for e in np.eye(3, dtype=int)],
+        developing={z: FMatrix(g) for z, g in samples.items()},
+        cochain=LieCochain1(
+            complex, [samples[zv] - samples[zu] for zu, zv in complex.edge_lifts]
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_unipotent_sln_spec_end_to_end(capsys, tmp_path, n):
+    # the last two chart coordinates are r_(n-3, n-1)/r_(n-3, n-3) and
+    # r_(n-2, n-1)/r_(n-2, n-2): here (z0 + sqrt(2) z2)/m and z1/m, whose
+    # periods (1, 0, sqrt(2)) round to (1, 0, 17/12) within 0.01
+    path = write_json(tmp_path, f"sl{n}.json", dump_foliation_spec(unipotent_spec(n)))
+    code, rep = run(capsys, ["check-foliation", path])
+    mc = rep["maurer_cartan"]
+    assert code == 3 and mc["flat"] and not mc["surjective"]  # d = 3 < dim sl(n)
+    code, rep = run(capsys, ["pipeline", path, "--epsilon", "0.01"])
+    assert code == 0 and rep["ok"]
+    stages = {s["stage"]: s for s in rep["stages"]}
+    assert stages["rationalize"]["periods"] == ["1", "0", "17/12"]
+    assert stages["rationalize"]["q"] == 12
+    assert stages["circle_map"]["pullback_periods"] == [12, 0, 17]
+    assert stages["fiber_census"]["components"] == [1] * 10
 
 
 class TestGolden:
@@ -602,6 +658,16 @@ def test_malformed_shape_exit_2(capsys, tmp_path, product_spec, command, make):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def test_singular_developing_value_exit_2(capsys, tmp_path):
+    # a singular sample at the tail of edge 0 ended in a numpy traceback
+    spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(2.0, 0.3))))
+    spec["developing"]["0,0"] = [[0.0, 0.0], [0.0, 0.0]]
+    code = main(["check-foliation", write_json(tmp_path, "singular.json", spec)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: developing value at an edge tail is singular: Singular matrix\n"
 
 
 def drop_origin(samples):

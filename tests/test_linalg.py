@@ -105,11 +105,11 @@ class TestQRPositive:
 
 class TestExpLog:
     def test_exp_zero(self):
-        assert matrix_exp(FMatrix(np.zeros((3, 3)))).allclose(FMatrix.identity(3), 1e-14)
+        assert np.abs(matrix_exp(np.zeros((3, 3))) - np.eye(3)).max() < 1e-14
 
     def test_exp_diagonal_against_series(self):
         t = 0.37
-        got = matrix_exp(FMatrix([[t, 0.0], [0.0, -t]]))
+        got = matrix_exp(np.array([[t, 0.0], [0.0, -t]]))
         # power-series oracle on the diagonal entries
         series = sum(t ** k / math.factorial(k) for k in range(30))
         series_neg = sum((-t) ** k / math.factorial(k) for k in range(30))
@@ -118,23 +118,23 @@ class TestExpLog:
         assert abs(got[0, 1]) < 1e-14
 
     def test_log_nilpotent_terminates(self):
-        x = FMatrix([[0.0, 0.1], [0.0, 0.0]])
-        assert matrix_log(matrix_exp(x)).dist(x) < 1e-12
+        x = np.array([[0.0, 0.1], [0.0, 0.0]])
+        assert np.abs(matrix_log(matrix_exp(x)) - x).max() < 1e-12
 
     def test_roundtrip_diagonal_family(self):
         for t in (0.05, 0.2, 0.4):
-            a = FMatrix([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
-            assert matrix_exp(matrix_log(a)).dist(a) < RESIDUAL_TOL
+            a = np.array([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
+            assert np.abs(matrix_exp(matrix_log(a)) - a).max() < RESIDUAL_TOL
 
     def test_log_domain_guard(self):
         with pytest.raises(LogDomain):
-            matrix_log(FMatrix([[-1.0, 0.0], [0.0, -1.0]]))
+            matrix_log(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
 
 def assert_matches_logm(a):
     """The closed-form 2x2 log against scipy's inverse scaling and squaring,
     entrywise within 1e-13 * max(1, |ref|)."""
-    got = matrix_log(FMatrix(a)).arr
+    got = matrix_log(np.array(a, dtype=float))
     ref = scipy.linalg.logm(np.array(a, dtype=float))
     assert np.max(np.abs(np.imag(ref))) == 0.0
     ref = np.real(ref)
@@ -177,12 +177,12 @@ class TestClosedFormLog2:
 
     def test_positive_det_outside_ball(self):
         with pytest.raises(LogDomain):
-            matrix_log(FMatrix([[2.5, 0.0], [0.0, 0.4]]))
+            matrix_log(np.array([[2.5, 0.0], [0.0, 0.4]]))
 
     def test_sl3_roundtrip_on_scipy_path(self, rng):
         for _ in range(20):
-            a = random_sl(3, rng, scale=0.15)
-            assert matrix_exp(matrix_log(a)).dist(a) < 1e-12
+            a = random_sl(3, rng, scale=0.15).arr
+            assert np.abs(matrix_exp(matrix_log(a)) - a).max() < 1e-12
 
 
 class TestDimensionCap:
@@ -220,10 +220,10 @@ class TestNaNVerdicts:
     def test_nan_distance_to_identity_is_outside_the_ball(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: math.nan)
         with pytest.raises(LogDomain, match="= nan >= 1"):
-            matrix_log(FMatrix.identity(2))
+            matrix_log(np.eye(2))
 
     def test_nan_imaginary_part_is_not_real(self, monkeypatch):
         nan_imag = np.full((3, 3), complex(0.0, math.nan))
         monkeypatch.setattr(scipy.linalg, "logm", lambda a: nan_imag)
         with pytest.raises(LogDomain, match="non-real principal logarithm"):
-            matrix_log(FMatrix.identity(3))
+            matrix_log(np.eye(3))

@@ -333,7 +333,8 @@ def loop_census(f, w, value):
             for k in crossed(float(f.values[s]), step[i]):
                 parent[i, k] = (i, k)
                 degree[i, k] = 0
-    triangles, values = complex.triangles.tolist(), complex.triangle_values(step)
+    triangles = complex.triangles.tolist()
+    values = [[step[i] if s > 0 else -step[i] for i, s in inc] for inc in incidences]
     for tri, incidence, (uv, vx, _) in zip(triangles, incidences, values):
         u, v, x = tri
         lift = {u: float(f.values[u])}
