@@ -41,7 +41,7 @@ def main():
     print(f"  factor 1 group: {ga_part.group.tag}, consistency "
           f"{ga_part.validate_consistency():.2e}")
     print(f"  factor 2 group: {ab_part.group.tag}, "
-          f"holonomy images {ab_part.holonomy}")
+          f"holonomy images {ab_part.holonomy.tolist()}")
 
 
 if __name__ == "__main__":

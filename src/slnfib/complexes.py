@@ -45,15 +45,10 @@ class TorusCovering:
             idx = idx * self.m + (c % self.m)
         return idx
 
-    def deck(self, coords: Sequence[int], gen: int) -> Tuple[int, ...]:
-        out = list(coords)
-        out[gen] += self.m
-        return tuple(out)
-
-    def window(self) -> List[Tuple[int, ...]]:
-        """All covering vertices in [0, WINDOW_COPIES*m)^d."""
-        rng = range(WINDOW_COPIES * self.m)
-        return [tuple(reversed(c)) for c in itertools.product(rng, repeat=self.d)]
+    def window(self) -> np.ndarray:
+        """[0, WINDOW_COPIES*m)^d as an (N, d) int array, first coordinate fastest."""
+        side = (WINDOW_COPIES * self.m,) * self.d
+        return np.indices(side).reshape(self.d, -1).T[:, ::-1].copy()
 
 
 class SimplicialComplex:
@@ -62,10 +57,11 @@ class SimplicialComplex:
     Built from the covering alone.  Vertex v has grid coordinates
     vertex_coords[v] (v = covering.base_index of them); edge
     u * (2^d - 1) + j is (u, u + e_j) for the j-th nonzero e_j in {0,1}^d
-    (_monotone_vectors order), with covering lift edge_lifts[i] and base
-    edge edges[i].  A grid cell is cut along increasing chains
-    0 < a < b (< c) of such vectors, so each simplex is (z, z + a, z + b,
-    ...) and each of its edges is stored in the direction it is walked.
+    (_monotone_vectors order), with covering lift edge_lifts[i] (row i of
+    the (E, 2, d) int array lifts) and base edge edges[i].  A grid cell is
+    cut along increasing chains 0 < a < b (< c) of such vectors, so each
+    simplex is (z, z + a, z + b, ...) and each of its edges is stored in the
+    direction it is walked.
 
     The incidence is held once, as int arrays: triangles (T x 3) and
     tetrahedra (T3 x 4) list vertices; triangle_edges (T x 3 x 2) gives
@@ -91,6 +87,8 @@ class SimplicialComplex:
             for z in self.vertex_coords
             for e in vecs
         ]
+        tails = np.repeat(self._coords, len(vecs), axis=0)
+        self.lifts = np.stack([tails, tails + np.tile(vecs, (n, 1))], axis=1)
         self.edges: List[Edge] = [
             (covering.base_index(zu), covering.base_index(zv))
             for zu, zv in self.edge_lifts

@@ -2,42 +2,43 @@
 
 A foliation spec bundles a complex with covering data, a flat 1-cochain, a
 holonomy representation of the deck group, and a finite window of the
-developing map on the covering grid.  The checks are the discrete versions of
-the defining conditions: the Maurer-Cartan equation plus pointwise
+developing map: an (N, d) int array of covering grid points and one array
+of their group elements, row for row.  The checks are the discrete versions
+of the defining conditions: the Maurer-Cartan equation plus pointwise
 surjectivity, and equivariance D(deck_g . x) = h(g) . D(x).
 
 The target group is one of the types GA, SL(n) and R^k of slnfib.groups; it
-supplies the group law, the algebra dimension and the JSON form of elements.
-Matrix groups carry a Lie cochain, one (E, n, n) array, R^k carries k scalar
-cochains.  Every Lie cochain built from a developing map comes from one
-routine, edge_logarithms, which takes log(D(zu)^-1 D(zv)) over all edge
-lifts (zu, zv) as stacks; flatness and surjectivity are stacked too.
+supplies the group law on stacks, the algebra dimension and the JSON form of
+elements.  Matrix groups carry a Lie cochain, one (E, n, n) array, R^k
+carries k scalar cochains.  Every Lie cochain built from a developing map
+comes from one routine, edge_logarithms, which takes log(D(zu)^-1 D(zv))
+over all edge lifts (zu, zv) as stacks; flatness, surjectivity,
+equivariance and the Iwasawa charts of the projection are stacked too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import CheckFailed, InputError, LogDomain, SingularInput
-from .linalg import EQ_TOL, RESIDUAL_TOL, FMatrix, matrix_log, require_finite
+from .errors import CheckFailed, InputError, LogDomain
+from .linalg import EQ_TOL, RESIDUAL_TOL, matrix_log, require_finite
 from .groups import (
     GA,
     SL,
     GAElement,
     Group,
-    GroupElement,
     Rk,
     factor_split,
-    ga_embed,
     ga_power,
-    iwasawa_sl2,
     iwasawa_sln_ank,
+    require_unimodular,
     rotation,
 )
 from .complexes import (
+    WINDOW_COPIES,
     LieCochain1,
     ScalarCochain1,
     SimplicialComplex,
@@ -57,15 +58,17 @@ class LieFoliationSpec:
     """A complex, a flat cochain, a holonomy rep, and developing samples.
 
     holonomy holds the images of the Z^d deck generators, which must commute;
-    developing is a finite sample window of the developing map on the
-    covering grid, keyed by integer d-tuples, that holds every base vertex
-    in [0, m)^d.
+    developing holds the developing map at the rows of window, an (N, d) int
+    array of grid points that holds every base vertex in [0, m)^d.  Both are
+    read-only stacks of elements in the group's array form, and for SL(n)
+    every element has det 1 within 100 EQ_TOL.
     """
 
     complex: SimplicialComplex
     group: Group
-    holonomy: List[GroupElement]
-    developing: Dict[Tuple[int, ...], GroupElement]
+    holonomy: np.ndarray
+    window: np.ndarray
+    developing: np.ndarray
     cochain: Optional[LieCochain1] = None
     scalar_cochains: Optional[List[ScalarCochain1]] = None
 
@@ -73,31 +76,36 @@ class LieFoliationSpec:
         group = self.group
         if isinstance(group, Rk):
             want = f"{group.k} scalar cochains"
-            ok = (
-                self.cochain is None
-                and self.scalar_cochains is not None
-                and len(self.scalar_cochains) == group.k
-            )
+            ok = self.cochain is None and len(self.scalar_cochains or ()) == group.k
         else:
             want = f"a cochain of {group.n}x{group.n} matrices"
-            ok = (
-                self.scalar_cochains is None
-                and self.cochain is not None
-                and self.cochain.n == group.n
-            )
+            n = getattr(self.cochain, "n", 0)
+            ok = self.scalar_cochains is None and n == group.n
         if not ok:
             raise InputError(f"{group.tag} spec needs {want} and no other cochain")
         d = self.complex.covering.d
-        if len(self.holonomy) != d:
-            raise InputError(f"holonomy needs {d} images, got {len(self.holonomy)}")
-        for i, a in enumerate(self.holonomy):
-            for b in self.holonomy[i + 1:]:
+        hol = np.array(self.holonomy, dtype=np.float64)
+        keys = np.array(self.window)
+        dev = np.array(self.developing, dtype=np.float64)
+        if len(hol) != d:
+            raise InputError(f"holonomy needs {d} images, got {len(hol)}")
+        if keys.dtype.kind not in "iu" or keys.shape != (len(dev), d):
+            raise InputError(f"window needs one row of {d} ints per developing sample")
+        for x in (hol, keys, dev):
+            x.flags.writeable = False
+        self.holonomy, self.window, self.developing = hol, keys, dev
+        if isinstance(group, SL):
+            def sample(i):
+                return 'developing sample "%s"' % ",".join(map(str, keys[i]))
+
+            require_unimodular(hol, "holonomy image {}".format, InputError)
+            require_unimodular(dev, sample, InputError)
+        for i, a in enumerate(hol):
+            for b in hol[i + 1:]:
                 if not group.dist(group.mul(a, b), group.mul(b, a)) <= EQ_TOL:
                     raise InputError("deck generator images do not commute")
-        for z in self.developing:
-            if len(z) != d or not all(isinstance(c, int) for c in z):
-                raise InputError(f"developing key {z} is not {d} integer coordinates")
-        missing = [z for z in self.complex.vertex_coords if z not in self.developing]
+        self._rows = {z: i for i, z in enumerate(map(tuple, keys.tolist()))}
+        missing = [z for z in self.complex.vertex_coords if z not in self._rows]
         if missing:
             raise InputError(
                 f"developing window misses {len(missing)} base vertices, "
@@ -107,52 +115,48 @@ class LieFoliationSpec:
     def is_abelian(self) -> bool:
         return self.scalar_cochains is not None
 
-    def developing_value(self, z: Tuple[int, ...]) -> GroupElement:
-        """Extend the sample window by equivariance D(deck.z) = h . D(z)."""
-        if z in self.developing:
-            return self.developing[z]
-        group = self.group
-        cov = self.complex.covering
-        shifts = [c // cov.m for c in z]
-        base = tuple(c % cov.m for c in z)
-        out = self.developing[base]
-        for gen, k in enumerate(shifts):
-            if k:
-                h = self.holonomy[gen] if k > 0 else group.inv(self.holonomy[gen])
-                power = group.identity()
-                for _ in range(abs(k)):
-                    power = group.mul(power, h)
-                out = group.mul(power, out)
+    def rows(self, points) -> np.ndarray:
+        """The window row of every point of a (..., d) int array, -1 off it."""
+        points = np.asarray(points)
+        flat = points.reshape(-1, points.shape[-1]).tolist()
+        found = [self._rows.get(tuple(z), -1) for z in flat]
+        return np.array(found, dtype=np.int64).reshape(points.shape[:-1])
+
+    def developing_value(self, points) -> np.ndarray:
+        """D at every point of a (..., d) int array, as one row gather.  A
+        point outside the window is h(g_k) ... h(g_1) . D(base) over the deck
+        generators it is shifted by, each at most once: every edge lift lies
+        in [0, m]^d."""
+        points = np.asarray(points, dtype=np.int64)
+        rows = self.rows(points)
+        out, outside = self.developing[rows], rows < 0
+        shift, base = np.divmod(points[outside], self.complex.covering.m)
+        if not np.isin(shift, (0, 1)).all():
+            raise InputError("developing point more than one deck step from [0, m)^d")
+        value = self.developing[self.rows(base)]
+        for gen, h in enumerate(self.holonomy):
+            value[shift[:, gen] == 1] = self.group.mul(h, value[shift[:, gen] == 1])
+        out[outside] = value
         return out
 
     def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
+        ends = self.developing_value(self.complex.lifts)
         if not self.is_abelian():
-            logs = edge_logarithms(
-                self.complex, lambda z: self.group.matrix(self.developing_value(z))
-            )
+            logs = edge_logarithms(self.complex, self.group.matrix(ends))
             return float(np.max(np.abs(logs.values - self.cochain.values)))
-        lifts = self.complex.edge_lifts
-        ends = np.array([[self.developing_value(z) for z in lift] for lift in lifts])
         got = np.stack([w.values for w in self.scalar_cochains], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max(np.abs(got - (ends[:, 1] - ends[:, 0]))))
 
 
-def edge_logarithms(complex: SimplicialComplex, matrix_at: Callable) -> LieCochain1:
+def edge_logarithms(complex: SimplicialComplex, ends: np.ndarray) -> LieCochain1:
     """log(D(zu)^-1 D(zv)) over the edge lifts (zu, zv) as one Lie cochain,
-    with the FMatrix D(z) = matrix_at(z) gathered at both ends of every lift
-    into two stacks.  A singular D(zu) raises SingularInput, a non-finite
-    step InputError, and the first edge outside the log ball LogDomain."""
-    ends = np.array(
-        [[matrix_at(zu).arr, matrix_at(zv).arr] for zu, zv in complex.edge_lifts]
-    )
-    try:
-        inverse = np.linalg.inv(ends[:, 0])
-    except np.linalg.LinAlgError as e:
-        raise SingularInput(f"developing value at an edge tail is singular: {e}") from e
+    from the (E, 2, n, n) stack ends of D at both ends of every lift.  A
+    non-finite step raises InputError, the first edge outside the log ball
+    LogDomain; every D is invertible (det 1, or ga_embed of a GA element)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        step = require_finite(inverse @ ends[:, 1])
+        step = require_finite(np.linalg.inv(ends[:, 0]) @ ends[:, 1])
     return LieCochain1(complex, matrix_log(step))
 
 
@@ -228,33 +232,35 @@ class EquivarianceReport:
     max_deviation: float
     checked_pairs: int
 
-    def passed(self, tol: float) -> bool:
-        return self.max_deviation <= tol
-
     def to_dict(self):
         return asdict(self)
 
 
 def check_equivariance(spec: LieFoliationSpec) -> EquivarianceReport:
-    """Verify D(deck_g . x) = h(g) . D(x) over the stored sample window."""
-    samples = spec.developing
-    cov = spec.complex.covering
-    worst, count = 0.0, 0
-    for z, dz in samples.items():
-        for gen, h in enumerate(spec.holonomy):
-            shifted = cov.deck(z, gen)
-            if shifted not in samples:
-                continue
-            expect = spec.group.mul(h, dz)
-            worst = max(worst, spec.group.dist(samples[shifted], expect))
-            count += 1
-    if count == 0:
+    """Verify D(deck_g . x) = h(g) . D(x) over the stored sample window: one
+    stacked group product and one max over every (sample, generator) pair
+    whose shifted point is stored too."""
+    d = spec.complex.covering.d
+    shifted = spec.window[:, None, :] + spec.complex.covering.m * np.eye(d, dtype=int)
+    rows = spec.rows(shifted)
+    sample, gen = np.nonzero(rows >= 0)
+    if not sample.size:
         raise InputError("developing window too small for any equivariance pair")
-    return EquivarianceReport(worst, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = spec.group.mul(spec.holonomy[gen], spec.developing[sample])
+        dev = spec.group.dist(spec.developing[rows[sample, gen]], expect)
+    return EquivarianceReport(float(np.max(dev)), int(sample.size))
 
 
 # ---------------------------------------------------------------------------
 # Constructors
+
+
+def _at_lifts(complex: SimplicialComplex, developing: np.ndarray) -> np.ndarray:
+    """developing, given over covering.window(), at both ends of every edge
+    lift: that window holds z at row z_0 + 3m z_1 + (3m)^2 z_2."""
+    side = WINDOW_COPIES * complex.covering.m
+    return developing[complex.lifts @ side ** np.arange(complex.covering.d)]
 
 
 def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSpec:
@@ -273,17 +279,16 @@ def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSp
         for ax in range(1, d):
             w = w + duals[ax].scale(row[ax])
         cochains.append(w)
-    samples = {
-        z: tuple(
-            sum(row[ax] * z[ax] for ax in range(d)) / m for row in rows
-        )
-        for z in complex.covering.window()
-    }
+    window, a = complex.covering.window(), np.array(rows, dtype=float)
+    samples = np.zeros((len(window), k))
+    for ax in range(d):  # (0 + a_0 z_0 + ... + a_(d-1) z_(d-1)) / m, in axis order
+        samples = samples + window[:, ax, None] * a[:, ax]
     return LieFoliationSpec(
         complex=complex,
         group=Rk(k),
-        holonomy=[tuple(float(row[ax]) for row in rows) for ax in range(d)],
-        developing=samples,
+        holonomy=a.T,
+        window=window,
+        developing=samples / m,
         scalar_cochains=cochains,
     )
 
@@ -295,13 +300,16 @@ def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
     deck shift by m multiplies by hol on the left.
     """
     complex = torus_complex(1, m)
-    samples = {z: ga_power(hol, z[0] / m) for z in complex.covering.window()}
+    window = complex.covering.window()
+    powers = (ga_power(hol, z / m) for z in window[:, 0].tolist())
+    samples = np.array([(g.a, g.b) for g in powers])
     return LieFoliationSpec(
         complex=complex,
         group=GA(),
-        holonomy=[hol],
+        holonomy=[(hol.a, hol.b)],
+        window=window,
         developing=samples,
-        cochain=edge_logarithms(complex, lambda z: ga_embed(samples[z])),
+        cochain=edge_logarithms(complex, GA().matrix(_at_lifts(complex, samples))),
     )
 
 
@@ -320,25 +328,24 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
         raise InputError("product construction needs a circle base")
     m = base.complex.covering.m
     complex = torus_complex(2, m)
-
-    def dev(z):
-        d0 = base.developing_value((z[0],))
-        return ga_embed(d0) @ rotation(2.0 * math.pi * z[1] / m)
-
-    # both ends of an edge lift lie in the stored window [0, 3m)^2
-    samples = {z: dev(z) for z in complex.covering.window()}
+    window = complex.covering.window()
+    x, y = window.T
+    side = np.arange(WINDOW_COPIES * m)
+    embed = GA().matrix(base.developing_value(side[:, None]))
+    sigma = np.array([rotation(2.0 * math.pi * t / m).arr for t in side.tolist()])
+    samples = embed[x] @ sigma[y]
     try:
-        cochain = edge_logarithms(complex, lambda z: samples[z])
+        cochain = edge_logarithms(complex, _at_lifts(complex, samples))
     except LogDomain as exc:
         raise InputError(
             f"subdivision m={m} too coarse for edge logarithms "
             f"(rotation step 2*pi/{m}); use m >= 8"
         ) from exc
-    sl2 = SL(2)
     spec = LieFoliationSpec(
         complex=complex,
-        group=sl2,
-        holonomy=[ga_embed(base.holonomy[0]), sl2.identity()],
+        group=SL(2),
+        holonomy=[GA().matrix(base.holonomy[0]), np.eye(2)],
+        window=window,
         developing=samples,
         cochain=cochain,
     )
@@ -352,62 +359,53 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
 # Factor projection
 
 
-def _ank_chart(g: FMatrix) -> Tuple[float, ...]:
-    return iwasawa_sln_ank(g).chart
-
-
-def _per_vertex(spec: LieFoliationSpec, f):
-    """f of the developing map, computed once per stored sample.
-
-    Returns f over the stored sample window, and a lookup of f at a covering
-    vertex that falls back to the developing map outside the window.
-    """
-    window = {z: f(g) for z, g in spec.developing.items()}
-
-    def at(z):
-        return window[z] if z in window else f(spec.developing_value(z))
-
-    return window, at
-
-
 def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     """Project an SL(n) foliation onto one factor of the Iwasawa product.
 
-    Factor 1 is the GA part (SL(2) only), factor 2 the final two coordinates
-    of the triangular-left vector chart.  Projected scalar cochains are
-    rebuilt from chart differences of the developing map and re-verified for
-    closedness; a violation raises CheckFailed rather than propagating an
-    unsound fibration input.
+    Factor 1 is the GA part (SL(2) only): R = ga_embed(exp(2 c_0), c_1
+    exp(2 c_0)) for the chart c.  Factor 2 is the final two coordinates of
+    the triangular-left vector chart.  One iwasawa_sln_ank call charts the
+    window, the edge ends outside it and the holonomy.  Projected scalar
+    cochains are rebuilt from chart differences of the developing map and
+    re-verified for closedness; a violation raises CheckFailed rather than
+    propagating an unsound fibration input.
     """
     if which not in (1, 2):
         raise InputError("factor index must be 1 or 2")
     group = spec.group
     if not isinstance(group, SL):
         raise InputError(f"no product structure on group {group.tag}")
-
+    if which == 1 and group != SL(2):
+        raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
+    lifts, n = spec.complex.lifts, len(spec.developing)
+    rows = spec.rows(lifts)
+    outside = rows < 0
+    rows[outside] = n + np.arange(outside.sum())
+    extra = spec.developing_value(lifts[outside])
+    _, charts = iwasawa_sln_ank(np.concatenate([spec.developing, extra, spec.holonomy]))
+    if which == 1:  # the GA parts (a, b) = (exp(2 c_0), c_1 a)
+        a = np.exp(2.0 * charts[:, 0])
+        charts = np.stack([a, charts[:, 1] * a], axis=-1)
+    window, ends, hol = charts[:n], charts[rows], charts[n + len(extra):]
     if which == 1:
-        if group != SL(2):
-            raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
-        window, at = _per_vertex(spec, lambda g: iwasawa_sl2(g)[0])
         return LieFoliationSpec(
             complex=spec.complex,
             group=GA(),
-            holonomy=[iwasawa_sl2(h)[0] for h in spec.holonomy],
+            holonomy=hol,
+            window=spec.window,
             developing=window,
-            cochain=edge_logarithms(spec.complex, lambda z: ga_embed(at(z))),
+            cochain=edge_logarithms(spec.complex, GA().matrix(ends)),
         )
 
-    # which == 2: the abelian R^2 chart factor
-    i, j = factor_split(group.n).g2_coords
-    window, at = _per_vertex(spec, _ank_chart)
-    ends = np.array([[at(zu), at(zv)] for zu, zv in spec.complex.edge_lifts])
+    ij = list(factor_split(group.n).g2_coords)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = ends[:, 1, [i, j]] - ends[:, 0, [i, j]]
+        steps = ends[:, 1, ij] - ends[:, 0, ij]
     out = LieFoliationSpec(
         complex=spec.complex,
         group=Rk(2),
-        holonomy=[(c[i], c[j]) for c in map(_ank_chart, spec.holonomy)],
-        developing={z: (c[i], c[j]) for z, c in window.items()},
+        holonomy=hol[:, ij],
+        window=spec.window,
+        developing=window[:, ij],
         scalar_cochains=[ScalarCochain1(spec.complex, x) for x in steps.T],
     )
     worst = float(np.max([max_coboundary(w) for w in out.scalar_cochains]))

@@ -7,20 +7,25 @@
   mirrored AN-left variant used when left holonomy must act on the vector
   chart.
 * The split of the vector chart into a leading block and a final R^2 factor.
-* One type per target group of a foliation (GA, SL(n), R^k) and the parser
-  of the JSON "group" value that names it.
+* One type per target group of a foliation (GA, SL(n), R^k), acting on
+  float arrays of elements: (..., 2) rows (a, b), (..., n, n) matrices or
+  (..., k) vectors; and the parser of the JSON "group" value that names it.
+The unimodularity check and the AN-left chart take whole (..., n, n) stacks.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionError, InputError, SingularInput
-from .linalg import EQ_TOL, FMatrix, matrix_from_json, qr_positive
+from .linalg import (
+    EQ_TOL, FMatrix, matrix_from_json, qr_positive, require_finite, scalar_from_json
+)
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,6 @@ class GAElement:
     def __post_init__(self):
         if not self.a > 0:
             raise InputError(f"GA element needs a > 0, got a={self.a}")
-
-
-GA_IDENTITY = GAElement(1.0, 0.0)
 
 
 def ga_mul(g: GAElement, h: GAElement) -> GAElement:
@@ -83,10 +85,14 @@ def section(angle) -> FMatrix:
     return rotation(angle)
 
 
-def _require_unimodular(g: FMatrix):
-    d = g.det()
-    if not abs(d - 1.0) <= EQ_TOL * 100:
-        raise SingularInput(f"matrix has det {d:.12f}, not in SL(n)")
+def require_unimodular(g: np.ndarray, name=lambda i: "matrix", error=SingularInput):
+    """Raise error, naming it name(index), for the first matrix of the
+    (..., n, n) array g in stack order with |det - 1| > 100 EQ_TOL (or NaN)."""
+    dets = np.ravel(np.linalg.det(g))
+    bad = np.flatnonzero(~(np.abs(dets - 1.0) <= EQ_TOL * 100))
+    if bad.size:
+        n, det = g.shape[-1], dets[bad[0]]
+        raise error(f"{name(bad[0])} has det {det:.12g}, not in SL({n})")
 
 
 def iwasawa_sl2(g: FMatrix) -> Tuple[GAElement, CircleAngle]:
@@ -97,7 +103,7 @@ def iwasawa_sl2(g: FMatrix) -> Tuple[GAElement, CircleAngle]:
     """
     if g.n != 2:
         raise DimensionError("iwasawa_sl2 requires a 2x2 matrix")
-    _require_unimodular(g)
+    require_unimodular(g.arr)
     s_raw, c_raw = g[1, 0], g[1, 1]
     norm = math.hypot(s_raw, c_raw)
     p = 1.0 / norm
@@ -133,13 +139,17 @@ class IwasawaFactors:
         return self.k.n
 
 
-def _chart_from_r(r: FMatrix) -> Tuple[float, ...]:
-    n = r.n
-    chart: List[float] = [math.log(r[i, i]) for i in range(n - 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            chart.append(r[i, j] / r[i, i])
-    return tuple(chart)
+def _chart_from_r(r: np.ndarray) -> np.ndarray:
+    """The (..., n(n+1)/2 - 1) charts of a (..., n, n) stack of R factors.
+    math.log, not numpy's log, which differs from it in the last bit at times."""
+    n = r.shape[-1]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    logs = [math.log(x) for x in diag[..., :-1].ravel().tolist()]
+    i, j = np.triu_indices(n, 1)  # row-major
+    return np.concatenate(
+        [np.reshape(logs, diag.shape[:-1] + (n - 1,)), r[..., i, j] / diag[..., i]],
+        axis=-1,
+    )
 
 
 def _r_from_chart(n: int, chart) -> FMatrix:
@@ -158,11 +168,11 @@ def _r_from_chart(n: int, chart) -> FMatrix:
 
 def iwasawa_sln(g: FMatrix) -> IwasawaFactors:
     """SO(n)-left decomposition g = K . R via positive-diagonal QR."""
-    _require_unimodular(g)
-    q, r = qr_positive(g)
+    require_unimodular(g.arr)
+    q, r = qr_positive(g.arr)
     # det R > 0 and det g = 1 force det Q = +1; asserted, not assumed.
-    assert abs(q.det() - 1.0) < 1e-6, "QR of a unimodular matrix lost det Q = +1"
-    return IwasawaFactors(q, _chart_from_r(r))
+    assert abs(np.linalg.det(q) - 1) < 1e-6, "QR of a unimodular matrix lost det Q = +1"
+    return IwasawaFactors(FMatrix(q), tuple(_chart_from_r(r).tolist()))
 
 
 def iwasawa_recompose(f: IwasawaFactors) -> FMatrix:
@@ -173,19 +183,20 @@ def iwasawa_recompose(f: IwasawaFactors) -> FMatrix:
     return f.k @ _r_from_chart(f.n, f.chart)
 
 
-def iwasawa_sln_ank(g: FMatrix) -> IwasawaFactors:
-    """Mirrored decomposition g = R . K with the triangular part on the left.
+def iwasawa_sln_ank(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mirrored decomposition g = R . K with the triangular part on the left,
+    of every matrix of a (..., n, n) stack: the K stack and the chart stack.
 
     Left translation by upper-triangular holonomy then acts on the chart by
     translation in the log-diagonal coordinates, which is what makes
     chart-difference cochains of an equivariant developing map well defined.
+    The first non-unimodular matrix raises SingularInput.
     """
-    _require_unimodular(g)
-    q_inv, r_inv = qr_positive(g.inv())
-    r = r_inv.inv()
-    k = q_inv.transpose()
-    assert abs(k.det() - 1.0) < 1e-6
-    return IwasawaFactors(k, _chart_from_r(r))
+    require_unimodular(g)
+    q_inv, r_inv = qr_positive(require_finite(np.linalg.inv(g)))
+    k = np.swapaxes(q_inv, -1, -2)
+    assert np.all(np.abs(np.linalg.det(k) - 1.0) < 1e-6)
+    return k, _chart_from_r(require_finite(np.linalg.inv(r_inv)))
 
 
 @dataclass(frozen=True)
@@ -231,15 +242,11 @@ def _floats(obj, length: int, what: str) -> Tuple[float, ...]:
     """A JSON array of `length` finite numbers, as floats.
 
     Booleans and numeric strings are not numbers here."""
-    if isinstance(obj, list) and len(obj) == length and not any(
-        isinstance(x, (bool, str)) for x in obj
-    ):
-        try:
-            out = tuple(float(x) for x in obj)
-            if all(map(math.isfinite, out)):
+    if isinstance(obj, list) and len(obj) == length:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            out = tuple(float(x) for x in obj if type(x) in (int, float))
+            if len(out) == length and all(map(math.isfinite, out)):
                 return out
-        except (TypeError, ValueError, OverflowError):
-            pass
     raise InputError(
         f"{what} must be an array of {length} finite numbers, got {obj!r}"
     )
@@ -247,42 +254,42 @@ def _floats(obj, length: int, what: str) -> Tuple[float, ...]:
 
 @dataclass(frozen=True)
 class GA:
-    """The affine group; elements are GAElement, edge values 2x2 matrices
+    """The affine group; elements are rows (a, b), edge values 2x2 matrices
     in its subalgebra of sl(2)."""
 
     tag: ClassVar[str] = "GA"
     n: ClassVar[int] = 2  # matrix size under ga_embed
     dim: ClassVar[int] = 2  # dimension of the Lie algebra
 
-    def identity(self) -> GAElement:
-        return GA_IDENTITY
+    def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Composition g o h, as ga_mul does it."""
+        a, b = g[..., 0], g[..., 1]
+        return np.stack([a * h[..., 0], a * h[..., 1] + b], axis=-1)
 
-    def mul(self, g: GAElement, h: GAElement) -> GAElement:
-        return ga_mul(g, h)
+    def dist(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return np.abs(g - h).max(axis=-1)
 
-    def inv(self, g: GAElement) -> GAElement:
-        return ga_inv(g)
-
-    def dist(self, g: GAElement, h: GAElement) -> float:
-        return max(abs(g.a - h.a), abs(g.b - h.b))
-
-    def matrix(self, g: GAElement) -> FMatrix:
-        return ga_embed(g)
+    def matrix(self, g: np.ndarray) -> np.ndarray:
+        """ga_embed of every row: (1/sqrt(a)) [[a, b], [0, 1]]."""
+        s = np.sqrt(g[..., 0])
+        top = np.stack([s, g[..., 1] / s], axis=-1)
+        return np.stack([top, np.stack([np.zeros_like(s), 1.0 / s], axis=-1)], axis=-2)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """(E, 2) coordinates of an (E, 2, 2) stack over diag(1, -1) and E_12."""
         return x[:, 0, :]
 
-    def from_json(self, obj) -> GAElement:
-        return GAElement(*_floats(obj, 2, "GA element [a, b]"))
-
-    def to_json(self, g: GAElement):
-        return [g.a, g.b]
+    def stack_from_json(self, objs) -> np.ndarray:
+        out = np.reshape([_floats(g, 2, "GA element [a, b]") for g in objs], (-1, 2))
+        bad = np.flatnonzero(~(out[:, 0] > 0))
+        if bad.size:
+            raise InputError(f"GA element needs a > 0, got a={out[bad[0], 0]}")
+        return out
 
 
 @dataclass(frozen=True)
 class SL:
-    """SL(n, R); elements are n x n FMatrix, edge values an (E, n, n) stack."""
+    """SL(n, R); elements are n x n matrices, edge values an (E, n, n) stack."""
 
     n: int
 
@@ -294,40 +301,37 @@ class SL:
     def dim(self) -> int:
         return self.n * self.n - 1
 
-    def identity(self) -> FMatrix:
-        return FMatrix.identity(self.n)
-
-    def mul(self, g: FMatrix, h: FMatrix) -> FMatrix:
+    def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         return g @ h
 
-    def inv(self, g: FMatrix) -> FMatrix:
-        return g.inv()
+    def dist(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return np.abs(g - h).max(axis=(-2, -1))
 
-    def dist(self, g: FMatrix, h: FMatrix) -> float:
-        return g.dist(h)
-
-    def matrix(self, g: FMatrix) -> FMatrix:
+    def matrix(self, g: np.ndarray) -> np.ndarray:
         return g
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """(E, n^2) coordinates of an (E, n, n) stack: all entries, row-major."""
         return x.reshape(len(x), -1)
 
-    def from_json(self, obj) -> FMatrix:
-        g = matrix_from_json(obj)
-        if g.n != self.n:
-            n = self.n
-            raise InputError(f"SL({n}) element must be {n}x{n}, got {g.n}x{g.n}")
-        return g
-
-    def to_json(self, g: FMatrix):
-        return g.arr.tolist()
+    def stack_from_json(self, objs) -> np.ndarray:
+        """N JSON matrices read in one pass; a malformed one raises its own error."""
+        objs, n, read = list(objs), self.n, scalar_from_json
+        with contextlib.suppress(TypeError, ValueError):
+            if all(isinstance(g, list) for g in objs):
+                out = np.array([[[read(x) for x in r] for r in g] for g in objs])
+                if out.shape[1:] == (n, n) or not objs:
+                    return out.reshape(-1, n, n)
+        for g in map(matrix_from_json, objs):
+            if g.n != n:
+                raise InputError(f"SL({n}) element must be {n}x{n}, got {g.n}x{g.n}")
+        raise AssertionError("every matrix read alone, but not as one stack")
 
 
 @dataclass(frozen=True)
 class Rk:
-    """The abelian group R^k; elements are float k-tuples, and the cochain
-    is given as k scalar cochains."""
+    """The abelian group R^k; elements are k-vectors, and the cochain is
+    given as k scalar cochains."""
 
     k: int
 
@@ -339,27 +343,18 @@ class Rk:
     def dim(self) -> int:
         return self.k
 
-    def identity(self) -> Tuple[float, ...]:
-        return (0.0,) * self.k
+    def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return g + h
 
-    def mul(self, g: Tuple[float, ...], h: Tuple[float, ...]) -> Tuple[float, ...]:
-        return tuple(x + y for x, y in zip(g, h))
+    def dist(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return np.abs(g - h).max(axis=-1)
 
-    def inv(self, g: Tuple[float, ...]) -> Tuple[float, ...]:
-        return tuple(-x for x in g)
-
-    def dist(self, g: Tuple[float, ...], h: Tuple[float, ...]) -> float:
-        return max(abs(x - y) for x, y in zip(g, h))
-
-    def from_json(self, obj) -> Tuple[float, ...]:
-        return _floats(obj, self.k, f"{self.tag} element")
-
-    def to_json(self, g: Tuple[float, ...]):
-        return list(g)
+    def stack_from_json(self, objs) -> np.ndarray:
+        what = f"{self.tag} element"
+        return np.reshape([_floats(g, self.k, what) for g in objs], (-1, self.k))
 
 
 Group = Union[GA, SL, Rk]
-GroupElement = Union[GAElement, FMatrix, Tuple[float, ...]]
 
 _RK_TAG = re.compile(r"R([1-9][0-9]*)")
 

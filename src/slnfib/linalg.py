@@ -3,8 +3,9 @@
 Exact arithmetic (RMatrix, backed by fractions.Fraction) carries every
 algebra-level computation; FMatrix (numpy float64) is the validated type of
 a single group element, used where square roots, exponentials or
-orthogonalization force floating point.  matrix_exp and matrix_log work on
-float arrays of shape (..., n, n), a stack of matrices at once.
+orthogonalization force floating point.  matrix_exp, matrix_log and
+qr_positive work on float arrays of shape (..., n, n), a stack of matrices
+at once; scipy.linalg is imported only by the kernels that call it.
 
 The JSON codec has one rule for every value: a number or a "p/q" string is
 read as its nearest float, and NaN, infinite values, booleans and values
@@ -18,7 +19,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InputError, LogDomain, SingularInput
 
@@ -173,9 +173,6 @@ class FMatrix:
     def det(self) -> float:
         return float(np.linalg.det(self.arr))
 
-    def inv(self) -> "FMatrix":
-        return FMatrix(np.linalg.inv(self.arr))
-
     def sup(self) -> float:
         """Largest absolute entry."""
         return float(np.max(np.abs(self.arr)))
@@ -197,20 +194,21 @@ def require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def qr_positive(a: FMatrix):
-    """QR factorization normalized to a strictly positive diagonal of R.
+def qr_positive(a: np.ndarray):
+    """QR factorization of every matrix of a (..., n, n) float array, in one
+    numpy qr call, normalized to a strictly positive diagonal of R.
 
     Uniqueness of (Q, R) under the positivity constraint is what makes this
-    usable as a canonical chart on the invertible matrices.
-    """
-    if not abs(a.det()) > RESIDUAL_TOL:
-        raise SingularInput(f"qr_positive: |det| = {abs(a.det()):.3e} too small")
-    q, r = np.linalg.qr(a.arr)
-    signs = np.sign(np.diag(r))
+    usable as a canonical chart on the invertible matrices.  The first
+    matrix with |det| <= RESIDUAL_TOL raises SingularInput."""
+    dets = np.abs(np.ravel(np.linalg.det(a)))
+    bad = np.flatnonzero(~(dets > RESIDUAL_TOL))
+    if bad.size:
+        raise SingularInput(f"qr_positive: |det| = {dets[bad[0]]:.3e} too small")
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    q = q * signs[np.newaxis, :]
-    r = r * signs[:, np.newaxis]
-    return FMatrix(q), FMatrix(r)
+    return q * signs[..., np.newaxis, :], r * signs[..., :, np.newaxis]
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
@@ -220,6 +218,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     An overflow gives non-finite entries, which raise InputError; numpy's
     overflow warning is silenced in favour of that error.
     """
+    import scipy.linalg
     with np.errstate(over="ignore", invalid="ignore"):
         return require_finite(scipy.linalg.expm(a))
 
@@ -234,6 +233,8 @@ def matrix_log(a: np.ndarray) -> np.ndarray:
     test raises LogDomain.
     """
     n = a.shape[-1]
+    if n > 2:
+        import scipy.linalg
     gaps = np.asarray(np.linalg.norm(a - np.eye(n), 2, axis=(-2, -1)))
     out = np.empty(a.shape)
     for k in np.ndindex(a.shape[:-2]):

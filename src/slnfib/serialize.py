@@ -7,7 +7,9 @@ complex is always a triangulated torus, given as {"torus": {"d": 2,
 "m": 8}}.  Cochain values are keyed by oriented edges as "u-v"; an edge
 keyed against its stored orientation gets the negated value.  All keys of a
 cochain are parsed first and then resolved to edges in one array pass.
-Developing-map samples are keyed by covering coordinates "x,y".
+Developing samples, keyed by covering coordinates "x,y", are read in one
+pass into an (N, d) int key array and one element array (of two keys on one
+point the later wins); the spec refuses by key an SL(n) sample of det != 1.
 
 Each loader turns a malformed or missing top-level field into one InputError
 that names the field; the checks that run on the parsed objects raise their
@@ -110,15 +112,20 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
     )
     n = cochain.n if cochain else None
     group = _field(obj, "group", lambda g: parse_group(g, n))
-    holonomy = _field(obj, "holonomy", lambda hs: [group.from_json(h) for h in hs])
-    developing = _field(
+    holonomy = _field(obj, "holonomy", group.stack_from_json)
+    samples = _field(
         obj,
         "developing",
-        lambda samples: {
-            tuple(int(c) for c in key.split(",")): group.from_json(val)
-            for key, val in samples.items()
-        },
+        lambda s: {tuple(map(int, k.split(","))): v for k, v in s.items()},
     )
+    d = complex.covering.d
+    for z in samples:
+        if len(z) != d:
+            raise InputError(f"developing key {z} is not {d} integer coordinates")
+        if max(map(abs, z)) >= 2**63:
+            raise InputError(f"developing key {z} is beyond the int64 range")
+    window = np.array(list(samples), dtype=np.int64).reshape(-1, d)
+    developing = group.stack_from_json(samples.values())
     scalar_cochains = (
         _field(
             obj,
@@ -132,6 +139,7 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
         complex=complex,
         group=group,
         holonomy=holonomy,
+        window=window,
         developing=developing,
         cochain=cochain,
         scalar_cochains=scalar_cochains,
@@ -140,14 +148,14 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
 
 def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
     cov = spec.complex.covering
-    group = spec.group
+    keys, values = spec.window.tolist(), spec.developing.tolist()
     out = {
         "torus": {"d": cov.d, "m": cov.m},
-        "group": group.tag,
-        "holonomy": [group.to_json(h) for h in spec.holonomy],
+        "group": spec.group.tag,
+        "holonomy": spec.holonomy.tolist(),
         "developing": {
-            ",".join(str(c) for c in z): group.to_json(g)
-            for z, g in sorted(spec.developing.items())
+            ",".join(map(str, keys[i])): values[i]
+            for i in sorted(range(len(keys)), key=keys.__getitem__)
         },
     }
     if spec.is_abelian():

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from slnfib.foliation import (
     product_foliation,
 )
 from slnfib.groups import SL, GAElement
-from slnfib.linalg import MAX_DIM, FMatrix
+from slnfib.linalg import MAX_DIM
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 
 
@@ -497,14 +501,15 @@ def unipotent_spec(n, m=4):
         a[n - 2, n - 1] = z[1] / m
         return a
 
-    samples = {z: D(z) for z in complex.covering.window()}
+    window = complex.covering.window()
     return LieFoliationSpec(
         complex=complex,
         group=SL(n),
-        holonomy=[FMatrix(D(m * e)) for e in np.eye(3, dtype=int)],
-        developing={z: FMatrix(g) for z, g in samples.items()},
+        holonomy=[D(m * e) for e in np.eye(3, dtype=int)],
+        window=window,
+        developing=[D(z) for z in window],
         cochain=LieCochain1(
-            complex, [samples[zv] - samples[zu] for zu, zv in complex.edge_lifts]
+            complex, [D(zv) - D(zu) for zu, zv in complex.edge_lifts]
         ),
     )
 
@@ -661,13 +666,37 @@ def test_malformed_shape_exit_2(capsys, tmp_path, product_spec, command, make):
 
 
 def test_singular_developing_value_exit_2(capsys, tmp_path):
-    # a singular sample at the tail of edge 0 ended in a numpy traceback
+    # a singular sample at the tail of edge 0 ended in a numpy traceback;
+    # it is now refused where it is read, by name
     spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(2.0, 0.3))))
     spec["developing"]["0,0"] = [[0.0, 0.0], [0.0, 0.0]]
     code = main(["check-foliation", write_json(tmp_path, "singular.json", spec)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == "error: developing value at an edge tail is singular: Singular matrix\n"
+    assert err == 'input error: developing sample "0,0" has det 0, not in SL(2)\n'
+
+
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+@pytest.mark.parametrize(
+    "field, key, message",
+    [
+        ("developing", "1,1", 'developing sample "1,1" has det 1e-310, not in SL(2)'),
+        ("holonomy", 1, "holonomy image 1 has det 1e-310, not in SL(2)"),
+    ],
+)
+def test_non_unimodular_element_is_refused_by_name(
+    capsys, tmp_path, command, field, key, message
+):
+    # det 1e-310 passed the loader and failed far from it, unnamed
+    spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(1.5, 0.3))))
+    spec[field][key] = [[1e-310, 0.0], [0.0, 1.0]]
+    argv = [command, write_json(tmp_path, "tiny.json", spec)]
+    if command == "pipeline":
+        argv += ["--epsilon", "0.01"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
 
 
 def drop_origin(samples):
@@ -695,3 +724,30 @@ def test_developing_window_exit_2(capsys, tmp_path, command, window, message):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: " + message)
+
+
+def test_brackets_and_tischler_import_no_scipy(tmp_path):
+    # scipy.linalg is imported by the float kernels that call it, and these
+    # two commands call none of them
+    k = torus_complex(2, 4)
+    w = coordinate_cochain(k, 0).scale(1.0) + coordinate_cochain(k, 1).scale(math.sqrt(2))
+    form = {"torus": {"d": 2, "m": 4}, "cochain": scalar_cochain_to_json(w)}
+    path = write_json(tmp_path, "t2.json", form)
+    script = (
+        "import contextlib, io, sys\n"
+        "from slnfib.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify-brackets', '--n', '3']),\n"
+        f"             main(['tischler', {path!r}, '--epsilon', '0.05'])]\n"
+        "print(codes, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path_var),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"

@@ -25,6 +25,11 @@ from slnfib.linalg import FMatrix, matrix_log
 from slnfib.serialize import dump_foliation_spec
 
 
+def samples(spec):
+    """(grid point, developing value) of every row of the window."""
+    return list(zip(map(tuple, spec.window.tolist()), spec.developing))
+
+
 class TestLinearSpec:
     def test_mc_passes(self):
         spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
@@ -59,6 +64,7 @@ class TestLinearSpec:
             complex=spec.complex,
             group=Rk(1),
             holonomy=[(1.0,), (alpha + 0.125,)],
+            window=spec.window,
             developing=spec.developing,
             scalar_cochains=spec.scalar_cochains,
         )
@@ -81,6 +87,79 @@ class TestGASuspension:
         assert rep.flat
 
 
+def brute_force_equivariance(spec):
+    """(max deviation, pairs) of D(z + m e_g) against h(g) . D(z), one
+    (sample, generator) pair at a time, with each group law written out."""
+    m = spec.complex.covering.m
+    stored = dict(samples(spec))
+    worst, count = 0.0, 0
+    for z, g in stored.items():
+        for gen, h in enumerate(spec.holonomy):
+            shifted = tuple(c + m * (axis == gen) for axis, c in enumerate(z))
+            if shifted not in stored:
+                continue
+            if spec.group == GA():  # (a, b) o (a', b') = (a a', a b' + b)
+                expect = np.array([h[0] * g[0], h[0] * g[1] + h[1]])
+            elif isinstance(spec.group, SL):
+                expect = np.array(h) @ np.array(g)
+            else:
+                expect = np.array(h) + np.array(g)
+            worst = max(worst, float(np.abs(stored[shifted] - expect).max()))
+            count += 1
+    return worst, count
+
+
+EQUIVARIANCE_SPECS = {
+    # spec, a stored target point of an exact pair and the entry moved there
+    "ga": (lambda: ga_suspension(8, GAElement(3.0, 1.0)), (8,), (1,)),
+    "sl2": (
+        lambda: product_foliation(ga_suspension(8, GAElement(2.0, 0.0))),
+        (8, 0),
+        (1, 0),
+    ),
+    "r2": (
+        lambda: linear_torus_spec(8, [[1.0, math.sqrt(2)], [0.3, 1.0]]),
+        (8, 0),
+        (0,),
+    ),
+}
+
+
+class TestEquivarianceOracle:
+    @pytest.mark.parametrize("name", sorted(EQUIVARIANCE_SPECS))
+    def test_stacked_check_equals_the_pair_loop(self, name):
+        spec = EQUIVARIANCE_SPECS[name][0]()
+        rep = check_equivariance(spec)
+        assert (rep.max_deviation, rep.checked_pairs) == brute_force_equivariance(spec)
+        assert rep.checked_pairs > 0 and rep.max_deviation < 1e-9
+
+    @pytest.mark.parametrize("name", sorted(EQUIVARIANCE_SPECS))
+    def test_a_moved_sample_shows_its_move(self, name):
+        # the pair into the target is exact, and the entry moves from a
+        # value that delta = 2^-10 moves exactly (for SL(2), entry (1, 0) of
+        # a diagonal sample, which keeps det = 1)
+        make, target, entry = EQUIVARIANCE_SPECS[name]
+        spec = make()
+        delta = 2.0 ** -10
+        moved = spec.developing.copy()
+        row = spec.window.tolist().index(list(target))
+        moved[(row,) + entry] += delta
+        spec = dataclasses.replace(spec, developing=moved)
+        rep = check_equivariance(spec)
+        assert rep.max_deviation >= delta
+        assert (rep.max_deviation, rep.checked_pairs) == brute_force_equivariance(spec)
+
+    @pytest.mark.parametrize("name", sorted(EQUIVARIANCE_SPECS))
+    def test_a_window_without_deck_pairs_is_refused(self, name):
+        spec = EQUIVARIANCE_SPECS[name][0]()
+        base = spec.window.max(axis=1) < spec.complex.covering.m
+        spec = dataclasses.replace(
+            spec, window=spec.window[base], developing=spec.developing[base]
+        )
+        with pytest.raises(InputError, match="developing window too small"):
+            check_equivariance(spec)
+
+
 class TestProductFoliation:
     def test_equivariance(self, product_spec):
         rep = check_equivariance(product_spec)
@@ -94,10 +173,10 @@ class TestProductFoliation:
         # iwasawa_sl2 of D(x, y) recovers (base developing, circle position)
         m = product_spec.complex.covering.m
         base = ga_suspension(m, GAElement(2.0, 0.0))
-        for z, g in list(product_spec.developing.items())[:50]:
-            b, ang = iwasawa_sl2(g)
+        for z, g in samples(product_spec)[:50]:
+            b, ang = iwasawa_sl2(FMatrix(g))
             d0 = base.developing_value((z[0],))
-            assert abs(b.a - d0.a) < 1e-9 and abs(b.b - d0.b) < 1e-9
+            assert abs(b.a - d0[0]) < 1e-9 and abs(b.b - d0[1]) < 1e-9
             expect = (2 * math.pi * z[1] / m) % (2 * math.pi)
             diff = abs(ang.theta - expect)
             assert min(diff, 2 * math.pi - diff) < 1e-9
@@ -105,8 +184,8 @@ class TestProductFoliation:
     def test_degenerate_base_gives_rotation_family(self):
         base = ga_suspension(8, GAElement(1.0, 0.0))
         prod = product_foliation(base)
-        for z, g in list(prod.developing.items())[:20]:
-            b, _ = iwasawa_sl2(g)
+        for z, g in samples(prod)[:20]:
+            b, _ = iwasawa_sl2(FMatrix(g))
             assert abs(b.a - 1.0) < 1e-9 and abs(b.b) < 1e-9
 
     def test_rejects_non_ga_base(self):
@@ -121,9 +200,9 @@ class TestProjectFoliation:
         assert ga_fac.group == GA()
         m = product_spec.complex.covering.m
         base = ga_suspension(m, GAElement(2.0, 0.0))
-        for z, b in list(ga_fac.developing.items())[:50]:
+        for z, b in samples(ga_fac)[:50]:
             d0 = base.developing_value((z[0],))
-            assert abs(b.a - d0.a) < 1e-9 and abs(b.b - d0.b) < 1e-9
+            assert abs(b[0] - d0[0]) < 1e-9 and abs(b[1] - d0[1]) < 1e-9
         assert ga_fac.validate_consistency() < 1e-9
 
     def test_abelian_factor_closed_with_log_period(self, product_spec):
@@ -140,13 +219,13 @@ class TestProjectFoliation:
     def test_lifts_outside_a_partial_window(self, product_spec, which):
         # edge lifts reach coordinate m, outside a window of the base domain
         m = product_spec.complex.covering.m
+        inside = product_spec.window.max(axis=1) < m
         partial = LieFoliationSpec(
             complex=product_spec.complex,
             group=SL(2),
             holonomy=product_spec.holonomy,
-            developing={
-                z: g for z, g in product_spec.developing.items() if max(z) < m
-            },
+            window=product_spec.window[inside],
+            developing=product_spec.developing[inside],
             cochain=product_spec.cochain,
         )
         got = project_foliation(partial, which)
@@ -195,7 +274,8 @@ class TestKernelCounts:
         monkeypatch.setattr(groups, "qr_positive", counted)
         project_foliation(product_spec, 2)
         assert len(product_spec.developing) == 24 * 24
-        assert len(calls) == 24 * 24 + len(product_spec.holonomy)
+        # matrices charted, over all calls
+        assert sum(len(a) for a in calls) == 24 * 24 + len(product_spec.holonomy)
 
     def test_constructors_take_one_log_per_edge(self, monkeypatch):
         calls = []
@@ -289,6 +369,7 @@ class TestSpecInvariants:
                 complex=product_spec.complex,
                 group=SL(2),
                 holonomy=product_spec.holonomy,
+                window=product_spec.window,
                 developing=product_spec.developing,
             )
 
@@ -299,7 +380,8 @@ class TestSpecInvariants:
             LieFoliationSpec(
                 complex=product_spec.complex,
                 group=SL(2),
-                holonomy=[a, b],
+                holonomy=[a.arr, b.arr],
+                window=product_spec.window,
                 developing=product_spec.developing,
                 cochain=product_spec.cochain,
             )
@@ -312,6 +394,7 @@ class TestSpecInvariants:
             complex=product_spec.complex,
             group=SL(2),
             holonomy=product_spec.holonomy,
+            window=product_spec.window,
             developing=product_spec.developing,
             cochain=w2,
         )

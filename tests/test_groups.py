@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_sl
 from slnfib.errors import DimensionError, InputError, SingularInput
@@ -23,7 +25,9 @@ from slnfib.groups import (
     iwasawa_sln_ank,
     rotation,
     section,
+    _r_from_chart,
 )
+from slnfib.foliation import ga_suspension, product_foliation
 from slnfib.linalg import FMatrix, qr_positive
 
 
@@ -132,7 +136,7 @@ class TestIwasawaSLn:
         # decompose(recompose(chart)) = chart on random charts
         n = 3
         for _ in range(50):
-            q, _ = qr_positive(random_sl(n, rng))
+            q = FMatrix(qr_positive(random_sl(n, rng).arr)[0])
             chart = tuple(rng.normal(size=chart_length(n)) * 0.5)
             f = iwasawa_sln(iwasawa_recompose(IwasawaFactors(q, chart)))
             assert f.k.dist(q) < 1e-8
@@ -142,10 +146,10 @@ class TestIwasawaSLn:
         # g = R . K, so g . K^T = R is its own K . R factorization with K = I
         for n in (2, 3):
             g = random_sl(n, rng)
-            f = iwasawa_sln_ank(g)
-            r = iwasawa_sln(g @ f.k.transpose())
+            k, chart = iwasawa_sln_ank(g.arr)
+            r = iwasawa_sln(g @ FMatrix(k).transpose())
             assert r.k.dist(FMatrix.identity(n)) < 1e-9
-            assert max(abs(a - b) for a, b in zip(r.chart, f.chart)) < 1e-9
+            assert max(abs(a - b) for a, b in zip(r.chart, chart)) < 1e-9
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(SingularInput):
@@ -192,6 +196,52 @@ def test_circle_angle_canonical_idempotent():
 
 
 def test_nan_determinant_is_not_unimodular(monkeypatch):
-    monkeypatch.setattr(FMatrix, "det", lambda self: math.nan)
+    monkeypatch.setattr(np.linalg, "det", lambda a: math.nan)
     with pytest.raises(SingularInput, match="det nan, not in SL"):
         iwasawa_sl2(FMatrix.identity(2))
+
+
+@st.composite
+def sl_stacks(draw):
+    """A stack of 1..5 SL(n) matrices, n = 2..4: exp of traceless matrices
+    with entries in [-0.5, 0.5]."""
+    n, size = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    entries = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
+    count = size * n * n
+    x = np.reshape(draw(st.lists(entries, min_size=count, max_size=count)), (size, n, n))
+    x -= np.trace(x, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+    return scipy.linalg.expm(x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sl_stacks())
+def test_stacked_ank_charts_rebuild_each_matrix(g):
+    # each slice checked on its own, away from the QR path: R from the chart
+    # alone, K = R^-1 g by a linear solve
+    n = g.shape[-1]
+    k, charts = iwasawa_sln_ank(g)
+    assert k.shape == g.shape and charts.shape == (len(g), chart_length(n))
+    for g_i, k_i, chart in zip(g, k, charts):
+        r = _r_from_chart(n, chart).arr
+        assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) > 0)
+        k_solved = np.linalg.solve(r, g_i)
+        assert np.abs(k_solved @ k_solved.T - np.eye(n)).max() <= 1e-12
+        assert abs(np.linalg.det(k_solved) - 1.0) <= 1e-12
+        assert np.abs(r @ k_i - g_i).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m, hol", [(8, (2.0, 0.0)), (8, (1.5, 0.3)), (16, (1.5, 0.3))])
+def test_window_charts_match_single_matrix_charts_bit_for_bit(m, hol):
+    spec = product_foliation(ga_suspension(m, GAElement(*hol)))
+    stack = np.concatenate([spec.developing, spec.holonomy])
+    k, charts = iwasawa_sln_ank(stack)
+    assert len(charts) == (3 * m) ** 2 + 2
+    for g, k_g, chart in zip(stack, k, charts):
+        k_1, chart_1 = iwasawa_sln_ank(g)
+        assert np.array_equal(chart_1, chart) and np.array_equal(k_1, k_g)
+
+
+def test_first_non_unimodular_slice_raises():
+    stack = np.array([np.eye(2), np.diag([2.0, 1.0]), np.zeros((2, 2))])
+    with pytest.raises(SingularInput, match="matrix has det 2, not in SL"):
+        iwasawa_sln_ank(stack)

@@ -69,38 +69,55 @@ class TestDeterminant:
                 assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
+def sup(a) -> float:
+    return float(np.abs(a).max())
+
+
 class TestQRPositive:
     def test_rotation_input(self):
         th = 0.7
-        rot = FMatrix([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         q, r = qr_positive(rot)
-        assert q.allclose(rot, 1e-12)
-        assert r.allclose(FMatrix.identity(2), 1e-12)
+        assert sup(q - rot) < 1e-12
+        assert sup(r - np.eye(2)) < 1e-12
 
     def test_upper_triangular_input(self):
-        m = FMatrix([[2.0, 1.5], [0.0, 0.5]])
+        m = np.array([[2.0, 1.5], [0.0, 0.5]])
         q, r = qr_positive(m)
-        assert q.allclose(FMatrix.identity(2), 1e-12)
-        assert r.allclose(m, 1e-12)
+        assert sup(q - np.eye(2)) < 1e-12
+        assert sup(r - m) < 1e-12
 
     def test_reconstruction_random_sl3(self, rng):
         for _ in range(50):
-            a = random_sl(3, rng)
+            a = random_sl(3, rng).arr
             q, r = qr_positive(a)
-            assert (q @ r).dist(a) < 1e-9
-            assert (q.transpose() @ q).dist(FMatrix.identity(3)) < 1e-9
+            assert sup(q @ r - a) < 1e-9
+            assert sup(q.T @ q - np.eye(3)) < 1e-9
             assert all(r[i, i] > 0 for i in range(3))
 
     def test_uniqueness(self, rng):
-        a = random_sl(4, rng)
+        a = random_sl(4, rng).arr
         q, r = qr_positive(a)
         q2, r2 = qr_positive(q @ r)
-        assert q2.dist(q) < EQ_TOL
-        assert r2.dist(r) < EQ_TOL
+        assert sup(q2 - q) < EQ_TOL
+        assert sup(r2 - r) < EQ_TOL
 
     def test_singular_rejected(self):
         with pytest.raises(SingularInput):
-            qr_positive(FMatrix([[1.0, 1.0], [1.0, 1.0]]))
+            qr_positive(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_stack_matches_each_matrix(self, rng):
+        # one call on a stack gives each matrix's own factors, bit for bit
+        stack = np.array([random_sl(n, rng).arr for n in (3,) * 6])
+        q, r = qr_positive(stack)
+        for a, qa, ra in zip(stack, q, r):
+            q1, r1 = qr_positive(a)
+            assert np.array_equal(q1, qa) and np.array_equal(r1, ra)
+
+    def test_first_singular_slice_raises(self):
+        stack = np.array([np.eye(2), np.diag([1e-11, 1.0]), np.zeros((2, 2))])
+        with pytest.raises(SingularInput, match=r"\|det\| = 1\.000e-11 too small"):
+            qr_positive(stack)
 
 
 class TestExpLog:
@@ -213,9 +230,9 @@ class TestNaNVerdicts:
     """A NaN residual fails each tolerance test instead of passing it."""
 
     def test_nan_determinant_is_singular(self, monkeypatch):
-        monkeypatch.setattr(FMatrix, "det", lambda self: math.nan)
+        monkeypatch.setattr(np.linalg, "det", lambda a: math.nan)
         with pytest.raises(SingularInput, match="nan too small"):
-            qr_positive(FMatrix.identity(2))
+            qr_positive(np.eye(2))
 
     def test_nan_distance_to_identity_is_outside_the_ball(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: math.nan)
