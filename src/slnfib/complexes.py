@@ -6,20 +6,23 @@ for d = 2 every square splits along the (+1, +1) diagonal.  Every complex is
 such a d-torus on an m^d grid and carries its covering data: the deck group
 Z^d acts on integer grid coordinates by shifts of m.
 
-Each edge is stored once, in the orientation of complex.edges, together with
-its covering lift (z, z + e), e in {0,1}^d.  A scalar 1-cochain is one
-read-only float64 array in that order, and its coboundary, periods and
-closedness are array expressions over the complex's int incidence arrays; a
-Lie cochain is one read-only float64 array of shape (E, n, n) in that order,
-and its triangle holonomies come from one stacked exponential.  The complex
-maps oriented edges (u, v), one pair or arrays of them, to edge indices and
-signs, +1 if the edge is stored as (u, v) and -1 if it is stored as (v, u).
+Each edge is stored once, as a row of the (E, 2) int array complex.edges,
+together with its covering lift (z, z + e), e in {0,1}^d, a row of the
+(E, 2, d) int array complex.lifts; vertex coordinates are one (V, d) int
+array, and no per-edge or per-vertex Python list is kept.  A scalar
+1-cochain is one read-only float64 array in edge order, and its coboundary,
+periods and closedness are array expressions over the complex's int
+incidence arrays; a Lie cochain is one read-only float64 array of shape
+(E, n, n) in that order, and its triangle holonomies come from one stacked
+exponential.  The complex maps oriented edges (u, v), one pair or arrays of
+them, to edge indices and signs, +1 if the edge is stored as (u, v) and -1
+if it is stored as (v, u).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,11 +57,12 @@ class TorusCovering:
 class SimplicialComplex:
     """Oriented 1- and 2-skeleton (plus tetrahedra for d = 3) of a torus.
 
-    Built from the covering alone.  Vertex v has grid coordinates
-    vertex_coords[v] (v = covering.base_index of them); edge
-    u * (2^d - 1) + j is (u, u + e_j) for the j-th nonzero e_j in {0,1}^d
-    (_monotone_vectors order), with covering lift edge_lifts[i] (row i of
-    the (E, 2, d) int array lifts) and base edge edges[i].  A grid cell is
+    Built from the covering alone, as int arrays.  Vertex v has grid
+    coordinates vertex_coords[v] (a V x d array; v = covering.base_index of
+    them); edge u * (2^d - 1) + j is (u, u + e_j) for the j-th nonzero e_j
+    in {0,1}^d (_monotone_vectors order), with covering lift lifts[i] (an
+    E x 2 x d array, the one lift table) and base edge edges[i] (an E x 2
+    array, read off the lift by torus arithmetic).  A grid cell is
     cut along increasing chains 0 < a < b (< c) of such vectors, so each
     simplex is (z, z + a, z + b, ...) and each of its edges is stored in the
     direction it is walked.
@@ -77,24 +81,15 @@ class SimplicialComplex:
         vecs = _monotone_vectors(d)
         vec_index = {e: j for j, e in enumerate(vecs)}
         n = m ** d
-        self.vertex_coords: List[Tuple[int, ...]] = [
-            tuple(reversed(c)) for c in itertools.product(range(m), repeat=d)
-        ]
-        self._coords = np.array(self.vertex_coords, dtype=np.int64)
+        powers = m ** np.arange(d)
+        self.vertex_coords = np.arange(n)[:, None] // powers % m
         self.n_vertices = n
-        self.edge_lifts = [
-            (z, tuple(z_i + e_i for z_i, e_i in zip(z, e)))
-            for z in self.vertex_coords
-            for e in vecs
-        ]
-        tails = np.repeat(self._coords, len(vecs), axis=0)
+        tails = np.repeat(self.vertex_coords, len(vecs), axis=0)
         self.lifts = np.stack([tails, tails + np.tile(vecs, (n, 1))], axis=1)
-        self.edges: List[Edge] = [
-            (covering.base_index(zu), covering.base_index(zv))
-            for zu, zv in self.edge_lifts
-        ]
+        heads = self.lifts[:, 1] % m @ powers
+        self.edges = np.stack([np.repeat(np.arange(n), len(vecs)), heads], axis=1)
         # a stable sort of the edge ends by vertex keeps each row ascending
-        ends = np.argsort(np.ravel(self.edges), kind="stable")
+        ends = np.argsort(self.edges.ravel(), kind="stable")
         self.incidence = (ends // 2).reshape(n, 2 * len(vecs))
 
         grid = np.arange(n).reshape((m,) * d)  # grid[c_(d-1), ..., c_0] = v
@@ -137,7 +132,7 @@ class SimplicialComplex:
         u, v = _vertex_array(u), _vertex_array(v)
         inside = (0 <= u) & (u < self.n_vertices) & (0 <= v) & (v < self.n_vertices)
         u_at, v_at = (np.where(inside, x, 0).astype(np.int64) for x in (u, v))
-        step = self._coords[v_at] - self._coords[u_at]
+        step = self.vertex_coords[v_at] - self.vertex_coords[u_at]
         ahead = _step_index(step % self.covering.m)
         back = _step_index(-step % self.covering.m)
         bad = np.flatnonzero(~inside | ((ahead < 0) & (back < 0)))
@@ -148,15 +143,20 @@ class SimplicialComplex:
         # [()] gives scalars for one pair and the arrays themselves otherwise
         return index[()], np.where(ahead >= 0, 1, -1)[()]
 
-    def indexed(self, values: Dict[Edge, object], base) -> np.ndarray:
-        """A float64 copy of the edge-indexed array base, overwritten by values
-        keyed by oriented edges (negated when keyed against the stored
-        orientation); of two keys on one edge the later wins."""
+    def indexed(self, u, v, values, base) -> np.ndarray:
+        """A float64 copy of the edge-indexed array base, overwritten by
+        values[k] on the oriented edge (u[k], v[k]) (negated when keyed
+        against the stored orientation), all resolved by one orient call; of
+        two keys on one edge the later wins."""
         out = np.array(base, dtype=np.float64)
-        if values:
-            index, sign = self.orient(*zip(*values))
-            for i, s, val in zip(index.tolist(), sign.tolist(), values.values()):
-                out[i] = val if s > 0 else -val
+        if len(values):
+            index, sign = self.orient(u, v)
+            # the last key on each edge, explicitly: a fancy assignment
+            # does not promise which of two writes to one slot lands
+            last = len(index) - 1 - np.unique(index[::-1], return_index=True)[1]
+            values = np.asarray(values, dtype=np.float64)[last]
+            sign = sign[last].reshape((-1,) + (1,) * (values.ndim - 1))
+            out[index[last]] = values * sign
         return out
 
     def triangles_of_edge(self, u: int, v: int) -> List[int]:
@@ -266,8 +266,8 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     Closed, with period 1 on the axis generator and 0 on the others; these are
     the stored harmonic duals of the torus homology basis.
     """
-    steps = [zv[axis] - zu[axis] for zu, zv in complex.edge_lifts]
-    return ScalarCochain1(complex, np.array(steps) / complex.covering.m)
+    steps = complex.lifts[:, 1, axis] - complex.lifts[:, 0, axis]
+    return ScalarCochain1(complex, steps / complex.covering.m)
 
 
 def coboundary(w: ScalarCochain1) -> np.ndarray:
@@ -323,15 +323,20 @@ class LieCochain1:
 
 def holonomy_residual(w: LieCochain1) -> np.ndarray:
     """Per triangle (u, v, x): exp(w(uv)) exp(w(vx)) exp(w(xu)) - I, as a
-    (T, n, n) array from one stacked exponential of the 3T edge values.
+    (T, n, n) array from one stacked exponential, taken once per distinct
+    (edge, sign) among the 3T edge values: on a closed surface each such
+    pair borders two triangles.
 
     Independent flatness oracle: exact discrete-connection flatness makes the
     triangle holonomy the identity regardless of any Maurer-Cartan
     discretization convention.  A non-finite residual raises InputError.
     """
     index, sign = w.complex.triangle_edges[:, :, 0], w.complex.triangle_edges[:, :, 1]
-    # w(uv), w(vx) and w(xu) = -w(ux) of every triangle, as one (T, 3, n, n) stack
-    along = w.values[index] * (sign * [1, 1, -1])[:, :, None, None]
-    a, b, c = np.moveaxis(matrix_exp(along), 1, 0)
+    # w(uv), w(vx) and w(xu) = -w(ux) of every triangle, as a (T, 3) gather
+    # from the exponentials of the distinct signed edge values
+    sign = sign * [1, 1, -1]
+    pairs, at = np.unique(2 * index + (sign > 0), return_inverse=True)
+    signed = w.values[pairs // 2] * np.where(pairs % 2, 1.0, -1.0)[:, None, None]
+    a, b, c = np.moveaxis(matrix_exp(signed)[at.reshape(index.shape)], 1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         return require_finite(a @ b @ c - np.eye(w.n))

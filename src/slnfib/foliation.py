@@ -3,7 +3,8 @@
 A foliation spec bundles a complex with covering data, a flat 1-cochain, a
 holonomy representation of the deck group, and a finite window of the
 developing map: an (N, d) int array of covering grid points and one array
-of their group elements, row for row.  The checks are the discrete versions
+of their group elements, row for row.  Points are looked up in the window by
+a searchsorted over its sorted row keys.  The checks are the discrete versions
 of the defining conditions: the Maurer-Cartan equation plus pointwise
 surjectivity, and equivariance D(deck_g . x) = h(g) . D(x).
 
@@ -104,23 +105,32 @@ class LieFoliationSpec:
             for b in hol[i + 1:]:
                 if not group.dist(group.mul(a, b), group.mul(b, a)) <= EQ_TOL:
                     raise InputError("deck generator images do not commute")
-        self._rows = {z: i for i, z in enumerate(map(tuple, keys.tolist()))}
-        missing = [z for z in self.complex.vertex_coords if z not in self._rows]
-        if missing:
+        # window rows sorted by key, equal keys in row order, for searchsorted
+        row_keys = _row_keys(keys)
+        self._order = np.argsort(row_keys, kind="stable")
+        self._sorted = row_keys[self._order]
+        missing = np.flatnonzero(self.rows(self.complex.vertex_coords) < 0)
+        if missing.size:
+            first = tuple(self.complex.vertex_coords[missing[0]].tolist())
             raise InputError(
-                f"developing window misses {len(missing)} base vertices, "
-                f"first {missing[0]}"
+                f"developing window misses {missing.size} base vertices, "
+                f"first {first}"
             )
 
     def is_abelian(self) -> bool:
         return self.scalar_cochains is not None
 
     def rows(self, points) -> np.ndarray:
-        """The window row of every point of a (..., d) int array, -1 off it."""
-        points = np.asarray(points)
-        flat = points.reshape(-1, points.shape[-1]).tolist()
-        found = [self._rows.get(tuple(z), -1) for z in flat]
-        return np.array(found, dtype=np.int64).reshape(points.shape[:-1])
+        """The window row of every point of a (..., d) int array, -1 off it;
+        of two rows with one key, the later."""
+        points = np.asarray(points, dtype=np.int64)
+        key = _row_keys(points.reshape(-1, points.shape[-1]))
+        at = np.searchsorted(self._sorted, key, side="right") - 1
+        found = at >= 0
+        found[found] = self._sorted[at[found]] == key[found]
+        out = np.full(key.shape, -1)
+        out[found] = self._order[at[found]]
+        return out.reshape(points.shape[:-1])
 
     def developing_value(self, points) -> np.ndarray:
         """D at every point of a (..., d) int array, as one row gather.  A
@@ -148,6 +158,13 @@ class LieFoliationSpec:
         got = np.stack([w.values for w in self.scalar_cochains], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max(np.abs(got - (ends[:, 1] - ends[:, 0]))))
+
+
+def _row_keys(points: np.ndarray) -> np.ndarray:
+    """One sortable key per row of an (N, d) int64 array: its d * 8 bytes as
+    one void value, equal exactly where the rows are equal."""
+    rows = np.ascontiguousarray(points, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).ravel()
 
 
 def edge_logarithms(complex: SimplicialComplex, ends: np.ndarray) -> LieCochain1:

@@ -14,7 +14,6 @@ The unimodularity check and the AN-left chart take whole (..., n, n) stacks.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, SingularInput
 from .linalg import (
-    EQ_TOL, FMatrix, matrix_from_json, qr_positive, require_finite, scalar_from_json
+    EQ_TOL, FMatrix, matrices_from_json, numbers_from_json, qr_positive, require_finite
 )
 
 
@@ -88,7 +87,8 @@ def section(angle) -> FMatrix:
 def require_unimodular(g: np.ndarray, name=lambda i: "matrix", error=SingularInput):
     """Raise error, naming it name(index), for the first matrix of the
     (..., n, n) array g in stack order with |det - 1| > 100 EQ_TOL (or NaN)."""
-    dets = np.ravel(np.linalg.det(g))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        dets = np.ravel(np.linalg.det(g))
     bad = np.flatnonzero(~(np.abs(dets - 1.0) <= EQ_TOL * 100))
     if bad.size:
         n, det = g.shape[-1], dets[bad[0]]
@@ -166,12 +166,18 @@ def _r_from_chart(n: int, chart) -> FMatrix:
     return FMatrix(r)
 
 
+def _require_rotation(q: np.ndarray):
+    """det R > 0 and det g = 1 force det Q = +1; checked, not assumed: on an
+    ill-conditioned g rounding loses it, which raises SingularInput."""
+    if not np.all(np.abs(np.linalg.det(q) - 1.0) < 1e-6):
+        raise SingularInput("QR of a unimodular matrix lost det Q = +1")
+
+
 def iwasawa_sln(g: FMatrix) -> IwasawaFactors:
     """SO(n)-left decomposition g = K . R via positive-diagonal QR."""
     require_unimodular(g.arr)
     q, r = qr_positive(g.arr)
-    # det R > 0 and det g = 1 force det Q = +1; asserted, not assumed.
-    assert abs(np.linalg.det(q) - 1) < 1e-6, "QR of a unimodular matrix lost det Q = +1"
+    _require_rotation(q)
     return IwasawaFactors(FMatrix(q), tuple(_chart_from_r(r).tolist()))
 
 
@@ -195,7 +201,7 @@ def iwasawa_sln_ank(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     require_unimodular(g)
     q_inv, r_inv = qr_positive(require_finite(np.linalg.inv(g)))
     k = np.swapaxes(q_inv, -1, -2)
-    assert np.all(np.abs(np.linalg.det(k) - 1.0) < 1e-6)
+    _require_rotation(k)
     return k, _chart_from_r(require_finite(np.linalg.inv(r_inv)))
 
 
@@ -238,18 +244,20 @@ def factor_split(n: int) -> FactorSplit:
 # Target groups of a foliation
 
 
-def _floats(obj, length: int, what: str) -> Tuple[float, ...]:
-    """A JSON array of `length` finite numbers, as floats.
+def _vectors(objs, length: int, what: str) -> np.ndarray:
+    """JSON arrays of `length` finite numbers each, as one (N, length)
+    float64 array; the first other one raises InputError.
 
     Booleans and numeric strings are not numbers here."""
-    if isinstance(obj, list) and len(obj) == length:
-        with contextlib.suppress(OverflowError):  # an int beyond the float range
-            out = tuple(float(x) for x in obj if type(x) in (int, float))
-            if len(out) == length and all(map(math.isfinite, out)):
-                return out
-    raise InputError(
-        f"{what} must be an array of {length} finite numbers, got {obj!r}"
-    )
+    objs = list(objs)
+    out = numbers_from_json(objs, 2)
+    if out is None or out.shape[1:] != (length,) and objs:
+        fits = [getattr(numbers_from_json(g, 1), "shape", 0) == (length,) for g in objs]
+        raise InputError(
+            f"{what} must be an array of {length} finite numbers, "
+            f"got {objs[fits.index(False)]!r}"
+        )
+    return out.reshape(-1, length)
 
 
 @dataclass(frozen=True)
@@ -280,7 +288,7 @@ class GA:
         return x[:, 0, :]
 
     def stack_from_json(self, objs) -> np.ndarray:
-        out = np.reshape([_floats(g, 2, "GA element [a, b]") for g in objs], (-1, 2))
+        out = _vectors(objs, 2, "GA element [a, b]")
         bad = np.flatnonzero(~(out[:, 0] > 0))
         if bad.size:
             raise InputError(f"GA element needs a > 0, got a={out[bad[0], 0]}")
@@ -316,16 +324,12 @@ class SL:
 
     def stack_from_json(self, objs) -> np.ndarray:
         """N JSON matrices read in one pass; a malformed one raises its own error."""
-        objs, n, read = list(objs), self.n, scalar_from_json
-        with contextlib.suppress(TypeError, ValueError):
-            if all(isinstance(g, list) for g in objs):
-                out = np.array([[[read(x) for x in r] for r in g] for g in objs])
-                if out.shape[1:] == (n, n) or not objs:
-                    return out.reshape(-1, n, n)
-        for g in map(matrix_from_json, objs):
-            if g.n != n:
-                raise InputError(f"SL({n}) element must be {n}x{n}, got {g.n}x{g.n}")
-        raise AssertionError("every matrix read alone, but not as one stack")
+        stack, n = matrices_from_json(list(objs)), self.n
+        for g in stack:
+            if len(g) != n:
+                k = len(g)
+                raise InputError(f"SL({n}) element must be {n}x{n}, got {k}x{k}")
+        return np.reshape(stack, (-1, n, n))
 
 
 @dataclass(frozen=True)
@@ -350,8 +354,7 @@ class Rk:
         return np.abs(g - h).max(axis=-1)
 
     def stack_from_json(self, objs) -> np.ndarray:
-        what = f"{self.tag} element"
-        return np.reshape([_floats(g, self.k, what) for g in objs], (-1, self.k))
+        return _vectors(objs, self.k, f"{self.tag} element")
 
 
 Group = Union[GA, SL, Rk]

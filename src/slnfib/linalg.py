@@ -9,14 +9,18 @@ at once; scipy.linalg is imported only by the kernels that call it.
 
 The JSON codec has one rule for every value: a number or a "p/q" string is
 read as its nearest float, and NaN, infinite values, booleans and values
-beyond the float range are refused.  A JSON matrix is a row-major nested
-array of such values and is always read as an FMatrix.
+beyond the float range are refused.  One reader, scalars_from_json, reads
+every matrix, stack of matrices, element list and cochain: numbers in one
+numpy conversion, "p/q" strings and refusals leaf by leaf.  A JSON matrix is
+a row-major nested array of such values and is always read as an FMatrix.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -299,11 +303,55 @@ def scalar_from_json(v) -> float:
     return x
 
 
+def numbers_from_json(obj, ndim: int):
+    """obj as one float64 array if it is nested lists ndim deep (ndim = 0:
+    one leaf) of finite JSON numbers, with no booleans or strings, else
+    None: one numpy conversion and one finiteness check for all leaves."""
+    leaves, shape = [obj], []
+    for _ in range(ndim):
+        if not set(map(type, leaves)) <= {list} or len(set(map(len, leaves))) > 1:
+            return None
+        shape.append(len(leaves[0]) if leaves else 0)
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if set(map(type, leaves)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            out = np.array(leaves, dtype=np.float64)
+            if np.isfinite(out).all():
+                return out.reshape(shape)
+    return None
+
+
+def scalars_from_json(obj, ndim: int) -> np.ndarray:
+    """The JSON scalars of obj, nested lists ndim deep, as one float64 array:
+    numbers_from_json, else leaf by leaf in row-major order as
+    scalar_from_json reads each, so that only "p/q" strings go through
+    Fraction and the first bad leaf raises its InputError (a row that is not
+    iterable raises TypeError, ragged rows ValueError)."""
+    out = numbers_from_json(obj, ndim)
+    return np.array(_read_leaves(obj, ndim), dtype=np.float64) if out is None else out
+
+
+def _read_leaves(obj, ndim: int):
+    return [_read_leaves(x, ndim - 1) for x in obj] if ndim else scalar_from_json(obj)
+
+
 def matrix_from_json(rows) -> FMatrix:
-    """An FMatrix from a nested array, each entry read by scalar_from_json."""
+    """An FMatrix from a nested array read by scalars_from_json."""
     if not isinstance(rows, list) or not rows:
         raise InputError("matrix must be a non-empty nested array")
     try:
-        return FMatrix([[scalar_from_json(x) for x in row] for row in rows])
+        return FMatrix(scalars_from_json(rows, 2))
     except (TypeError, ValueError) as e:
         raise InputError(f"bad matrix: {e}") from e
+
+
+def matrices_from_json(objs) -> Union[np.ndarray, List[np.ndarray]]:
+    """A list of JSON matrices as one (N, n, n) float64 array when every one
+    is read as an n x n FMatrix, else as the list of their arrays, one
+    matrix_from_json each; the first matrix it refuses raises its error."""
+    if set(map(type, objs)) <= {list} and all(objs):  # non-empty lists
+        with contextlib.suppress(TypeError, ValueError):
+            out = scalars_from_json(objs, 3)
+            if out.shape[1] == out.shape[2] and 2 <= out.shape[1] <= MAX_DIM:
+                return out
+    return [matrix_from_json(g).arr for g in objs]

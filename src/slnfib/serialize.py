@@ -2,11 +2,14 @@
 
 Conventions: matrices are row-major nested arrays.  Every scalar, in a
 matrix or a cochain, is a plain number or a "p/q" string and is read as its
-nearest float (linalg.scalar_from_json); reports and dumps write floats.  A
-complex is always a triangulated torus, given as {"torus": {"d": 2,
-"m": 8}}.  Cochain values are keyed by oriented edges as "u-v"; an edge
-keyed against its stored orientation gets the negated value.  All keys of a
-cochain are parsed first and then resolved to edges in one array pass.
+nearest float by the one JSON scalar reader, linalg.scalars_from_json, which
+takes all values of a cochain or a stack at once; reports and dumps write
+floats.  A complex is always a triangulated torus, given as {"torus":
+{"d": 2, "m": 8}}.  Cochain values are keyed by oriented edges as "u-v"; an
+edge keyed against its stored orientation gets the negated value, and of two
+keys on one edge the later wins.  All keys of a cochain are parsed in one
+pass and resolved to edges by one orient call; a refused cochain names its
+first bad item, key before value.
 Developing samples, keyed by covering coordinates "x,y", are read in one
 pass into an (N, d) int key array and one element array (of two keys on one
 point the later wins); the spec refuses by key an SL(n) sample of det != 1.
@@ -17,12 +20,15 @@ own errors.
 """
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict
 
 import numpy as np
 
 from .errors import InputError, SlnfibError
-from .linalg import FMatrix, matrix_from_json, scalar_from_json
+from .linalg import (
+    FMatrix, matrices_from_json, matrix_from_json, scalar_from_json, scalars_from_json
+)
 from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
 from .foliation import LieFoliationSpec
 from .groups import parse_group
@@ -65,31 +71,69 @@ def _edge_key_parse(key: str):
         raise InputError(f"bad edge key {key!r}, expected 'u-v'") from e
 
 
+_PLAIN_KEYS = re.compile(r"(?:[0-9]{1,18}-[0-9]{1,18},)*[0-9]{1,18}-[0-9]{1,18}")
+
+
+def _edge_keys(keys):
+    """The u and the v of every "u-v" key.  Plain digit keys, none with a
+    comma, take one regex check and one numpy parse; other keys are read as
+    _edge_key_parse reads them."""
+    text = ",".join(keys)
+    plain = _PLAIN_KEYS.fullmatch(text)
+    uv = np.fromstring(text.replace("-", ","), np.int64, sep=",") if plain else ()
+    if len(uv) != 2 * len(keys):
+        uv = [x for k in keys for x in _edge_key_parse(k)]
+    return uv[0::2], uv[1::2]
+
+
+def _cochain_items(obj: Dict, read_values: Callable, read_one: Callable):
+    """The (u, v) of the keys of a cochain and read_values(its values).  A
+    refusal raises the error of the first bad item in order, its key before
+    its value, as _edge_key_parse and read_one refuse it."""
+    items = obj.items()  # first, for the error of an obj that is no dict
+    try:
+        return _edge_keys(list(obj)), read_values(list(obj.values()))
+    except InputError:
+        for k, v in items:
+            _edge_key_parse(k)
+            read_one(v)
+        raise
+
+
 def scalar_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> ScalarCochain1:
-    """Edges missing from obj get the value 0."""
-    values = {_edge_key_parse(k): scalar_from_json(v) for k, v in obj.items()}
-    return ScalarCochain1(complex, complex.indexed(values, np.zeros(len(complex.edges))))
+    """Edges missing from obj get the value 0; of two keys on one edge the
+    later wins."""
+    (u, v), values = _cochain_items(
+        obj, lambda vs: scalars_from_json(vs, 1), scalar_from_json
+    )
+    zeros = np.zeros(len(complex.edges))
+    return ScalarCochain1(complex, complex.indexed(u, v, values, zeros))
 
 
-def _sorted_items(complex: SimplicialComplex, values):
-    return sorted(zip(complex.edges, values), key=lambda item: item[0])
+def _sorted_keys(complex: SimplicialComplex):
+    """The edge order sorted by (u, v), and the "u-v" key of each edge in it."""
+    order = np.lexsort(complex.edges.T[::-1])
+    return order, [f"{u}-{v}" for u, v in complex.edges[order].tolist()]
 
 
 def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
-    items = _sorted_items(w.complex, w.values.tolist())
-    return {f"{u}-{v}": val for (u, v), val in items}
+    order, keys = _sorted_keys(w.complex)
+    return dict(zip(keys, w.values[order].tolist()))
 
 
 def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> LieCochain1:
     """Lie cochain with a matrix on every edge, all of one size; of two keys
     on one edge the later wins."""
-    values = {_edge_key_parse(k): matrix_from_json(v).arr for k, v in obj.items()}
-    dims = {a.shape[0] for a in values.values()}
-    if len(dims) != 1:
-        raise InputError(f"Lie cochain values must share one dimension, got {dims}")
-    n, edges = dims.pop(), len(complex.edges)
+    (u, v), stack = _cochain_items(obj, matrices_from_json, matrix_from_json)
+    if isinstance(stack, list):  # no values, or values of different sizes
+        last = dict(zip(zip(u, v), stack))  # of two keys on one (u, v), the later
+        dims = {len(a) for a in last.values()}
+        if len(dims) != 1:
+            raise InputError(f"Lie cochain values must share one dimension, got {dims}")
+        (u, v), stack = zip(*last), np.array(list(last.values()))
+    edges, n = len(complex.edges), stack.shape[1]
     # an edge no key names stays NaN, which no value read from JSON can be
-    out = complex.indexed(values, np.full((edges, n, n), np.nan))
+    out = complex.indexed(u, v, stack, np.full((edges, n, n), np.nan))
     missing = int(np.isnan(out[:, 0, 0]).sum())
     if missing:
         raise InputError(f"Lie cochain missing values on {missing} of {edges} edges")
@@ -163,8 +207,6 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
             scalar_cochain_to_json(w) for w in spec.scalar_cochains
         ]
     else:
-        out["cochain"] = {
-            f"{u}-{v}": val
-            for (u, v), val in _sorted_items(spec.complex, spec.cochain.values.tolist())
-        }
+        order, keys = _sorted_keys(spec.complex)
+        out["cochain"] = dict(zip(keys, spec.cochain.values[order].tolist()))
     return out

@@ -179,19 +179,23 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     w = rz.cochain
     complex = w.complex
     q = rz.q
-    step = w.values.tolist()
-    incidence = complex.incidence.tolist()
+    # the (V, deg) neighbour table in incidence order, flat: the other end of
+    # each edge at u, and the step along the edge away from u
+    ends = complex.edges[complex.incidence]
+    away = ends[:, :, 0] == np.arange(complex.n_vertices)[:, None]
+    other = np.where(away, ends[:, :, 1], ends[:, :, 0]).ravel().tolist()
+    step = w.values[complex.incidence]
+    step = np.where(away, step, -step).ravel().tolist()
+    deg = complex.incidence.shape[1]
     root = 0
     values: Dict[int, float] = {root: 0.0}
     stack = [root]
     while stack:
         u = stack.pop()
-        for i in incidence[u]:
-            a, b = complex.edges[i]
-            other = b if a == u else a
-            if other not in values:
-                values[other] = values[u] + q * (step[i] if a == u else -step[i])
-                stack.append(other)
+        for j in range(u * deg, u * deg + deg):
+            if other[j] not in values:
+                values[other[j]] = values[u] + q * step[j]
+                stack.append(other[j])
     if len(values) != complex.n_vertices:
         raise InputError("complex is disconnected")
     for v, x in values.items():
@@ -207,7 +211,7 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
         periods.append(int(scaled))
     # edge increments must reproduce q * w' mod 1
     image = np.array([values[v] for v in range(complex.n_vertices)])
-    tail, head = np.array(complex.edges).T
+    tail, head = complex.edges.T
     with np.errstate(over="ignore", invalid="ignore"):
         diff = (image[head] - image[tail] - float(q) * w.values) % 1.0
     diff = np.minimum(diff, 1.0 - diff)
@@ -351,7 +355,7 @@ def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
         first, count = _crossings(c, lift_s, lift_t - lift_s)
 
         loose = np.flatnonzero(on_edge == 0)
-        tails = np.array([complex.edges[i][0] for i in loose], dtype=np.int64)
+        tails = complex.edges[loose, 0]
         loose_first, loose_count = _crossings(c, at[tails], step[loose])
         total = count.sum() + loose_count.sum()
         if not total <= MAX_CROSSINGS:
@@ -391,7 +395,7 @@ def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
         n = node_of[j]
         raise CheckFailed(
             f"fiber at level {c} (lift index {int(level[j])}) meets edge "
-            f"{complex.edges[int(edge[j])]} in {int(degree[n])} of its "
+            f"{tuple(complex.edges[edge[j]].tolist())} in {int(degree[n])} of its "
             f"{int(expect[n])} triangles"
         )
 

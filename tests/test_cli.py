@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnfib.cli import main
 from slnfib.complexes import LieCochain1, coordinate_cochain, torus_complex
@@ -375,7 +379,7 @@ class TestTischler:
         ids=["one-edge", "closed", "in-range-edges"],
     )
     def test_beyond_float_range_exit_2(self, capsys, tmp_path, make, message):
-        w = make(torus_complex(2, 3).edges)
+        w = make(torus_complex(2, 3).edges.tolist())
         path = write_json(
             tmp_path, "huge.json", {"torus": {"d": 2, "m": 3}, "cochain": w}
         )
@@ -427,7 +431,7 @@ class TestTischler:
         k = torus_complex(2, m)
         values = {
             f"{u}-{v}": sum(c * (b - a) for c, a, b in zip(coeffs, zu, zv)) / m
-            for (u, v), (zu, zv) in zip(k.edges, k.edge_lifts)
+            for (u, v), (zu, zv) in zip(k.edges.tolist(), k.lifts.tolist())
         }
         reports = []
         for name, convert in (("exact", exact), ("nearest", float)):
@@ -509,7 +513,7 @@ def unipotent_spec(n, m=4):
         window=window,
         developing=[D(z) for z in window],
         cochain=LieCochain1(
-            complex, [D(zv) - D(zu) for zu, zv in complex.edge_lifts]
+            complex, [D(zv) - D(zu) for zu, zv in complex.lifts]
         ),
     )
 
@@ -751,3 +755,78 @@ def test_brackets_and_tischler_import_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0] False\n"
+
+
+# ---------------------------------------------------------------------------
+# Boundary fuzz: mutated valid inputs end in exit 0, 2 or 3, never a traceback
+
+
+def fuzz_bases():
+    """(command, valid input) pairs: a scalar cochain, GA, R^2 and SL(2)
+    specs, and matrices."""
+    k = torus_complex(2, 3)
+    w = coordinate_cochain(k, 0) + coordinate_cochain(k, 1).scale(math.sqrt(2))
+    return [
+        ("tischler", {"torus": {"d": 2, "m": 3}, "cochain": scalar_cochain_to_json(w)}),
+        ("check-foliation", dump_foliation_spec(ga_suspension(4, GAElement(1.5, 0.3)))),
+        ("pipeline", dump_foliation_spec(linear_torus_spec(3, [[1, 0.5], [0.25, 1]]))),
+        ("pipeline", dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(1.5, 0.3))))),
+        ("decompose", {"matrix": [[2.0, 1.0], [0.0, 0.5]]}),
+        ("decompose", [[1, 2, 0], [0, 1, 0], [0, 0, 1]]),
+    ]
+
+
+FUZZ_BASES = fuzz_bases()
+BAD_VALUES = [
+    None, True, "x", "1/0", "2/3", math.nan, math.inf, -math.inf, 10 ** 400, -1e308,
+    [], {}, [1, 2], [[1, 2], [3]], "12", np.eye(MAX_DIM + 1).tolist(),
+]
+BAD_KEYS = ["", "0-1-2", "a-b", " 0-1", "+1-0", "99999999999999999999-1", "0,1", "5-5"]
+BAD_TORI = [{"d": 4, "m": 3}, {"d": 2, "m": 2}, {"d": 2, "m": 300}, {"d": 2.0, "m": 3}]
+
+
+def slots(obj):
+    """Every (container, key or index) of a nested JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from slots(value)
+
+
+def mutate(data, obj):
+    """Up to three mutations: a dropped key, a value of a wrong type or size,
+    a ragged row, a bad edge key or a torus of d = 4 or m < 3."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not isinstance(obj, (dict, list)) or not obj:
+            break
+        parent, key = data.draw(st.sampled_from(list(slots(obj))))
+        kind = data.draw(st.sampled_from(["drop", "value", "ragged", "key", "torus"]))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "value":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(BAD_VALUES)))
+        elif kind == "ragged" and isinstance(parent[key], list):
+            parent[key].append(parent[key][0] if parent[key] else 1)
+        elif kind == "key" and isinstance(parent, dict):
+            parent[data.draw(st.sampled_from(BAD_KEYS))] = parent.pop(key)
+        elif kind == "torus" and isinstance(obj, dict):
+            obj["torus"] = copy.deepcopy(data.draw(st.sampled_from(BAD_TORI)))
+    return obj
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_input_exits_0_2_or_3_without_traceback(tmp_path_factory, data):
+    command, base = data.draw(st.sampled_from(FUZZ_BASES))
+    obj = mutate(data, json.loads(json.dumps(base)))
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(obj))
+    argv = [command, str(path)]
+    if command in ("tischler", "pipeline"):
+        argv += ["--epsilon", "0.01"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -93,7 +93,7 @@ class TestEdgeIndex:
     def test_values_keyed_against_the_stored_orientation_are_negated(self, t2_8):
         u, v = t2_8.edges[7]
         base = [0.0] * len(t2_8.edges)
-        w = ScalarCochain1(t2_8, t2_8.indexed({(v, u): 0.625}, base))
+        w = ScalarCochain1(t2_8, t2_8.indexed([v], [u], [0.625], base))
         assert w.values[7] == -0.625
         assert (w(v, u), w(u, v)) == (0.625, -0.625)
         assert base == [0.0] * len(t2_8.edges)
@@ -110,7 +110,7 @@ class TestArithmeticOrientation:
         k = torus_complex(d, m)
         base = k.covering.base_index
         expect = {}
-        for i, (zu, zv) in enumerate(k.edge_lifts):
+        for i, (zu, zv) in enumerate(k.lifts.tolist()):
             expect[base(zu), base(zv)] = (i, 1)
             expect[base(zv), base(zu)] = (i, -1)
         for u in range(k.n_vertices):
@@ -138,13 +138,13 @@ class TestEdgeLifts:
     def test_each_edge_lifts_by_a_unit_step(self, d):
         for m in (3, 4, 5):
             k = torus_complex(d, m)
-            assert len(k.edge_lifts) == len(k.edges)
+            assert len(k.lifts) == len(k.edges)
             steps = []
-            for (u, v), lift in zip(k.edges, k.edge_lifts):
-                zu, zv = k.vertex_coords[u], k.vertex_coords[v]
+            for (u, v), lift in zip(k.edges.tolist(), k.lifts.tolist()):
+                zu, zv = k.vertex_coords[u].tolist(), k.vertex_coords[v].tolist()
                 e = tuple((b - a) % m for a, b in zip(zu, zv))
                 assert set(e) <= {0, 1} and any(e)
-                assert lift == (zu, tuple(a + x for a, x in zip(zu, e)))
+                assert lift == [zu, [a + x for a, x in zip(zu, e)]]
                 steps.append(e)
             for ax in range(d):
                 assert coordinate_cochain(k, ax).values.tolist() == [

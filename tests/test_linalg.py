@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_sl
-from slnfib.errors import DimensionError, LogDomain, SingularInput
+from slnfib.errors import DimensionError, InputError, LogDomain, SingularInput
 from slnfib.linalg import (
     EQ_TOL,
     LOG2_SERIES_CUTOFF,
@@ -17,6 +18,8 @@ from slnfib.linalg import (
     matrix_log,
     qr_positive,
     rational_rank,
+    scalar_from_json,
+    scalars_from_json,
 )
 
 
@@ -244,3 +247,62 @@ class TestNaNVerdicts:
         monkeypatch.setattr(scipy.linalg, "logm", lambda a: nan_imag)
         with pytest.raises(LogDomain, match="non-real principal logarithm"):
             matrix_log(np.eye(3))
+
+
+# JSON leaves: ints (also past 2^53 and past the float range), floats (also
+# NaN and infinite), "p/q" strings and strings that are none, booleans, null
+LEAVES = st.one_of(
+    st.integers(-(10 ** 6), 10 ** 6),
+    st.integers(2 ** 53 - 2, 10 ** 30),
+    st.integers(10 ** 308, 10 ** 309).map(lambda x: x * (-1) ** (x % 2)),
+    st.floats(),
+    st.fractions(max_denominator=10 ** 6).map(lambda f: f"{f.numerator}/{f.denominator}"),
+    st.sampled_from(["x", "1/0", "", " 2/3", "1e400", "nan", "-0"]),
+    st.booleans(),
+    st.none(),
+)
+
+
+class TestScalarReader:
+    """scalars_from_json against a per-leaf oracle: each accepted leaf is
+    float(Fraction(leaf)), and a refusal is the message scalar_from_json
+    gives for the first bad leaf in row-major order."""
+
+    @staticmethod
+    def first_refusal(leaves):
+        for x in leaves:
+            try:
+                scalar_from_json(x)
+            except InputError as e:
+                return str(e)
+        return None
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(LEAVES, min_size=1, max_size=3), min_size=1, max_size=3))
+    def test_nested_rows(self, rows):
+        refusal = self.first_refusal([x for row in rows for x in row])
+        if refusal is not None:
+            with pytest.raises(InputError) as e:
+                scalars_from_json(rows, 2)
+            assert str(e.value) == refusal
+        elif len({len(row) for row in rows}) > 1:
+            with pytest.raises(ValueError) as e:
+                scalars_from_json(rows, 2)
+            assert type(e.value) is ValueError  # ragged rows, no bad leaf
+        else:
+            got = scalars_from_json(rows, 2)
+            assert got.dtype == np.float64 and got.shape == (len(rows), len(rows[0]))
+            assert got.tolist() == [[float(Fraction(x)) for x in row] for row in rows]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(LEAVES, max_size=6))
+    def test_flat_list(self, leaves):
+        refusal = self.first_refusal(leaves)
+        if refusal is not None:
+            with pytest.raises(InputError) as e:
+                scalars_from_json(leaves, 1)
+            assert str(e.value) == refusal
+        else:
+            got = scalars_from_json(leaves, 1)
+            assert got.shape == (len(leaves),)
+            assert got.tolist() == [float(Fraction(x)) for x in leaves]

@@ -328,7 +328,8 @@ def loop_census(f, w, value):
     incidences = complex.triangle_edges.tolist()
     on_edge = collections.Counter(i for incidence in incidences for i, _ in incidence)
     parent, degree = {}, {}
-    for i, (s, t) in enumerate(complex.edges):
+    edges = [tuple(e) for e in complex.edges.tolist()]
+    for i, (s, t) in enumerate(edges):
         if not on_edge[i]:
             for k in crossed(float(f.values[s]), step[i]):
                 parent[i, k] = (i, k)
@@ -345,7 +346,7 @@ def loop_census(f, w, value):
             continue
         local = {}
         for i, _ in incidence:
-            s, t = complex.edges[i]
+            s, t = edges[i]
             offset = round(lift[s] - float(f.values[s]))
             for k in crossed(lift[s], lift[t] - lift[s]):
                 node = (i, k - offset)
@@ -362,7 +363,7 @@ def loop_census(f, w, value):
         if deg != on_edge[i]:
             raise CheckFailed(
                 f"fiber at level {c} (lift index {k}) meets edge "
-                f"{complex.edges[i]} in {deg} of its {on_edge[i]} triangles"
+                f"{edges[i]} in {deg} of its {on_edge[i]} triangles"
             )
     return FiberCensus(c, len({find(x) for x in parent}), len(parent))
 
