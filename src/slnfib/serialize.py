@@ -71,19 +71,44 @@ def _edge_key_parse(key: str):
         raise InputError(f"bad edge key {key!r}, expected 'u-v'") from e
 
 
-_PLAIN_KEYS = re.compile(r"(?:[0-9]{1,18}-[0-9]{1,18},)*[0-9]{1,18}-[0-9]{1,18}")
+def _int_keys(keys, sep: str, width: int, read: Callable):
+    """The width integers joined by sep of every key, as an (N, width) array:
+    one numpy parse into int64 if every integer is 1 to 18 ASCII digits (with
+    a "-" sign unless sep is "-") and no key holds a ";", else read(keys)."""
+    num = "[0-9]{1,18}" if sep == "-" else "-?[0-9]{1,18}"
+    key = num + (re.escape(sep) + num) * (width - 1)
+    text = ";".join(keys)
+    if re.fullmatch(f"(?:{key};)*{key}", text):
+        rows = np.fromstring(text.replace(sep, ";"), np.int64, sep=";")
+        if len(rows) == width * len(keys):  # else a key holds a ";"
+            return rows.reshape(-1, width)
+    return np.array(read(keys), dtype=object).reshape(-1, width)
 
 
 def _edge_keys(keys):
-    """The u and the v of every "u-v" key.  Plain digit keys, none with a
-    comma, take one regex check and one numpy parse; other keys are read as
-    _edge_key_parse reads them."""
-    text = ",".join(keys)
-    plain = _PLAIN_KEYS.fullmatch(text)
-    uv = np.fromstring(text.replace("-", ","), np.int64, sep=",") if plain else ()
-    if len(uv) != 2 * len(keys):
-        uv = [x for k in keys for x in _edge_key_parse(k)]
-    return uv[0::2], uv[1::2]
+    """The u and the v of every "u-v" key, as _edge_key_parse reads it."""
+    return _int_keys(keys, "-", 2, lambda ks: [_edge_key_parse(k) for k in ks]).T
+
+
+def _developing_samples(s: Dict, d: int):
+    """(N, d) int64 keys and N values of the samples s; of two keys on one
+    point the later wins, in the place of the first.  Keys that are not plain
+    are read by split and int: int refusals first, then width and range."""
+    def read(keys):
+        rows = [tuple(map(int, k.split(","))) for k in keys]
+        for z in rows:
+            if len(z) != d:
+                raise InputError(f"developing key {z} is not {d} integer coordinates")
+            if max(map(abs, z)) >= 2**63:
+                raise InputError(f"developing key {z} is beyond the int64 range")
+        return rows
+
+    values = [v for _, v in s.items()]  # first, for the error of an s that is no dict
+    keys = _int_keys(list(s), ",", d, read).astype(np.int64)
+    first = np.unique(keys, axis=0, return_index=True)[1]
+    last = len(keys) - 1 - np.unique(keys[::-1], axis=0, return_index=True)[1]
+    order = np.argsort(first)
+    return keys[first[order]], [values[i] for i in last[order].tolist()]
 
 
 def _cochain_items(obj: Dict, read_values: Callable, read_one: Callable):
@@ -157,19 +182,9 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
     n = cochain.n if cochain else None
     group = _field(obj, "group", lambda g: parse_group(g, n))
     holonomy = _field(obj, "holonomy", group.stack_from_json)
-    samples = _field(
-        obj,
-        "developing",
-        lambda s: {tuple(map(int, k.split(","))): v for k, v in s.items()},
-    )
     d = complex.covering.d
-    for z in samples:
-        if len(z) != d:
-            raise InputError(f"developing key {z} is not {d} integer coordinates")
-        if max(map(abs, z)) >= 2**63:
-            raise InputError(f"developing key {z} is beyond the int64 range")
-    window = np.array(list(samples), dtype=np.int64).reshape(-1, d)
-    developing = group.stack_from_json(samples.values())
+    window, samples = _field(obj, "developing", lambda s: _developing_samples(s, d))
+    developing = group.stack_from_json(samples)
     scalar_cochains = (
         _field(
             obj,

@@ -2,13 +2,13 @@
 
 Stages: perturb the periods of a closed cochain to rationals by adding
 multiples of the stored harmonic duals (continued-fraction convergents keep
-the perturbation within budget), integrate the scaled cochain over a spanning
-tree into a circle-valued vertex map, check the discrete no-singularity
+the perturbation within budget), integrate the scaled cochain along an axis
+walk of the torus grid into a circle map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
 
-Cochain values are float64 edge arrays throughout; only the rationalized
-periods are exact, as Fraction convergents, and each period is summed edge
-by edge in cycle order so that reports are reproducible to the last bit.
+Cochains are float64 edge arrays and the circle map a float64 vertex array.
+Only the rationalized periods are exact Fraction convergents; each period is
+summed edge by edge in cycle order, so reports reproduce to the last bit.
 
 The end-to-end entry point runs the whole chain on an SL(n) (or abelian)
 foliation spec: project to the R^2 factor, pick a submersive component, and
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class RationalizedCochain:
     sup_change: float
 
 
-def _lcm(nums: Sequence[int]) -> int:
-    out = 1
-    for n in nums:
-        out = out * n // math.gcd(out, n)
-    return out
-
-
 def rationalize(
     w: ScalarCochain1,
     cycles: Sequence[Cycle],
@@ -148,7 +141,7 @@ def rationalize(
         delta = float(r) - p
         if delta != 0.0:
             out = out + duals[k].scale(delta)
-    q = _lcm([r.denominator for r in periods]) if periods else 1
+    q = math.lcm(*[r.denominator for r in periods])
     sup_change = float(np.max(np.abs(out.values - w.values)))
     if not sup_change <= cfg.epsilon:
         raise BudgetInfeasible(
@@ -162,64 +155,54 @@ class CircleMap:
     """Vertex map into R/Z with integer periods over the generator basis."""
 
     complex: SimplicialComplex
-    values: Dict[int, float]
+    values: np.ndarray  # the image of each vertex, read-only (V,) float64
     periods: List[int]
     q: int
 
 
 def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
-    """Integrate q * w' along a spanning tree and reduce mod 1.
+    """Integrate q * w' along the axis-walk tree and reduce mod 1.
 
-    q * w' has integer periods, so the tree-path sums are independent of the
-    tree up to integers and descend to R/Z.  A tree-path sum that is not
-    finite raises InputError.  Edge increments must reproduce q * w' mod 1
-    within RESIDUAL_TOL, and the pullback periods over the generator cycles
-    must be integers.
+    The tree runs from vertex 0 along axis d-1, then along axis d-2, and
+    along axis 0 last: f(c) sums q * w'(z, z + e_k) over k and t < c_k at
+    z = (0, ..., 0, t, c_(k+1), ..., c_(d-1)), one cumulative sum per axis.
+    q * w' has integer periods, so the sums descend to R/Z whatever the
+    tree.  A sum that is not finite raises InputError, naming the lowest
+    such vertex.  Edge increments must reproduce q * w' mod 1 within
+    RESIDUAL_TOL, and the pullback periods must be integers.
     """
-    w = rz.cochain
+    w, q = rz.cochain, rz.q
     complex = w.complex
-    q = rz.q
-    # the (V, deg) neighbour table in incidence order, flat: the other end of
-    # each edge at u, and the step along the edge away from u
-    ends = complex.edges[complex.incidence]
-    away = ends[:, :, 0] == np.arange(complex.n_vertices)[:, None]
-    other = np.where(away, ends[:, :, 1], ends[:, :, 0]).ravel().tolist()
-    step = w.values[complex.incidence]
-    step = np.where(away, step, -step).ravel().tolist()
-    deg = complex.incidence.shape[1]
-    root = 0
-    values: Dict[int, float] = {root: 0.0}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for j in range(u * deg, u * deg + deg):
-            if other[j] not in values:
-                values[other[j]] = values[u] + q * step[j]
-                stack.append(other[j])
-    if len(values) != complex.n_vertices:
-        raise InputError("complex is disconnected")
-    for v, x in values.items():
-        if not math.isfinite(x):
-            raise InputError(f"circle map value at vertex {v} is not finite")
-    values = {v: x % 1.0 for v, x in values.items()}
+    d, m = complex.covering.d, complex.covering.m
+    # steps[c_(d-1), ..., c_0, 2^a - 1] = w'(c, c + e_(d-1-a)), by the edge order
+    steps = w.values.reshape((m,) * d + (2 ** d - 1,))
+    grid = np.zeros((m,) * d)  # grid[c_(d-1), ..., c_0] = f(c): axis a is c_(d-1-a)
+    for a in range(d):
+        # the vertices with 0 on every axis after a, axis a last
+        slab = (slice(None),) * (a + 1) + (0,) * (d - 1 - a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = q * steps[slab + (2 ** a - 1,)][..., :-1]
+            grid[slab] = np.cumsum(np.concatenate([grid[slab][..., :1], step], -1), -1)
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise InputError(f"circle map value at vertex {bad[0]} is not finite")
+    values = grid.ravel() % 1.0
+    values.flags.writeable = False
 
-    periods: List[int] = []
-    for r in rz.periods:
-        scaled = q * r
+    periods = [q * r for r in rz.periods]
+    for r, scaled in zip(rz.periods, periods):
         if scaled.denominator != 1:
             raise InputError(f"period {r} did not scale to an integer under q={q}")
-        periods.append(int(scaled))
     # edge increments must reproduce q * w' mod 1
-    image = np.array([values[v] for v in range(complex.n_vertices)])
     tail, head = complex.edges.T
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = (image[head] - image[tail] - float(q) * w.values) % 1.0
+        diff = (values[head] - values[tail] - float(q) * w.values) % 1.0
     diff = np.minimum(diff, 1.0 - diff)
     bad = np.flatnonzero(~(diff <= RESIDUAL_TOL * max(1.0, q)))
     if bad.size:
         u, v = complex.edges[bad[0]]
         raise CheckFailed(f"edge increment mismatch {diff[bad[0]]:.3e} on ({u},{v})")
-    return CircleMap(complex, values, periods, q)
+    return CircleMap(complex, values, [int(p) for p in periods], q)
 
 
 @dataclass
@@ -322,20 +305,15 @@ def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
     tri = complex.triangles
     index, sign = complex.triangle_edges[:, :, 0], complex.triangle_edges[:, :, 1]
     on_edge = np.bincount(index.ravel(), minlength=len(complex.edges))
-    vertices = np.fromiter(f.values, dtype=np.int64, count=len(f.values))
-    image = np.fromiter(f.values.values(), dtype=np.float64, count=len(f.values))
     with np.errstate(invalid="ignore", over="ignore"):
-        hit = np.flatnonzero(np.abs((image - c + 0.5) % 1.0 - 0.5) < 1e-9)
+        hit = np.flatnonzero(np.abs((f.values - c + 0.5) % 1.0 - 0.5) < 1e-9)
         if hit.size:
-            vtx = int(vertices[hit[0]])
-            raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
-        at = np.full(complex.n_vertices, np.nan)
-        at[vertices] = image
+            raise NonGenericValue(f"level {c} hits the image of vertex {hit[0]}")
         step = float(f.q) * w.values
 
         along = step[index] * sign
         lift = np.empty(tri.shape)
-        lift[:, 0] = at[tri[:, 0]]
+        lift[:, 0] = f.values[tri[:, 0]]
         lift[:, 1] = lift[:, 0] + along[:, 0]
         lift[:, 2] = lift[:, 1] + along[:, 1]
         # skip the triangles whose lifted range meets no level; a NaN count
@@ -351,12 +329,12 @@ def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
         t_at = np.array([1, 2, 2]) - back * [1, 1, 2]
         lift_s = np.take_along_axis(lift, s_at, axis=1)
         lift_t = np.take_along_axis(lift, t_at, axis=1)
-        offset = np.rint(lift_s - at[np.take_along_axis(tri, s_at, axis=1)])
+        offset = np.rint(lift_s - f.values[np.take_along_axis(tri, s_at, axis=1)])
         first, count = _crossings(c, lift_s, lift_t - lift_s)
 
         loose = np.flatnonzero(on_edge == 0)
         tails = complex.edges[loose, 0]
-        loose_first, loose_count = _crossings(c, at[tails], step[loose])
+        loose_first, loose_count = _crossings(c, f.values[tails], step[loose])
         total = count.sum() + loose_count.sum()
         if not total <= MAX_CROSSINGS:
             raise InputError(
@@ -448,14 +426,20 @@ def _combine(cochains: Sequence[ScalarCochain1], coeffs) -> ScalarCochain1:
 
 
 def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
-    """Deterministic sample of levels avoiding all vertex images."""
-    taken = sorted({round(x % 1.0, 12) for x in f.values.values()})
+    """Deterministic sample of levels avoiding all vertex images: a candidate
+    within 1e-6 of round(x % 1.0, 12) for an image x is refused."""
+    image = f.values % 1.0
     out = []
     i = 0
     while len(out) < count and i < 10 * count:
         cand = ((i + 0.5) / count + 0.261799) % 1.0
         i += 1
-        if all(abs((cand - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in taken):
+        # round moves an image by at most 5e-13: only gaps near 1e-6 need it
+        gap = np.abs((cand - image + 0.5) % 1.0 - 0.5)
+        near = np.flatnonzero(np.abs(gap - 1e-6) < 1e-11)
+        exact = [round(x, 12) for x in image[near].tolist()]
+        gap[near] = np.abs((cand - np.array(exact) + 0.5) % 1.0 - 0.5)
+        if np.all(gap > 1e-6):
             out.append(round(cand, 12))
     if len(out) < count:
         raise NonGenericValue("could not find enough generic levels")

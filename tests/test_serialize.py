@@ -1,5 +1,5 @@
-"""Edge keys of JSON cochains: the parse against str.split and int, and which
-of two keys on one edge wins."""
+"""Edge keys of JSON cochains and coordinate keys of developing samples: the
+parse against str.split and int, and which of two keys on one edge wins."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from slnfib.complexes import torus_complex
 from slnfib.errors import InputError
 from slnfib.serialize import (
+    _developing_samples,
     _edge_keys,
     lie_cochain_from_json,
     scalar_cochain_from_json,
@@ -25,15 +26,49 @@ def split_and_int(key):
 PLAIN_KEYS = st.tuples(st.integers(0, 10 ** 20), st.integers(0, 10 ** 20)).map(
     lambda uv: f"{uv[0]}-{uv[1]}"
 )
-# signs, underscores, whitespace, commas and non-ASCII digits, which int takes
-# in some places and not in others
-ODD_KEYS = st.text(alphabet="0123456789-+_, \n٣a", max_size=7)
+# developing keys "x,y": small coordinates, so that two keys meet on a point,
+# and large ones past the int64 range
+COORDINATE_KEYS = st.lists(
+    st.one_of(st.integers(-2, 2), st.integers(-(10 ** 20), 10 ** 20)),
+    min_size=1,
+    max_size=3,
+).map(lambda z: ",".join(map(str, z)))
+# signs, underscores, whitespace, commas, semicolons and non-ASCII digits,
+# which int takes in some places and not in others
+ODD_KEYS = st.text(alphabet="0123456789-+_, \n٣a;", max_size=7)
+
+
+def split_and_int_samples(samples, d):
+    """The window rows and values of developing samples as a dict of
+    split-and-int keys reads them, or the message of its refusal."""
+    try:
+        read = {tuple(map(int, k.split(","))): v for k, v in samples.items()}
+    except ValueError as e:
+        return str(e)
+    for z in read:
+        if len(z) != d:
+            return f"developing key {z} is not {d} integer coordinates"
+        if max(map(abs, z)) >= 2**63:
+            return f"developing key {z} is beyond the int64 range"
+    return [list(z) for z in read], list(read.values())
+
+
+def developing_outcome(samples, d):
+    try:
+        window, values = _developing_samples(samples, d)
+    except (ValueError, InputError) as e:
+        return str(e)
+    assert window.dtype == np.int64 and window.shape == (len(values), d)
+    return window.tolist(), values
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.one_of(PLAIN_KEYS, ODD_KEYS), max_size=5))
+@given(st.lists(st.one_of(PLAIN_KEYS, COORDINATE_KEYS, ODD_KEYS), max_size=5))
 @example(["0-1", "2-3,4-5"])  # plain digits, but a comma inside one key
 @example(["1-2", "3-99999999999999999999"])  # past 18 digits
+@example(["1,2", "-1,2", "01,2", "3,4"])  # the later of two keys on (1, 2) wins
+@example(["1,2,3", "x,1"])  # an int refusal before a key of the wrong width
+@example(["1,2;3,4", "5,6"])  # plain digits, but a ";" inside one key
 def test_edge_keys_read_as_split_and_int(keys):
     expect = [split_and_int(k) for k in keys]
     if None in expect:
@@ -44,6 +79,10 @@ def test_edge_keys_read_as_split_and_int(keys):
     else:
         u, v = _edge_keys(keys)
         assert [(int(a), int(b)) for a, b in zip(u, v)] == expect
+    # the same keys as the developing keys of a d-torus
+    samples = {k: [i] for i, k in enumerate(keys)}
+    for d in (1, 2, 3):
+        assert developing_outcome(samples, d) == split_and_int_samples(samples, d)
 
 
 @pytest.mark.parametrize("keys", [["0-1", "2-3"], ["+3-4", " 3-4", "3_0-4", "03-04"]])

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -112,18 +113,33 @@ class TestRationalize:
 
 
 class TestIntegrate:
-    def test_matches_closed_form(self):
-        # q w' = 12 dx + 17 dy; the circle map is (12x + 17y)/m mod 1
-        m = 16
-        w = mixed_cochain(m)
-        gens = homology_generators(w.complex)
-        rz = rationalize(w, gens, RationalizeConfig(0.01))
+    @pytest.mark.parametrize(
+        "d, m, coeffs, periods, bump",
+        [
+            (1, 7, [math.sqrt(2)], [17], False),
+            (2, 16, [1.0, math.sqrt(2)], [12, 17], False),
+            (3, 5, [1.0, math.sqrt(2), math.sqrt(3)], [132, 187, 228], False),
+            (2, 9, [1.0, math.sqrt(2)], [12, 17], True),
+        ],
+        ids=["t1", "t2", "t3", "t2-bumped"],
+    )
+    def test_matches_closed_form(self, d, m, coeffs, periods, bump):
+        # w = sum_k c_k dx_k (+ dh for a random vertex function h), and
+        # q w' = sum_k p_k dx_k (+ q dh); the circle map is
+        # sum_k p_k x_k / m (+ q (h(v) - h(0))) mod 1
+        k = torus_complex(d, m)
+        w = coordinate_cochain(k, 0).scale(coeffs[0])
+        for axis in range(1, d):
+            w = w + coordinate_cochain(k, axis).scale(coeffs[axis])
+        h = np.random.default_rng(5).uniform(-1, 1, k.n_vertices) * bump
+        tail, head = k.edges.T
+        w = ScalarCochain1(k, w.values + h[head] - h[tail])
+        rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
-        assert cm.periods == [12, 17]
-        cov = w.complex.covering
-        for v in range(w.complex.n_vertices):
-            x, y = w.complex.vertex_coords[v]
-            expect = (12 * x + 17 * y) / m % 1.0
+        assert cm.periods == periods
+        for v in range(k.n_vertices):
+            x = k.vertex_coords[v]
+            expect = (x @ periods / m + rz.q * (h[v] - h[0])) % 1.0
             diff = abs(cm.values[v] - expect) % 1.0
             assert min(diff, 1.0 - diff) < 1e-9
 
@@ -132,7 +148,9 @@ class TestIntegrate:
         rz = rationalize(w, homology_generators(t2_8), RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == [1, 0]
-        assert all(0.0 <= x < 1.0 for x in cm.values.values())
+        assert all(0.0 <= x < 1.0 for x in cm.values)
+        assert cm.values.shape == (t2_8.n_vertices,)
+        assert cm.values.dtype == np.float64 and not cm.values.flags.writeable
 
 
 class TestSubmersion:
@@ -199,9 +217,49 @@ class TestFiberCensus:
 
     def test_generic_levels_avoid_vertex_images(self):
         cm, _ = self.circle_map_dx(5)
-        images = {round(x, 12) for x in cm.values.values()}
+        images = {round(x, 12) for x in cm.values.tolist()}
         for lvl in generic_levels(cm):
             assert all(abs((lvl - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in images)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 19),
+                st.sampled_from([-1, 1]),
+                st.sampled_from([-1e-11, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1e-11]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_generic_levels_round_images_as_python_does(self, near):
+        # images 1e-6 (give or take a last digit) from a candidate level, some
+        # halfway between two 12-digit decimals; the reference is the
+        # vertex-by-vertex rule on round(x % 1.0, 12)
+        values = []
+        for i, side, delta, tie in near:
+            x = (((i + 0.5) / 10 + 0.261799) + side * (1e-6 + delta)) % 1.0
+            values.append((math.floor(x * 1e12) + 0.5) / 1e12 if tie else x)
+        m = max(3, len(values))
+        cm = CircleMap(torus_complex(1, m), np.resize(values, m), [1], 1)
+
+        def reference(count=10):
+            taken = sorted({round(x % 1.0, 12) for x in cm.values.tolist()})
+            out, i = [], 0
+            while len(out) < count and i < 10 * count:
+                cand = ((i + 0.5) / count + 0.261799) % 1.0
+                i += 1
+                if all(abs((cand - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in taken):
+                    out.append(round(cand, 12))
+            return out if len(out) == count else "refused"
+
+        try:
+            got = generic_levels(cm)
+        except NonGenericValue:
+            got = "refused"
+        assert got == reference()
 
     def test_circle_fiber_is_one_point(self):
         # T^1 has no triangles: every edge is loose and crossings are points
@@ -218,14 +276,16 @@ class TestFiberCensus:
     )
     def test_census_refused_before_expanding(self, rise, vertex, crossings):
         k = torus_complex(1, 3)
-        cm = CircleMap(k, {0: 0.0, 1: vertex, 2: 0.5}, [1], 1)
+        cm = CircleMap(k, np.array([0.0, vertex, 0.5]), [1], 1)
         w = ScalarCochain1(k, [rise] * 3)
         with pytest.raises(InputError, match=f"has {crossings} edge crossings"):
             fiber_census(cm, w, 0.1)
 
     def test_inconsistent_lift_fails_degree_check(self):
         cm, w = self.circle_map_dx(5)
-        cm.values[7] = (cm.values[7] + 0.3) % 1.0
+        values = cm.values.copy()
+        values[7] = (values[7] + 0.3) % 1.0
+        cm = CircleMap(cm.complex, values, cm.periods, cm.q)
         with pytest.raises(CheckFailed, match=r"meets edge .* of its 2 triangles"):
             for lvl in generic_levels(cm):
                 fiber_census(cm, w, lvl)
@@ -311,7 +371,7 @@ def loop_census(f, w, value):
     c = float(value) % 1.0
     complex = f.complex
     step = [f.q * float(x) for x in w.values]
-    for vtx, x in f.values.items():
+    for vtx, x in enumerate(f.values.tolist()):
         if abs((float(x) - c + 0.5) % 1.0 - 0.5) < 1e-9:
             raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
 
@@ -401,8 +461,10 @@ def test_array_census_matches_the_loop_census(d, m, coeffs, moves, levels):
     rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
     cm = integrate_to_circle(rz)
     # moved vertex values make lifts that disagree across triangles
+    values = cm.values.copy()
     for v, shift in moves:
-        cm.values[v % k.n_vertices] = (cm.values[v % k.n_vertices] + shift) % 1.0
+        values[v % k.n_vertices] = (values[v % k.n_vertices] + shift) % 1.0
+    cm = CircleMap(k, values, cm.periods, cm.q)
     for value in levels + generic_levels(cm, 2):
         expect = census_outcome(loop_census, cm, rz.cochain, value)
         assert census_outcome(fiber_census, cm, rz.cochain, value) == expect
@@ -499,13 +561,23 @@ class TestNaNVerdicts:
         with pytest.raises(BudgetInfeasible, match="sup-norm nan"):
             rationalize(w, homology_generators(k), RationalizeConfig(0.01), duals=duals)
 
-    def test_nan_edge_increment_is_a_mismatch(self):
-        # T^1, m = 3: the spanning tree from vertex 0 takes edges 0 and 2,
-        # so the NaN on edge (1, 2) reaches only the increment check
+    @pytest.mark.parametrize(
+        "edge, error, message",
+        [
+            (2, CheckFailed, r"mismatch nan on \(2,0\)"),
+            (1, InputError, r"^circle map value at vertex 2 is not finite$"),
+        ],
+        ids=["off-tree", "tree"],
+    )
+    def test_nan_edge_increment_is_a_mismatch(self, edge, error, message):
+        # T^1, m = 3: the axis walk from vertex 0 takes edges (0, 1) and
+        # (1, 2), so a NaN on edge (2, 0) reaches only the increment check,
+        # and a NaN on edge (1, 2) makes the value at vertex 2 NaN
         k = torus_complex(1, 3)
-        w = ScalarCochain1(k, [Fraction(1, 3), math.nan, Fraction(1, 3)])
-        rz = RationalizedCochain(w, [Fraction(1)], 1, 0.0)
-        with pytest.raises(CheckFailed, match=r"mismatch nan on \(1,2\)"):
+        values = [Fraction(1, 3)] * 3
+        values[edge] = math.nan
+        rz = RationalizedCochain(ScalarCochain1(k, values), [Fraction(1)], 1, 0.0)
+        with pytest.raises(error, match=message):
             integrate_to_circle(rz)
 
     def test_nan_edge_is_not_submersive(self):
