@@ -5,6 +5,9 @@ multiples of the stored harmonic duals (continued-fraction convergents keep
 the perturbation within budget), integrate the scaled cochain along an axis
 walk of the torus grid into a circle map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
+The census lifts the triangles once per run (census_frame); each level then
+takes one stable sort to pair its crossings and numbers its nodes with no
+sort, by a table linear in the crossings.
 
 Cochains are float64 edge arrays and the circle map a float64 vertex array.
 Only the rationalized periods are exact Fraction convergents; each period is
@@ -237,12 +240,73 @@ class FiberCensus:
 MAX_CROSSINGS = 1 << 22  # crossings that one census holds in memory
 
 
-def _crossings(c: float, start, rise):
-    """Per lifted edge interval between start and start + rise: the first
-    integer k with c + k strictly inside it, and how many such k there are."""
+def _sweep(start, rise):
+    """The ends, low then high, of the lifted interval from start to
+    start + rise."""
     end = start + rise
-    first = np.floor(np.minimum(start, end) - c) + 1
-    return first, np.maximum(np.ceil(np.maximum(start, end) - c) - first, 0)
+    return np.minimum(start, end), np.maximum(start, end)
+
+
+def _crossings(c: float, low, high):
+    """Per open interval (low, high): the first integer k with c + k inside
+    it, and how many such k there are."""
+    first = np.floor(low - c) + 1
+    return first, np.maximum(np.ceil(high - c) - first, 0)
+
+
+@dataclass(frozen=True)
+class CensusFrame:
+    """The level-independent part of the fiber census of a circle map f.
+
+    Each triangle (u, v, x) lifts its corners affinely from f(u) along
+    (u, v) and (v, x) and sweeps (low, high).  Its edge slots join corners
+    (0, 1), (1, 2) and (0, 2), and the stored edge (s, t) of each slot
+    (slot_edge) runs the same way: its lift starts at the corner of s and
+    sweeps (slot_low, slot_high), and offset is the integer rint(lift of
+    s - f(s)).  The loose edges lie on no triangle; each lifts from f(s)
+    along q * w(s, t) and sweeps (loose_low, loose_high).
+    """
+
+    f: CircleMap
+    on_edge: np.ndarray  # triangles on each edge, (E,)
+    slot_edge: np.ndarray  # (T, 3) edge indices
+    offset: np.ndarray  # (T, 3) int64
+    slot_low: np.ndarray  # (T, 3)
+    slot_high: np.ndarray  # (T, 3)
+    low: np.ndarray  # (T,)
+    high: np.ndarray  # (T,)
+    loose: np.ndarray  # edge indices
+    loose_low: np.ndarray
+    loose_high: np.ndarray
+
+
+def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
+    """Lift the triangles and loose edges of f's complex along q * w, once
+    for every level of a census.  A lift that is not finite is kept: the
+    census of each level refuses it by its crossing count."""
+    complex = f.complex
+    tri, slot_edge = complex.triangles, complex.triangle_edges[:, :, 0]
+    on_edge = np.bincount(slot_edge.ravel(), minlength=len(complex.edges))
+    loose = np.flatnonzero(on_edge == 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        step = float(f.q) * w.values
+        lift = np.empty(tri.shape)
+        lift[:, 0] = f.values[tri[:, 0]]
+        lift[:, 1] = lift[:, 0] + step[slot_edge[:, 0]]
+        lift[:, 2] = lift[:, 1] + step[slot_edge[:, 1]]
+        start = lift[:, [0, 1, 0]]
+        offset = np.rint(start - f.values[tri[:, [0, 1, 0]]]).astype(np.int64)
+        low = lift.min(axis=1)
+        return CensusFrame(
+            f,
+            on_edge,
+            slot_edge,
+            offset,
+            *_sweep(start, lift[:, [1, 2, 2]] - start),
+            *_sweep(low, lift.max(axis=1) - low),
+            loose,
+            *_sweep(f.values[complex.edges[loose, 0]], step[loose]),
+        )
 
 
 def _expand(first, count):
@@ -258,6 +322,31 @@ def _pair_key(a, b):
     """One int64 per row of the int arrays a and b, equal where both are."""
     low = b.min(initial=0)
     return a * (b.max(initial=0) - low + 1) + (b - low)
+
+
+def _number_nodes(edge, level, n_edges: int):
+    """Number the distinct rows of the int arrays (edge, level) 0..n-1 in
+    (edge, level) order, as np.unique numbers their _pair_key, without a
+    sort: n, the number of each row, and the first row of each number.
+
+    Each edge e gets a run of the table, one place per level from its
+    lowest to its highest; a cumulative sum over the places taken numbers
+    them.
+    """
+    low = np.full(n_edges, level.max(initial=0))
+    np.minimum.at(low, edge, level)
+    high = np.full(n_edges, level.min(initial=0) - 1)
+    np.maximum.at(high, edge, level)
+    run = np.maximum(high - low + 1, 0)  # 0 off the edges of the rows
+    place = (np.cumsum(run) - run - low)[edge] + level
+    taken = np.zeros(int(run.sum()), dtype=bool)
+    taken[place] = True
+    number = np.cumsum(taken)
+    n = int(number[-1]) if number.size else 0
+    node_of = number[place] - 1
+    node_first = np.full(n, edge.size)
+    np.minimum.at(node_first, node_of, np.arange(edge.size))
+    return n, node_of, node_first
 
 
 def _count_components(n: int, a, b) -> int:
@@ -282,59 +371,43 @@ def _count_components(n: int, a, b) -> int:
             label = up
 
 
-def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
+def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     """Extract the level set of f at a generic value and count components.
 
     A node is a crossing of the level with an edge (s, t) of complex.edges,
-    keyed by the edge index and the integer k with c + k crossed by the lift
-    of (s, t) that starts at f(s).  Each triangle (u, v, x) lifts its
-    vertices affinely from f(u) along (u, v) and (v, x); each of its edges
-    is crossed at every c + k strictly inside its lifted interval, with k
-    shifted by the integer offset of the triangle's lift of s.  The two
-    crossings of each lifted level of a triangle are joined; edges in no
-    triangle contribute isolated nodes.  Every node must be met once by
-    each triangle on its edge, else CheckFailed.  More than MAX_CROSSINGS
-    crossings, or a lift that is not finite, raise InputError.
+    keyed by the edge index and the integer level with c + level crossed by
+    the lift of (s, t) that starts at f(s).  Each edge slot of a triangle
+    is crossed at every c + k strictly inside its lifted interval (see
+    CensusFrame), at level k - offset.  The two crossings of each lifted
+    level of a triangle are joined; edges in no triangle contribute
+    isolated nodes.  Every node must be met once by each triangle on its
+    edge, else CheckFailed.  More than MAX_CROSSINGS crossings, or a lift
+    that is not finite, raise InputError.
 
-    This is array code over complex.triangle_edges: the crossings of every
-    edge of every triangle are expanded at once, paired by sorting, and
-    their components counted by pointer jumping.
+    This is array code over the frame: the crossings of every slot of every
+    triangle are expanded at once, paired by one stable sort of their
+    (triangle, k) key, and their components counted by pointer jumping.
+    The nodes are numbered without a sort, by one table per level with a
+    run of places from each edge's lowest crossing level to its highest.
+    The table is linear in the crossings.  A triangle lifts s to f(s) +
+    offset within 1/2, so the crossings of its slot on (s, t), which rises
+    by span, have c + level within 1/2 of f(s) or on the side of span and
+    within 1/2 + |span|; the slot has at least |span| - 1 of them.  An edge
+    with r crossings thus gets a run of at most 2r + 4 places, the table
+    at most 6 places per crossing, and MAX_CROSSINGS bounds it as it bounds
+    the crossings.
     """
     c = float(value) % 1.0
-    complex = f.complex
-    tri = complex.triangles
-    index, sign = complex.triangle_edges[:, :, 0], complex.triangle_edges[:, :, 1]
-    on_edge = np.bincount(index.ravel(), minlength=len(complex.edges))
+    complex = frame.f.complex
     with np.errstate(invalid="ignore", over="ignore"):
-        hit = np.flatnonzero(np.abs((f.values - c + 0.5) % 1.0 - 0.5) < 1e-9)
+        hit = np.flatnonzero(np.abs((frame.f.values - c + 0.5) % 1.0 - 0.5) < 1e-9)
         if hit.size:
             raise NonGenericValue(f"level {c} hits the image of vertex {hit[0]}")
-        step = float(f.q) * w.values
-
-        along = step[index] * sign
-        lift = np.empty(tri.shape)
-        lift[:, 0] = f.values[tri[:, 0]]
-        lift[:, 1] = lift[:, 0] + along[:, 0]
-        lift[:, 2] = lift[:, 1] + along[:, 1]
         # skip the triangles whose lifted range meets no level; a NaN count
         # stays, for the cap below to refuse
-        low = lift.min(axis=1)
-        crossed = np.flatnonzero(_crossings(c, low, lift.max(axis=1) - low)[1] != 0)
-        tri, index, lift = tri[crossed], index[crossed], lift[crossed]
-
-        # edge slot p of a triangle runs between corners (0, 1), (1, 2) or
-        # (0, 2); its stored edge (s, t) runs the same way if sign is +1
-        back = sign[crossed] < 0
-        s_at = np.array([0, 1, 0]) + back * [1, 1, 2]
-        t_at = np.array([1, 2, 2]) - back * [1, 1, 2]
-        lift_s = np.take_along_axis(lift, s_at, axis=1)
-        lift_t = np.take_along_axis(lift, t_at, axis=1)
-        offset = np.rint(lift_s - f.values[np.take_along_axis(tri, s_at, axis=1)])
-        first, count = _crossings(c, lift_s, lift_t - lift_s)
-
-        loose = np.flatnonzero(on_edge == 0)
-        tails = complex.edges[loose, 0]
-        loose_first, loose_count = _crossings(c, f.values[tails], step[loose])
+        crossed = np.flatnonzero(_crossings(c, frame.low, frame.high)[1] != 0)
+        first, count = _crossings(c, frame.slot_low[crossed], frame.slot_high[crossed])
+        loose_first, loose_count = _crossings(c, frame.loose_low, frame.loose_high)
         total = count.sum() + loose_count.sum()
         if not total <= MAX_CROSSINGS:
             raise InputError(
@@ -345,41 +418,42 @@ def fiber_census(f: CircleMap, w: ScalarCochain1, value: float) -> FiberCensus:
     # crossings ordered by (triangle, slot, k), then those of loose edges
     seg, k = _expand(first, count)
     loose_seg, loose_k = _expand(loose_first, loose_count)
-    edge = np.concatenate([index.ravel()[seg], loose[loose_seg]])
-    level = np.concatenate([k - offset.astype(np.int64).ravel()[seg], loose_k])
-    nodes, node_first, node_of = np.unique(
-        _pair_key(edge, level), return_index=True, return_inverse=True
-    )
+    edge = np.concatenate([frame.slot_edge[crossed].ravel()[seg], frame.loose[loose_seg]])
+    level = np.concatenate([k - frame.offset[crossed].ravel()[seg], loose_k])
 
     # a lifted level meets each triangle it crosses on exactly two edges
     level_in = _pair_key(seg // 3, k)
-    _, group_first, group_size = np.unique(
-        level_in, return_index=True, return_counts=True
-    )
-    bad = np.flatnonzero(group_size != 2)
-    if bad.size:
-        g = bad[np.argmin(group_first[bad])]
-        j = group_first[g]
+    order = np.argsort(level_in, kind="stable")
+    key = level_in[order]
+    if not (
+        key.size % 2 == 0
+        and np.array_equal(key[::2], key[1::2])
+        and np.all(key[1:-1:2] != key[2::2])
+    ):
+        group = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+        size = np.diff(group, append=key.size)
+        bad = np.flatnonzero(size != 2)
+        g = bad[np.argmin(order[group[bad]])]
+        j = order[group[g]]
         raise CheckFailed(
-            f"level {c + int(k[j])} crosses {int(group_size[g])} edges of "
-            f"triangle {tuple(tri[seg[j] // 3].tolist())}"
+            f"level {c + int(k[j])} crosses {int(size[g])} edges of "
+            f"triangle {tuple(complex.triangles[crossed[seg[j] // 3]].tolist())}"
         )
 
-    degree = np.bincount(node_of[: seg.size], minlength=nodes.size)
-    expect = on_edge[edge[node_first]]
+    n, node_of, node_first = _number_nodes(edge, level, len(complex.edges))
+    degree = np.bincount(node_of[: seg.size], minlength=n)
+    expect = frame.on_edge[edge[node_first]]
     wrong = np.flatnonzero(degree != expect)
     if wrong.size:
         j = node_first[wrong].min()
-        n = node_of[j]
         raise CheckFailed(
             f"fiber at level {c} (lift index {int(level[j])}) meets edge "
-            f"{tuple(complex.edges[edge[j]].tolist())} in {int(degree[n])} of its "
-            f"{int(expect[n])} triangles"
+            f"{tuple(complex.edges[edge[j]].tolist())} in {int(degree[node_of[j]])} of its "
+            f"{int(expect[node_of[j]])} triangles"
         )
 
-    pairs = node_of[np.argsort(level_in, kind="stable")].reshape(-1, 2)
-    components = _count_components(nodes.size, pairs[:, 0], pairs[:, 1])
-    return FiberCensus(c, components, int(nodes.size))
+    pairs = node_of[order].reshape(-1, 2)
+    return FiberCensus(c, _count_components(n, pairs[:, 0], pairs[:, 1]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +528,8 @@ def tischler_fibration(
     rz = rationalize(w, homology_generators(w.complex), cfg)
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
-    censuses = [
-        fiber_census(cm, rz.cochain, lvl) for lvl in generic_levels(cm)
-    ]
+    frame = census_frame(cm, rz.cochain)
+    censuses = [fiber_census(frame, lvl) for lvl in generic_levels(cm)]
     return cm, rz, sub, censuses
 
 

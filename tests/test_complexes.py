@@ -90,6 +90,17 @@ class TestEdgeIndex:
             assert got == [{a, b}, {b, c}, {a, c}]
             assert sorted(t2_8.top_edges[t]) == sorted(i for i, _ in incidence)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_triangle_edge_runs_as_its_slot(self, d):
+        # the fiber census lifts slot (0, 1), (1, 2), (0, 2) of each triangle
+        # from its first corner, which needs every sign to be +1
+        k = torus_complex(d, 4)
+        assert k.triangle_edges.shape == (len(k.triangles), 3, 2)
+        assert np.all(k.triangle_edges[:, :, 1] == 1)
+        tail, head = k.edges[k.triangle_edges[:, :, 0]].transpose(2, 0, 1)
+        assert np.array_equal(tail, k.triangles[:, [0, 1, 0]])
+        assert np.array_equal(head, k.triangles[:, [1, 2, 2]])
+
     def test_values_keyed_against_the_stored_orientation_are_negated(self, t2_8):
         u, v = t2_8.edges[7]
         base = [0.0] * len(t2_8.edges)

@@ -26,6 +26,7 @@ from slnfib.tischler import (
     FiberCensus,
     RationalizeConfig,
     RationalizedCochain,
+    census_frame,
     check_submersion,
     continued_fraction_approx,
     fiber_census,
@@ -186,7 +187,7 @@ class TestFiberCensus:
 
     def test_coordinate_level_is_one_circle(self):
         cm, w = self.circle_map_dx(5)
-        census = fiber_census(cm, w, 0.5)
+        census = fiber_census(census_frame(cm, w), 0.5)
         assert census.component_count == 1
         # the vertical line x = 0.5 crosses one horizontal and one diagonal
         # edge per row
@@ -198,8 +199,9 @@ class TestFiberCensus:
         rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == [2, 3]
+        frame = census_frame(cm, rz.cochain)
         for lvl in generic_levels(cm, 5):
-            assert fiber_census(cm, rz.cochain, lvl).component_count == 1
+            assert fiber_census(frame, lvl).component_count == 1
 
     def test_multiple_components_for_scaled_map(self):
         # periods (2, 0): the fiber splits into two parallel circles
@@ -207,13 +209,14 @@ class TestFiberCensus:
         w = coordinate_cochain(k, 0).scale(2)
         rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
+        frame = census_frame(cm, rz.cochain)
         for lvl in generic_levels(cm, 5):
-            assert fiber_census(cm, rz.cochain, lvl).component_count == 2
+            assert fiber_census(frame, lvl).component_count == 2
 
     def test_vertex_level_rejected(self):
         cm, w = self.circle_map_dx(5)
         with pytest.raises(NonGenericValue):
-            fiber_census(cm, w, 0.0)
+            fiber_census(census_frame(cm, w), 0.0)
 
     def test_generic_levels_avoid_vertex_images(self):
         cm, _ = self.circle_map_dx(5)
@@ -279,16 +282,26 @@ class TestFiberCensus:
         cm = CircleMap(k, np.array([0.0, vertex, 0.5]), [1], 1)
         w = ScalarCochain1(k, [rise] * 3)
         with pytest.raises(InputError, match=f"has {crossings} edge crossings"):
-            fiber_census(cm, w, 0.1)
+            fiber_census(census_frame(cm, w), 0.1)
+
+    def test_nan_lift_on_triangles_refused(self):
+        # the frame casts every triangle's offsets, NaN ones too, before the
+        # census of a level refuses them
+        k = torus_complex(2, 3)
+        cm = CircleMap(k, np.r_[np.zeros(8), math.nan], [1, 1], 1)
+        frame = census_frame(cm, ScalarCochain1(k, [0.3] * len(k.edges)))
+        with pytest.raises(InputError, match="has nan edge crossings"):
+            fiber_census(frame, 0.5)
 
     def test_inconsistent_lift_fails_degree_check(self):
         cm, w = self.circle_map_dx(5)
         values = cm.values.copy()
         values[7] = (values[7] + 0.3) % 1.0
         cm = CircleMap(cm.complex, values, cm.periods, cm.q)
+        frame = census_frame(cm, w)
         with pytest.raises(CheckFailed, match=r"meets edge .* of its 2 triangles"):
             for lvl in generic_levels(cm):
-                fiber_census(cm, w, lvl)
+                fiber_census(frame, lvl)
 
     def test_half_digit_crossings_repro(self, capsys, tmp_path):
         # crossing positions of this form land halfway between 9th-digit
@@ -428,6 +441,10 @@ def loop_census(f, w, value):
     return FiberCensus(c, len({find(x) for x in parent}), len(parent))
 
 
+def array_census(f, w, value):
+    return fiber_census(census_frame(f, w), value)
+
+
 def census_outcome(census, f, w, value):
     try:
         return census(f, w, value)
@@ -467,7 +484,7 @@ def test_array_census_matches_the_loop_census(d, m, coeffs, moves, levels):
     cm = CircleMap(k, values, cm.periods, cm.q)
     for value in levels + generic_levels(cm, 2):
         expect = census_outcome(loop_census, cm, rz.cochain, value)
-        assert census_outcome(fiber_census, cm, rz.cochain, value) == expect
+        assert census_outcome(array_census, cm, rz.cochain, value) == expect
 
 
 def crossing_oracle(m, d, periods):
@@ -506,18 +523,50 @@ def test_linear_census_crossings_match_closed_form(d, m, coeffs):
         assert census.component_count == math.gcd(*periods)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(n_edges=1, rows=[])
+@example(  # negative levels, a repeated key, a gap in edge 2, edges 1 and 3 bare
+    n_edges=4, rows=[(2, -3), (2, 5), (0, -7), (2, -3), (2, 0), (0, -7)]
+)
+@given(
+    n_edges=st.integers(1, 8),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 7), st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
+        ),
+        max_size=40,
+    ),
+)
+def test_node_numbering_matches_unique(n_edges, rows):
+    rows = [(e % n_edges, level) for e, level in rows]
+    edge, level = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    keys, first, number = np.unique(
+        tischler._pair_key(edge, level), return_index=True, return_inverse=True
+    )
+    n, node_of, node_first = tischler._number_nodes(edge, level, n_edges)
+    assert n == keys.size
+    assert node_of.tolist() == number.tolist()
+    assert node_first.tolist() == first.tolist()
+
+
 def test_fibration_calls_census_through_module_attribute(monkeypatch):
     # bench/tracer.py rebinds tischler.fiber_census to count crossings
-    calls = []
-    census = tischler.fiber_census
+    calls, frames = [], []
+    census, frame_of = tischler.fiber_census, tischler.census_frame
 
-    def counting(f, w, value):
-        out = census(f, w, value)
+    def counting(frame, value):
+        out = census(frame, value)
         calls.append((value, out.crossing_edges))
         return out
 
+    def framing(f, w):
+        frames.append(f)
+        return frame_of(f, w)
+
     monkeypatch.setattr(tischler, "fiber_census", counting)
+    monkeypatch.setattr(tischler, "census_frame", framing)
     cm, _, _, censuses = tischler_fibration(mixed_cochain(8), RationalizeConfig(0.01))
+    assert len(frames) == 1 and frames[0] is cm
     assert [value for value, _ in calls] == generic_levels(cm)
     assert [n for _, n in calls] == [c.crossing_edges for c in censuses]
     assert all(isinstance(n, int) and n > 0 for _, n in calls)
