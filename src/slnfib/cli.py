@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .groups import factor_split, iwasawa_sln
 from .foliation import check_equivariance, check_mc
-from .tischler import RationalizeConfig, pipeline_sln, tischler_fibration
+from .tischler import RationalizeConfig, fibration_ok, pipeline_sln, tischler_fibration
 from . import serialize
 
 EXIT_PASS = 0
@@ -134,16 +134,14 @@ def cmd_tischler(args) -> int:
     w = serialize.load_scalar_cochain(_load_json(args.cochain))
     cfg = RationalizeConfig(args.epsilon, args.max_denominator)
     cm, rz, sub, censuses = tischler_fibration(w, cfg)
-    counts = [c.component_count for c in censuses]
-    ok = sub.passed() and len(set(counts)) == 1
     report = {
         "periods": [str(r) for r in rz.periods],
         "q": rz.q,
         "sup_change": rz.sup_change,
         "pullback_periods": cm.periods,
         "submersion": sub.to_dict(),
-        "fiber_components": counts,
-        "ok": ok,
+        "fiber_components": [c.component_count for c in censuses],
+        "ok": fibration_ok(sub, censuses),
     }
     return _emit(report, args, f"tischler-{Path(args.cochain).stem}")
 

@@ -10,13 +10,15 @@ Each edge is stored once, as a row of the (E, 2) int array complex.edges,
 together with its covering lift (z, z + e), e in {0,1}^d, a row of the
 (E, 2, d) int array complex.lifts; vertex coordinates are one (V, d) int
 array, and no per-edge or per-vertex Python list is kept.  A scalar
-1-cochain is one read-only float64 array in edge order, and its coboundary,
-periods and closedness are array expressions over the complex's int
-incidence arrays; a Lie cochain is one read-only float64 array of shape
-(E, n, n) in that order, and its triangle holonomies come from one stacked
-exponential.  The complex maps oriented edges (u, v), one pair or arrays of
-them, to edge indices and signs, +1 if the edge is stored as (u, v) and -1
-if it is stored as (v, u).
+1-cochain is one read-only float64 array in edge order, and its coboundary
+and closedness are array expressions over the complex's int incidence
+arrays.  H_1 of the torus has the basis of the d axis loops through vertex
+0, and the period on axis loop k is read off m edge indices by arithmetic;
+the coordinate cochains dx_k are the dual basis.  A Lie cochain is one
+read-only float64 array of shape (E, n, n) in that order, and its triangle
+holonomies come from one stacked exponential.  The complex maps oriented
+edges (u, v), one pair or arrays of them, to edge indices and signs, +1 if
+the edge is stored as (u, v) and -1 if it is stored as (v, u).
 """
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ import numpy as np
 
 from .errors import DimensionError, InputError
 from .linalg import FMatrix, matrix_exp, require_finite
-
-Edge = Tuple[int, int]
 
 WINDOW_COPIES = 3  # fundamental domains per axis in a developing-map window
 MAX_VERTICES = 65536  # torus size cap: T^2 up to m = 256, T^3 up to m = 40
@@ -55,7 +55,8 @@ class TorusCovering:
 
 
 class SimplicialComplex:
-    """Oriented 1- and 2-skeleton (plus tetrahedra for d = 3) of a torus.
+    """Oriented 1- and 2-skeleton of a torus, with the edges of each top
+    simplex.
 
     Built from the covering alone, as int arrays.  Vertex v has grid
     coordinates vertex_coords[v] (a V x d array; v = covering.base_index of
@@ -67,12 +68,12 @@ class SimplicialComplex:
     simplex is (z, z + a, z + b, ...) and each of its edges is stored in the
     direction it is walked.
 
-    The incidence is held once, as int arrays: triangles (T x 3) and
-    tetrahedra (T3 x 4) list vertices; triangle_edges (T x 3 x 2) gives
-    orient(a, b), orient(b, c) and orient(a, c) for each triangle (a, b, c)
-    as (index, sign); top_edges gives the edge indices of each top simplex;
-    incidence (V x 2(2^d - 1)) gives the edges at each vertex in ascending
-    order.
+    The incidence is held once, as int arrays: triangles (T x 3) lists
+    vertices; triangle_edges (T x 3 x 2) gives orient(a, b), orient(b, c)
+    and orient(a, c) for each triangle (a, b, c) as (index, sign);
+    top_edges gives the edge indices of each top simplex (edge, triangle
+    or tetrahedron); incidence (V x 2(2^d - 1)) gives the edges at each
+    vertex in ascending order.
     """
 
     def __init__(self, covering: TorusCovering):
@@ -115,7 +116,6 @@ class SimplicialComplex:
         tet_chains = [ch + (c,) for ch in tri_chains for c in vecs if below(ch[2], c)]
         top_chains = (None, [(zero, e) for e in vecs], tri_chains, tet_chains)[d]
         self.triangles = per_cell([vertex(a) for ch in tri_chains for a in ch], 3)
-        self.tetrahedra = per_cell([vertex(a) for ch in tet_chains for a in ch], 4)
         slots = ((0, 1), (1, 2), (0, 2))
         along = per_cell([edge(ch[s], ch[t]) for ch in tri_chains for s, t in slots], 3)
         self.triangle_edges = np.stack([along, np.ones_like(along)], axis=-1)
@@ -163,11 +163,6 @@ class SimplicialComplex:
         on_edge = self.triangle_edges[:, :, 0] == self.orient(u, v)[0]
         return np.flatnonzero(on_edge.any(axis=1)).tolist()
 
-    @property
-    def top_simplices(self):
-        """Tetrahedra, else triangles, else edges (for a 1-complex)."""
-        return (self.edges, self.triangles, self.tetrahedra)[self.covering.d - 1]
-
 
 def _monotone_vectors(d: int) -> List[Tuple[int, ...]]:
     return [v for v in itertools.product((0, 1), repeat=d) if any(v)]
@@ -202,39 +197,6 @@ def torus_complex(d: int, m: int) -> SimplicialComplex:
     return SimplicialComplex(TorusCovering(d, m))
 
 
-@dataclass
-class Cycle:
-    """Closed chain of oriented edges, head-to-tail."""
-
-    edges: List[Edge]
-
-    def __post_init__(self):
-        if not self.edges:
-            raise InputError("empty cycle")
-        for (u1, v1), (u2, v2) in zip(self.edges, self.edges[1:]):
-            if v1 != u2:
-                raise InputError(f"cycle breaks between ({u1},{v1}) and ({u2},{v2})")
-        if self.edges[-1][1] != self.edges[0][0]:
-            raise InputError("cycle is not closed")
-
-    def reversed(self) -> "Cycle":
-        return Cycle([(v, u) for u, v in reversed(self.edges)])
-
-
-def homology_generators(complex: SimplicialComplex) -> List[Cycle]:
-    """One axis loop through the origin per torus factor."""
-    cov = complex.covering
-    gens = []
-    for axis in range(cov.d):
-        edges = []
-        for i in range(cov.m):
-            z = tuple(i if k == axis else 0 for k in range(cov.d))
-            z_next = tuple((i + 1) if k == axis else 0 for k in range(cov.d))
-            edges.append((cov.base_index(z), cov.base_index(z_next)))
-        gens.append(Cycle(edges))
-    return gens
-
-
 class ScalarCochain1:
     """Real values, one per edge in complex.edges order, as a read-only
     float64 array."""
@@ -263,8 +225,8 @@ class ScalarCochain1:
 def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     """dx_axis on a torus complex: 1/m per unit step along the axis.
 
-    Closed, with period 1 on the axis generator and 0 on the others; these are
-    the stored harmonic duals of the torus homology basis.
+    Closed, with period 1 on its own axis loop and 0 on the others: the
+    coordinate cochains are the basis dual to the axis loops.
     """
     steps = complex.lifts[:, 1, axis] - complex.lifts[:, 0, axis]
     return ScalarCochain1(complex, steps / complex.covering.m)
@@ -284,11 +246,15 @@ def max_coboundary(w: ScalarCochain1) -> float:
     return float(np.max(np.abs(coboundary(w)), initial=0.0))
 
 
-def period(w: ScalarCochain1, c: Cycle) -> float:
-    """The sum of w over the edges of c, added one at a time in cycle order."""
-    index, sign = w.complex.orient(*zip(*c.edges))
+def period(w: ScalarCochain1, axis: int) -> float:
+    """The period of w on the axis loop through vertex 0: the sum of w over
+    its edges (i e_axis, (i + 1) e_axis), i = 0..m-1, added one at a time in
+    loop order.  Edge (u, u + e_axis) is u * (2^d - 1) + 2^(d-1-axis) - 1,
+    stored forward, and u = i m^axis."""
+    d, m = w.complex.covering.d, w.complex.covering.m
+    index = np.arange(m) * m ** axis * (2 ** d - 1) + (2 ** (d - 1 - axis) - 1)
     total = 0.0
-    for x in (w.values[index] * sign).tolist():
+    for x in w.values[index].tolist():
         total += x
     return total
 

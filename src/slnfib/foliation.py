@@ -290,11 +290,11 @@ def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSp
     d = len(rows[0])
     complex = torus_complex(d, m)
     cochains = []
-    duals = [coordinate_cochain(complex, ax) for ax in range(d)]
+    dx = [coordinate_cochain(complex, ax) for ax in range(d)]
     for row in rows:
-        w = duals[0].scale(row[0])
+        w = dx[0].scale(row[0])
         for ax in range(1, d):
-            w = w + duals[ax].scale(row[ax])
+            w = w + dx[ax].scale(row[ax])
         cochains.append(w)
     window, a = complex.covering.window(), np.array(rows, dtype=float)
     samples = np.zeros((len(window), k))

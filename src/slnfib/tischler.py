@@ -1,7 +1,8 @@
 """Constructive circle fibration from a closed 1-cochain.
 
-Stages: perturb the periods of a closed cochain to rationals by adding
-multiples of the stored harmonic duals (continued-fraction convergents keep
+Stages: perturb the periods of a closed cochain on the axis loops of the
+torus to rationals by adding multiples of the coordinate cochains, their
+dual basis (Tischler's construction; continued-fraction convergents keep
 the perturbation within budget), integrate the scaled cochain along an axis
 walk of the torus grid into a circle map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
@@ -11,7 +12,7 @@ sort, by a table linear in the crossings.
 
 Cochains are float64 edge arrays and the circle map a float64 vertex array.
 Only the rationalized periods are exact Fraction convergents; each period is
-summed edge by edge in cycle order, so reports reproduce to the last bit.
+summed edge by edge in loop order, so reports reproduce to the last bit.
 
 The end-to-end entry point runs the whole chain on an SL(n) (or abelian)
 foliation spec: project to the R^2 factor, pick a submersive component, and
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,11 +35,9 @@ from .errors import (
 )
 from .linalg import EQ_TOL, RESIDUAL_TOL
 from .complexes import (
-    Cycle,
     ScalarCochain1,
     SimplicialComplex,
     coordinate_cochain,
-    homology_generators,
     max_coboundary,
     period,
 )
@@ -96,7 +95,7 @@ def continued_fraction_approx(x: float, epsilon: float, max_denominator: int) ->
 
 @dataclass
 class RationalizedCochain:
-    """Closed cochain with rational periods over the generator basis."""
+    """Closed cochain with rational periods on the axis loops."""
 
     cochain: ScalarCochain1
     periods: List[Fraction]
@@ -104,46 +103,31 @@ class RationalizedCochain:
     sup_change: float
 
 
-def rationalize(
-    w: ScalarCochain1,
-    cycles: Sequence[Cycle],
-    cfg: RationalizeConfig,
-    duals: Optional[Sequence[ScalarCochain1]] = None,
-) -> RationalizedCochain:
+def rationalize(w: ScalarCochain1, cfg: RationalizeConfig) -> RationalizedCochain:
     """Perturb each period to a nearby rational without breaking closedness.
 
-    Each period p_k is replaced by a continued-fraction convergent r_k and
-    (r_k - p_k) times the harmonic dual of the k-th generator is added, one
-    generator at a time; the correction is a sum of closed cochains, so
-    closedness is preserved up to float rounding.  duals defaults to the
-    coordinate cochains of a torus complex.  A period that is not a finite
-    float raises InputError.
+    The period p_k of w on axis loop k is replaced by a continued-fraction
+    convergent r_k, and (r_k - p_k) dx_k is added, one axis at a time: dx_k
+    has period 1 on loop k and 0 on the others, and the correction is a sum
+    of closed cochains, so closedness is preserved up to float rounding.  A
+    cochain that is not closed within EQ_TOL, or a period that is not a
+    finite float, raises InputError; a perturbation over epsilon in
+    sup-norm (NaN included) raises BudgetInfeasible.
     """
     bad = max_coboundary(w)
     if not bad <= EQ_TOL:
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
-    complex = w.complex
-    if duals is None:
-        duals = [coordinate_cochain(complex, ax) for ax in range(complex.covering.d)]
-    if len(duals) != len(cycles):
-        raise InputError("one harmonic dual per generator cycle required")
-    for k, eta in enumerate(duals):
-        for j, c in enumerate(cycles):
-            expect = 1 if j == k else 0
-            if not abs(period(eta, c) - expect) <= EQ_TOL:
-                raise InputError(f"dual {k} is not dual to cycle {j}")
-
     out = w
     periods: List[Fraction] = []
-    for k, c in enumerate(cycles):
-        p = period(w, c)
+    for k in range(w.complex.covering.d):
+        p = period(w, k)
         if not math.isfinite(p):
             raise InputError(f"period {k} of the cochain is not a finite number")
         r = continued_fraction_approx(p, cfg.epsilon, cfg.max_denominator)
         periods.append(r)
         delta = float(r) - p
         if delta != 0.0:
-            out = out + duals[k].scale(delta)
+            out = out + coordinate_cochain(w.complex, k).scale(delta)
     q = math.lcm(*[r.denominator for r in periods])
     sup_change = float(np.max(np.abs(out.values - w.values)))
     if not sup_change <= cfg.epsilon:
@@ -155,7 +139,7 @@ def rationalize(
 
 @dataclass
 class CircleMap:
-    """Vertex map into R/Z with integer periods over the generator basis."""
+    """Vertex map into R/Z with integer periods on the axis loops."""
 
     complex: SimplicialComplex
     values: np.ndarray  # the image of each vertex, read-only (V,) float64
@@ -520,12 +504,17 @@ def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
     return out
 
 
+def fibration_ok(sub: SubmersionReport, censuses: Sequence[FiberCensus]) -> bool:
+    """The verdict on a circle map: it passes the submersion check and its
+    fibers have the same number of components at every level."""
+    return sub.passed() and len({c.component_count for c in censuses}) == 1
+
+
 def tischler_fibration(
     w: ScalarCochain1, cfg: RationalizeConfig
 ) -> Tuple[CircleMap, RationalizedCochain, SubmersionReport, List[FiberCensus]]:
-    """Closed cochain -> circle map, with submersion check and fiber census
-    over the axis generators of the torus."""
-    rz = rationalize(w, homology_generators(w.complex), cfg)
+    """Closed cochain -> circle map, with submersion check and fiber census."""
+    rz = rationalize(w, cfg)
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
     frame = census_frame(cm, rz.cochain)
@@ -623,5 +612,5 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
         components=counts,
         constant=len(set(counts)) == 1,
     )
-    report.ok = True
+    report.ok = fibration_ok(sub, censuses)
     return report

@@ -24,7 +24,6 @@ from slnfib.algebra import (
 from slnfib.complexes import (
     coordinate_cochain,
     holonomy_residual,
-    homology_generators,
     torus_complex,
 )
 from slnfib.errors import InputError, SingularInput
@@ -218,11 +217,7 @@ def test_criterion_10_negative_controls(t2_8):
     from slnfib.complexes import ScalarCochain1
 
     try:
-        rationalize(
-            ScalarCochain1(t2_8, values),
-            homology_generators(t2_8),
-            RationalizeConfig(0.01),
-        )
+        rationalize(ScalarCochain1(t2_8, values), RationalizeConfig(0.01))
         ok = False
     except InputError:
         pass

@@ -7,23 +7,33 @@ from hypothesis import given, settings, strategies as st
 
 from slnfib.algebra import AlgebraElement, OffDiag
 from slnfib.complexes import (
-    Cycle,
+    MAX_VERTICES,
     LieCochain1,
     ScalarCochain1,
     coboundary,
     coordinate_cochain,
     holonomy_residual,
-    homology_generators,
     max_coboundary,
     period,
     torus_complex,
 )
 from slnfib.errors import DimensionError, InputError
-from slnfib.linalg import FMatrix
+from slnfib.linalg import EQ_TOL, FMatrix
 
 
 def euler_characteristic(k):
-    return k.n_vertices - len(k.edges) + len(k.triangles) - len(k.tetrahedra)
+    tetrahedra = len(k.top_edges) if k.covering.d == 3 else 0
+    return k.n_vertices - len(k.edges) + len(k.triangles) - tetrahedra
+
+
+def axis_loop(k, axis, start=None):
+    """The oriented edges (u, v) of the axis loop through the grid vertex
+    start (the origin by default), in loop order."""
+    d, m = k.covering.d, k.covering.m
+    z = np.zeros(d, dtype=int) if start is None else np.array(start)
+    step = np.eye(d, dtype=int)[axis]
+    at = [int(k.covering.base_index(z + i * step)) for i in range(m + 1)]
+    return list(zip(at, at[1:]))
 
 
 class TestTorusComplex:
@@ -43,8 +53,12 @@ class TestTorusComplex:
             assert euler_characteristic(torus_complex(d, m)) == 0
 
     def test_generator_count(self):
+        # d axis loops, each with period 1 under its own coordinate cochain
         for d in (1, 2, 3):
-            assert len(homology_generators(torus_complex(d, 3))) == d
+            k = torus_complex(d, 3)
+            dx = [coordinate_cochain(k, a) for a in range(d)]
+            matrix = [[period(dx[a], b) for b in range(d)] for a in range(d)]
+            assert np.allclose(matrix, np.eye(d), rtol=0, atol=EQ_TOL)
 
     def test_manifold_like_2d(self):
         # a closed surface: every edge lies in exactly two triangles
@@ -62,9 +76,9 @@ class TestTorusComplex:
             assert k.incidence.tolist() == rows
 
     def test_t3_has_tetrahedra(self):
+        # 6 tetrahedra per cube, each with 6 edges
         k = torus_complex(3, 3)
-        assert len(k.tetrahedra) == 6 * 27
-        assert k.top_simplices is k.tetrahedra
+        assert k.top_edges.shape == (6 * 27, 6)
 
     def test_rejects_small_m(self):
         with pytest.raises(InputError):
@@ -186,38 +200,57 @@ class TestCoboundary:
 
 class TestPeriod:
     def test_dx_periods(self, t2_8):
-        gens = homology_generators(t2_8)
         dx = coordinate_cochain(t2_8, 0)
-        assert period(dx, gens[0]) == 1
-        assert period(dx, gens[1]) == 0
+        assert period(dx, 0) == 1
+        assert period(dx, 1) == 0
 
     def test_mixed_cochain_period(self, t2_8):
-        gens = homology_generators(t2_8)
         w = coordinate_cochain(t2_8, 0).scale(1.0) + coordinate_cochain(
             t2_8, 1
         ).scale(math.sqrt(2))
-        assert abs(period(w, gens[1]) - math.sqrt(2)) < 1e-12
-
-    def test_orientation_antisymmetry(self, t2_8):
-        gens = homology_generators(t2_8)
-        w = coordinate_cochain(t2_8, 0)
-        assert period(w, gens[0].reversed()) == -period(w, gens[0])
+        assert abs(period(w, 1) - math.sqrt(2)) < 1e-12
 
     def test_homologous_cycles_agree(self, t2_8):
-        # x-loop at row 0 and x-loop at row 3 are homologous
+        # x-loop at row 0 and x-loop at row 3 are homologous; on T^2 the
+        # edge (u, u + e_0) is u * 3 + 1
         dx = coordinate_cochain(t2_8, 0)
-        cov = t2_8.covering
-        loop_at = lambda y: Cycle(
-            [
-                (cov.base_index((i, y)), cov.base_index((i + 1, y)))
-                for i in range(cov.m)
-            ]
-        )
-        assert period(dx, loop_at(0)) == period(dx, loop_at(3))
+        loop = axis_loop(t2_8, 0, (0, 3))
+        index = [u * 3 + 1 for u, _ in loop]
+        assert t2_8.edges[index].tolist() == [list(e) for e in loop]
+        total = 0.0
+        for x in dx.values[index].tolist():
+            total += x
+        assert period(dx, 0) == total
 
-    def test_broken_cycle_rejected(self):
-        with pytest.raises(InputError):
-            Cycle([(0, 1), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_period_matches_the_sum_over_oriented_edges(self, d):
+        # the loop's edges resolved by orient and summed with their signs,
+        # in loop order: the sum over a general cycle of oriented edges
+        rng = np.random.default_rng(d)
+        for m in (3, 4, 5, 8, 13):
+            k = torus_complex(d, m)
+            for _ in range(5):
+                scale = 10.0 ** rng.uniform(-3, 3, len(k.edges))
+                w = ScalarCochain1(k, rng.standard_normal(len(k.edges)) * scale)
+                for axis in range(d):
+                    index, sign = k.orient(*zip(*axis_loop(k, axis)))
+                    total = 0.0
+                    for x in (w.values[index] * sign).tolist():
+                        total += x
+                    assert period(w, axis).hex() == total.hex()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coordinate_cochains_are_dual_to_the_axis_loops(self, d):
+        # the invariant that lets rationalize correct period k by dx_k alone;
+        # m = 65356 has the largest float error of 1/m summed m times on T^1
+        cap = int(MAX_VERTICES ** (1 / d) + 1e-9)  # the largest m under the cap
+        sizes = {3, 4, 5, 6, 7, 10, 16, 37, cap} | ({65356} if d == 1 else set())
+        for m in sorted(sizes):
+            k = torus_complex(d, m)
+            for a in range(d):
+                dx = coordinate_cochain(k, a)
+                for b in range(d):
+                    assert abs(period(dx, b) - (a == b)) <= EQ_TOL
 
 
 def ga_like(t, s):
@@ -301,10 +334,8 @@ def test_float_periods_match_exact_sums(form):
     k = torus_complex(d, m)
     w = ScalarCochain1(k, [float(exact(u, v)) for u, v in k.edges])
     assert max_coboundary(w) <= 1e-12
-    for axis, gen in enumerate(homology_generators(k)):
-        # the reversed generator walks every edge against its stored orientation
-        for cycle, total in ((gen, coeffs[axis]), (gen.reversed(), -coeffs[axis])):
-            walked = [exact(u, v) for u, v in cycle.edges]
-            assert sum(walked) == total
-            error = abs(Fraction(period(w, cycle)) - total)
-            assert error <= m * Fraction(1, 2 ** 52) * sum(map(abs, walked))
+    for axis in range(d):
+        walked = [exact(u, v) for u, v in axis_loop(k, axis)]
+        assert sum(walked) == coeffs[axis]
+        error = abs(Fraction(period(w, axis)) - coeffs[axis])
+        assert error <= m * Fraction(1, 2 ** 52) * sum(map(abs, walked))

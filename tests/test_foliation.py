@@ -9,7 +9,7 @@ import scipy.linalg
 
 from slnfib import foliation, groups, linalg
 from slnfib.cli import main
-from slnfib.complexes import coboundary, period, homology_generators
+from slnfib.complexes import coboundary, period
 from slnfib.errors import CheckFailed, InputError
 from slnfib.foliation import (
     LieFoliationSpec,
@@ -210,10 +210,9 @@ class TestProjectFoliation:
         assert ab.group == Rk(2)
         for w in ab.scalar_cochains:
             assert max(abs(float(x)) for x in coboundary(w)) < 1e-12
-        gens = homology_generators(ab.complex)
         # the log-scale coordinate picks up log(2)/2 around the base circle
-        assert abs(period(ab.scalar_cochains[0], gens[0]) - math.log(2) / 2) < 1e-9
-        assert abs(period(ab.scalar_cochains[0], gens[1])) < 1e-12
+        assert abs(period(ab.scalar_cochains[0], 0) - math.log(2) / 2) < 1e-9
+        assert abs(period(ab.scalar_cochains[0], 1)) < 1e-12
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_lifts_outside_a_partial_window(self, product_spec, which):

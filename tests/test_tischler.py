@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -12,14 +13,13 @@ from slnfib.cli import main
 from slnfib.complexes import (
     ScalarCochain1,
     coordinate_cochain,
-    homology_generators,
     period,
     torus_complex,
 )
 from slnfib.errors import BudgetInfeasible, CheckFailed, InputError, NonGenericValue
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
-from slnfib.serialize import scalar_cochain_to_json
+from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 from slnfib import tischler
 from slnfib.tischler import (
     CircleMap,
@@ -68,25 +68,22 @@ def mixed_cochain(m):
 class TestRationalize:
     def test_sqrt2_cochain_m16(self):
         w = mixed_cochain(16)
-        gens = homology_generators(w.complex)
-        rz = rationalize(w, gens, RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         assert rz.periods == [Fraction(1), Fraction(17, 12)]
         assert rz.q == 12
         assert rz.sup_change <= 0.01
-        assert abs(float(period(rz.cochain, gens[1])) - 17 / 12) < 1e-12
+        assert abs(float(period(rz.cochain, 1)) - 17 / 12) < 1e-12
 
     def test_already_rational_untouched(self, t2_8):
         w = coordinate_cochain(t2_8, 0)
-        gens = homology_generators(t2_8)
-        rz = rationalize(w, gens, RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         assert rz.periods == [Fraction(1), Fraction(0)]
         assert rz.q == 1
         assert rz.sup_change == 0.0
 
     def test_correction_preserves_closedness(self):
         w = mixed_cochain(8)
-        gens = homology_generators(w.complex)
-        rz = rationalize(w, gens, RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         from slnfib.complexes import coboundary
 
         assert max(abs(float(x)) for x in coboundary(rz.cochain)) < 1e-12
@@ -97,20 +94,12 @@ class TestRationalize:
         values[3] = values[3] + Fraction(1, 7)
         bad = ScalarCochain1(t2_8, values)
         with pytest.raises(InputError):
-            rationalize(bad, homology_generators(t2_8), RationalizeConfig(0.01))
+            rationalize(bad, RationalizeConfig(0.01))
 
     def test_budget_infeasible(self):
         w = mixed_cochain(8)
-        gens = homology_generators(w.complex)
         with pytest.raises(BudgetInfeasible):
-            rationalize(w, gens, RationalizeConfig(1e-9, max_denominator=100))
-
-    def test_bad_duals_rejected(self, t2_8):
-        w = coordinate_cochain(t2_8, 0)
-        gens = homology_generators(t2_8)
-        duals = [coordinate_cochain(t2_8, 0)] * 2
-        with pytest.raises(InputError):
-            rationalize(w, gens, RationalizeConfig(0.01), duals=duals)
+            rationalize(w, RationalizeConfig(1e-9, max_denominator=100))
 
 
 class TestIntegrate:
@@ -135,7 +124,7 @@ class TestIntegrate:
         h = np.random.default_rng(5).uniform(-1, 1, k.n_vertices) * bump
         tail, head = k.edges.T
         w = ScalarCochain1(k, w.values + h[head] - h[tail])
-        rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == periods
         for v in range(k.n_vertices):
@@ -146,7 +135,7 @@ class TestIntegrate:
 
     def test_integer_periods_required(self, t2_8):
         w = coordinate_cochain(t2_8, 0)
-        rz = rationalize(w, homology_generators(t2_8), RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == [1, 0]
         assert all(0.0 <= x < 1.0 for x in cm.values)
@@ -182,7 +171,7 @@ class TestFiberCensus:
     def circle_map_dx(self, m):
         k = torus_complex(2, m)
         w = coordinate_cochain(k, 0)
-        rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         return integrate_to_circle(rz), rz.cochain
 
     def test_coordinate_level_is_one_circle(self):
@@ -196,7 +185,7 @@ class TestFiberCensus:
     def test_coprime_periods_single_component(self):
         k = torus_complex(2, 8)
         w = coordinate_cochain(k, 0).scale(2) + coordinate_cochain(k, 1).scale(3)
-        rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == [2, 3]
         frame = census_frame(cm, rz.cochain)
@@ -207,7 +196,7 @@ class TestFiberCensus:
         # periods (2, 0): the fiber splits into two parallel circles
         k = torus_complex(2, 8)
         w = coordinate_cochain(k, 0).scale(2)
-        rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
+        rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         frame = census_frame(cm, rz.cochain)
         for lvl in generic_levels(cm, 5):
@@ -475,7 +464,7 @@ def test_array_census_matches_the_loop_census(d, m, coeffs, moves, levels):
     w = coordinate_cochain(k, 0).scale(float(coeffs[0]))
     for axis in range(1, d):
         w = w + coordinate_cochain(k, axis).scale(float(coeffs[axis]))
-    rz = rationalize(w, homology_generators(k), RationalizeConfig(0.01))
+    rz = rationalize(w, RationalizeConfig(0.01))
     cm = integrate_to_circle(rz)
     # moved vertex values make lifts that disagree across triangles
     values = cm.values.copy()
@@ -573,7 +562,7 @@ def test_fibration_calls_census_through_module_attribute(monkeypatch):
 
 
 def diagonal_edge(k):
-    """An edge on no generator cycle, away from triangle 0."""
+    """An edge on no axis loop, away from triangle 0."""
     base = k.covering.base_index
     return k.orient(base((1, 1)), base((2, 2)))[0]
 
@@ -585,30 +574,22 @@ class TestNaNVerdicts:
         values = list(coordinate_cochain(t2_8, 0).values)
         values[diagonal_edge(t2_8)] = math.nan
         with pytest.raises(InputError, match="closed cochain, coboundary nan"):
-            rationalize(
-                ScalarCochain1(t2_8, values),
-                homology_generators(t2_8),
-                RationalizeConfig(0.01),
-            )
+            rationalize(ScalarCochain1(t2_8, values), RationalizeConfig(0.01))
 
-    def test_nan_dual_period_is_not_dual(self, t2_8):
-        gens = homology_generators(t2_8)
-        dual = list(coordinate_cochain(t2_8, 0).values)
-        dual[t2_8.orient(*gens[0].edges[2])[0]] = math.nan
-        duals = [ScalarCochain1(t2_8, dual), coordinate_cochain(t2_8, 1)]
-        with pytest.raises(InputError, match="dual 0 is not dual to cycle 0"):
-            rationalize(
-                coordinate_cochain(t2_8, 0), gens, RationalizeConfig(0.01), duals=duals
-            )
-
-    def test_nan_sup_change_is_over_budget(self):
+    def test_nan_sup_change_is_over_budget(self, monkeypatch):
         w = mixed_cochain(8)
         k = w.complex
-        dual = list(coordinate_cochain(k, 1).values)
+        dual = coordinate_cochain(k, 1).values.copy()
         dual[diagonal_edge(k)] = math.nan
-        duals = [coordinate_cochain(k, 0), ScalarCochain1(k, dual)]
+
+        def nan_dual(complex, axis):  # dx_1 with a NaN off the axis loops
+            if axis == 1:
+                return ScalarCochain1(complex, dual)
+            return coordinate_cochain(complex, axis)
+
+        monkeypatch.setattr(tischler, "coordinate_cochain", nan_dual)
         with pytest.raises(BudgetInfeasible, match="sup-norm nan"):
-            rationalize(w, homology_generators(k), RationalizeConfig(0.01), duals=duals)
+            rationalize(w, RationalizeConfig(0.01))
 
     @pytest.mark.parametrize(
         "edge, error, message",
@@ -704,6 +685,39 @@ class TestPipeline:
         rep = pipeline_sln(product_spec, RationalizeConfig(1e-12, max_denominator=3))
         assert not rep.ok
         assert rep.stages[-1]["stage"] == "failure"
+
+    def test_changing_fiber_count_fails_both_commands(self, capsys, tmp_path):
+        # dx + sqrt(2) dy plus the coboundary of a bump of 0.5 at grid vertex
+        # (0, 7): fibers with 3 components at some levels and 2 at others
+        spec = linear_torus_spec(16, [[1, math.sqrt(2)], [0, 1]])
+        k = spec.complex
+        h = np.zeros(k.n_vertices)
+        h[k.covering.base_index((0, 7))] = 0.5
+        tail, head = k.edges.T
+        w = ScalarCochain1(k, spec.scalar_cochains[0].values + h[head] - h[tail])
+        spec = dataclasses.replace(spec, scalar_cochains=[w, spec.scalar_cochains[1]])
+        spec_path, cochain_path = tmp_path / "spec.json", tmp_path / "cochain.json"
+        spec_path.write_text(json.dumps(dump_foliation_spec(spec)))
+        cochain = {"torus": {"d": 2, "m": 16}, "cochain": scalar_cochain_to_json(w)}
+        cochain_path.write_text(json.dumps(cochain))
+
+        code = main(["pipeline", str(spec_path), "--epsilon", "0.02"])
+        rep = json.loads(capsys.readouterr().out)
+        assert [s["stage"] for s in rep["stages"]][-3:] == [
+            "circle_map",
+            "submersion",
+            "fiber_census",
+        ]
+        census = rep["stages"][-1]
+        assert census["components"] == [3, 3, 3, 2, 2, 2, 3, 3, 3, 3]
+        assert not census["constant"]
+        assert code == 3 and rep["ok"] is False
+
+        code = main(["tischler", str(cochain_path), "--epsilon", "0.02"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["fiber_components"] == census["components"]
+        assert rep["submersion"]["pass"]
+        assert code == 3 and rep["ok"] is False
 
 
 def test_rationalize_config_validation():
