@@ -2,26 +2,32 @@
 
 Basis: the off-diagonal elementary matrices E_ij (i != j) together with the
 diagonal traceless matrices Y_i = E_ii - E_11 for i = 2..n.  All coefficients
-are exact rationals, so the classical commutator identities
+are exact, so the classical commutator identities
 
     [E_ij, E_kl] = 0        if i != l and j != k
     [E_ij, E_jl] = E_il     if i != l
     [E_ij, E_ki] = -E_kj    if k != j
     [E_ij, E_ji] = E_ii - E_jj
 
-are verified with zero tolerance rather than assumed.  An element is stored as
-its coefficients over the basis; its matrix is the map of nonzero entries
-{(row, column): Fraction}, and the commutator is a sparse exact product over
-those entries (a basis element has one or two), never a dense n x n product.
+are verified with zero tolerance rather than assumed.  An element holds its
+Fraction coefficients over the basis; `bracket` is a sparse exact product over
+the one or two nonzero entries of each basis element.  The structure table is
+one (D, D, D) int64 array, D = n^2 - 1, from one stacked product of the
+(D, n, n) basis matrices; int64 is exact there, as basis entries are in
+{-1, 0, 1}, so every commutator entry lies in {-2, ..., 2} (n <= MAX_DIM).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
+import numpy as np
+
 from .errors import DimensionError
-from .linalg import RMatrix, rational_rank
+from .linalg import MAX_DIM, RMatrix, rational_rank
 
 
 @dataclass(frozen=True, order=True)
@@ -205,30 +211,54 @@ def dims(n: int) -> Tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class StructureTable:
-    """All brackets of basis pairs, stored exactly."""
+    """All brackets of basis pairs: `coeffs[p, q]` holds [a, b] over the
+    basis, for the p-th and q-th basis indices a and b, as one read-only
+    (D, D, D) int64 array."""
 
     n: int
-    table: Dict[Tuple[BasisIndex, BasisIndex], AlgebraElement]
+    coeffs: np.ndarray
 
     def get(self, a: BasisIndex, b: BasisIndex) -> AlgebraElement:
-        return self.table[(a, b)]
+        idxs, pos = _basis(self.n)
+        row = self.coeffs[pos[a], pos[b]]
+        return AlgebraElement.from_coeffs(
+            self.n, {idxs[p]: Fraction(int(row[p])) for p in np.flatnonzero(row)}
+        )
 
     def items(self):
-        return self.table.items()
+        """((a, b), [a, b]) for every basis pair, a-major in basis order."""
+        idxs = _basis(self.n)[0]
+        return (((a, b), self.get(a, b)) for a in idxs for b in idxs)
+
+
+@functools.lru_cache(maxsize=MAX_DIM)
+def _basis(n: int):
+    """The basis indices as a tuple, and the position of each."""
+    idxs = tuple(basis_indices(n))
+    return idxs, {idx: p for p, idx in enumerate(idxs)}
 
 
 def build_structure_table(n: int) -> StructureTable:
-    from .linalg import MAX_DIM
-
+    """All D^2 commutators of the stacked basis matrices in one product,
+    decomposed over the basis as `AlgebraElement.from_entries` does: the
+    off-diagonal entries in basis order, then the diagonal entries 2..n."""
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"n={n} outside 2..{MAX_DIM}")
-    idxs = basis_indices(n)
-    elems = {idx: AlgebraElement.basis(idx, n) for idx in idxs}
-    entries = {}
-    for a in idxs:
-        for b in idxs:
-            entries[(a, b)] = bracket(elems[a], elems[b])
-    return StructureTable(n, entries)
+    _, dim_off, dim = dims(n)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # E_ij in basis order
+    d = np.arange(1, n)
+    basis = np.zeros((dim, n, n), np.int64)
+    basis[np.arange(dim_off), i, j] = 1
+    basis[dim_off + d - 1, d, d] = 1
+    basis[dim_off:, 0, 0] = -1
+    prod = np.einsum("aij,bjk->abik", basis, basis)
+    comm = prod - prod.swapaxes(0, 1)
+    trace = np.trace(comm, axis1=2, axis2=3)
+    if trace.any():
+        raise ValueError(f"matrix has trace {trace[trace != 0][0]}, not in sl(n)")
+    coeffs = np.concatenate([comm[..., i, j], comm[..., d, d]], axis=-1)
+    coeffs.flags.writeable = False
+    return StructureTable(n, coeffs)
 
 
 def expected_offdiag_bracket(a: OffDiag, b: OffDiag, n: int) -> AlgebraElement:
@@ -256,6 +286,27 @@ def expected_offdiag_bracket(a: OffDiag, b: OffDiag, n: int) -> AlgebraElement:
     return AlgebraElement.from_coeffs(n, coeffs)
 
 
+def expected_offdiag_table(n: int) -> np.ndarray:
+    """`expected_offdiag_bracket` of every off-diagonal pair, as one
+    (n^2 - n, n^2 - n, D) int64 coefficient array built from index
+    arithmetic alone, never from a commutator."""
+    _, dim_off, dim = dims(n)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # E_ij in basis order
+    pos = np.zeros((n, n), np.intp)
+    pos[i, j] = np.arange(dim_off)
+    # position of Y_i; Y_1 = 0 goes to an extra column that is dropped
+    ypos = np.r_[dim, dim_off + np.arange(n - 1)]
+    out = np.zeros((dim_off, dim_off, dim + 1), np.int64)
+    jk, il = j[:, None] == i, i[:, None] == j  # [E_ij, E_kl]: j = k, i = l
+    a, b = np.nonzero(jk & ~il)
+    out[a, b, pos[i[a], j[b]]] = 1  # E_il
+    a, b = np.nonzero(il & ~jk)
+    out[a, b, pos[i[b], j[a]]] = -1  # -E_kj
+    a, b = np.nonzero(jk & il)
+    out[a, b, ypos[i[a]]], out[a, b, ypos[j[a]]] = 1, -1  # E_ii - E_jj
+    return out[..., :dim]
+
+
 def basis_is_independent(n: int) -> bool:
     """Full-rank check of the basis matrices as flattened rational vectors."""
     vectors = []
@@ -272,14 +323,15 @@ def _index_key(idx: BasisIndex) -> str:
 
 
 def structure_table_json(t: StructureTable) -> Dict[str, List[str]]:
-    """Export as '[i,j]x[k,l]' -> coefficient list over the ordered basis."""
-    idxs = basis_indices(t.n)
-    pos = {idx: k for k, idx in enumerate(idxs)}
-    keys = {idx: _index_key(idx) for idx in idxs}
-    out = {}
-    for (a, b), val in t.items():
-        row = ["0"] * len(idxs)
-        for idx, c in val.coeffs:
-            row[pos[idx]] = str(c)
-        out[f"{keys[a]}x{keys[b]}"] = row
-    return out
+    """Export as '[i,j]x[k,l]' -> coefficient list over the ordered basis;
+    equal coefficients share one str object."""
+    keys = [_index_key(idx) for idx in basis_indices(t.n)]
+    flat = t.coeffs.reshape(-1, len(keys))
+    rows = [["0"] * len(keys) for _ in range(len(flat))]
+    at_row, at_col = np.nonzero(flat)
+    values = flat[at_row, at_col].tolist()
+    text = {v: str(v) for v in values}
+    for r, c, v in zip(at_row.tolist(), at_col.tolist(), values):
+        rows[r][c] = text[v]
+    pairs = itertools.product(keys, repeat=2)
+    return {f"{a}x{b}": row for (a, b), row in zip(pairs, rows)}

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from slnfib.algebra import (
     build_structure_table,
     dims,
     expected_offdiag_bracket,
+    expected_offdiag_table,
     structure_table_json,
 )
 from slnfib.errors import DimensionError
@@ -101,7 +103,7 @@ class TestBracket:
 class TestStructureTable:
     def test_n2_contents(self):
         t = build_structure_table(2)
-        assert len(t.table) == 9
+        assert t.coeffs.shape == (3, 3, 3) and len(list(t.items())) == 9
         y2 = AlgebraElement.basis(Diag(2), 2)
         e12 = AlgebraElement.basis(OffDiag(1, 2), 2)
         assert t.get(OffDiag(1, 2), OffDiag(2, 1)) == -y2
@@ -125,6 +127,55 @@ class TestStructureTable:
                 + bracket(elems[z], t.get(x, y))
             )
             assert total.is_zero(), (x, y, z)
+
+
+def numpy_basis(n):
+    """The (n^2 - 1, n, n) int64 basis matrices, written from their definition."""
+    mats = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                mats.append(np.zeros((n, n), np.int64))
+                mats[-1][i, j] = 1
+    for i in range(1, n):
+        mats.append(np.zeros((n, n), np.int64))
+        mats[-1][i, i], mats[-1][0, 0] = 1, -1
+    return np.array(mats)
+
+
+def coefficient_vector(x, n):
+    """The coefficients of an AlgebraElement as a list over the ordered basis."""
+    coeffs = dict(x.coeffs)
+    return [coeffs.get(idx, 0) for idx in basis_indices(n)]
+
+
+class TestStructureArray:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_are_the_commutators_of_the_basis(self, n):
+        # sum_c C[p, q, c] B_c == B_p B_q - B_q B_p, checked pair by pair
+        basis = numpy_basis(n)
+        t = build_structure_table(n)
+        assert t.coeffs.dtype == np.int64 and not t.coeffs.flags.writeable
+        got = np.einsum("pqc,cij->pqij", t.coeffs, basis)
+        for p, a in enumerate(basis):
+            for q, b in enumerate(basis):
+                assert np.array_equal(got[p, q], a @ b - b @ a), (n, p, q)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closed_form_array_matches_the_identities(self, n):
+        offs = [i for i in basis_indices(n) if isinstance(i, OffDiag)]
+        expect = [
+            [coefficient_vector(expected_offdiag_bracket(a, b, n), n) for b in offs]
+            for a in offs
+        ]
+        assert expected_offdiag_table(n).tolist() == expect
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_get_matches_the_fraction_bracket(self, n):
+        t = build_structure_table(n)
+        for a, b in itertools.product(basis_indices(n), repeat=2):
+            x, y = AlgebraElement.basis(a, n), AlgebraElement.basis(b, n)
+            assert t.get(a, b) == bracket(x, y), (a, b)
 
 
 class TestAlgebraElement:
@@ -212,7 +263,8 @@ class TestKernelCounts:
         monkeypatch.setattr(RMatrix, "__matmul__", counted_matmul)
         monkeypatch.setattr(algebra, "bracket", counted_bracket)
         table = build_structure_table(5)
-        assert len(brackets) == 24 * 24 == len(table.table)
+        assert brackets == []
+        assert 24 * 24 == len(list(table.items())) == table.coeffs[..., 0].size
         assert matmuls == []
         # a dense product still goes through the counter
         RMatrix.identity(2) @ RMatrix.identity(2)

@@ -14,6 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slnfib import cli
+from slnfib.algebra import (
+    Diag,
+    OffDiag,
+    StructureTable,
+    basis_indices,
+    build_structure_table,
+)
 from slnfib.cli import main
 from slnfib.complexes import LieCochain1, coordinate_cochain, torus_complex
 from slnfib.foliation import (
@@ -53,6 +61,35 @@ class TestVerifyBrackets:
     def test_out_of_range_n(self, capsys):
         code, _ = run(capsys, ["verify-brackets", "--n", "9"])
         assert code == 2
+
+    @staticmethod
+    def flipped_table(monkeypatch, n, a, b):
+        """Let verify-brackets see the table with the sign of [a, b] flipped."""
+        idxs = basis_indices(n)
+        coeffs = build_structure_table(n).coeffs.copy()
+        coeffs[idxs.index(a), idxs.index(b)] *= -1
+        flipped = StructureTable(n, coeffs)
+        monkeypatch.setattr(cli, "build_structure_table", lambda n: flipped)
+
+    def test_flipped_offdiag_entry_names_every_violation(self, capsys, monkeypatch):
+        self.flipped_table(monkeypatch, 3, OffDiag(1, 2), OffDiag(2, 1))
+        code, rep = run(capsys, ["verify-brackets", "--n", "3"])
+        assert code == 3 and rep["ok"] is False
+        # table order: a-major, and for one pair antisymmetry before identity
+        assert rep["violations"] == [
+            "antisymmetry OffDiag(i=1, j=2) OffDiag(i=2, j=1)",
+            "identity [OffDiag(i=1, j=2),OffDiag(i=2, j=1)]",
+            "antisymmetry OffDiag(i=2, j=1) OffDiag(i=1, j=2)",
+        ]
+
+    def test_flipped_diagonal_row_breaks_only_antisymmetry(self, capsys, monkeypatch):
+        self.flipped_table(monkeypatch, 3, Diag(2), OffDiag(1, 2))
+        code, rep = run(capsys, ["verify-brackets", "--n", "3"])
+        assert code == 3 and rep["ok"] is False
+        assert rep["violations"] == [
+            "antisymmetry OffDiag(i=1, j=2) Diag(i=2)",
+            "antisymmetry Diag(i=2) OffDiag(i=1, j=2)",
+        ]
 
     def test_max_dim_table_is_integer_commutators(self, capsys):
         n = MAX_DIM

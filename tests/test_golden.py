@@ -1,10 +1,12 @@
-"""Stored reports of `tischler` and `pipeline`, compared byte for byte.
+"""Stored reports of `tischler`, `pipeline` and `verify-brackets`, compared
+byte for byte.
 
-Each input is written here from its closed form, with no slnfib code: the
-linear form sum_i c_i dx_i takes the value sum_i c_i * e_i / m on the edge
-(z, z + e) of the standard triangulation of T^d (e a nonzero 0/1 vector),
-summed in axis order.  The command then runs with --golden tests/golden,
-which exits 3 on any byte of difference from the stored report.
+Each `tischler` and `pipeline` input is written here from its closed form,
+with no slnfib code: the linear form sum_i c_i dx_i takes the value
+sum_i c_i * e_i / m on the edge (z, z + e) of the standard triangulation of
+T^d (e a nonzero 0/1 vector), summed in axis order.  Each command then runs
+with --golden tests/golden, which exits 3 on any byte of difference from the
+stored report.
 """
 import itertools
 import json
@@ -87,6 +89,13 @@ def test_pipeline_golden(capsys, tmp_path):
     path = tmp_path / "linear_m8.json"
     path.write_text(json.dumps(linear_spec(8, [[1, SQRT2], [0.3, 1]])))
     code = main(["pipeline", str(path), "--epsilon", "0.01", "--golden", str(GOLDEN)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"]
+
+
+def test_brackets_golden(capsys):
+    code = main(["verify-brackets", "--n", "5", "--golden", str(GOLDEN)])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert json.loads(out)["ok"]
