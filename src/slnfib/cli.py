@@ -1,19 +1,19 @@
 """Command-line interface.
 
 Subcommands: verify-brackets, decompose, check-foliation, tischler, pipeline.
-Every command prints a strict JSON report to stdout: a non-finite float is
-written as the string "Infinity", "-Infinity" or "NaN".  Exit codes: 0 pass,
-2 input error, 3 check failed.  --golden DIR compares the report
-byte-for-byte with the stored file named <command>-<input-stem>.json (or
-<command>-n<k>.json for verify-brackets); --write-golden DIR stores it
-instead.
+Every command prints a strict JSON report to stdout, from one writer: the bytes
+of json.dumps(report, indent=2, sort_keys=True) and a newline, with a
+non-finite float as the string "Infinity", "-Infinity" or "NaN".
+Exit codes: 0 pass, 2 input error, 3 check failed.  --golden DIR compares the
+report byte-for-byte with the stored file named <command>-<input-stem>.json
+(or <command>-n<k>.json for verify-brackets); --write-golden DIR stores it.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from . import serialize
 EXIT_PASS = 0
 EXIT_INPUT = 2
 EXIT_CHECK = 3
+_NON_FINITE = {"inf": '"Infinity"', "-inf": '"-Infinity"', "nan": '"NaN"'}
 
 
 def _load_json(path: str):
@@ -45,25 +46,39 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {e}") from e
 
 
-def _strict(x):
-    """x with every non-finite float replaced by its JSON name as a string."""
+def _json_text(x, indent: str = "") -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, but a non-finite
+    float as a JSON string.  Keys must be str; np.int64 or a set: TypeError."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NON_FINITE.get(text, text)
+    inner, ends = indent + "  ", "{}" if isinstance(x, dict) else "[]"
+    sep = ",\n" + inner
     if isinstance(x, dict):
-        return {k: _strict(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_strict(v) for v in x]
-    if isinstance(x, float) and not math.isfinite(x):
-        return json.dumps(x)  # "Infinity", "-Infinity" or "NaN"
-    return x
+        body = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                         for k, v in sorted(x.items())])
+    elif isinstance(x, (list, tuple)):
+        try:  # a row of strings is one C-level join, with no call per leaf
+            body = sep.join(map(encode_basestring_ascii, x))
+        except TypeError:
+            body = sep.join([_json_text(v, inner) for v in x])
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return ends[0] + ("\n" + inner + body + "\n" + indent if x else "") + ends[1]
 
 
 def _emit(report: dict, args, golden_stem: str) -> int:
-    """Print the report and store or compare its golden file.  The exit
-    code: a failed golden comparison, else that of report["ok"] (pass when
-    the report has no "ok")."""
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:  # a non-finite float; only then is the report walked
-        text = json.dumps(_strict(report), indent=2, sort_keys=True) + "\n"
+    """Print _json_text(report) and a newline, the bytes of json.dumps(report,
+    indent=2, sort_keys=True) + "\n" with non-finite floats as strings, and
+    store or compare its golden file.  The exit code: a failed golden
+    comparison, else that of report["ok"] (pass when the report has no "ok")."""
+    text = _json_text(report) + "\n"
     sys.stdout.write(text)
     if args.write_golden:
         path = Path(args.write_golden) / f"{golden_stem}.json"

@@ -223,13 +223,13 @@ class ScalarCochain1:
 
 
 def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
-    """dx_axis on a torus complex: 1/m per unit step along the axis.
+    """dx_axis on a torus complex: e_j[axis] / m on edge (u, u + e_j), for all u.
 
     Closed, with period 1 on its own axis loop and 0 on the others: the
     coordinate cochains are the basis dual to the axis loops.
     """
-    steps = complex.lifts[:, 1, axis] - complex.lifts[:, 0, axis]
-    return ScalarCochain1(complex, steps / complex.covering.m)
+    steps = np.array(_monotone_vectors(complex.covering.d))[:, axis]
+    return ScalarCochain1(complex, np.tile(steps / complex.covering.m, complex.n_vertices))
 
 
 def coboundary(w: ScalarCochain1) -> np.ndarray:

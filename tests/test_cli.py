@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import enum
 import io
 import json
 import math
@@ -487,15 +488,20 @@ class TestTischler:
         assert code == 2
 
 
-@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
-def test_overflowing_rk_coboundary_is_not_flat(capsys, tmp_path, command):
-    # three edges around triangle (0, 1, 5) of T^2, m = 4 whose coboundary
-    # overflows: not flat, with no traceback and no numpy warning
+def overflowing_rk_spec():
+    """An R^2 spec on T^2, m = 4, with three edges around triangle (0, 1, 5)
+    whose coboundary overflows."""
     spec = dump_foliation_spec(linear_torus_spec(4, [[1, 0], [0, 1]]))
     w = {key: 0 for key in spec["scalar_cochains"][0]}
     w.update({"0-1": 10 ** 308, "1-5": 10 ** 308, "0-5": -(10 ** 308)})
     spec["scalar_cochains"][0] = w
-    argv = [command, write_json(tmp_path, "overflow.json", spec)]
+    return spec
+
+
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+def test_overflowing_rk_coboundary_is_not_flat(capsys, tmp_path, command):
+    # not flat, with no traceback and no numpy warning
+    argv = [command, write_json(tmp_path, "overflow.json", overflowing_rk_spec())]
     if command == "pipeline":
         argv += ["--epsilon", "0.01"]
     code = main(argv)
@@ -792,6 +798,123 @@ def test_brackets_and_tischler_import_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0] False\n"
+
+
+# ---------------------------------------------------------------------------
+# The report writer: the bytes of json.dumps(indent=2, sort_keys=True)
+
+
+def stdlib_text(x):
+    """The oracle: the stdlib encoder on x with each non-finite float
+    replaced by its JSON name as a string."""
+
+    def strict(y):
+        if isinstance(y, dict):
+            return {k: strict(v) for k, v in y.items()}
+        if isinstance(y, (list, tuple)):
+            return [strict(v) for v in y]
+        if isinstance(y, float) and not math.isfinite(y):
+            return json.dumps(y)
+        return y
+
+    return json.dumps(strict(x), indent=2, sort_keys=True)
+
+
+class Sign(enum.IntEnum):  # an int subclass whose repr is not its JSON text
+    MINUS = -1
+    PLUS = 1
+
+
+# non-ASCII, quotes, backslashes, control characters and a lone surrogate
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", "a\\\"b", "\x00\x1f\x7f", "\n\t\r", "é", "\u2028", "\ud800", "😀"]
+)
+json_floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
+)
+json_leaves = (
+    json_strings
+    | json_strings.map(np.str_)
+    | st.integers()
+    | st.sampled_from(list(Sign))
+    | st.integers(min_value=-(10 ** 400), max_value=10 ** 400)
+    | st.booleans()
+    | st.none()
+    | json_floats
+    | json_floats.map(np.float64)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.lists(json_strings)
+    | st.dictionaries(json_strings, kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_report_writer_matches_the_stdlib_encoder(x):
+    assert cli._json_text(x) == stdlib_text(x)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.int64(1), {1, 2}, set(), [np.int64(1)], ["a", {"b"}], {"k": {"v"}}, np.bool_(True)],
+    ids=repr,
+)
+def test_report_writer_refuses_what_json_dumps_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text(bad)
+
+
+def t2_form(m=8):
+    k = torus_complex(2, m)
+    w = coordinate_cochain(k, 0).scale(1.0) + coordinate_cochain(k, 1).scale(math.sqrt(2))
+    return {"torus": {"d": 2, "m": m}, "cochain": scalar_cochain_to_json(w)}
+
+
+REPORT_INPUTS = {
+    "matrix": lambda spec: [[2.0, 1.0], [0.0, 0.5]],
+    "t2": lambda spec: t2_form(),
+    "sl2": dump_foliation_spec,
+    "linear": lambda spec: dump_foliation_spec(
+        linear_torus_spec(4, [[1.0, 0.5], [0.25, 1.0]])
+    ),
+    "overflow": lambda spec: overflowing_rk_spec(),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-brackets", "--n", str(n)] for n in range(2, 9)]
+    + [["decompose", "matrix"], ["tischler", "t2", "--epsilon", "0.05"]]
+    + [
+        [command, spec] + (["--epsilon", "0.01"] if command == "pipeline" else [])
+        for command in ("check-foliation", "pipeline")
+        for spec in ("sl2", "linear", "overflow")
+    ],
+    ids=" ".join,
+)
+def test_report_bytes_equal_the_stdlib_encoder(capsys, tmp_path, product_spec, argv):
+    argv = [
+        write_json(tmp_path, f"{a}.json", REPORT_INPUTS[a](product_spec))
+        if a in REPORT_INPUTS else a
+        for a in argv
+    ]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 3) and out
+
+    def refuse(token):
+        pytest.fail(f"report is not strict JSON: bare {token}")
+
+    want = json.dumps(json.loads(out, parse_constant=refuse), indent=2, sort_keys=True)
+    # lines, so that a failure names the first differing line of a large report
+    assert out.split("\n") == (want + "\n").split("\n")
 
 
 # ---------------------------------------------------------------------------

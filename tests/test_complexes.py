@@ -176,6 +176,19 @@ class TestEdgeLifts:
                     e[ax] / m for e in steps
                 ]
 
+    @pytest.mark.parametrize(
+        "d, m", [(d, m) for d in (1, 2, 3) for m in (3, 4, 8)] + [(3, 40)]
+    )
+    def test_coordinate_cochain_bits_equal_the_lift_steps(self, d, m):
+        # dx_axis is read off the edge index; its bits are those of the
+        # axis step of each edge lift over m
+        k = torus_complex(d, m)
+        for ax in range(d):
+            steps = k.lifts[:, 1, ax] - k.lifts[:, 0, ax]
+            got = coordinate_cochain(k, ax).values
+            assert got.dtype == np.float64
+            assert got.tobytes() == (steps / m).tobytes()
+
 
 class TestCoboundary:
     def test_gradient_is_closed(self, rng):
