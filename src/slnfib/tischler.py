@@ -6,9 +6,11 @@ dual basis (Tischler's construction; continued-fraction convergents keep
 the perturbation within budget), integrate the scaled cochain along an axis
 walk of the torus grid into a circle map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
-The census lifts the triangles once per run (census_frame); each level then
-takes one stable sort to pair its crossings and numbers its nodes with no
-sort, by a table linear in the crossings.
+The census lifts the triangles once per run (census_frame), with each
+triangle's long edge slot, from its lowest lifted corner to its highest,
+held apart from its two short slots.  Each level then pairs its crossings
+along the long slots and numbers its nodes by one run of levels per edge,
+with no sort.
 
 Cochains are float64 edge arrays and the circle map a float64 vertex array.
 Only the rationalized periods are exact Fraction convergents; each period is
@@ -221,7 +223,7 @@ class FiberCensus:
     crossing_edges: int
 
 
-MAX_CROSSINGS = 1 << 22  # crossings that one census holds in memory
+MAX_CROSSINGS = 1 << 22  # crossings that one census level accepts
 
 
 def _sweep(start, rise):
@@ -234,8 +236,13 @@ def _sweep(start, rise):
 def _crossings(c: float, low, high):
     """Per open interval (low, high): the first integer k with c + k inside
     it, and how many such k there are."""
-    first = np.floor(low - c) + 1
-    return first, np.maximum(np.ceil(high - c) - first, 0)
+    first = low - c
+    np.floor(first, out=first)
+    first += 1
+    count = high - c
+    np.ceil(count, out=count)
+    count -= first
+    return first, np.maximum(count, 0, out=count)
 
 
 @dataclass(frozen=True)
@@ -247,16 +254,21 @@ class CensusFrame:
     (0, 1), (1, 2) and (0, 2), and the stored edge (s, t) of each slot
     (slot_edge) runs the same way: its lift starts at the corner of s and
     sweeps (slot_low, slot_high), and offset is the integer rint(lift of
-    s - f(s)).  The loose edges lie on no triangle; each lifts from f(s)
-    along q * w(s, t) and sweeps (loose_low, loose_high).
+    s - f(s)).  The slot arrays are (3, T), one contiguous row per role:
+    row 0 holds the long slot, from the lowest lifted corner to the
+    highest, row 1 the short slot from the lowest corner to the middle one
+    and row 2 the short slot from the middle corner to the highest.  A
+    sweep can differ from its corners in the last bit, so the census of
+    each level checks the roles.  The loose edges lie on no triangle; each
+    lifts from f(s) along q * w(s, t) and sweeps (loose_low, loose_high).
     """
 
     f: CircleMap
     on_edge: np.ndarray  # triangles on each edge, (E,)
-    slot_edge: np.ndarray  # (T, 3) edge indices
-    offset: np.ndarray  # (T, 3) int64
-    slot_low: np.ndarray  # (T, 3)
-    slot_high: np.ndarray  # (T, 3)
+    slot_edge: np.ndarray  # (3, T) edge indices
+    offset: np.ndarray  # (3, T) int64
+    slot_low: np.ndarray  # (3, T)
+    slot_high: np.ndarray  # (3, T)
     low: np.ndarray  # (T,)
     high: np.ndarray  # (T,)
     loose: np.ndarray  # edge indices
@@ -280,57 +292,62 @@ def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
         lift[:, 2] = lift[:, 1] + step[slot_edge[:, 1]]
         start = lift[:, [0, 1, 0]]
         offset = np.rint(start - f.values[tri[:, [0, 1, 0]]]).astype(np.int64)
-        low = lift.min(axis=1)
+        # the slot without corner x is slot (x + 1) % 3: the long slot lacks
+        # the middle corner, the low short slot the highest, the high one
+        # the lowest
+        corner = np.argsort(lift, axis=1, kind="stable")
+        role = (corner[:, [1, 2, 0]] + 1) % 3
+        # (3, T): the flat index into a (T, 3) slot array of each role
+        at = (role + 3 * np.arange(len(tri))[:, None]).T
+        # over the corner columns: a reduction along rows of 3 costs ten
+        # times as much
+        low = np.minimum(np.minimum(lift[:, 0], lift[:, 1]), lift[:, 2])
+        high = np.maximum(np.maximum(lift[:, 0], lift[:, 1]), lift[:, 2])
         return CensusFrame(
             f,
             on_edge,
-            slot_edge,
-            offset,
-            *_sweep(start, lift[:, [1, 2, 2]] - start),
-            *_sweep(low, lift.max(axis=1) - low),
+            np.take(slot_edge, at),
+            np.take(offset, at),
+            *(np.take(a, at) for a in _sweep(start, lift[:, [1, 2, 2]] - start)),
+            *_sweep(low, high - low),
             loose,
             *_sweep(f.values[complex.edges[loose, 0]], step[loose]),
         )
 
 
-def _expand(first, count):
-    """One row per crossing, intervals in flat order and k rising in each:
-    the flat index of the interval, and k."""
-    count = count.astype(np.int64).ravel()
-    seg = np.repeat(np.arange(count.size), count)
-    k = first.astype(np.int64).ravel() - (np.cumsum(count) - count)
-    return seg, k[seg] + np.arange(seg.size)
+def _number_runs(edge, first, count, on_edge):
+    """Number the nodes crossed by slots that each cross one run of levels.
 
-
-def _pair_key(a, b):
-    """One int64 per row of the int arrays a and b, equal where both are."""
-    low = b.min(initial=0)
-    return a * (b.max(initial=0) - low + 1) + (b - low)
-
-
-def _number_nodes(edge, level, n_edges: int):
-    """Number the distinct rows of the int arrays (edge, level) 0..n-1 in
-    (edge, level) order, as np.unique numbers their _pair_key, without a
-    sort: n, the number of each row, and the first row of each number.
-
-    Each edge e gets a run of the table, one place per level from its
-    lowest to its highest; a cumulative sum over the places taken numbers
-    them.
+    Slot j crosses edge[j] at the levels first[j], ..., first[j] + count[j]
+    - 1, with count[j] >= 1.  Each edge takes the run of one of its slots;
+    the slots agree when every slot on an edge carries that run and each of
+    the on_edge[e] triangles on edge e has a slot there.  Then the nodes
+    are numbered in (edge, level) order, as np.unique numbers the distinct
+    (edge, level) rows, by one cumulative sum of the run lengths.  Returns
+    the number of nodes, the node of each slot's first crossing, and
+    whether the slots agree.
     """
-    low = np.full(n_edges, level.max(initial=0))
-    np.minimum.at(low, edge, level)
-    high = np.full(n_edges, level.min(initial=0) - 1)
-    np.maximum.at(high, edge, level)
-    run = np.maximum(high - low + 1, 0)  # 0 off the edges of the rows
-    place = (np.cumsum(run) - run - low)[edge] + level
-    taken = np.zeros(int(run.sum()), dtype=bool)
-    taken[place] = True
-    number = np.cumsum(taken)
-    n = int(number[-1]) if number.size else 0
-    node_of = number[place] - 1
-    node_first = np.full(n, edge.size)
-    np.minimum.at(node_first, node_of, np.arange(edge.size))
-    return n, node_of, node_first
+    run = np.zeros(on_edge.size, dtype=np.int64)
+    run[edge] = count
+    run_first = np.empty_like(run)  # read only where written
+    run_first[edge] = first
+    # a triangle has each edge once, so an edge with fewer slots than
+    # triangles lowers the sum of its slots' runs below on_edge * run
+    agree = (
+        np.array_equal(run[edge], count)
+        and np.array_equal(run_first[edge], first)
+        and int(on_edge @ run) == int(count.sum())
+    )
+    end = np.cumsum(run)
+    return int(end[-1]) if end.size else 0, end[edge] - count, agree
+
+
+def _runs(a, b, length):
+    """The rows (a[j] + i, b[j] + i) for i = 0, ..., length[j] - 1, run by
+    run; every length is at least 1."""
+    back = np.cumsum(length) - length
+    i = np.arange(int(length.sum()))
+    return np.repeat(a - back, length) + i, np.repeat(b - back, length) + i
 
 
 def _count_components(n: int, a, b) -> int:
@@ -355,6 +372,69 @@ def _count_components(n: int, a, b) -> int:
             label = up
 
 
+def _slot_order(complex, t, edge):
+    """The slot (0, 1 or 2) of triangle t[j] on edge[j]."""
+    return np.argmax(complex.triangle_edges[t, :, 0] == edge[:, None], axis=1)
+
+
+def _realign(frame: CensusFrame, c: float, odd, first, count, slot):
+    """Judge the crossed triangles odd, which fail the alignment test, by
+    the exact rule: each lifted level crosses 0 or 2 of a triangle's edges
+    exactly when the slot with the most crossings is tiled by the other
+    two.  Make that slot the long one (row 0) of first, count and slot, in
+    place; raise CheckFailed for the first triangle that breaks the rule,
+    naming its first such level in (slot, k) order."""
+    perm = (np.argmax(count[:, odd], axis=0) + np.arange(3)[:, None]) % 3
+    f, n = (np.take_along_axis(a[:, odd], perm, 0) for a in (first, count))
+
+    def starts(x, at):  # short slot x is empty or starts at level at
+        return (n[x] == 0) | (f[x] == at)
+
+    tiles = (n[1] + n[2] == n[0]) & (
+        starts(1, f[0]) & starts(2, f[0] + n[1]) | starts(2, f[0]) & starts(1, f[0] + n[2])
+    )
+    bad = np.flatnonzero(~tiles)
+    if bad.size:
+        j = odd[bad[0]]
+        complex = frame.f.complex
+        t = slot[0, j] % frame.low.size
+        order = _slot_order(complex, np.full(3, t), frame.slot_edge.ravel()[slot[:, j]])
+        k = np.concatenate(
+            [np.arange(first[r, j], first[r, j] + count[r, j]) for r in np.argsort(order)]
+        )
+        level, at, size = np.unique(k, return_index=True, return_counts=True)
+        g = np.flatnonzero(size != 2)
+        g = g[np.argmin(at[g])]
+        raise CheckFailed(
+            f"level {c + int(level[g])} crosses {int(size[g])} edges of "
+            f"triangle {tuple(complex.triangles[t].tolist())}"
+        )
+    for a in (first, count, slot):
+        a[:, odd] = np.take_along_axis(a[:, odd], perm, 0)
+
+
+def _degree_refusal(frame: CensusFrame, c: float, t, edge, first, count, offset):
+    """The CheckFailed for the first crossing, in (triangle, slot, k)
+    order, whose node (edge, level) is not met once by each triangle on its
+    edge; slot j of triangle t[j] crosses edge[j] at the lifted levels
+    first[j], ..., first[j] + count[j] - 1."""
+    complex = frame.f.complex
+    seg = np.repeat(np.arange(count.size), count)
+    k = first[seg] + np.arange(seg.size) - (np.cumsum(count) - count)[seg]
+    rows = np.stack([edge[seg], k - offset[seg]], axis=1)
+    _, node, degree = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    degree = degree[node.ravel()]
+    wrong = np.flatnonzero(degree != frame.on_edge[rows[:, 0]])
+    slot = _slot_order(complex, t, edge)[seg]
+    j = wrong[np.lexsort((k[wrong], slot[wrong], t[seg][wrong]))[0]]
+    e, level = rows[j]
+    return CheckFailed(
+        f"fiber at level {c} (lift index {int(level)}) meets edge "
+        f"{tuple(complex.edges[e].tolist())} in {int(degree[j])} of its "
+        f"{int(frame.on_edge[e])} triangles"
+    )
+
+
 def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     """Extract the level set of f at a generic value and count components.
 
@@ -368,76 +448,79 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     edge, else CheckFailed.  More than MAX_CROSSINGS crossings, or a lift
     that is not finite, raise InputError.
 
-    This is array code over the frame: the crossings of every slot of every
-    triangle are expanded at once, paired by one stable sort of their
-    (triangle, k) key, and their components counted by pointer jumping.
-    The nodes are numbered without a sort, by one table per level with a
-    run of places from each edge's lowest crossing level to its highest.
-    The table is linear in the crossings.  A triangle lifts s to f(s) +
-    offset within 1/2, so the crossings of its slot on (s, t), which rises
-    by span, have c + level within 1/2 of f(s) or on the side of span and
-    within 1/2 + |span|; the slot has at least |span| - 1 of them.  An edge
-    with r crossings thus gets a run of at most 2r + 4 places, the table
-    at most 6 places per crossing, and MAX_CROSSINGS bounds it as it bounds
-    the crossings.
+    This is array code over the frame, with no sort.  Each level takes
+    the crossed triangles and their (3, T) slot rows.  The long slot of a
+    triangle is crossed at each of its lifted levels k, and each such k is
+    crossed once more on exactly one short slot, so the rule that each k
+    crosses 0 or 2 edges is a range test per triangle: the low short slot
+    starts at the long slot's first k and the high one right after it.  A
+    triangle that fails it is judged by the exact rule (_realign) before
+    anything is refused.  The pairs are then read off the long slots, one
+    row per pair.  Every slot on an edge must carry the same run of levels,
+    so the slots that carry crossings number the nodes by one cumulative
+    sum over the edges (_number_runs), and pointer jumping counts the
+    components.  Beside one row per pair, which MAX_CROSSINGS bounds, a
+    level holds arrays no larger than the frame's (3, T) and (E,) ones.
     """
     c = float(value) % 1.0
-    complex = frame.f.complex
     with np.errstate(invalid="ignore", over="ignore"):
-        hit = np.flatnonzero(np.abs((frame.f.values - c + 0.5) % 1.0 - 0.5) < 1e-9)
+        # x - floor(x) has the bits of x % 1.0, with no float remainder
+        gap = frame.f.values - c + 0.5
+        gap -= np.floor(gap)
+        hit = np.flatnonzero(np.abs(gap - 0.5) < 1e-9)
         if hit.size:
             raise NonGenericValue(f"level {c} hits the image of vertex {hit[0]}")
         # skip the triangles whose lifted range meets no level; a NaN count
         # stays, for the cap below to refuse
         crossed = np.flatnonzero(_crossings(c, frame.low, frame.high)[1] != 0)
-        first, count = _crossings(c, frame.slot_low[crossed], frame.slot_high[crossed])
-        loose_first, loose_count = _crossings(c, frame.loose_low, frame.loose_high)
+        first, count = _crossings(
+            c, np.take(frame.slot_low, crossed, 1), np.take(frame.slot_high, crossed, 1)
+        )
+        loose_count = _crossings(c, frame.loose_low, frame.loose_high)[1]
         total = count.sum() + loose_count.sum()
         if not total <= MAX_CROSSINGS:
+            # past 2**53 a sum rounds by its order: add in (triangle, slot)
+            # order
+            edge = np.take(frame.slot_edge, crossed, 1).ravel()
+            at = _slot_order(frame.f.complex, np.tile(crossed, 3), edge)
+            by_slot = np.empty((crossed.size, 3))
+            np.put_along_axis(by_slot, at.reshape(3, -1).T, count.T, 1)
+            total = by_slot.sum() + loose_count.sum()
             raise InputError(
                 f"level {c} has {total:.0f} edge crossings, "
                 f"over the cap {MAX_CROSSINGS}"
             )
-
-    # crossings ordered by (triangle, slot, k), then those of loose edges
-    seg, k = _expand(first, count)
-    loose_seg, loose_k = _expand(loose_first, loose_count)
-    edge = np.concatenate([frame.slot_edge[crossed].ravel()[seg], frame.loose[loose_seg]])
-    level = np.concatenate([k - frame.offset[crossed].ravel()[seg], loose_k])
+    first, count = first.astype(np.int64), count.astype(np.int64)
+    # the index of each slot in the frame's flattened (3, T) arrays
+    slot = np.arange(3)[:, None] * frame.low.size + crossed
 
     # a lifted level meets each triangle it crosses on exactly two edges
-    level_in = _pair_key(seg // 3, k)
-    order = np.argsort(level_in, kind="stable")
-    key = level_in[order]
-    if not (
-        key.size % 2 == 0
-        and np.array_equal(key[::2], key[1::2])
-        and np.all(key[1:-1:2] != key[2::2])
-    ):
-        group = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
-        size = np.diff(group, append=key.size)
-        bad = np.flatnonzero(size != 2)
-        g = bad[np.argmin(order[group[bad]])]
-        j = order[group[g]]
-        raise CheckFailed(
-            f"level {c + int(k[j])} crosses {int(size[g])} edges of "
-            f"triangle {tuple(complex.triangles[crossed[seg[j] // 3]].tolist())}"
-        )
+    odd = np.flatnonzero(
+        (count[1] + count[2] != count[0])
+        | (first[1] != first[0])
+        | (first[2] != first[0] + count[1])
+    )
+    if odd.size:
+        _realign(frame, c, odd, first, count, slot)
 
-    n, node_of, node_first = _number_nodes(edge, level, len(complex.edges))
-    degree = np.bincount(node_of[: seg.size], minlength=n)
-    expect = frame.on_edge[edge[node_first]]
-    wrong = np.flatnonzero(degree != expect)
-    if wrong.size:
-        j = node_first[wrong].min()
-        raise CheckFailed(
-            f"fiber at level {c} (lift index {int(level[j])}) meets edge "
-            f"{tuple(complex.edges[edge[j]].tolist())} in {int(degree[node_of[j]])} of its "
-            f"{int(expect[node_of[j]])} triangles"
-        )
+    # the slots that carry crossings, long slots first
+    live = np.flatnonzero(count)
+    first, count, slot = first.ravel()[live], count.ravel()[live], slot.ravel()[live]
+    edge, offset = frame.slot_edge.ravel()[slot], frame.offset.ravel()[slot]
+    n, node, agree = _number_runs(edge, first - offset, count, frame.on_edge)
+    if not agree:
+        raise _degree_refusal(frame, c, slot % frame.low.size, edge, first, count, offset)
 
-    pairs = node_of[order].reshape(-1, 2)
-    return FiberCensus(c, _count_components(n, pairs[:, 0], pairs[:, 1]), n)
+    # pair each short slot's crossings with the long slot's at the same k
+    n_long = np.searchsorted(live, crossed.size)
+    long_node = np.empty(crossed.size, dtype=np.int64)
+    long_node[live[:n_long]] = node[:n_long] - first[:n_long]
+    short = slice(n_long, None)
+    a, b = _runs(
+        long_node[live[short] % crossed.size] + first[short], node[short], count[short]
+    )
+    n += int(loose_count.sum())
+    return FiberCensus(c, _count_components(n, a, b), n)
 
 
 # ---------------------------------------------------------------------------

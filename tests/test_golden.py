@@ -68,6 +68,8 @@ TISCHLER = [
     ("repro_m5", 2, 5, (0.9886863694964385, 1.6376747351482408)),
     ("t1_m4", 1, 4, (1.0,)),
     ("t3_m4", 3, 4, (1.0, 0.5, SQRT2)),
+    # crossing-bound: q = 88, 18,496 fiber nodes per level on 3,072 edges
+    ("t2_m32_dense", 2, 32, (1.37, 1.91)),
 ]
 
 

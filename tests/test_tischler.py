@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -273,6 +274,36 @@ class TestFiberCensus:
         with pytest.raises(InputError, match=f"has {crossings} edge crossings"):
             fiber_census(census_frame(cm, w), 0.1)
 
+    @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (2, 4, 1), (3, 3, 2)])
+    def test_refused_total_is_summed_in_triangle_slot_order(self, d, m, seed):
+        # past 2**53 a float sum rounds by its order; the refused total adds
+        # the slot counts of the crossed triangles in (triangle, slot) order,
+        # each counted in float64 as the census counts it
+        rng = np.random.default_rng(seed)
+        k = torus_complex(d, m)
+        w = ScalarCochain1(k, rng.normal(size=len(k.edges)) * 1e17)
+        cm = CircleMap(k, rng.random(k.n_vertices), [1] * d, 1)
+        c = 0.123
+
+        def count(start, rise):
+            lo, hi = sorted([start, start + rise])
+            first = np.floor(np.float64(lo) - c) + 1
+            return max(np.ceil(np.float64(hi) - c) - first, 0.0)
+
+        counts = []
+        for (u, v, x), edges in zip(k.triangles.tolist(), k.triangle_edges.tolist()):
+            lift = {u: float(cm.values[u])}
+            lift[v] = lift[u] + w.values[edges[0][0]]
+            lift[x] = lift[v] + w.values[edges[1][0]]
+            lo = min(lift.values())
+            if count(lo, max(lift.values()) - lo):
+                slots = ((u, v), (v, x), (u, x))
+                counts.append([count(lift[s], lift[t] - lift[s]) for s, t in slots])
+        total = np.array(counts).sum()
+        assert total > 2.0 ** 53
+        with pytest.raises(InputError, match=f"has {total:.0f} edge crossings"):
+            fiber_census(census_frame(cm, w), c)
+
     def test_nan_lift_on_triangles_refused(self):
         # the frame casts every triangle's offsets, NaN ones too, before the
         # census of a level refuses them
@@ -291,6 +322,61 @@ class TestFiberCensus:
         with pytest.raises(CheckFailed, match=r"meets edge .* of its 2 triangles"):
             for lvl in generic_levels(cm):
                 fiber_census(frame, lvl)
+
+    @pytest.mark.parametrize("d, m, coeffs", [(2, 6, (2.0, 3.0)), (3, 3, (1.5, -1.0, 2.0))])
+    def test_census_does_not_trust_the_frame_roles(self, d, m, coeffs):
+        # the roles only guess which slot of a triangle is the long one: with
+        # the slot rows of every triangle shuffled, every level has the same
+        # census or the same refusal
+        k = torus_complex(d, m)
+        w = coordinate_cochain(k, 0).scale(coeffs[0])
+        for axis in range(1, d):
+            w = w + coordinate_cochain(k, axis).scale(coeffs[axis])
+        rz = rationalize(w, RationalizeConfig(0.01))
+        cm = integrate_to_circle(rz)
+        values = cm.values.copy()
+        values[4] = (values[4] + 0.3) % 1.0  # degree refusals at some levels
+        for f in (cm, CircleMap(k, values, cm.periods, cm.q)):
+            frame = census_frame(f, rz.cochain)
+            rng = np.random.default_rng(d)
+            perm = np.array([rng.permutation(3) for _ in k.triangles]).T
+            names = ("slot_edge", "offset", "slot_low", "slot_high")
+            shuffled = dataclasses.replace(
+                frame, **{a: np.take_along_axis(getattr(frame, a), perm, 0) for a in names}
+            )
+            for value in generic_levels(f):
+                outcomes = []
+                for each in (frame, shuffled):
+                    try:
+                        outcomes.append(fiber_census(each, value))
+                    except CheckFailed as e:
+                        outcomes.append(str(e))
+                assert outcomes[1] == outcomes[0]
+
+    def test_short_slots_that_skip_a_level_are_refused(self):
+        # triangle 0's short slots cross as many levels as its long slot,
+        # the low one from the long slot's first level, but the high one
+        # skips level 1: levels 1 and 3 then cross one edge each, and the
+        # refusal names the first of them in (slot, k) order
+        cm, w = self.circle_map_dx(3)
+        frame = census_frame(cm, w)
+        low, high = frame.slot_low.copy(), frame.slot_high.copy()
+        # by role: the long slot crosses k = 0, 1, 2; the short ones 0 and 2, 3
+        low[:, 0], high[:, 0] = (0.0, 0.0, 1.9), (2.9, 1.0, 3.9)
+        tri_low, tri_high = frame.low.copy(), frame.high.copy()
+        tri_low[0], tri_high[0] = 0.0, 3.9
+        frame = dataclasses.replace(
+            frame, slot_low=low, slot_high=high, low=tri_low, high=tri_high
+        )
+        slot = [
+            cm.complex.triangle_edges[0, :, 0].tolist().index(e)
+            for e in frame.slot_edge[:, 0]
+        ]
+        k = 1 if slot[0] < slot[2] else 3
+        triangle = tuple(cm.complex.triangles[0].tolist())
+        with pytest.raises(CheckFailed) as e:
+            fiber_census(frame, 0.5)
+        assert str(e.value) == f"level {0.5 + k} crosses 1 edges of triangle {triangle}"
 
     def test_half_digit_crossings_repro(self, capsys, tmp_path):
         # crossing positions of this form land halfway between 9th-digit
@@ -442,28 +528,87 @@ def census_outcome(census, f, w, value):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@example(  # a draw on which a lifted level crosses one edge of a triangle
+@example(  # moved vertices: a fiber node met by 1 of the 2 triangles on its edge
     d=2,
     m=5,
     coeffs=(Fraction(3, 4), Fraction(-5, 2), Fraction(3, 4)),
+    scale=1,
     moves=[(73444, -0.129), (445161, -0.094)],
     levels=[0.871],
+)
+@example(  # the slots on an edge agree on their first level, not their count
+    d=2,
+    m=3,
+    coeffs=(Fraction(5), Fraction(1, 2), Fraction(0)),
+    scale=8,
+    moves=[(504511, -0.306)],
+    levels=[0.36066666666666336],
+)
+@example(  # two wrong nodes in one triangle: the first in (slot, k) order
+    d=2,
+    m=3,
+    coeffs=(Fraction(-2, 3), Fraction(-3, 4), Fraction(-4, 3)),
+    scale=1,
+    moves=[(730737, 0.437), (316657, 0.488)],
+    levels=[0.1546666666666674],
+)
+@example(  # a level on a lifted corner crosses 1 edge of a triangle
+    d=3,
+    m=3,
+    coeffs=(Fraction(-1), Fraction(3, 2), Fraction(-4, 3)),
+    scale=1,
+    moves=[(73875, -0.583), (17501, -0.066), (790778, 0.358)],
+    levels=[0.7503333333333335],
+)
+@example(  # the same with the long slot alone crossed at that level
+    d=3,
+    m=4,
+    coeffs=(Fraction(-4, 3), Fraction(0), Fraction(5, 4)),
+    scale=1,
+    moves=[(240371, 0.445)],
+    levels=[0.4450000000000003],
+)
+@example(  # two levels cross 1 edge of a triangle: the first in (slot, k) order
+    d=2,
+    m=3,
+    coeffs=(Fraction(2), Fraction(2, 3), Fraction(1)),
+    scale=1,
+    moves=[(814964, 0.288)],
+    levels=[0.6213333333333328],
+)
+@example(  # T^3 with a moved vertex: a count, then two degree refusals
+    d=3,
+    m=4,
+    coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4)),
+    scale=8,
+    moves=[(31337, 0.25)],
+    levels=[0.3],
+)
+@example(  # dense: up to 28 crossings on a slot, 1,400 nodes per level
+    d=2,
+    m=5,
+    coeffs=(Fraction(5, 4), Fraction(-7, 2), Fraction(1)),
+    scale=40,
+    moves=[],
+    levels=[0.5],
 )
 @given(
     d=st.sampled_from([1, 2, 2, 3]),
     m=st.integers(3, 7),
     coeffs=st.tuples(*[small_coefficient(5, 4)] * 3).filter(lambda c: c[0]),
+    # a large scale puts many crossings on each slot
+    scale=st.sampled_from([1, 1, 8, 40]),
     moves=st.lists(
         st.tuples(st.integers(0, 10 ** 6), st.floats(-0.7, 0.7)), max_size=3
     ),
     levels=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
 )
-def test_array_census_matches_the_loop_census(d, m, coeffs, moves, levels):
-    m = min(m, 4) if d == 3 else m
+def test_array_census_matches_the_loop_census(d, m, coeffs, scale, moves, levels):
+    m = min(m, 4) if d == 3 else m if scale == 1 else min(m, 5)
     k = torus_complex(d, m)
-    w = coordinate_cochain(k, 0).scale(float(coeffs[0]))
+    w = coordinate_cochain(k, 0).scale(scale * float(coeffs[0]))
     for axis in range(1, d):
-        w = w + coordinate_cochain(k, axis).scale(float(coeffs[axis]))
+        w = w + coordinate_cochain(k, axis).scale(scale * float(coeffs[axis]))
     rz = rationalize(w, RationalizeConfig(0.01))
     cm = integrate_to_circle(rz)
     # moved vertex values make lifts that disagree across triangles
@@ -513,29 +658,84 @@ def test_linear_census_crossings_match_closed_form(d, m, coeffs):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@example(n_edges=1, rows=[])
-@example(  # negative levels, a repeated key, a gap in edge 2, edges 1 and 3 bare
-    n_edges=4, rows=[(2, -3), (2, 5), (0, -7), (2, -3), (2, 0), (0, -7)]
+@example(n_edges=1, runs=[], order=random.Random(0), flaw=None)
+@example(  # negative levels, one edge bare, one edge on three triangles
+    n_edges=4,
+    runs=[(0, -7, 2, 2), (2, -3, 9, 3), (3, 5, 1, 1)],
+    order=random.Random(1),
+    flaw=None,
 )
+@example(n_edges=2, runs=[(1, 4, 3, 2)], order=random.Random(2), flaw=("first", 1))
+@example(n_edges=2, runs=[(1, 4, 3, 2)], order=random.Random(3), flaw=("count", 0))
+@example(n_edges=2, runs=[(1, 4, 3, 2)], order=random.Random(4), flaw=("drop", 0))
+@example(n_edges=1, runs=[(0, 4, 3, 3)], order=random.Random(5), flaw=("shift", 0))
+@example(n_edges=1, runs=[(0, 4, 3, 3)], order=random.Random(5), flaw=("shift", 1))
 @given(
     n_edges=st.integers(1, 8),
-    rows=st.lists(
+    runs=st.lists(
         st.tuples(
-            st.integers(0, 7), st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
+            st.integers(0, 7),
+            st.one_of(st.integers(-3, 3), st.integers(-1000, 1000)),
+            st.integers(1, 6),
+            st.integers(1, 3),
         ),
-        max_size=40,
+        max_size=8,
+        unique_by=lambda run: run[0],
+    ),
+    order=st.randoms(use_true_random=False),
+    flaw=st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(["first", "count", "drop", "shift"]), st.integers(0, 10 ** 6)
+        ),
     ),
 )
-def test_node_numbering_matches_unique(n_edges, rows):
-    rows = [(e % n_edges, level) for e, level in rows]
-    edge, level = np.array(rows, dtype=np.int64).reshape(-1, 2).T
-    keys, first, number = np.unique(
-        tischler._pair_key(edge, level), return_index=True, return_inverse=True
+def test_run_numbering_matches_unique(n_edges, runs, order, flaw):
+    # slots (edge, first level, count), each edge carrying one run on every
+    # one of its triangles, in a drawn order
+    runs = {e % n_edges: (first, count, tris) for e, first, count, tris in runs}
+    slots = [(e, f, c) for e, (f, c, tris) in runs.items() for _ in range(tris)]
+    order.shuffle(slots)
+    on_edge = np.zeros(n_edges, dtype=np.int64)
+    for e, (_, _, tris) in runs.items():
+        on_edge[e] = tris
+    flawed = False
+    if flaw and slots:
+        # with another slot on its edge, a moved slot differs from it and a
+        # dropped one leaves a triangle of the edge uncrossed
+        kind, j = flaw[0], flaw[1] % len(slots)
+        e, first, count = slots[j]
+        flawed = on_edge[e] > 1
+        if kind == "drop":
+            del slots[j]
+        elif kind == "shift":
+            # move one crossing to the next slot on the edge: the counts
+            # keep their sum
+            flawed &= count > 1
+            if flawed:
+                later = [i % len(slots) for i in range(j + 1, j + len(slots))]
+                i = next(i for i in later if slots[i][0] == e)
+                slots[j], slots[i] = (e, first, count - 1), (e, first, count + 1)
+        else:
+            slots[j] = (e, first + (kind == "first"), count + (kind == "count"))
+    edge, first, count = np.array(slots, dtype=np.int64).reshape(-1, 3).T
+    n, node, agree = tischler._number_runs(edge, first, count, on_edge)
+    assert agree == (not flawed)
+    if not agree:
+        return
+    rows = np.array(
+        [(e, level) for e, f, c in slots for level in range(f, f + c)], dtype=np.int64
+    ).reshape(-1, 2)
+    numbers = np.array(
+        [v for j, (_, _, c) in enumerate(slots) for v in range(node[j], node[j] + c)],
+        dtype=np.int64,
     )
-    n, node_of, node_first = tischler._number_nodes(edge, level, n_edges)
-    assert n == keys.size
-    assert node_of.tolist() == number.tolist()
-    assert node_first.tolist() == first.tolist()
+    keys, first_row, number = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    assert n == len(keys)
+    assert numbers.tolist() == number.ravel().tolist()
+    assert numbers[first_row].tolist() == list(range(n))
 
 
 def test_fibration_calls_census_through_module_attribute(monkeypatch):
