@@ -1,41 +1,52 @@
 """Group decompositions of SL(n, R).
 
-Shows the GA x S^1 factorization of an SL(2) matrix, the vector chart of the
-Iwasawa decomposition for n = 3, and the product-of-factors coordinate split.
+Shows the GA x S^1 factorization of an SL(2) matrix (the AN-left
+decomposition g = R . K), the vector chart of the Iwasawa decomposition
+g = K . R for n = 3, and the product-of-factors coordinate split.
 """
+import math
+
 import numpy as np
 
-from slnfib.groups import (
-    GAElement,
-    factor_split,
-    ga_embed,
-    iwasawa_recompose,
-    iwasawa_sl2,
-    iwasawa_sln,
-    rotation,
-    section,
-)
-from slnfib.linalg import FMatrix, matrix_exp
+from slnfib.groups import GA, factor_split, iwasawa_sln, iwasawa_sln_ank
+from slnfib.linalg import matrix_exp
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def r_from_chart(n, chart):
+    """The triangular factor R of an SL(n) vector chart."""
+    diag = np.exp(chart[: n - 1])
+    diag = np.append(diag, 1.0 / np.prod(diag))
+    r = np.diag(diag)
+    i, j = np.triu_indices(n, 1)
+    r[i, j] = chart[n - 1:] * diag[i]
+    return r
 
 
 def main():
-    # an SL(2) element assembled from known factors
-    g = ga_embed(GAElement(4.0, 1.0)) @ rotation(0.7)
-    b, ang = iwasawa_sl2(g)
-    print(f"recovered GA factor: a = {b.a:.6f}, b = {b.b:.6f}")
-    print(f"recovered angle:     theta = {ang.theta:.6f}")
-    recon = ga_embed(b) @ section(ang)
-    print(f"reconstruction error: {recon.dist(g):.2e}")
+    # an SL(2) element assembled from known factors: GA row (4, 1), angle 0.7
+    g = GA().matrix(np.array([4.0, 1.0])) @ rotation(0.7)
+    k, chart = iwasawa_sln_ank(g)
+    a = math.exp(2.0 * chart[0])
+    b, theta = chart[1] * a, math.atan2(k[1, 0], k[0, 0]) % (2.0 * math.pi)
+    print(f"recovered GA factor: a = {a:.6f}, b = {b:.6f}")
+    print(f"recovered angle:     theta = {theta:.6f}")
+    recon = GA().matrix(np.array([a, b])) @ rotation(theta)
+    print(f"reconstruction error: {np.abs(recon - g).max():.2e}")
 
     # SL(3): orthogonal factor plus a 5-dimensional vector chart
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 3)) * 0.4
     x -= np.eye(3) * np.trace(x) / 3
-    g3 = FMatrix(matrix_exp(x))
-    f = iwasawa_sln(g3)
-    print(f"\nSL(3) chart ({len(f.chart)} coordinates):")
-    print("  " + ", ".join(f"{c:+.6f}" for c in f.chart))
-    print(f"roundtrip error: {iwasawa_recompose(f).dist(g3):.2e}")
+    g3 = matrix_exp(x)
+    k, chart = iwasawa_sln(g3)
+    print(f"\nSL(3) chart ({len(chart)} coordinates):")
+    print("  " + ", ".join(f"{c:+.6f}" for c in chart))
+    print(f"roundtrip error: {np.abs(k @ r_from_chart(3, chart) - g3).max():.2e}")
 
     s = factor_split(3)
     print(f"coordinate split: g1 = {s.g1_coords}, g2 (abelian) = {s.g2_coords}")

@@ -124,15 +124,15 @@ def cmd_verify_brackets(args) -> int:
 
 def cmd_decompose(args) -> int:
     m = serialize.load_matrix(_load_json(args.matrix))
-    factors = iwasawa_sln(m)
-    split = factor_split(m.n)
+    k, chart = iwasawa_sln(m.arr)
+    chart, split = chart.tolist(), factor_split(m.n)
     report = {
         "n": m.n,
-        "k": factors.k.arr.tolist(),
-        "chart": list(factors.chart),
+        "k": k.tolist(),
+        "chart": chart,
         "split": {
-            "g1": [factors.chart[i] for i in split.g1_coords],
-            "g2": [factors.chart[i] for i in split.g2_coords],
+            "g1": [chart[i] for i in split.g1_coords],
+            "g2": [chart[i] for i in split.g2_coords],
         },
     }
     return _emit(report, args, f"decompose-{Path(args.matrix).stem}")

@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .linalg import FMatrix, matrix_exp, require_finite
+from .linalg import matrix_exp, require_finite
 
 WINDOW_COPIES = 3  # fundamental domains per axis in a developing-map window
 MAX_VERTICES = 65536  # torus size cap: T^2 up to m = 256, T^3 up to m = 40
@@ -159,10 +159,6 @@ class SimplicialComplex:
             out[index[last]] = values * sign
         return out
 
-    def triangles_of_edge(self, u: int, v: int) -> List[int]:
-        on_edge = self.triangle_edges[:, :, 0] == self.orient(u, v)[0]
-        return np.flatnonzero(on_edge.any(axis=1)).tolist()
-
 
 def _monotone_vectors(d: int) -> List[Tuple[int, ...]]:
     return [v for v in itertools.product((0, 1), repeat=d) if any(v)]
@@ -271,20 +267,14 @@ class LieCochain1:
             raise InputError(f"Lie cochain needs {edges} n x n values: {e}") from e
         if arr.ndim != 3 or arr.shape[0] != edges or arr.shape[1] != arr.shape[2]:
             raise InputError(f"Lie cochain needs {edges} n x n values, got {arr.shape}")
-        require_finite(arr).flags.writeable = False
+
+        def value(i):
+            return "Lie cochain value on edge {}-{}".format(*complex.edges[i])
+
+        require_finite(arr, value).flags.writeable = False
         self.complex = complex
         self.n = arr.shape[1]
         self.values = arr
-
-    def __call__(self, u: int, v: int) -> FMatrix:
-        i, sign = self.complex.orient(u, v)
-        return FMatrix(sign * self.values[i])
-
-    def with_edge(self, u: int, v: int, value: FMatrix) -> "LieCochain1":
-        i, sign = self.complex.orient(u, v)
-        values = self.values.copy()
-        values[i] = sign * value.arr
-        return LieCochain1(self.complex, values)
 
 
 def holonomy_residual(w: LieCochain1) -> np.ndarray:
@@ -295,7 +285,8 @@ def holonomy_residual(w: LieCochain1) -> np.ndarray:
 
     Independent flatness oracle: exact discrete-connection flatness makes the
     triangle holonomy the identity regardless of any Maurer-Cartan
-    discretization convention.  A non-finite residual raises InputError.
+    discretization convention.  A non-finite residual, as from an
+    exponential that overflows, raises InputError naming its first triangle.
     """
     index, sign = w.complex.triangle_edges[:, :, 0], w.complex.triangle_edges[:, :, 1]
     # w(uv), w(vx) and w(xu) = -w(ux) of every triangle, as a (T, 3) gather
@@ -305,4 +296,11 @@ def holonomy_residual(w: LieCochain1) -> np.ndarray:
     signed = w.values[pairs // 2] * np.where(pairs % 2, 1.0, -1.0)[:, None, None]
     a, b, c = np.moveaxis(matrix_exp(signed)[at.reshape(index.shape)], 1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(a @ b @ c - np.eye(w.n))
+        residual = a @ b @ c - np.eye(w.n)
+
+    def triangle(t):
+        return "holonomy residual of triangle {} (vertices {}, {}, {})".format(
+            t, *w.complex.triangles[t]
+        )
+
+    return require_finite(residual, triangle)

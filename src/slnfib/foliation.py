@@ -33,10 +33,8 @@ from .groups import (
     Group,
     Rk,
     factor_split,
-    ga_power,
     iwasawa_sln_ank,
     require_unimodular,
-    rotation,
 )
 from .complexes import (
     WINDOW_COPIES,
@@ -170,11 +168,16 @@ def _row_keys(points: np.ndarray) -> np.ndarray:
 def edge_logarithms(complex: SimplicialComplex, ends: np.ndarray) -> LieCochain1:
     """log(D(zu)^-1 D(zv)) over the edge lifts (zu, zv) as one Lie cochain,
     from the (E, 2, n, n) stack ends of D at both ends of every lift.  A
-    non-finite step raises InputError, the first edge outside the log ball
-    LogDomain; every D is invertible (det 1, or ga_embed of a GA element)."""
+    non-finite step raises InputError naming its first edge, the first edge
+    outside the log ball LogDomain; every D is invertible (det 1, or the
+    embedding of a GA element)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        step = require_finite(np.linalg.inv(ends[:, 0]) @ ends[:, 1])
-    return LieCochain1(complex, matrix_log(step))
+        step = np.linalg.inv(ends[:, 0]) @ ends[:, 1]
+
+    def edge(i):
+        return "developing step on edge {}-{}".format(*complex.edges[i])
+
+    return LieCochain1(complex, matrix_log(require_finite(step, edge)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +321,13 @@ def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
     """
     complex = torus_complex(1, m)
     window = complex.covering.window()
-    powers = (ga_power(hol, z / m) for z in window[:, 0].tolist())
-    samples = np.array([(g.a, g.b) for g in powers])
+    t = window[:, 0] / m
+    if abs(hol.a - 1.0) < 1e-14:  # the unipotent subgroup t -> (1, t b)
+        a, b = np.ones_like(t), t * hol.b
+    else:  # Python's a ** t: numpy's power differs from it in the last bit
+        a = np.array([hol.a ** x for x in t.tolist()])
+        b = hol.b * (a - 1.0) / (hol.a - 1.0)
+    samples = np.stack([a, b], axis=-1)
     return LieFoliationSpec(
         complex=complex,
         group=GA(),
@@ -349,7 +357,10 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
     x, y = window.T
     side = np.arange(WINDOW_COPIES * m)
     embed = GA().matrix(base.developing_value(side[:, None]))
-    sigma = np.array([rotation(2.0 * math.pi * t / m).arr for t in side.tolist()])
+    # the rotations [[c, -s], [s, c]] by 2 pi t / m, from math.cos and math.sin
+    angles = [2.0 * math.pi * t / m for t in side.tolist()]
+    cs = np.array([(math.cos(a), math.sin(a)) for a in angles])
+    sigma = np.stack([cs * [1.0, -1.0], cs[:, ::-1]], axis=1)
     samples = embed[x] @ sigma[y]
     try:
         cochain = edge_logarithms(complex, _at_lifts(complex, samples))
@@ -379,10 +390,10 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
 def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     """Project an SL(n) foliation onto one factor of the Iwasawa product.
 
-    Factor 1 is the GA part (SL(2) only): R = ga_embed(exp(2 c_0), c_1
-    exp(2 c_0)) for the chart c.  Factor 2 is the final two coordinates of
-    the triangular-left vector chart.  One iwasawa_sln_ank call charts the
-    window, the edge ends outside it and the holonomy.  Projected scalar
+    Factor 1 is the GA part (SL(2) only): R is the embedding of the GA row
+    (exp(2 c_0), c_1 exp(2 c_0)) for the chart c.  Factor 2 is the final two
+    coordinates of the triangular-left vector chart.  One iwasawa_sln_ank
+    call charts the window, the edge ends outside it and the holonomy.  Projected scalar
     cochains are rebuilt from chart differences of the developing map and
     re-verified for closedness; a violation raises CheckFailed rather than
     propagating an unsound fibration input.

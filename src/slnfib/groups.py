@@ -1,16 +1,14 @@
 """Group-level decompositions of SL(n, R).
 
-* GA, the affine group x -> ax + b (a > 0), and its unimodular embedding
-  g(a, b) = (1/sqrt(a)) [[a, b], [0, 1]].
-* SL(2, R) = GA x S^1: g = embed(b) . rotation(theta), GA factor on the left.
+* GAElement, the checked (a, b) of one affine map x -> ax + b (a > 0).
 * SL(n, R) = SO(n) x R^{n(n+1)/2 - 1} via positive-diagonal QR, with the
   mirrored AN-left variant used when left holonomy must act on the vector
-  chart.
+  chart; both take (..., n, n) stacks.
 * The split of the vector chart into a leading block and a final R^2 factor.
 * One type per target group of a foliation (GA, SL(n), R^k), acting on
   float arrays of elements: (..., 2) rows (a, b), (..., n, n) matrices or
   (..., k) vectors; and the parser of the JSON "group" value that names it.
-The unimodularity check and the AN-left chart take whole (..., n, n) stacks.
+  GA embeds in SL(2) by (a, b) -> (1/sqrt(a)) [[a, b], [0, 1]].
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, SingularInput
 from .linalg import (
-    EQ_TOL, FMatrix, matrices_from_json, numbers_from_json, qr_positive, require_finite
+    EQ_TOL, matrices_from_json, numbers_from_json, qr_positive, require_finite
 )
 
 
@@ -39,51 +37,6 @@ class GAElement:
             raise InputError(f"GA element needs a > 0, got a={self.a}")
 
 
-def ga_mul(g: GAElement, h: GAElement) -> GAElement:
-    """Composition g o h of affine maps."""
-    return GAElement(g.a * h.a, g.a * h.b + g.b)
-
-
-def ga_inv(g: GAElement) -> GAElement:
-    return GAElement(1.0 / g.a, -g.b / g.a)
-
-
-def ga_embed(g: GAElement) -> FMatrix:
-    """Unimodular embedding (1/sqrt(a)) [[a, b], [0, 1]] into SL(2, R)."""
-    s = math.sqrt(g.a)
-    return FMatrix([[s, g.b / s], [0.0, 1.0 / s]])
-
-
-def ga_power(g: GAElement, t: float) -> GAElement:
-    """One-parameter subgroup through g, evaluated at time t."""
-    if abs(g.a - 1.0) < 1e-14:
-        return GAElement(1.0, t * g.b)
-    at = g.a ** t
-    return GAElement(at, g.b * (at - 1.0) / (g.a - 1.0))
-
-
-@dataclass(frozen=True)
-class CircleAngle:
-    """Angle with canonical representative in [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
-
-
-def rotation(angle) -> FMatrix:
-    """Rotation matrix [[c, -s], [s, c]]."""
-    t = angle.theta if isinstance(angle, CircleAngle) else float(angle)
-    c, s = math.cos(t), math.sin(t)
-    return FMatrix([[c, -s], [s, c]])
-
-
-def section(angle) -> FMatrix:
-    """Section of the circle projection: the pure rotation at that angle."""
-    return rotation(angle)
-
-
 def require_unimodular(g: np.ndarray, name=lambda i: "matrix", error=SingularInput):
     """Raise error, naming it name(index), for the first matrix of the
     (..., n, n) array g in stack order with |det - 1| > 100 EQ_TOL (or NaN)."""
@@ -95,48 +48,12 @@ def require_unimodular(g: np.ndarray, name=lambda i: "matrix", error=SingularInp
         raise error(f"{name(bad[0])} has det {det:.12g}, not in SL({n})")
 
 
-def iwasawa_sl2(g: FMatrix) -> Tuple[GAElement, CircleAngle]:
-    """Unique factorization g = ga_embed(b) . rotation(theta).
-
-    Writing the GA factor as [[p, q], [0, 1/p]] with p > 0, the bottom row of
-    g is (sin(theta), cos(theta)) / p, which pins down both factors.
-    """
-    if g.n != 2:
-        raise DimensionError("iwasawa_sl2 requires a 2x2 matrix")
-    require_unimodular(g.arr)
-    s_raw, c_raw = g[1, 0], g[1, 1]
-    norm = math.hypot(s_raw, c_raw)
-    p = 1.0 / norm
-    theta = math.atan2(s_raw, c_raw)
-    c, s = math.cos(theta), math.sin(theta)
-    q = g[0, 0] * s + g[0, 1] * c
-    return GAElement(p * p, q * p), CircleAngle(theta)
-
-
-def circle_project(g: FMatrix) -> CircleAngle:
-    """Projection SL(2, R) -> S^1 discarding the GA factor."""
-    return iwasawa_sl2(g)[1]
-
-
 def chart_length(n: int) -> int:
+    """The length of the vector chart of the AN part of SL(n): n - 1
+    log-diagonal coordinates of R (the last one is implied by det R = 1),
+    then the strictly-upper entries of R divided by their row diagonal,
+    row-major."""
     return n * (n + 1) // 2 - 1
-
-
-@dataclass(frozen=True)
-class IwasawaFactors:
-    """Orthogonal factor plus the vector chart of the AN part.
-
-    chart layout: n-1 log-diagonal coordinates of R (last one implied by
-    det R = 1), then the strictly-upper entries of R divided by their row
-    diagonal, row-major.
-    """
-
-    k: FMatrix
-    chart: Tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return self.k.n
 
 
 def _chart_from_r(r: np.ndarray) -> np.ndarray:
@@ -152,20 +69,6 @@ def _chart_from_r(r: np.ndarray) -> np.ndarray:
     )
 
 
-def _r_from_chart(n: int, chart) -> FMatrix:
-    logs = list(chart[: n - 1])
-    diag = [math.exp(x) for x in logs]
-    diag.append(1.0 / math.prod(diag))
-    r = np.zeros((n, n))
-    pos = n - 1
-    for i in range(n):
-        r[i, i] = diag[i]
-        for j in range(i + 1, n):
-            r[i, j] = chart[pos] * diag[i]
-            pos += 1
-    return FMatrix(r)
-
-
 def _require_rotation(q: np.ndarray):
     """det R > 0 and det g = 1 force det Q = +1; checked, not assumed: on an
     ill-conditioned g rounding loses it, which raises SingularInput."""
@@ -173,20 +76,14 @@ def _require_rotation(q: np.ndarray):
         raise SingularInput("QR of a unimodular matrix lost det Q = +1")
 
 
-def iwasawa_sln(g: FMatrix) -> IwasawaFactors:
-    """SO(n)-left decomposition g = K . R via positive-diagonal QR."""
-    require_unimodular(g.arr)
-    q, r = qr_positive(g.arr)
+def iwasawa_sln(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """SO(n)-left decomposition g = K . R via positive-diagonal QR, of every
+    matrix of a (..., n, n) stack: the K stack and the chart stack.  The
+    first non-unimodular matrix raises SingularInput."""
+    require_unimodular(g)
+    q, r = qr_positive(g)
     _require_rotation(q)
-    return IwasawaFactors(FMatrix(q), tuple(_chart_from_r(r).tolist()))
-
-
-def iwasawa_recompose(f: IwasawaFactors) -> FMatrix:
-    if len(f.chart) != chart_length(f.n):
-        raise DimensionError(
-            f"chart length {len(f.chart)} != {chart_length(f.n)} for n={f.n}"
-        )
-    return f.k @ _r_from_chart(f.n, f.chart)
+    return q, _chart_from_r(r)
 
 
 def iwasawa_sln_ank(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -199,10 +96,14 @@ def iwasawa_sln_ank(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     The first non-unimodular matrix raises SingularInput.
     """
     require_unimodular(g)
-    q_inv, r_inv = qr_positive(require_finite(np.linalg.inv(g)))
+    q_inv, r_inv = qr_positive(require_finite(np.linalg.inv(g), _inverse))
     k = np.swapaxes(q_inv, -1, -2)
     _require_rotation(k)
-    return k, _chart_from_r(require_finite(np.linalg.inv(r_inv)))
+    return k, _chart_from_r(require_finite(np.linalg.inv(r_inv), _inverse))
+
+
+def _inverse(_) -> str:
+    return "an inverse in the AN-left chart"
 
 
 @dataclass(frozen=True)
@@ -266,11 +167,11 @@ class GA:
     in its subalgebra of sl(2)."""
 
     tag: ClassVar[str] = "GA"
-    n: ClassVar[int] = 2  # matrix size under ga_embed
+    n: ClassVar[int] = 2  # matrix size under the embedding
     dim: ClassVar[int] = 2  # dimension of the Lie algebra
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Composition g o h, as ga_mul does it."""
+        """Composition g o h of affine maps."""
         a, b = g[..., 0], g[..., 1]
         return np.stack([a * h[..., 0], a * h[..., 1] + b], axis=-1)
 
@@ -278,7 +179,7 @@ class GA:
         return np.abs(g - h).max(axis=-1)
 
     def matrix(self, g: np.ndarray) -> np.ndarray:
-        """ga_embed of every row: (1/sqrt(a)) [[a, b], [0, 1]]."""
+        """The unimodular embedding (1/sqrt(a)) [[a, b], [0, 1]] of every row."""
         s = np.sqrt(g[..., 0])
         top = np.stack([s, g[..., 1] / s], axis=-1)
         return np.stack([top, np.stack([np.zeros_like(s), 1.0 / s], axis=-1)], axis=-2)

@@ -1,11 +1,12 @@
 """Dense matrix kernel: exact rational matrices, float matrices, QR, exp/log.
 
 Exact arithmetic (RMatrix, backed by fractions.Fraction) carries every
-algebra-level computation; FMatrix (numpy float64) is the validated type of
-a single group element, used where square roots, exponentials or
-orthogonalization force floating point.  matrix_exp, matrix_log and
-qr_positive work on float arrays of shape (..., n, n), a stack of matrices
-at once; scipy.linalg is imported only by the kernels that call it.
+algebra-level computation.  Floating point, forced by square roots,
+exponentials and orthogonalization, works on plain float64 arrays:
+matrix_exp, matrix_log and qr_positive take arrays of shape (..., n, n), a
+stack of matrices at once, and scipy.linalg is imported only by the kernels
+that call it.  FMatrix is only the checked result of reading one JSON
+matrix: a square, finite float64 array of a supported size.
 
 The JSON codec has one rule for every value: a number or a "p/q" string is
 read as its nearest float, and NaN, infinite values, booleans and values
@@ -20,7 +21,7 @@ import contextlib
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -140,7 +141,8 @@ def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
 
 
 class FMatrix:
-    """Square matrix of finite float64 entries."""
+    """One float matrix read from JSON: a read-only n x n float64 array arr
+    of finite entries, 2 <= n <= MAX_DIM."""
 
     __slots__ = ("n", "arr")
 
@@ -149,52 +151,19 @@ class FMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"FMatrix requires a square array, got {a.shape}")
         _check_dim(a.shape[0])
-        require_finite(a).flags.writeable = False
+        require_finite(a, "matrix row {}".format).flags.writeable = False
         self.n = a.shape[0]
         self.arr = a
 
-    @classmethod
-    def identity(cls, n: int) -> "FMatrix":
-        return cls(np.eye(n))
 
-    def __getitem__(self, ij) -> float:
-        return float(self.arr[ij])
-
-    def __matmul__(self, other: "FMatrix") -> "FMatrix":
-        if self.n != other.n:
-            raise DimensionError(f"dimension mismatch {self.n} vs {other.n}")
-        return FMatrix(self.arr @ other.arr)
-
-    def __add__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.arr + other.arr)
-
-    def __sub__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.arr - other.arr)
-
-    def transpose(self) -> "FMatrix":
-        return FMatrix(self.arr.T)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.arr))
-
-    def sup(self) -> float:
-        """Largest absolute entry."""
-        return float(np.max(np.abs(self.arr)))
-
-    def dist(self, other: "FMatrix") -> float:
-        return (self - other).sup()
-
-    def allclose(self, other: "FMatrix", tol: float) -> bool:
-        return self.dist(other) < tol
-
-    def __repr__(self):
-        return f"FMatrix({self.arr.tolist()})"
-
-
-def require_finite(a: np.ndarray) -> np.ndarray:
-    """a itself, after an InputError if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(a)):
-        raise InputError("FMatrix entries must be finite")
+def require_finite(a: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """a itself, after an InputError "<name(i)> is not finite" for the first
+    index i along the first axis of a whose slice holds a NaN or an infinite
+    entry."""
+    finite = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise InputError(f"{name(bad[0])} is not finite")
     return a
 
 
@@ -219,12 +188,13 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of every matrix of a (..., n, n) float array, in one
     scipy expm call (scaling and squaring).
 
-    An overflow gives non-finite entries, which raise InputError; numpy's
-    overflow warning is silenced in favour of that error.
+    An overflow gives non-finite entries, which the caller refuses by
+    naming what overflowed; numpy's overflow warning is silenced in favour
+    of that error.
     """
     import scipy.linalg
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(scipy.linalg.expm(a))
+        return scipy.linalg.expm(a)
 
 
 def matrix_log(a: np.ndarray) -> np.ndarray:

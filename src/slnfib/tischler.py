@@ -576,15 +576,23 @@ def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
         cand = ((i + 0.5) / count + 0.261799) % 1.0
         i += 1
         # round moves an image by at most 5e-13: only gaps near 1e-6 need it
-        gap = np.abs((cand - image + 0.5) % 1.0 - 0.5)
+        gap = _circle_gap(cand, image)
         near = np.flatnonzero(np.abs(gap - 1e-6) < 1e-11)
         exact = [round(x, 12) for x in image[near].tolist()]
-        gap[near] = np.abs((cand - np.array(exact) + 0.5) % 1.0 - 0.5)
+        gap[near] = _circle_gap(cand, np.array(exact))
         if np.all(gap > 1e-6):
             out.append(round(cand, 12))
     if len(out) < count:
         raise NonGenericValue("could not find enough generic levels")
     return out
+
+
+def _circle_gap(level: float, x: np.ndarray) -> np.ndarray:
+    """|level - x| on the circle R/Z, in [0, 1/2], for every value of x:
+    x - floor(x) has the bits of x % 1.0, with no float remainder."""
+    gap = level - x + 0.5
+    gap -= np.floor(gap)
+    return np.abs(gap - 0.5)
 
 
 def fibration_ok(sub: SubmersionReport, censuses: Sequence[FiberCensus]) -> bool:

@@ -516,6 +516,23 @@ def test_overflowing_rk_coboundary_is_not_flat(capsys, tmp_path, command):
     assert mc["max_flatness_residual"] == "Infinity"
 
 
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+def test_overflowing_holonomy_names_its_first_triangle(capsys, tmp_path, command):
+    # exp of [[0, 1e300], [1e300, 0]] on edge 0-1 overflows; that edge
+    # borders triangles 1 = (0, 1, 9) and 112
+    spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(1.5, 0.3))))
+    spec["cochain"]["0-1"] = [[0, 1e300], [1e300, 0]]
+    argv = [command, write_json(tmp_path, "overflow.json", spec)]
+    if command == "pipeline":
+        argv += ["--epsilon", "0.01"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (
+        "input error: holonomy residual of triangle 1 (vertices 0, 1, 9) is not finite\n"
+    )
+
+
 class TestPipeline:
     def test_product_spec_ok(self, capsys, tmp_path, product_spec):
         path = write_json(tmp_path, "prod.json", dump_foliation_spec(product_spec))

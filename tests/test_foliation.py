@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import bumped, ga_and_angle, sup
 from slnfib import foliation, groups, linalg
 from slnfib.cli import main
 from slnfib.complexes import coboundary, period
@@ -20,8 +21,8 @@ from slnfib.foliation import (
     product_foliation,
     project_foliation,
 )
-from slnfib.groups import GA, SL, GAElement, Rk, ga_embed, iwasawa_sl2
-from slnfib.linalg import FMatrix, matrix_log
+from slnfib.groups import GA, SL, GAElement, Rk
+from slnfib.linalg import matrix_log
 from slnfib.serialize import dump_foliation_spec
 
 
@@ -85,6 +86,27 @@ class TestGASuspension:
         base = ga_suspension(8, GAElement(3.0, 1.0))
         rep = check_mc(base)
         assert rep.flat
+
+    @pytest.mark.parametrize("a, b", [(1.5, 0.3), (1.0, 0.7)], ids=["power", "unipotent"])
+    def test_samples_follow_the_one_parameter_subgroup_bit_for_bit(self, a, b):
+        # (a^t, b (a^t - 1) / (a - 1)) at t = z / m, with Python's float power;
+        # (1, t b) on the unipotent subgroup a = 1
+        m = 8
+        spec = ga_suspension(m, GAElement(a, b))
+        for (z,), (got_a, got_b) in samples(spec):
+            t = z / m
+            at = a ** t if a != 1.0 else 1.0
+            expect = b * (at - 1.0) / (a - 1.0) if a != 1.0 else t * b
+            assert (got_a.hex(), got_b.hex()) == (at.hex(), expect.hex())
+
+
+def test_non_finite_developing_step_names_its_edge(t2_8):
+    # D(zu)^-1 D(zv) overflows on edge 3 only
+    ends = np.tile(np.eye(2), (len(t2_8.edges), 2, 1, 1))
+    ends[3] = [np.diag([1e-200, 1e200]), np.diag([1e200, 1e-200])]
+    u, v = t2_8.edges[3]
+    with pytest.raises(InputError, match=f"^developing step on edge {u}-{v} is not finite$"):
+        foliation.edge_logarithms(t2_8, ends)
 
 
 def brute_force_equivariance(spec):
@@ -170,23 +192,24 @@ class TestProductFoliation:
         assert rep.flat and rep.surjective
 
     def test_fibers_split_into_base_and_angle(self, product_spec):
-        # iwasawa_sl2 of D(x, y) recovers (base developing, circle position)
+        # the GA x S^1 factors of D(x, y) recover (base developing, circle
+        # position)
         m = product_spec.complex.covering.m
         base = ga_suspension(m, GAElement(2.0, 0.0))
         for z, g in samples(product_spec)[:50]:
-            b, ang = iwasawa_sl2(FMatrix(g))
+            a, b, theta = ga_and_angle(g)
             d0 = base.developing_value((z[0],))
-            assert abs(b.a - d0[0]) < 1e-9 and abs(b.b - d0[1]) < 1e-9
+            assert abs(a - d0[0]) < 1e-9 and abs(b - d0[1]) < 1e-9
             expect = (2 * math.pi * z[1] / m) % (2 * math.pi)
-            diff = abs(ang.theta - expect)
+            diff = abs(theta - expect)
             assert min(diff, 2 * math.pi - diff) < 1e-9
 
     def test_degenerate_base_gives_rotation_family(self):
         base = ga_suspension(8, GAElement(1.0, 0.0))
         prod = product_foliation(base)
         for z, g in samples(prod)[:20]:
-            b, _ = iwasawa_sl2(FMatrix(g))
-            assert abs(b.a - 1.0) < 1e-9 and abs(b.b) < 1e-9
+            a, b, _ = ga_and_angle(g)
+            assert abs(a - 1.0) < 1e-9 and abs(b) < 1e-9
 
     def test_rejects_non_ga_base(self):
         spec = linear_torus_spec(8, [[1.0, 0.0]])
@@ -230,9 +253,9 @@ class TestProjectFoliation:
         got = project_foliation(partial, which)
         ref = project_foliation(product_spec, which)
         assert len(got.developing) == m * m
-        for u, v in product_spec.complex.edges:
+        for i, (u, v) in enumerate(product_spec.complex.edges):
             if which == 1:
-                assert got.cochain(u, v).dist(ref.cochain(u, v)) < 1e-12
+                assert sup(got.cochain.values[i] - ref.cochain.values[i]) < 1e-12
             else:
                 for w, w_ref in zip(got.scalar_cochains, ref.scalar_cochains):
                     assert abs(w(u, v) - w_ref(u, v)) < 1e-12
@@ -373,22 +396,20 @@ class TestSpecInvariants:
             )
 
     def test_noncommuting_holonomy_rejected(self, product_spec):
-        a = ga_embed(GAElement(2.0, 0.0))
-        b = ga_embed(GAElement(1.0, 1.0))
+        a = GA().matrix(np.array([2.0, 0.0]))
+        b = GA().matrix(np.array([1.0, 1.0]))
         with pytest.raises(InputError, match="do not commute"):
             LieFoliationSpec(
                 complex=product_spec.complex,
                 group=SL(2),
-                holonomy=[a.arr, b.arr],
+                holonomy=[a, b],
                 window=product_spec.window,
                 developing=product_spec.developing,
                 cochain=product_spec.cochain,
             )
 
     def test_consistency_measures_cochain_drift(self, product_spec):
-        bump = FMatrix([[0.0, 0.5], [0.0, 0.0]])
-        e = product_spec.complex.edges[4]
-        w2 = product_spec.cochain.with_edge(*e, product_spec.cochain(*e) + bump)
+        w2 = bumped(product_spec.cochain, 4, [[0.0, 0.5], [0.0, 0.0]])
         spec2 = LieFoliationSpec(
             complex=product_spec.complex,
             group=SL(2),

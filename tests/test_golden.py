@@ -1,12 +1,14 @@
-"""Stored reports of `tischler`, `pipeline` and `verify-brackets`, compared
-byte for byte.
+"""Stored reports of `tischler`, `pipeline`, `verify-brackets`, `decompose`
+and `check-foliation`, compared byte for byte.
 
-Each `tischler` and `pipeline` input is written here from its closed form,
-with no slnfib code: the linear form sum_i c_i dx_i takes the value
-sum_i c_i * e_i / m on the edge (z, z + e) of the standard triangulation of
-T^d (e a nonzero 0/1 vector), summed in axis order.  Each command then runs
-with --golden tests/golden, which exits 3 on any byte of difference from the
-stored report.
+Each `tischler` input and the R^2 `pipeline` input is written here from its
+closed form, with no slnfib code: the linear form sum_i c_i dx_i takes the
+value sum_i c_i * e_i / m on the edge (z, z + e) of the standard
+triangulation of T^d (e a nonzero 0/1 vector), summed in axis order.  Each
+`decompose` input is a matrix of plain numbers written below.  The SL(2)
+product spec is built and dumped by the library constructors at test time.
+Each command then runs with --golden tests/golden, which exits 3 on any byte
+of difference from the stored report.
 """
 import itertools
 import json
@@ -16,6 +18,9 @@ from pathlib import Path
 import pytest
 
 from slnfib.cli import main
+from slnfib.foliation import ga_suspension, product_foliation
+from slnfib.groups import GAElement
+from slnfib.serialize import dump_foliation_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 SQRT2 = math.sqrt(2)
@@ -91,6 +96,55 @@ def test_pipeline_golden(capsys, tmp_path):
     path = tmp_path / "linear_m8.json"
     path.write_text(json.dumps(linear_spec(8, [[1, SQRT2], [0.3, 1]])))
     code = main(["pipeline", str(path), "--epsilon", "0.01", "--golden", str(GOLDEN)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"]
+
+
+# (stem, matrix) of each stored `decompose` report
+DECOMPOSE = [
+    ("sl2", [[1.5, 0.5], [1.0, 1.0]]),
+    ("sl3_upper", [[2.0, 1.0, -3.0], [0.0, 0.5, 4.0], [0.0, 0.0, 1.0]]),
+    # L U for unit triangular integer L and U: det 1 exactly
+    (
+        "sl5",
+        [
+            [1, 1, 0, -1, 2],
+            [2, 3, 2, -2, 5],
+            [-1, 2, 7, 2, 0],
+            [0, 1, 0, -1, 6],
+            [1, 1, 2, 2, 4],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("stem, matrix", DECOMPOSE, ids=[case[0] for case in DECOMPOSE])
+def test_decompose_golden(capsys, tmp_path, stem, matrix):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(matrix))
+    code = main(["decompose", str(path), "--golden", str(GOLDEN)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == len(matrix)
+
+
+@pytest.fixture(scope="module")
+def sl2_product_m8(tmp_path_factory):
+    """The SL(2) product spec of GA holonomy (1.5, 0.3) at m = 8, as a file."""
+    spec = product_foliation(ga_suspension(8, GAElement(1.5, 0.3)))
+    path = tmp_path_factory.mktemp("specs") / "sl2_product_m8.json"
+    path.write_text(json.dumps(dump_foliation_spec(spec)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-foliation"], ["pipeline", "--epsilon", "0.01"]],
+    ids=["check-foliation", "pipeline"],
+)
+def test_sl2_product_golden(capsys, sl2_product_m8, argv):
+    code = main(argv[:1] + [sl2_product_m8] + argv[1:] + ["--golden", str(GOLDEN)])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert json.loads(out)["ok"]

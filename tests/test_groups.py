@@ -5,118 +5,114 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sl
-from slnfib.errors import DimensionError, InputError, SingularInput
+from conftest import ga_and_angle, r_from_chart, random_sl, rotation, sup
+from slnfib.errors import InputError, SingularInput
 from slnfib.groups import (
-    CircleAngle,
+    GA,
     FactorSplit,
     GAElement,
-    IwasawaFactors,
     chart_length,
-    circle_project,
     factor_split,
-    ga_embed,
-    ga_inv,
-    ga_mul,
-    ga_power,
-    iwasawa_recompose,
-    iwasawa_sl2,
     iwasawa_sln,
     iwasawa_sln_ank,
-    rotation,
-    section,
-    _r_from_chart,
 )
 from slnfib.foliation import ga_suspension, product_foliation
-from slnfib.linalg import FMatrix, qr_positive
+from slnfib.linalg import qr_positive
+
+
+def ga_rows(rng, size):
+    """size random GA rows (a, b), log a and b standard normal."""
+    return np.stack([np.exp(rng.normal(size=size)), rng.normal(size=size)], axis=-1)
 
 
 class TestGA:
     def test_embed_identity(self):
-        assert ga_embed(GAElement(1, 0)).allclose(FMatrix.identity(2), 1e-15)
+        assert sup(GA().matrix(np.array([1.0, 0.0])) - np.eye(2)) < 1e-15
 
     def test_embed_formula(self):
         # (1/sqrt(4)) [[4, 2], [0, 1]] = [[2, 1], [0, 1/2]]
-        assert ga_embed(GAElement(4, 2)).allclose(FMatrix([[2, 1], [0, 0.5]]), 1e-12)
+        assert sup(GA().matrix(np.array([4.0, 2.0])) - [[2, 1], [0, 0.5]]) < 1e-12
 
     def test_embed_unipotent(self):
-        assert ga_embed(GAElement(1, 3)).allclose(FMatrix([[1, 3], [0, 1]]), 1e-12)
+        assert sup(GA().matrix(np.array([1.0, 3.0])) - [[1, 3], [0, 1]]) < 1e-12
 
     def test_embed_unimodular(self, rng):
-        for _ in range(50):
-            g = GAElement(math.exp(rng.normal()), rng.normal())
-            assert abs(ga_embed(g).det() - 1.0) < 1e-12
+        dets = np.linalg.det(GA().matrix(ga_rows(rng, 50)))
+        assert np.abs(dets - 1.0).max() < 1e-12
 
     def test_mul_composes_affine_maps(self):
-        assert ga_mul(GAElement(2, 1), GAElement(3, 0)) == GAElement(6, 1)
+        assert GA().mul(np.array([2.0, 1.0]), np.array([3.0, 0.0])).tolist() == [6, 1]
 
     def test_inv(self):
-        assert ga_inv(GAElement(2, 1)) == GAElement(0.5, -0.5)
+        # the affine inverse (1/a, -b/a) of (2, 1), on both sides
+        g, inv = np.array([2.0, 1.0]), np.array([0.5, -0.5])
+        assert GA().mul(g, inv).tolist() == [1, 0]
+        assert GA().mul(inv, g).tolist() == [1, 0]
 
     def test_group_axiom(self):
-        g = GAElement(2, 1)
-        prod = ga_mul(g, ga_inv(g))
-        assert abs(prod.a - 1) < 1e-15 and abs(prod.b) < 1e-15
+        g = np.array([2.0, 1.0])
+        prod = GA().mul(g, np.array([1.0 / g[0], -g[1] / g[0]]))
+        assert abs(prod[0] - 1) < 1e-15 and abs(prod[1]) < 1e-15
 
     def test_embed_is_homomorphism(self, rng):
-        for _ in range(500):
-            g = GAElement(math.exp(rng.normal()), rng.normal())
-            h = GAElement(math.exp(rng.normal()), rng.normal())
-            lhs = ga_embed(ga_mul(g, h))
-            rhs = ga_embed(g) @ ga_embed(h)
-            assert lhs.dist(rhs) < 1e-9
+        g, h = ga_rows(rng, 500), ga_rows(rng, 500)
+        lhs = GA().matrix(GA().mul(g, h))
+        rhs = GA().matrix(g) @ GA().matrix(h)
+        assert sup(lhs - rhs) < 1e-9
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(InputError):
             GAElement(0.0, 1.0)
 
     def test_power_interpolates(self):
+        # the suspension's developing map at z = 2 of m = 4 is g ** (1/2)
         g = GAElement(4.0, 6.0)
-        half = ga_power(g, 0.5)
-        full = ga_mul(half, half)
-        assert abs(full.a - g.a) < 1e-12 and abs(full.b - g.b) < 1e-12
+        half = ga_suspension(4, g).developing_value(np.array([2]))
+        full = GA().mul(half, half)
+        assert abs(full[0] - g.a) < 1e-12 and abs(full[1] - g.b) < 1e-12
 
 
 class TestIwasawaSL2:
+    """g = GA().matrix((a, b)) @ rotation(theta), read off iwasawa_sln_ank."""
+
     def test_pure_rotation(self):
-        b, ang = iwasawa_sl2(rotation(0.9))
-        assert abs(b.a - 1) < 1e-12 and abs(b.b) < 1e-12
-        assert abs(ang.theta - 0.9) < 1e-12
+        a, b, theta = ga_and_angle(rotation(0.9))
+        assert abs(a - 1) < 1e-12 and abs(b) < 1e-12
+        assert abs(theta - 0.9) < 1e-12
 
     def test_inverse_of_embed(self):
-        b, ang = iwasawa_sl2(FMatrix([[2, 1], [0, 0.5]]))
-        assert abs(b.a - 4) < 1e-12 and abs(b.b - 2) < 1e-12
-        assert min(ang.theta, 2 * math.pi - ang.theta) < 1e-12
+        a, b, theta = ga_and_angle(np.array([[2, 1], [0, 0.5]]))
+        assert abs(a - 4) < 1e-12 and abs(b - 2) < 1e-12
+        assert min(theta, 2 * math.pi - theta) < 1e-12
 
     def test_reconstruction_random(self, rng):
         for _ in range(200):
             g = random_sl(2, rng)
-            b, ang = iwasawa_sl2(g)
-            assert (ga_embed(b) @ section(ang)).dist(g) < 1e-9
+            a, b, theta = ga_and_angle(g)
+            assert sup(GA().matrix(np.array([a, b])) @ rotation(theta) - g) < 1e-9
 
     def test_factor_uniqueness(self, rng):
         g = random_sl(2, rng)
-        b, ang = iwasawa_sl2(g)
-        b2, ang2 = iwasawa_sl2(ga_embed(b) @ section(ang))
-        assert abs(b2.a - b.a) < 1e-10 and abs(b2.b - b.b) < 1e-10
-        assert abs(ang2.theta - ang.theta) < 1e-10
+        a, b, theta = ga_and_angle(g)
+        a2, b2, theta2 = ga_and_angle(GA().matrix(np.array([a, b])) @ rotation(theta))
+        assert abs(a2 - a) < 1e-10 and abs(b2 - b) < 1e-10
+        assert abs(theta2 - theta) < 1e-10
 
     def test_projection_section_identity(self):
-        for k in range(360):
-            th = 2 * math.pi * k / 360
-            got = circle_project(section(CircleAngle(th))).theta
-            assert abs(got - th) < 1e-12
+        th = 2 * math.pi * np.arange(360) / 360
+        got = ga_and_angle(np.array([rotation(t) for t in th.tolist()]))[2]
+        assert np.abs(got - th).max() < 1e-12
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(SingularInput):
-            iwasawa_sl2(FMatrix([[2.0, 0.0], [0.0, 1.0]]))
+            iwasawa_sln_ank(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
 class TestIwasawaSLn:
     def test_identity(self):
-        f = iwasawa_sln(FMatrix.identity(4))
-        assert f.k.allclose(FMatrix.identity(4), 1e-12)
-        assert max(abs(x) for x in f.chart) < 1e-12
+        k, chart = iwasawa_sln(np.eye(4))
+        assert sup(k - np.eye(4)) < 1e-12
+        assert sup(chart) < 1e-12
 
     @pytest.mark.parametrize("n,expect", [(2, 2), (3, 5), (4, 9), (6, 20)])
     def test_chart_length(self, n, expect):
@@ -126,34 +122,34 @@ class TestIwasawaSLn:
     def test_roundtrip(self, n, rng):
         for _ in range(100):
             g = random_sl(n, rng)
-            f = iwasawa_sln(g)
-            assert len(f.chart) == chart_length(n)
-            assert iwasawa_recompose(f).dist(g) < 1e-9
-            assert (f.k.transpose() @ f.k).dist(FMatrix.identity(n)) < 1e-9
-            assert abs(f.k.det() - 1.0) < 1e-8
+            k, chart = iwasawa_sln(g)
+            assert chart.shape == (chart_length(n),)
+            assert sup(k @ r_from_chart(n, chart) - g) < 1e-9
+            assert sup(k.T @ k - np.eye(n)) < 1e-9
+            assert abs(np.linalg.det(k) - 1.0) < 1e-8
 
     def test_chart_roundtrip_from_coordinates(self, rng):
         # decompose(recompose(chart)) = chart on random charts
         n = 3
         for _ in range(50):
-            q = FMatrix(qr_positive(random_sl(n, rng).arr)[0])
-            chart = tuple(rng.normal(size=chart_length(n)) * 0.5)
-            f = iwasawa_sln(iwasawa_recompose(IwasawaFactors(q, chart)))
-            assert f.k.dist(q) < 1e-8
-            assert max(abs(a - b) for a, b in zip(f.chart, chart)) < 1e-8
+            q = qr_positive(random_sl(n, rng))[0]
+            chart = rng.normal(size=chart_length(n)) * 0.5
+            k, got = iwasawa_sln(q @ r_from_chart(n, chart))
+            assert sup(k - q) < 1e-8
+            assert sup(got - chart) < 1e-8
 
     def test_ank_roundtrip(self, rng):
         # g = R . K, so g . K^T = R is its own K . R factorization with K = I
         for n in (2, 3):
             g = random_sl(n, rng)
-            k, chart = iwasawa_sln_ank(g.arr)
-            r = iwasawa_sln(g @ FMatrix(k).transpose())
-            assert r.k.dist(FMatrix.identity(n)) < 1e-9
-            assert max(abs(a - b) for a, b in zip(r.chart, chart)) < 1e-9
+            k, chart = iwasawa_sln_ank(g)
+            k_r, chart_r = iwasawa_sln(g @ k.T)
+            assert sup(k_r - np.eye(n)) < 1e-9
+            assert sup(chart_r - chart) < 1e-9
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(SingularInput):
-            iwasawa_sln(FMatrix(np.diag([2.0, 1.0, 1.0])))
+            iwasawa_sln(np.diag([2.0, 1.0, 1.0]))
 
 
 class TestFactorSplit:
@@ -176,29 +172,27 @@ class TestFactorSplit:
         # perturbing only the g2 chart coordinates moves only those
         n = 3
         g = random_sl(n, rng)
-        f = iwasawa_sln(g)
+        k, chart = iwasawa_sln(g)
         s = factor_split(n)
-        chart = list(f.chart)
         chart[s.g2_coords[0]] += 0.125
         chart[s.g2_coords[1]] -= 0.25
-        from slnfib.groups import IwasawaFactors
-
-        g2 = iwasawa_recompose(IwasawaFactors(f.k, tuple(chart)))
-        f2 = iwasawa_sln(g2)
-        for i, (a, b) in enumerate(zip(f2.chart, chart)):
+        got = iwasawa_sln(k @ r_from_chart(n, chart))[1]
+        for i, (a, b) in enumerate(zip(got, chart)):
             assert abs(a - b) < 1e-9, i
 
 
 def test_circle_angle_canonical_idempotent():
-    a = CircleAngle(7.5 * math.pi)
-    assert 0 <= a.theta < 2 * math.pi
-    assert CircleAngle(a.theta).theta == a.theta
+    # the circle factor of a rotation by 7.5 pi is that rotation, an angle
+    # in [0, 2 pi), and charting it again gives the same angle
+    theta = ga_and_angle(rotation(7.5 * math.pi))[2]
+    assert 0 <= theta < 2 * math.pi and abs(theta - 1.5 * math.pi) < 1e-12
+    assert abs(ga_and_angle(rotation(theta))[2] - theta) < 1e-12
 
 
 def test_nan_determinant_is_not_unimodular(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", lambda a: math.nan)
     with pytest.raises(SingularInput, match="det nan, not in SL"):
-        iwasawa_sl2(FMatrix.identity(2))
+        iwasawa_sln(np.eye(2))
 
 
 @st.composite
@@ -222,7 +216,7 @@ def test_stacked_ank_charts_rebuild_each_matrix(g):
     k, charts = iwasawa_sln_ank(g)
     assert k.shape == g.shape and charts.shape == (len(g), chart_length(n))
     for g_i, k_i, chart in zip(g, k, charts):
-        r = _r_from_chart(n, chart).arr
+        r = r_from_chart(n, chart)
         assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) > 0)
         k_solved = np.linalg.solve(r, g_i)
         assert np.abs(k_solved @ k_solved.T - np.eye(n)).max() <= 1e-12
