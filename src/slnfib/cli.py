@@ -176,52 +176,75 @@ def cmd_pipeline(args) -> int:
     return _emit(report.to_dict(), args, f"pipeline-{Path(args.spec).stem}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_SPEC = _arg("spec", help="JSON foliation spec file")
+_RATIONALIZE = (
+    _arg("--epsilon", type=float, required=True),
+    _arg("--max-denominator", type=int, default=10 ** 6),
+)
+_GOLDEN = (
+    _arg("--golden", help="directory of golden reports to compare"),
+    _arg("--write-golden", help="directory to store golden reports"),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command; or, when command names one, the parser of
+    an argv that begins with it, which builds no other subparser.
+
+    Both give the same usage, help and error text on such an argv: the
+    usage line names every command either way, and no other text of the top
+    parser can show on it."""
+    # name: (help, handler, arguments), in the order of the usage line; the
+    # handlers are read here, at call time, where a tracer may have wrapped them
+    commands = {
+        "verify-brackets": (
+            "check the bracket identities",
+            cmd_verify_brackets,
+            (_arg("--n", type=int, required=True),),
+        ),
+        "decompose": (
+            "Iwasawa-decompose a matrix",
+            cmd_decompose,
+            (_arg("matrix", help="JSON matrix file"),),
+        ),
+        "check-foliation": (
+            "run foliation structural checks", cmd_check_foliation, (_SPEC,)
+        ),
+        "tischler": (
+            "circle fibration from a closed cochain",
+            cmd_tischler,
+            (_arg("cochain", help="JSON complex + cochain file"), *_RATIONALIZE),
+        ),
+        "pipeline": (
+            "full foliation-to-fibration pipeline", cmd_pipeline, (_SPEC, *_RATIONALIZE)
+        ),
+    }
     parser = argparse.ArgumentParser(
         prog="slnfib",
         description="SL(n,R) foliation toolkit: brackets, decompositions, "
         "foliation checks, circle fibrations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--golden", help="directory of golden reports to compare")
-        p.add_argument("--write-golden", help="directory to store golden reports")
-
-    p = sub.add_parser("verify-brackets", help="check the bracket identities")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_brackets)
-
-    p = sub.add_parser("decompose", help="Iwasawa-decompose a matrix")
-    p.add_argument("matrix", help="JSON matrix file")
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("check-foliation", help="run foliation structural checks")
-    p.add_argument("spec", help="JSON foliation spec file")
-    common(p)
-    p.set_defaults(func=cmd_check_foliation)
-
-    p = sub.add_parser("tischler", help="circle fibration from a closed cochain")
-    p.add_argument("cochain", help="JSON complex + cochain file")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-denominator", type=int, default=10 ** 6)
-    common(p)
-    p.set_defaults(func=cmd_tischler)
-
-    p = sub.add_parser("pipeline", help="full foliation-to-fibration pipeline")
-    p.add_argument("spec", help="JSON foliation spec file")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-denominator", type=int, default=10 ** 6)
-    common(p)
-    p.set_defaults(func=cmd_pipeline)
-
+    names = [command] if command in commands else list(commands)
+    # the metavar argparse derives from all the choices; given only here, as
+    # it would also replace "command" in the missing-command error
+    every = "{" + ",".join(commands) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        summary, func, arguments = commands[name]
+        p = sub.add_parser(name, help=summary)
+        for flags, kwargs in arguments + _GOLDEN:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

@@ -94,10 +94,12 @@ class SimplicialComplex:
         self.incidence = (ends // 2).reshape(n, 2 * len(vecs))
 
         grid = np.arange(n).reshape((m,) * d)  # grid[c_(d-1), ..., c_0] = v
-
-        def vertex(a):  # the vertex z + a, for every base vertex z
-            shift = [-x for x in reversed(a)]
-            return np.roll(grid, shift, axis=tuple(range(d))).ravel()
+        # the vertex z + a, for every base vertex z and every a in {0,1}^d
+        shifted = {
+            a: np.roll(grid, [-x for x in reversed(a)], axis=tuple(range(d))).ravel()
+            for a in itertools.product((0, 1), repeat=d)
+        }
+        vertex = shifted.__getitem__
 
         def edge(a, b):  # the index of the edge (z + a, z + b)
             step = tuple(y - x for x, y in zip(a, b))

@@ -224,12 +224,14 @@ class SL:
         return x.reshape(len(x), -1)
 
     def stack_from_json(self, objs) -> np.ndarray:
-        """N JSON matrices read in one pass; a malformed one raises its own error."""
+        """N JSON matrices read in one pass; a malformed one raises its own
+        error, the first one of another size an InputError."""
         stack, n = matrices_from_json(list(objs)), self.n
-        for g in stack:
-            if len(g) != n:
-                k = len(g)
-                raise InputError(f"SL({n}) element must be {n}x{n}, got {k}x{k}")
+        # one (N, k, k) array, or a list of matrices that are not all k x k
+        sizes = stack.shape[1:2] if isinstance(stack, np.ndarray) else map(len, stack)
+        k = next((k for k in sizes if k != n), n)
+        if k != n:
+            raise InputError(f"SL({n}) element must be {n}x{n}, got {k}x{k}")
         return np.reshape(stack, (-1, n, n))
 
 

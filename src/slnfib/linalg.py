@@ -5,8 +5,11 @@ algebra-level computation.  Floating point, forced by square roots,
 exponentials and orthogonalization, works on plain float64 arrays:
 matrix_exp, matrix_log and qr_positive take arrays of shape (..., n, n), a
 stack of matrices at once, and scipy.linalg is imported only by the kernels
-that call it.  FMatrix is only the checked result of reading one JSON
-matrix: a square, finite float64 array of a supported size.
+that call it.  The 2 x 2 logarithm is one closed-form stack whose only
+per-matrix Python steps are math.log, math.atanh and math.atan, and it gives
+every matrix the bits of the scalar formula.  FMatrix is only the checked
+result of reading one JSON matrix: a square, finite float64 array of a
+supported size.
 
 The JSON codec has one rule for every value: a number or a "p/q" string is
 read as its nearest float, and NaN, infinite values, booleans and values
@@ -201,22 +204,21 @@ def matrix_log(a: np.ndarray) -> np.ndarray:
     """Principal logarithm of every matrix of a (..., n, n) float array,
     restricted to the ball ||a - I||_2 < 1.
 
-    n = 2 uses the closed form of _log2; n >= 3 uses scipy's logm (inverse
-    scaling and squaring, Al-Mohy & Higham 2012) on each matrix.  Both have
-    the same domain.  The first matrix in stack order that fails a domain
-    test raises LogDomain.
+    n = 2 is the closed form of _log2, one stack over the whole array; n >= 3
+    uses scipy's logm (inverse scaling and squaring, Al-Mohy & Higham 2012)
+    on each matrix.  Both have the same domain.  The first matrix in stack
+    order that fails a domain test raises LogDomain: the ball first, then a
+    non-real logarithm.
     """
     n = a.shape[-1]
-    if n > 2:
-        import scipy.linalg
     gaps = np.asarray(np.linalg.norm(a - np.eye(n), 2, axis=(-2, -1)))
+    if n == 2:
+        return _log2(a, gaps)
+    import scipy.linalg
     out = np.empty(a.shape)
     for k in np.ndindex(a.shape[:-2]):
         if not gaps[k] < 1.0:
             raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.4f} >= 1")
-        if n == 2:
-            out[k] = _log2(a[k].tolist())
-            continue
         x = scipy.linalg.logm(a[k])
         if not np.max(np.abs(np.imag(x))) <= RESIDUAL_TOL:
             raise LogDomain("matrix_log: non-real principal logarithm")
@@ -227,31 +229,45 @@ def matrix_log(a: np.ndarray) -> np.ndarray:
 LOG2_SERIES_CUTOFF = 1e-2  # |u| below which _log2 sums the series of F(u)
 
 
-def _log2(rows):
-    """Principal logarithm of a real 2x2 matrix a from Cayley-Hamilton.
+def _log2(a: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Principal logarithm of every matrix of a real (..., 2, 2) stack a, whose
+    distances ||a - I||_2 are gaps, from Cayley-Hamilton.
 
     With s = tr(a)/2, d = det(a) and N = a - s*I, N^2 = (s^2 - d)*I, so for
     u = (s^2 - d)/s^2 the log series of I + N/s sums to
     log a = log(d)/2 * I + F(u)/s * N, where F(u) = sum_k u^k/(2k+1), that is
     atanh(sqrt(u))/sqrt(u) for u > 0 and atan(sqrt(-u))/sqrt(-u) for u < 0.
     It is real exactly when s > 0 and d > 0, which holds on ||a - I||_2 < 1.
+
+    Each matrix gets the bits of this formula in Python floats: numpy's
+    + - * / and sqrt round correctly, as Python's do, and math.log,
+    math.atanh and math.atan run over lists.  The first matrix in stack
+    order with a gap >= 1 (or NaN) or a non-real logarithm raises LogDomain.
     """
-    (p, q), (r, t) = rows
-    s = 0.5 * (p + t)
-    d = p * t - q * r
-    u = (s * s - d) / (s * s) if s > 0 else 1.0
-    if not (d > 0 and u < 1.0):  # u < 1 iff s > 0 and d > 0, up to rounding
+    p, q, r, t = np.reshape(a, (-1, 4)).T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        s = 0.5 * (p + t)
+        d = p * t - q * r
+        u = np.where(s > 0, (s * s - d) / (s * s), 1.0)
+    far = ~(np.ravel(gaps) < 1.0)
+    # u < 1 iff s > 0 and d > 0, up to rounding
+    bad = np.flatnonzero(far | ~((d > 0) & (u < 1.0)))
+    if bad.size:
+        if far[bad[0]]:
+            raise LogDomain(f"matrix_log: ||a - I|| = {gaps.flat[bad[0]]:.4f} >= 1")
         raise LogDomain("matrix_log: non-real principal logarithm")
-    if abs(u) < LOG2_SERIES_CUTOFF:
-        f = 0.0
-        for k in range(8, -1, -1):  # |u|^9 / 19 < 1e-19
-            f = f * u + 1.0 / (2 * k + 1)
-    elif u > 0:
-        f = math.atanh(math.sqrt(u)) / math.sqrt(u)
-    else:
-        f = math.atan(math.sqrt(-u)) / math.sqrt(-u)
-    h, c, n = 0.5 * math.log(d), f / s, 0.5 * (p - t)
-    return [[h + c * n, c * q], [c * r, h - c * n]]
+    f = np.empty_like(u)
+    series = np.abs(u) < LOG2_SERIES_CUTOFF
+    x, acc = u[series], 0.0
+    for k in range(8, -1, -1):  # |u|^9 / 19 < 1e-19
+        acc = acc * x + 1.0 / (2 * k + 1)
+    f[series] = acc
+    root = np.sqrt(np.abs(u))
+    for keep, fn in ((~series & (u > 0), math.atanh), (~series & (u < 0), math.atan)):
+        f[keep] = np.array(list(map(fn, root[keep].tolist()))) / root[keep]
+    h = 0.5 * np.array(list(map(math.log, d.tolist())))
+    c, n = f / s, 0.5 * (p - t)
+    return np.stack([h + c * n, c * q, c * r, h - c * n], axis=-1).reshape(a.shape)
 
 
 def scalar_from_json(v) -> float:

@@ -30,7 +30,7 @@ from .linalg import (
     FMatrix, matrices_from_json, matrix_from_json, scalar_from_json, scalars_from_json
 )
 from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
-from .foliation import LieFoliationSpec
+from .foliation import LieFoliationSpec, _row_keys
 from .groups import parse_group
 
 
@@ -105,8 +105,11 @@ def _developing_samples(s: Dict, d: int):
 
     values = [v for _, v in s.items()]  # first, for the error of an s that is no dict
     keys = _int_keys(list(s), ",", d, read).astype(np.int64)
-    first = np.unique(keys, axis=0, return_index=True)[1]
-    last = len(keys) - 1 - np.unique(keys[::-1], axis=0, return_index=True)[1]
+    _, first, point = np.unique(_row_keys(keys), return_index=True, return_inverse=True)
+    if len(first) == len(keys):  # no point is keyed twice
+        return keys, values
+    last = np.zeros_like(first)
+    np.maximum.at(last, point, np.arange(len(keys)))
     order = np.argsort(first)
     return keys[first[order]], [values[i] for i in last[order].tolist()]
 
@@ -135,14 +138,16 @@ def scalar_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> ScalarCoc
     return ScalarCochain1(complex, complex.indexed(u, v, values, zeros))
 
 
-def _sorted_keys(complex: SimplicialComplex):
-    """The edge order sorted by (u, v), and the "u-v" key of each edge in it."""
-    order = np.lexsort(complex.edges.T[::-1])
-    return order, [f"{u}-{v}" for u, v in complex.edges[order].tolist()]
+def _sorted_keys(rows: np.ndarray, sep: str):
+    """The order that sorts the rows of an (N, k) int array as lists, stably,
+    and the key of each row in it: its integers joined by sep."""
+    order = np.lexsort(rows.T[::-1])
+    key = sep.join(["{}"] * rows.shape[1]).format
+    return order, list(map(key, *rows[order].T.tolist()))
 
 
 def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
-    order, keys = _sorted_keys(w.complex)
+    order, keys = _sorted_keys(w.complex.edges, "-")
     return dict(zip(keys, w.values[order].tolist()))
 
 
@@ -206,22 +211,22 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
 
 
 def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
+    """The JSON form of a spec, which load_foliation_spec reads back: the
+    developing samples in the order of their points and the cochain values in
+    the order of their edges (u, v), each compared as a list of ints."""
     cov = spec.complex.covering
-    keys, values = spec.window.tolist(), spec.developing.tolist()
+    order, keys = _sorted_keys(spec.window, ",")
     out = {
         "torus": {"d": cov.d, "m": cov.m},
         "group": spec.group.tag,
         "holonomy": spec.holonomy.tolist(),
-        "developing": {
-            ",".join(map(str, keys[i])): values[i]
-            for i in sorted(range(len(keys)), key=keys.__getitem__)
-        },
+        "developing": dict(zip(keys, spec.developing[order].tolist())),
     }
     if spec.is_abelian():
         out["scalar_cochains"] = [
             scalar_cochain_to_json(w) for w in spec.scalar_cochains
         ]
     else:
-        order, keys = _sorted_keys(spec.complex)
+        order, keys = _sorted_keys(spec.complex.edges, "-")
         out["cochain"] = dict(zip(keys, spec.cochain.values[order].tolist()))
     return out

@@ -202,6 +202,25 @@ class TestCheckFoliation:
         assert len(err.splitlines()) == 1 and err.startswith("input error: ")
         assert message in err
 
+    @pytest.mark.parametrize("field", ["holonomy", "developing"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-stack", "mixed-sizes"])
+    def test_sl2_element_of_another_size_is_named(
+        self, capsys, tmp_path, product_spec, field, mixed
+    ):
+        """Elements all 3x3 (read as one stack) or one 3x3 among 2x2 ones."""
+        obj, eye3 = dump_foliation_spec(product_spec), np.eye(3).tolist()
+        if field == "holonomy":
+            obj["holonomy"] = [obj["holonomy"][0], eye3] if mixed else [eye3, eye3]
+        else:
+            obj["developing"] = {
+                k: eye3 if k == "1,1" or not mixed else v
+                for k, v in obj["developing"].items()
+            }
+        path = write_json(tmp_path, "bad.json", obj)
+        for argv in (["check-foliation", path], ["pipeline", path, "--epsilon", "0.01"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "input error: SL(2) element must be 2x2, got 3x3\n")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["r2_scalar_edge", "ga_holonomy", "r2_developing"])
@@ -1007,3 +1026,28 @@ def test_mutated_input_exits_0_2_or_3_without_traceback(tmp_path_factory, data):
         code = main(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+USAGE_CASES = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda c: " ".join(c["argv"]) or "-")
+def test_usage_help_and_parse_errors_are_unchanged(capsys, monkeypatch, case):
+    """Exit code, stdout and stderr of argv that end in argparse, as stored
+    in tests/cli_usage.json: help, usage and parse errors, with or without a
+    command name first, at a width of 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_a_named_command_builds_only_its_subparser():
+    for name in ("verify-brackets", "decompose", "check-foliation", "tischler", "pipeline"):
+        (action,) = cli.build_parser(name)._subparsers._group_actions
+        assert list(action.choices) == [name]
+    (action,) = cli.build_parser(None)._subparsers._group_actions
+    assert len(action.choices) == 5

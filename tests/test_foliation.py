@@ -216,6 +216,31 @@ class TestProductFoliation:
         with pytest.raises(InputError):
             product_foliation(spec)
 
+    @pytest.mark.parametrize("scale, flat", [(0.5, True), (1.0, True), (2.0, False), (math.nan, False)])
+    def test_contract_is_the_flatness_verdict_of_check_mc(
+        self, monkeypatch, product_spec, scale, flat
+    ):
+        """The constructor refuses its spec exactly when check_mc reads the
+        holonomy residual as not flat, and takes no surjectivity SVD."""
+        def residual(w):
+            out = np.zeros((len(w.complex.triangles), 2, 2))
+            out[7, 0, 1] = scale * foliation.HOLONOMY_TOL
+            return out
+
+        monkeypatch.setattr(foliation, "holonomy_residual", residual)
+        assert check_mc(product_spec).flat is flat
+        svd_calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *args, **kw: svd_calls.append(1) or svd(*args, **kw)
+        )
+        base = ga_suspension(8, GAElement(1.5, 0.3))
+        if flat:
+            product_foliation(base)
+        else:
+            with pytest.raises(CheckFailed, match="^product foliation failed the flatness check$"):
+                product_foliation(base)
+        assert svd_calls == []
+
 
 class TestProjectFoliation:
     def test_ga_factor_recovers_base(self, product_spec):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_sl, sup
 from slnfib.errors import DimensionError, InputError, LogDomain, SingularInput
+from slnfib.groups import GA
 from slnfib.linalg import (
     EQ_TOL,
     LOG2_SERIES_CUTOFF,
@@ -199,6 +201,141 @@ class TestClosedFormLog2:
         for _ in range(20):
             a = random_sl(3, rng, scale=0.15)
             assert np.abs(matrix_exp(matrix_log(a)) - a).max() < 1e-12
+
+
+def log2_scalar(rows):
+    """The closed-form principal logarithm of one real 2x2 matrix, in Python
+    floats: with s = tr/2, d = det and u = (s^2 - d)/s^2, log a = log(d)/2 I
+    + F(u)/s (a - s I) for F(u) = sum_k u^k/(2k+1), summed by Horner below
+    LOG2_SERIES_CUTOFF and atanh(sqrt(u))/sqrt(u) or atan(sqrt(-u))/sqrt(-u)
+    above it."""
+    (p, q), (r, t) = rows
+    s = 0.5 * (p + t)
+    d = p * t - q * r
+    u = (s * s - d) / (s * s) if s > 0 else 1.0
+    if not (d > 0 and u < 1.0):
+        raise LogDomain("matrix_log: non-real principal logarithm")
+    if abs(u) < LOG2_SERIES_CUTOFF:
+        f = 0.0
+        for k in range(8, -1, -1):
+            f = f * u + 1.0 / (2 * k + 1)
+    elif u > 0:
+        f = math.atanh(math.sqrt(u)) / math.sqrt(u)
+    else:
+        f = math.atan(math.sqrt(-u)) / math.sqrt(-u)
+    h, c, n = 0.5 * math.log(d), f / s, 0.5 * (p - t)
+    return [[h + c * n, c * q], [c * r, h - c * n]]
+
+
+def log2_loop(a):
+    """matrix_log of a (..., 2, 2) stack as a loop over its matrices in stack
+    order: the ball test, then log2_scalar, each matrix refused by the first
+    that fails."""
+    gaps = np.asarray(np.linalg.norm(a - np.eye(2), 2, axis=(-2, -1)))
+    out = np.empty(a.shape)
+    for k in np.ndindex(a.shape[:-2]):
+        if not gaps[k] < 1.0:
+            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.4f} >= 1")
+        out[k] = log2_scalar(a[k].tolist())
+    return out
+
+
+def log_outcome(log, a):
+    """The bytes and shape of log(a), or the message of its LogDomain; any
+    numpy warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = log(a)
+        except LogDomain as e:
+            return str(e)
+    return got.shape, got.tobytes()
+
+
+# 2x2 matrices: I + scale * X with scale from 1e-12 to 0.9 and |X_ij| <= 2
+# (some outside the ball), with_u on both sides of the series cutoff, and GA
+# elements
+NEAR_IDENTITY = st.builds(
+    lambda x, e: np.eye(2) + 10.0 ** e * np.reshape(x, (2, 2)),
+    st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+    st.floats(-12, math.log10(0.9)),
+)
+AT_CUTOFF = st.builds(
+    lambda sign, f, s: np.array(with_u(sign * f * LOG2_SERIES_CUTOFF, s)),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(0.25, 4.0),
+    st.floats(0.9, 1.1),
+)
+GA_MATRIX = st.builds(
+    lambda loga, b: GA().matrix(np.array([math.exp(loga), b])),
+    st.floats(-0.6, 0.6),
+    st.floats(-0.6, 0.6),
+)
+
+
+@st.composite
+def log2_stacks(draw):
+    """A (2, 2), (k, 2, 2) or (j, k, 2, 2) stack of the matrices above."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    count = math.prod(lead)
+    mats = draw(st.lists(st.one_of(NEAR_IDENTITY, AT_CUTOFF, GA_MATRIX),
+                         min_size=count, max_size=count))
+    return np.reshape(mats, lead + (2, 2))
+
+
+class TestLog2Stack:
+    """The n = 2 stack of matrix_log against the scalar closed form, bit for
+    bit, and refusal for refusal."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(log2_stacks())
+    def test_stack_equals_the_scalar_closed_form(self, a):
+        assert log_outcome(matrix_log, a) == log_outcome(log2_loop, a)
+
+    @pytest.mark.parametrize("u", [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 0.99, -50.0])
+    def test_edge_values_of_u(self, u):
+        a = np.array(with_u(u, 1.0))
+        assert log_outcome(matrix_log, a) == log_outcome(log2_loop, a)
+
+    GOOD = [[1.1, 0.2], [0.0, 1.0 / 1.1]]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # the first bad matrix outside the ball, then more of both kinds
+            [GOOD, [[2.5, 0.0], [0.0, 0.4]], [[-1.0, 0.0], [0.0, -1.0]], GOOD],
+            [GOOD, GOOD, [[-1.0, 0.0], [0.0, -1.0]], [[2.5, 0.0], [0.0, 0.4]]],
+            [GOOD, [[1e300, 1e300], [-1e300, 1e300]]],
+        ],
+    )
+    def test_first_bad_matrix_in_stack_order_is_named(self, bad):
+        a = np.array(bad)
+        expect = log_outcome(log2_loop, a)
+        assert expect.startswith("matrix_log: ||a - I|| = ")
+        assert log_outcome(matrix_log, a) == expect
+        assert log_outcome(matrix_log, a.reshape(2, -1, 2, 2)) == expect
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[-1.0, 0.0], [0.0, -1.0]],  # s < 0
+            [[2.0, 0.0], [0.0, -1.0]],  # det < 0
+            [[1.0, 1.0], [1.0, 1.0]],  # det = 0
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1e300, 1e300], [-1e300, 1e300]],  # det overflows
+            [[math.inf, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_non_real_logarithm_inside_the_ball(self, bad, monkeypatch):
+        """With every distance to I read as 0, the first matrix with no real
+        logarithm is refused as non-real, with no numpy warning."""
+        monkeypatch.setattr(
+            np.linalg, "norm", lambda x, *args, **kwargs: np.zeros(np.shape(x)[:-2])
+        )
+        a = np.array([self.GOOD, bad, [[2.5, 0.0], [0.0, 0.4]]])
+        expect = log_outcome(log2_loop, a)
+        assert expect == "matrix_log: non-real principal logarithm"
+        assert log_outcome(matrix_log, a) == expect
 
 
 class TestDimensionCap:

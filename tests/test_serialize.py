@@ -1,14 +1,21 @@
 """Edge keys of JSON cochains and coordinate keys of developing samples: the
-parse against str.split and int, and which of two keys on one edge wins."""
+parse against str.split and int, and which of two keys on one edge wins; the
+key order of a dumped spec against a Python sort."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slnfib.complexes import torus_complex
 from slnfib.errors import InputError
+from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
+from slnfib.groups import GAElement
 from slnfib.serialize import (
     _developing_samples,
     _edge_keys,
+    dump_foliation_spec,
     lie_cochain_from_json,
     scalar_cochain_from_json,
 )
@@ -128,3 +135,62 @@ def test_later_key_on_one_edge_wins(edge, pick, a, b):
     obj = {first: [[a, 1.0], [0.0, -a]], **rest, second: [[b, 2.0], [0.0, -b]]}
     got = lie_cochain_from_json(k, obj).values[edge]
     assert got.tolist() == (sign * np.array([[b, 2.0], [0.0, -b]])).tolist()
+
+
+def dump_by_sorted_keys(spec):
+    """The JSON form of a spec, each mapping ordered by a Python sort of its
+    integer-list keys: developing samples by window row, cochain values by
+    edge (u, v)."""
+    def by_key(rows, values, sep):
+        rows = rows.tolist()
+        return {
+            sep.join(map(str, rows[i])): values[i]
+            for i in sorted(range(len(rows)), key=rows.__getitem__)
+        }
+
+    cov, edges = spec.complex.covering, spec.complex.edges
+    out = {
+        "torus": {"d": cov.d, "m": cov.m},
+        "group": spec.group.tag,
+        "holonomy": spec.holonomy.tolist(),
+        "developing": by_key(spec.window, spec.developing.tolist(), ","),
+    }
+    if spec.is_abelian():
+        out["scalar_cochains"] = [
+            by_key(edges, w.values.tolist(), "-") for w in spec.scalar_cochains
+        ]
+    else:
+        out["cochain"] = by_key(edges, spec.cochain.values.tolist(), "-")
+    return out
+
+
+def shuffled(spec, seed):
+    """spec with its window rows in a random order, one row repeated with
+    another value (the later row wins), and rows at negative points."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(spec.window))
+    extra = spec.window[order[:3]] - 3 * spec.complex.covering.m
+    window = np.concatenate([spec.window[order], extra, spec.window[order[:1]]])
+    dev = spec.developing[order]
+    again = spec.group.mul(spec.holonomy[0], dev[:1])
+    developing = np.concatenate([dev, dev[:3], again])
+    return dataclasses.replace(spec, window=window, developing=developing)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ga_suspension(5, GAElement(1.7, -0.4)),
+        lambda: product_foliation(ga_suspension(8, GAElement(1.5, 0.3))),
+        lambda: product_foliation(ga_suspension(12, GAElement(1.0, 0.9))),
+        lambda: linear_torus_spec(4, [[1.0, 0.5], [0.25, -2.0]]),
+        lambda: linear_torus_spec(3, [[1.0, 0.5, 2.0], [0.0, 1.0, -1.0]]),
+    ],
+)
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_dump_orders_keys_as_a_python_sort(make, seed):
+    spec = make()
+    if seed is not None:
+        spec = shuffled(spec, seed)
+    got = json.dumps(dump_foliation_spec(spec))
+    assert got == json.dumps(dump_by_sorted_keys(spec))
