@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import MAX_DIM, RMatrix, rational_rank
+from .linalg import MAX_DIM, RMatrix
 
 
 @dataclass(frozen=True, order=True)
@@ -77,11 +77,6 @@ def _index_entries(idx: BasisIndex) -> Dict[Tuple[int, int], int]:
     if isinstance(idx, OffDiag):
         return {(idx.i - 1, idx.j - 1): 1}
     return {(0, 0): -1, (idx.i - 1, idx.i - 1): 1}
-
-
-def basis_matrix(idx: BasisIndex, n: int) -> RMatrix:
-    """Matrix realization of a basis index."""
-    return AlgebraElement.basis(idx, n).to_matrix()
 
 
 @dataclass(frozen=True)
@@ -305,15 +300,6 @@ def expected_offdiag_table(n: int) -> np.ndarray:
     a, b = np.nonzero(jk & il)
     out[a, b, ypos[i[a]]], out[a, b, ypos[j[a]]] = 1, -1  # E_ii - E_jj
     return out[..., :dim]
-
-
-def basis_is_independent(n: int) -> bool:
-    """Full-rank check of the basis matrices as flattened rational vectors."""
-    vectors = []
-    for idx in basis_indices(n):
-        m = basis_matrix(idx, n)
-        vectors.append([m[i, j] for i in range(n) for j in range(n)])
-    return rational_rank(vectors) == n * n - 1
 
 
 def _index_key(idx: BasisIndex) -> str:

@@ -69,11 +69,11 @@ class SimplicialComplex:
     direction it is walked.
 
     The incidence is held once, as int arrays: triangles (T x 3) lists
-    vertices; triangle_edges (T x 3 x 2) gives orient(a, b), orient(b, c)
-    and orient(a, c) for each triangle (a, b, c) as (index, sign);
-    top_edges gives the edge indices of each top simplex (edge, triangle
-    or tetrahedron); incidence (V x 2(2^d - 1)) gives the edges at each
-    vertex in ascending order.
+    vertices; triangle_edges (T x 3) gives the edge indices of the slots
+    (a, b), (b, c) and (a, c) of each triangle (a, b, c), each edge stored
+    the way its slot runs; top_edges gives the edge indices of each top
+    simplex (edge, triangle or tetrahedron); incidence (V x 2(2^d - 1))
+    gives the edges at each vertex in ascending order.
     """
 
     def __init__(self, covering: TorusCovering):
@@ -119,8 +119,8 @@ class SimplicialComplex:
         top_chains = (None, [(zero, e) for e in vecs], tri_chains, tet_chains)[d]
         self.triangles = per_cell([vertex(a) for ch in tri_chains for a in ch], 3)
         slots = ((0, 1), (1, 2), (0, 2))
-        along = per_cell([edge(ch[s], ch[t]) for ch in tri_chains for s, t in slots], 3)
-        self.triangle_edges = np.stack([along, np.ones_like(along)], axis=-1)
+        along = [edge(ch[s], ch[t]) for ch in tri_chains for s, t in slots]
+        self.triangle_edges = per_cell(along, 3)
         pairs = list(itertools.combinations(range(d + 1), 2))
         self.top_edges = per_cell(
             [edge(ch[s], ch[t]) for ch in top_chains for s, t in pairs], len(pairs)
@@ -232,8 +232,7 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
 
 def coboundary(w: ScalarCochain1) -> np.ndarray:
     """Per-triangle values (dw)(u,v,w) = (w(u,v) + w(v,w)) - w(u,w)."""
-    incidence = w.complex.triangle_edges
-    along = w.values[incidence[:, :, 0]] * incidence[:, :, 1]
+    along = w.values[w.complex.triangle_edges]
     with np.errstate(over="ignore", invalid="ignore"):
         return (along[:, 0] + along[:, 1]) - along[:, 2]
 
@@ -290,11 +289,10 @@ def holonomy_residual(w: LieCochain1) -> np.ndarray:
     discretization convention.  A non-finite residual, as from an
     exponential that overflows, raises InputError naming its first triangle.
     """
-    index, sign = w.complex.triangle_edges[:, :, 0], w.complex.triangle_edges[:, :, 1]
-    # w(uv), w(vx) and w(xu) = -w(ux) of every triangle, as a (T, 3) gather
-    # from the exponentials of the distinct signed edge values
-    sign = sign * [1, 1, -1]
-    pairs, at = np.unique(2 * index + (sign > 0), return_inverse=True)
+    index = w.complex.triangle_edges
+    # w(uv), w(vx) and w(xu) = -w(ux) of every triangle (slot edges are
+    # stored as they run), gathered from the distinct signed exponentials
+    pairs, at = np.unique(2 * index + [1, 1, 0], return_inverse=True)
     signed = w.values[pairs // 2] * np.where(pairs % 2, 1.0, -1.0)[:, None, None]
     a, b, c = np.moveaxis(matrix_exp(signed)[at.reshape(index.shape)], 1, 0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,6 +34,7 @@ from .groups import (
     Rk,
     factor_split,
     iwasawa_sln_ank,
+    require_ga,
     require_unimodular,
 )
 from .complexes import (
@@ -59,8 +60,9 @@ class LieFoliationSpec:
     holonomy holds the images of the Z^d deck generators, which must commute;
     developing holds the developing map at the rows of window, an (N, d) int
     array of grid points that holds every base vertex in [0, m)^d.  Both are
-    read-only stacks of elements in the group's array form, and for SL(n)
-    every element has det 1 within 100 EQ_TOL.
+    read-only stacks of elements in the group's array form: for SL(n)
+    every element has det 1 within 100 EQ_TOL, and for GA every row (a, b)
+    has a > 0.
     """
 
     complex: SimplicialComplex
@@ -93,12 +95,16 @@ class LieFoliationSpec:
         for x in (hol, keys, dev):
             x.flags.writeable = False
         self.holonomy, self.window, self.developing = hol, keys, dev
-        if isinstance(group, SL):
-            def sample(i):
-                return 'developing sample "%s"' % ",".join(map(str, keys[i]))
 
+        def sample(i):
+            return 'developing sample "%s"' % ",".join(map(str, keys[i]))
+
+        if isinstance(group, SL):
             require_unimodular(hol, "holonomy image {}".format, InputError)
             require_unimodular(dev, sample, InputError)
+        elif isinstance(group, GA):
+            require_ga(hol, "holonomy image {}".format)
+            require_ga(dev, sample)
         for i, a in enumerate(hol):
             for b in hol[i + 1:]:
                 if not group.dist(group.mul(a, b), group.mul(b, a)) <= EQ_TOL:

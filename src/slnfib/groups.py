@@ -48,6 +48,15 @@ def require_unimodular(g: np.ndarray, name=lambda i: "matrix", error=SingularInp
         raise error(f"{name(bad[0])} has det {det:.12g}, not in SL({n})")
 
 
+def require_ga(g: np.ndarray, name=lambda i: "element"):
+    """Raise InputError, naming it name(index), for the first row (a, b) of
+    the (..., 2) array g in stack order with a not > 0 (NaN included)."""
+    a = np.ravel(g[..., 0])
+    bad = np.flatnonzero(~(a > 0))
+    if bad.size:
+        raise InputError(f"{name(bad[0])} has a={a[bad[0]]:.12g}, not in GA")
+
+
 def chart_length(n: int) -> int:
     """The length of the vector chart of the AN part of SL(n): n - 1
     log-diagonal coordinates of R (the last one is implied by det R = 1),
@@ -189,11 +198,8 @@ class GA:
         return x[:, 0, :]
 
     def stack_from_json(self, objs) -> np.ndarray:
-        out = _vectors(objs, 2, "GA element [a, b]")
-        bad = np.flatnonzero(~(out[:, 0] > 0))
-        if bad.size:
-            raise InputError(f"GA element needs a > 0, got a={out[bad[0], 0]}")
-        return out
+        """N JSON arrays [a, b]; the spec that holds them checks a > 0."""
+        return _vectors(objs, 2, "GA element [a, b]")
 
 
 @dataclass(frozen=True)

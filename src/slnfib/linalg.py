@@ -17,6 +17,8 @@ beyond the float range are refused.  One reader, scalars_from_json, reads
 every matrix, stack of matrices, element list and cochain: numbers in one
 numpy conversion, "p/q" strings and refusals leaf by leaf.  A JSON matrix is
 a row-major nested array of such values and is always read as an FMatrix.
+The one exception: GA and R^k elements (holonomy images, developing samples)
+take JSON numbers only, not the "p/q" strings that R^k scalar cochains take.
 """
 from __future__ import annotations
 
@@ -118,29 +120,6 @@ class RMatrix:
 
     def __repr__(self):
         return f"RMatrix({[[str(x) for x in row] for row in self.rows]})"
-
-
-def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a family of exact-rational vectors, by Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    col_count = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < col_count:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                for c in range(col, col_count):
-                    rows[r][c] -= f * rows[rank][c]
-        rank += 1
-        col += 1
-    return rank
 
 
 class FMatrix:

@@ -257,14 +257,16 @@ class CensusFrame:
     s - f(s)).  The slot arrays are (3, T), one contiguous row per role:
     row 0 holds the long slot, from the lowest lifted corner to the
     highest, row 1 the short slot from the lowest corner to the middle one
-    and row 2 the short slot from the middle corner to the highest.  A
-    sweep can differ from its corners in the last bit, so the census of
-    each level checks the roles.  The loose edges lie on no triangle; each
+    and row 2 the short slot from the middle corner to the highest, and
+    slot gives the position (0, 1 or 2) of each in the triangle.  A sweep
+    can differ from its corners in the last bit, so the census of each
+    level checks the roles.  The loose edges lie on no triangle; each
     lifts from f(s) along q * w(s, t) and sweeps (loose_low, loose_high).
     """
 
     f: CircleMap
     on_edge: np.ndarray  # triangles on each edge, (E,)
+    slot: np.ndarray  # (3, T) int8 triangle slot positions
     slot_edge: np.ndarray  # (3, T) edge indices
     offset: np.ndarray  # (3, T) int64
     slot_low: np.ndarray  # (3, T)
@@ -281,7 +283,7 @@ def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
     for every level of a census.  A lift that is not finite is kept: the
     census of each level refuses it by its crossing count."""
     complex = f.complex
-    tri, slot_edge = complex.triangles, complex.triangle_edges[:, :, 0]
+    tri, slot_edge = complex.triangles, complex.triangle_edges
     on_edge = np.bincount(slot_edge.ravel(), minlength=len(complex.edges))
     loose = np.flatnonzero(on_edge == 0)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -306,6 +308,7 @@ def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
         return CensusFrame(
             f,
             on_edge,
+            np.ascontiguousarray(role.T, dtype=np.int8),
             np.take(slot_edge, at),
             np.take(offset, at),
             *(np.take(a, at) for a in _sweep(start, lift[:, [1, 2, 2]] - start)),
@@ -372,11 +375,6 @@ def _count_components(n: int, a, b) -> int:
             label = up
 
 
-def _slot_order(complex, t, edge):
-    """The slot (0, 1 or 2) of triangle t[j] on edge[j]."""
-    return np.argmax(complex.triangle_edges[t, :, 0] == edge[:, None], axis=1)
-
-
 def _realign(frame: CensusFrame, c: float, odd, first, count, slot):
     """Judge the crossed triangles odd, which fail the alignment test, by
     the exact rule: each lifted level crosses 0 or 2 of a triangle's edges
@@ -396,9 +394,8 @@ def _realign(frame: CensusFrame, c: float, odd, first, count, slot):
     bad = np.flatnonzero(~tiles)
     if bad.size:
         j = odd[bad[0]]
-        complex = frame.f.complex
         t = slot[0, j] % frame.low.size
-        order = _slot_order(complex, np.full(3, t), frame.slot_edge.ravel()[slot[:, j]])
+        order = frame.slot.ravel()[slot[:, j]]
         k = np.concatenate(
             [np.arange(first[r, j], first[r, j] + count[r, j]) for r in np.argsort(order)]
         )
@@ -407,17 +404,17 @@ def _realign(frame: CensusFrame, c: float, odd, first, count, slot):
         g = g[np.argmin(at[g])]
         raise CheckFailed(
             f"level {c + int(level[g])} crosses {int(size[g])} edges of "
-            f"triangle {tuple(complex.triangles[t].tolist())}"
+            f"triangle {tuple(frame.f.complex.triangles[t].tolist())}"
         )
     for a in (first, count, slot):
         a[:, odd] = np.take_along_axis(a[:, odd], perm, 0)
 
 
-def _degree_refusal(frame: CensusFrame, c: float, t, edge, first, count, offset):
+def _degree_refusal(frame: CensusFrame, c: float, slot, edge, first, count, offset):
     """The CheckFailed for the first crossing, in (triangle, slot, k)
     order, whose node (edge, level) is not met once by each triangle on its
-    edge; slot j of triangle t[j] crosses edge[j] at the lifted levels
-    first[j], ..., first[j] + count[j] - 1."""
+    edge; the frame slot slot[j] (a flat (3, T) index) crosses edge[j] at
+    the lifted levels first[j], ..., first[j] + count[j] - 1."""
     complex = frame.f.complex
     seg = np.repeat(np.arange(count.size), count)
     k = first[seg] + np.arange(seg.size) - (np.cumsum(count) - count)[seg]
@@ -425,8 +422,8 @@ def _degree_refusal(frame: CensusFrame, c: float, t, edge, first, count, offset)
     _, node, degree = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
     degree = degree[node.ravel()]
     wrong = np.flatnonzero(degree != frame.on_edge[rows[:, 0]])
-    slot = _slot_order(complex, t, edge)[seg]
-    j = wrong[np.lexsort((k[wrong], slot[wrong], t[seg][wrong]))[0]]
+    t, position = slot[seg] % frame.low.size, frame.slot.ravel()[slot[seg]]
+    j = wrong[np.lexsort((k[wrong], position[wrong], t[wrong]))[0]]
     e, level = rows[j]
     return CheckFailed(
         f"fiber at level {c} (lift index {int(level)}) meets edge "
@@ -481,10 +478,9 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
         if not total <= MAX_CROSSINGS:
             # past 2**53 a sum rounds by its order: add in (triangle, slot)
             # order
-            edge = np.take(frame.slot_edge, crossed, 1).ravel()
-            at = _slot_order(frame.f.complex, np.tile(crossed, 3), edge)
+            at = np.take(frame.slot, crossed, 1)
             by_slot = np.empty((crossed.size, 3))
-            np.put_along_axis(by_slot, at.reshape(3, -1).T, count.T, 1)
+            np.put_along_axis(by_slot, at.T, count.T, 1)
             total = by_slot.sum() + loose_count.sum()
             raise InputError(
                 f"level {c} has {total:.0f} edge crossings, "
@@ -509,7 +505,7 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     edge, offset = frame.slot_edge.ravel()[slot], frame.offset.ravel()[slot]
     n, node, agree = _number_runs(edge, first - offset, count, frame.on_edge)
     if not agree:
-        raise _degree_refusal(frame, c, slot % frame.low.size, edge, first, count, offset)
+        raise _degree_refusal(frame, c, slot, edge, first, count, offset)
 
     # pair each short slot's crossings with the long slot's at the same k
     n_long = np.searchsorted(live, crossed.size)

@@ -64,7 +64,7 @@ def r_from_chart(n: int, chart) -> np.ndarray:
 
 def triangles_of_edge(complex, edge: int) -> list:
     """The triangles that have the edge with index edge on their boundary."""
-    return np.flatnonzero((complex.triangle_edges[:, :, 0] == edge).any(axis=1)).tolist()
+    return np.flatnonzero((complex.triangle_edges == edge).any(axis=1)).tolist()
 
 
 def bumped(cochain: LieCochain1, edge: int, bump) -> LieCochain1:

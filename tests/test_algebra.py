@@ -12,8 +12,6 @@ from slnfib.algebra import (
     Diag,
     OffDiag,
     basis_indices,
-    basis_is_independent,
-    basis_matrix,
     bracket,
     build_structure_table,
     dims,
@@ -27,24 +25,26 @@ from slnfib.linalg import RMatrix
 
 class TestBasisMatrix:
     def test_offdiag_n2(self):
-        assert basis_matrix(OffDiag(1, 2), 2) == RMatrix([[0, 1], [0, 0]])
+        expect = RMatrix([[0, 1], [0, 0]])
+        assert AlgebraElement.basis(OffDiag(1, 2), 2).to_matrix() == expect
 
     def test_diag_n2(self):
-        assert basis_matrix(Diag(2), 2) == RMatrix([[-1, 0], [0, 1]])
+        assert AlgebraElement.basis(Diag(2), 2).to_matrix() == RMatrix([[-1, 0], [0, 1]])
 
     def test_diag_n3(self):
-        assert basis_matrix(Diag(3), 3) == RMatrix([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])
+        expect = RMatrix([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])
+        assert AlgebraElement.basis(Diag(3), 3).to_matrix() == expect
 
     def test_all_traceless(self):
         for n in (2, 3, 4, 5):
             for idx in basis_indices(n):
-                assert basis_matrix(idx, n).trace() == 0
+                assert AlgebraElement.basis(idx, n).to_matrix().trace() == 0
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
-            basis_matrix(OffDiag(1, 4), 3)
+            AlgebraElement.basis(OffDiag(1, 4), 3).to_matrix()
         with pytest.raises(DimensionError):
-            basis_matrix(Diag(1), 3)
+            AlgebraElement.basis(Diag(1), 3).to_matrix()
 
 
 class TestDims:
@@ -203,8 +203,11 @@ class TestAlgebraElement:
 
 
 def test_basis_linear_independence():
+    # the flattened basis matrices have full rank n^2 - 1, by sympy's exact rank
     for n in (2, 3, 4, 5):
-        assert basis_is_independent(n)
+        basis = [AlgebraElement.basis(idx, n).to_matrix() for idx in basis_indices(n)]
+        flat = sympy.Matrix([[x for row in m.rows for x in row] for m in basis])
+        assert flat.rank() == n * n - 1
 
 
 def test_structure_table_export_keys():

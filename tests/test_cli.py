@@ -567,6 +567,29 @@ class TestPipeline:
         assert code == 3
         assert not rep["ok"]
 
+    def test_ga_spec_has_no_product_structure(self, capsys, tmp_path):
+        spec = ga_suspension(8, GAElement(1.5, 0.3))
+        path = write_json(tmp_path, "ga.json", dump_foliation_spec(spec))
+        code = main(["pipeline", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "input error: no product structure on group GA\n"
+
+    @pytest.mark.parametrize(
+        "m, rows",
+        [(8, [[1.0, math.sqrt(2)]]), (4, np.eye(3).tolist())],
+        ids=["R1-on-T2", "R3-on-T3"],
+    )
+    def test_abelian_spec_other_than_r2_fails(self, capsys, tmp_path, m, rows):
+        # R^k for k != 2 is refused after the Maurer-Cartan stage
+        spec = linear_torus_spec(m, rows)
+        path = write_json(tmp_path, "rk.json", dump_foliation_spec(spec))
+        code, rep = run(capsys, ["pipeline", path, "--epsilon", "0.01"])
+        assert code == 3 and not rep["ok"]
+        assert [s["stage"] for s in rep["stages"]] == ["maurer_cartan", "failure"]
+        reason = f"abelian spec must be R2, got R{len(rows)}"
+        assert rep["stages"][-1]["reason"] == reason
+
 
 def unipotent_spec(n, m=4):
     """SL(n) spec on T^3 with D(z) = I + ((z0 + sqrt(2) z2)/m) E_(n-3, n-1)
@@ -774,6 +797,30 @@ def test_non_unimodular_element_is_refused_by_name(
     spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(1.5, 0.3))))
     spec[field][key] = [[1e-310, 0.0], [0.0, 1.0]]
     argv = [command, write_json(tmp_path, "tiny.json", spec)]
+    if command == "pipeline":
+        argv += ["--epsilon", "0.01"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+@pytest.mark.parametrize(
+    "field, key, a, message",
+    [
+        ("holonomy", 0, 0, "holonomy image 0 has a=0, not in GA"),
+        ("holonomy", 0, -1.5, "holonomy image 0 has a=-1.5, not in GA"),
+        ("developing", "3", 0.0, 'developing sample "3" has a=0, not in GA'),
+        ("developing", "3", -2, 'developing sample "3" has a=-2, not in GA'),
+    ],
+)
+def test_ga_element_without_positive_a_is_refused_by_name(
+    capsys, tmp_path, command, field, key, a, message
+):
+    spec = dump_foliation_spec(ga_suspension(8, GAElement(1.5, 0.3)))
+    spec[field][key][0] = a
+    argv = [command, write_json(tmp_path, "ga.json", spec)]
     if command == "pipeline":
         argv += ["--epsilon", "0.01"]
     code = main(argv)

@@ -101,18 +101,18 @@ class TestEdgeIndex:
     def test_triangle_incidence_names_its_edges(self, t2_8):
         for t, (a, b, c) in enumerate(t2_8.triangles):
             incidence = t2_8.triangle_edges[t]
-            got = [set(t2_8.edges[i]) for i, _ in incidence]
+            got = [set(t2_8.edges[i]) for i in incidence]
             assert got == [{a, b}, {b, c}, {a, c}]
-            assert sorted(t2_8.top_edges[t]) == sorted(i for i, _ in incidence)
+            assert sorted(t2_8.top_edges[t]) == sorted(incidence)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_every_triangle_edge_runs_as_its_slot(self, d):
         # the fiber census lifts slot (0, 1), (1, 2), (0, 2) of each triangle
-        # from its first corner, which needs every sign to be +1
+        # from its first corner, and coboundary and holonomy_residual read
+        # each slot unsigned: every slot edge must be stored as it is walked
         k = torus_complex(d, 4)
-        assert k.triangle_edges.shape == (len(k.triangles), 3, 2)
-        assert np.all(k.triangle_edges[:, :, 1] == 1)
-        tail, head = k.edges[k.triangle_edges[:, :, 0]].transpose(2, 0, 1)
+        assert k.triangle_edges.shape == (len(k.triangles), 3)
+        tail, head = k.edges[k.triangle_edges].transpose(2, 0, 1)
         assert np.array_equal(tail, k.triangles[:, [0, 1, 0]])
         assert np.array_equal(head, k.triangles[:, [1, 2, 2]])
 

@@ -410,6 +410,23 @@ def test_surjectivity_rests_on_a_term_that_decays_like_1_over_m():
 
 
 class TestSpecInvariants:
+    @pytest.mark.parametrize("a", [0.0, -0.0, -1.5, math.nan])
+    def test_ga_holonomy_needs_positive_a(self, a):
+        # a spec built in Python is checked as one read from JSON is
+        spec = ga_suspension(8, GAElement(1.5, 0.3))
+        with pytest.raises(InputError) as e:
+            dataclasses.replace(spec, holonomy=[(a, 0.3)])
+        assert str(e.value) == f"holonomy image 0 has a={a:.12g}, not in GA"
+
+    @pytest.mark.parametrize("a", [0.0, -2.0])
+    def test_ga_developing_sample_needs_positive_a(self, a):
+        spec = ga_suspension(8, GAElement(1.5, 0.3))
+        developing = spec.developing.copy()
+        developing[3, 0] = a
+        with pytest.raises(InputError) as e:
+            dataclasses.replace(spec, developing=developing)
+        assert str(e.value) == f'developing sample "3" has a={a:.12g}, not in GA'
+
     def test_requires_exactly_one_cochain_kind(self, product_spec):
         with pytest.raises(InputError):
             LieFoliationSpec(

@@ -19,7 +19,6 @@ from slnfib.linalg import (
     matrix_exp,
     matrix_log,
     qr_positive,
-    rational_rank,
     scalar_from_json,
     scalars_from_json,
 )
@@ -346,15 +345,6 @@ class TestDimensionCap:
     def test_rejects_tiny(self):
         with pytest.raises(DimensionError):
             FMatrix([[1.0]])
-
-
-def test_rational_rank():
-    vecs = [
-        [Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-        [Fraction(1), Fraction(1), Fraction(2)],
-    ]
-    assert rational_rank(vecs) == 2
 
 
 def test_fmatrix_rejects_nonfinite():

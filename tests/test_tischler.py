@@ -293,8 +293,8 @@ class TestFiberCensus:
         counts = []
         for (u, v, x), edges in zip(k.triangles.tolist(), k.triangle_edges.tolist()):
             lift = {u: float(cm.values[u])}
-            lift[v] = lift[u] + w.values[edges[0][0]]
-            lift[x] = lift[v] + w.values[edges[1][0]]
+            lift[v] = lift[u] + w.values[edges[0]]
+            lift[x] = lift[v] + w.values[edges[1]]
             lo = min(lift.values())
             if count(lo, max(lift.values()) - lo):
                 slots = ((u, v), (v, x), (u, x))
@@ -340,7 +340,7 @@ class TestFiberCensus:
             frame = census_frame(f, rz.cochain)
             rng = np.random.default_rng(d)
             perm = np.array([rng.permutation(3) for _ in k.triangles]).T
-            names = ("slot_edge", "offset", "slot_low", "slot_high")
+            names = ("slot", "slot_edge", "offset", "slot_low", "slot_high")
             shuffled = dataclasses.replace(
                 frame, **{a: np.take_along_axis(getattr(frame, a), perm, 0) for a in names}
             )
@@ -352,6 +352,24 @@ class TestFiberCensus:
                     except CheckFailed as e:
                         outcomes.append(str(e))
                 assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize(
+        "d, m", [(d, m) for d in (1, 2, 3) for m in (3, 4, 8)] + [(3, 12)]
+    )
+    def test_frame_slot_is_the_position_of_its_edge(self, d, m):
+        # a random map and cochain give every order of the lifted corners
+        rng = np.random.default_rng(10 * d + m)
+        k = torus_complex(d, m)
+        w = ScalarCochain1(k, rng.normal(size=len(k.edges)))
+        frame = census_frame(CircleMap(k, rng.random(k.n_vertices), [1] * d, 1), w)
+        assert frame.slot.dtype == np.int8
+        assert frame.slot.shape == frame.slot_edge.shape == (3, len(k.triangles))
+        assert (np.sort(frame.slot, axis=0) == np.arange(3)[:, None]).all()
+        # the position of each role's edge among its triangle's slots
+        t = np.tile(np.arange(len(k.triangles)), 3)
+        edge = frame.slot_edge.ravel()
+        position = np.argmax(k.triangle_edges[t] == edge[:, None], axis=1)
+        assert np.array_equal(frame.slot.ravel(), position)
 
     def test_short_slots_that_skip_a_level_are_refused(self):
         # triangle 0's short slots cross as many levels as its long slot,
@@ -369,7 +387,7 @@ class TestFiberCensus:
             frame, slot_low=low, slot_high=high, low=tri_low, high=tri_high
         )
         slot = [
-            cm.complex.triangle_edges[0, :, 0].tolist().index(e)
+            cm.complex.triangle_edges[0].tolist().index(e)
             for e in frame.slot_edge[:, 0]
         ]
         k = 1 if slot[0] < slot[2] else 3
@@ -474,7 +492,7 @@ def loop_census(f, w, value):
         return x
 
     incidences = complex.triangle_edges.tolist()
-    on_edge = collections.Counter(i for incidence in incidences for i, _ in incidence)
+    on_edge = collections.Counter(i for incidence in incidences for i in incidence)
     parent, degree = {}, {}
     edges = [tuple(e) for e in complex.edges.tolist()]
     for i, (s, t) in enumerate(edges):
@@ -483,7 +501,7 @@ def loop_census(f, w, value):
                 parent[i, k] = (i, k)
                 degree[i, k] = 0
     triangles = complex.triangles.tolist()
-    values = [[step[i] if s > 0 else -step[i] for i, s in inc] for inc in incidences]
+    values = [[step[i] for i in inc] for inc in incidences]
     for tri, incidence, (uv, vx, _) in zip(triangles, incidences, values):
         u, v, x = tri
         lift = {u: float(f.values[u])}
@@ -493,7 +511,7 @@ def loop_census(f, w, value):
         if not crossed(lo, max(lift.values()) - lo):
             continue
         local = {}
-        for i, _ in incidence:
+        for i in incidence:
             s, t = edges[i]
             offset = round(lift[s] - float(f.values[s]))
             for k in crossed(lift[s], lift[t] - lift[s]):
