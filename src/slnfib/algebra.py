@@ -15,6 +15,8 @@ the one or two nonzero entries of each basis element.  The structure table is
 one (D, D, D) int64 array, D = n^2 - 1, from one stacked product of the
 (D, n, n) basis matrices; int64 is exact there, as basis entries are in
 {-1, 0, 1}, so every commutator entry lies in {-2, ..., 2} (n <= MAX_DIM).
+`structure_table_json` writes the report text of the table straight from
+that array.
 """
 from __future__ import annotations
 
@@ -246,12 +248,12 @@ def build_structure_table(n: int) -> StructureTable:
     basis[np.arange(dim_off), i, j] = 1
     basis[dim_off + d - 1, d, d] = 1
     basis[dim_off:, 0, 0] = -1
-    prod = np.einsum("aij,bjk->abik", basis, basis)
+    prod = basis[:, None] @ basis[None]
     comm = prod - prod.swapaxes(0, 1)
     trace = np.trace(comm, axis1=2, axis2=3)
     if trace.any():
         raise ValueError(f"matrix has trace {trace[trace != 0][0]}, not in sl(n)")
-    coeffs = np.concatenate([comm[..., i, j], comm[..., d, d]], axis=-1)
+    coeffs = comm.reshape(dim, dim, n * n).take(np.r_[i * n + j, d * (n + 1)], axis=-1)
     coeffs.flags.writeable = False
     return StructureTable(n, coeffs)
 
@@ -308,16 +310,33 @@ def _index_key(idx: BasisIndex) -> str:
     return f"[{idx.i}]"
 
 
-def structure_table_json(t: StructureTable) -> Dict[str, List[str]]:
-    """Export as '[i,j]x[k,l]' -> coefficient list over the ordered basis;
-    equal coefficients share one str object."""
+def structure_table_json(t: StructureTable, indent: str = "") -> str:
+    """The export '[i,j]x[k,l]' -> coefficient strings over the ordered basis,
+    as the text json.dumps(..., indent=2, sort_keys=True) writes for it, with
+    its closing brace at `indent`.
+
+    A row is its key's head and one cell per coefficient: the quoted value
+    and its separator, or, last in the row, the row's closing bracket.  Every
+    cell starts as the zero cell; the nonzero ones are scattered in from one
+    object array over the distinct nonzero values, for any int64 table.  The
+    text is one join of the rows in key order."""
     keys = [_index_key(idx) for idx in basis_indices(t.n)]
-    flat = t.coeffs.reshape(-1, len(keys))
-    rows = [["0"] * len(keys) for _ in range(len(flat))]
-    at_row, at_col = np.nonzero(flat)
-    values = flat[at_row, at_col].tolist()
-    text = {v: str(v) for v in values}
-    for r, c, v in zip(at_row.tolist(), at_col.tolist(), values):
-        rows[r][c] = text[v]
-    pairs = itertools.product(keys, repeat=2)
-    return {f"{a}x{b}": row for (a, b), row in zip(pairs, rows)}
+    names = [f"{a}x{b}" for a, b in itertools.product(keys, repeat=2)]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    place = np.empty(len(names), np.intp)  # the place of each row in key order
+    place[order] = np.arange(len(names))
+    flat = t.coeffs.reshape(len(names), len(keys))
+    row, col = np.nonzero(flat)
+    values, code = np.unique(flat[row, col], return_inverse=True)
+    inner, leaf = indent + "  ", indent + "    "
+    texts = [f'"{v}"' for v in [0] + values.tolist()]
+    cell = np.array(
+        [[v + ",\n" + leaf for v in texts], [v + "\n" + inner + "]" for v in texts]],
+        object,
+    )
+    parts = np.empty((len(names), len(keys) + 1), object)
+    parts[:, 0] = [f',\n{inner}"{names[r]}": [\n{leaf}' for r in order]
+    parts[0, 0] = parts[0, 0][1:]
+    parts[:, 1:-1], parts[:, -1] = cell[:, 0]
+    parts[place[row], col + 1] = cell[(col == len(keys) - 1).astype(np.intp), code + 1]
+    return "{" + "".join(parts.ravel().tolist()) + "\n" + indent + "}"

@@ -3,7 +3,9 @@
 Subcommands: verify-brackets, decompose, check-foliation, tischler, pipeline.
 Every command prints a strict JSON report to stdout, from one writer: the bytes
 of json.dumps(report, indent=2, sort_keys=True) and a newline, with a
-non-finite float as the string "Infinity", "-Infinity" or "NaN".
+non-finite float as the string "Infinity", "-Infinity" or "NaN".  The
+verify-brackets report holds the structure table itself, and the writer
+writes it from the int64 array by algebra.structure_table_json.
 Exit codes: 0 pass, 2 input error, 3 check failed.  --golden DIR compares the
 report byte-for-byte with the stored file named <command>-<input-stem>.json
 (or <command>-n<k>.json for verify-brackets); --write-golden DIR stores it.
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import CheckFailed, InputError, SlnfibError
 from .algebra import (
+    StructureTable,
     basis_indices,
     build_structure_table,
     dims,
@@ -48,7 +51,9 @@ def _load_json(path: str):
 
 def _json_text(x, indent: str = "") -> str:
     """x as json.dumps(x, indent=2, sort_keys=True) writes it, but a non-finite
-    float as a JSON string.  Keys must be str; np.int64 or a set: TypeError."""
+    float as a JSON string, and a StructureTable as the dict of its export,
+    written from the int64 array by structure_table_json.  Keys must be str;
+    np.int64 or a set: TypeError."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None or x is True or x is False:
@@ -58,6 +63,8 @@ def _json_text(x, indent: str = "") -> str:
     if isinstance(x, float):
         text = float.__repr__(x)
         return _NON_FINITE.get(text, text)
+    if isinstance(x, StructureTable):
+        return structure_table_json(x, indent)
     inner, ends = indent + "  ", "{}" if isinstance(x, dict) else "[]"
     sep = ",\n" + inner
     if isinstance(x, dict):
@@ -76,19 +83,27 @@ def _json_text(x, indent: str = "") -> str:
 def _emit(report: dict, args, golden_stem: str) -> int:
     """Print _json_text(report) and a newline, the bytes of json.dumps(report,
     indent=2, sort_keys=True) + "\n" with non-finite floats as strings, and
-    store or compare its golden file.  The exit code: a failed golden
-    comparison, else that of report["ok"] (pass when the report has no "ok")."""
+    store or compare its golden file; one it cannot write or read raises
+    InputError.  The exit code: a failed golden comparison, else that of
+    report["ok"] (pass when the report has no "ok")."""
     text = _json_text(report) + "\n"
     sys.stdout.write(text)
     if args.write_golden:
         path = Path(args.write_golden) / f"{golden_stem}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write golden file {path}: {e}") from e
     if args.golden:
         path = Path(args.golden) / f"{golden_stem}.json"
         if not path.exists():
             raise InputError(f"golden file {path} does not exist")
-        if path.read_text() != text:
+        try:
+            golden = path.read_text()
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8
+            raise InputError(f"cannot read golden file {path}: {e}") from e
+        if golden != text:
             sys.stderr.write(f"golden mismatch against {path}\n")
             return EXIT_CHECK
     return EXIT_PASS if report.get("ok", True) else EXIT_CHECK
@@ -117,7 +132,7 @@ def cmd_verify_brackets(args) -> int:
         "offdiag_pairs_checked": m * m,
         "violations": violations,
         "ok": not violations,
-        "table": structure_table_json(table),
+        "table": table,
     }
     return _emit(report, args, f"brackets-n{n}")
 

@@ -224,7 +224,14 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     only through their second-order (bracket) term, so the smallest counted
     ratio sigma_3/sigma_1 decays like 1/m (about 0.17/m on the product spec
     (1.5, 0.3)), and no submersion R^2 -> SL(2) exists; the verdict still
-    reads surjective.
+    reads surjective.  Beyond that, by Fedida's theorem (1971; see Molino,
+    Riemannian Foliations, 1988) the leaf closures of a Lie G-foliation on a
+    compact manifold fibre it over the quotient of G by the closure of the
+    holonomy group, which must then be compact; on a torus that closure is
+    abelian, and no closed abelian subgroup of SL(2,R) or GA is cocompact.
+    So no torus carries a Lie SL(2,R)- or GA-foliation, and on a torus spec
+    `surjective` only says that the edge logarithms at each vertex span the
+    algebra.  SL(n), n >= 3, is not yet argued.
     """
     if spec.is_abelian():
         limit = EQ_TOL
@@ -321,6 +328,35 @@ def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSp
         window=window,
         developing=samples / m,
         scalar_cochains=cochains,
+    )
+
+
+def unipotent_torus_spec(n: int, m: int, coeffs: Sequence[float]) -> LieFoliationSpec:
+    """SL(n) foliation on T^3, n >= 3, with developing map
+    D(z) = I + ((a z0 + c z2)/m) E_(n-3, n-1) + (b z1/m) E_(n-2, n-1)
+    (0-based) for coeffs (a, b, c).
+
+    The two generators commute and square to zero, so D is a homomorphism
+    of Z^3, the holonomy of deck generator k is D(m e_k), and the edge
+    logarithm log(D(zu)^-1 D(zv)) is exactly D(zv) - D(zu).
+    """
+    a, b, c = coeffs
+    complex = torus_complex(3, m)
+
+    def develop(z):  # (N, 3) grid points -> (N, n, n)
+        out = np.broadcast_to(np.eye(n), (len(z), n, n)).copy()
+        out[:, n - 3, n - 1] = (a * z[:, 0] + c * z[:, 2]) / m
+        out[:, n - 2, n - 1] = b * z[:, 1] / m
+        return out
+
+    window, lifts = complex.covering.window(), complex.lifts
+    return LieFoliationSpec(
+        complex=complex,
+        group=SL(n),
+        holonomy=develop(m * np.eye(3, dtype=int)),
+        window=window,
+        developing=develop(window),
+        cochain=LieCochain1(complex, develop(lifts[:, 1]) - develop(lifts[:, 0])),
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -211,7 +212,7 @@ def test_basis_linear_independence():
 
 
 def test_structure_table_export_keys():
-    js = structure_table_json(build_structure_table(2))
+    js = json.loads(structure_table_json(build_structure_table(2)))
     assert "[1,2]x[2,1]" in js
     assert js["[1,2]x[2,1]"] == ["0", "0", "-1"]
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import enum
 import io
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slnfib import cli
 from slnfib.algebra import (
@@ -24,16 +26,17 @@ from slnfib.algebra import (
     build_structure_table,
 )
 from slnfib.cli import main
-from slnfib.complexes import LieCochain1, coordinate_cochain, torus_complex
+from slnfib.complexes import coordinate_cochain, torus_complex
 from slnfib.foliation import (
-    LieFoliationSpec,
     ga_suspension,
     linear_torus_spec,
     product_foliation,
+    unipotent_torus_spec,
 )
-from slnfib.groups import SL, GAElement
+from slnfib.groups import GAElement
 from slnfib.linalg import MAX_DIM
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
+from slnfib.tischler import RationalizeConfig, pipeline_sln
 
 
 def run(capsys, argv):
@@ -591,41 +594,13 @@ class TestPipeline:
         assert rep["stages"][-1]["reason"] == reason
 
 
-def unipotent_spec(n, m=4):
-    """SL(n) spec on T^3 with D(z) = I + ((z0 + sqrt(2) z2)/m) E_(n-3, n-1)
-    + (z1/m) E_(n-2, n-1) (0-based).
-
-    The two generators commute and square to zero, so D is a homomorphism
-    of Z^3, the holonomy of deck generator k is D(m e_k), and the edge
-    logarithm log(D(zu)^-1 D(zv)) is exactly D(zv) - D(zu).
-    """
-    complex = torus_complex(3, m)
-
-    def D(z):
-        a = np.eye(n)
-        a[n - 3, n - 1] = (z[0] + math.sqrt(2) * z[2]) / m
-        a[n - 2, n - 1] = z[1] / m
-        return a
-
-    window = complex.covering.window()
-    return LieFoliationSpec(
-        complex=complex,
-        group=SL(n),
-        holonomy=[D(m * e) for e in np.eye(3, dtype=int)],
-        window=window,
-        developing=[D(z) for z in window],
-        cochain=LieCochain1(
-            complex, [D(zv) - D(zu) for zu, zv in complex.lifts]
-        ),
-    )
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_unipotent_sln_spec_end_to_end(capsys, tmp_path, n):
     # the last two chart coordinates are r_(n-3, n-1)/r_(n-3, n-3) and
     # r_(n-2, n-1)/r_(n-2, n-2): here (z0 + sqrt(2) z2)/m and z1/m, whose
     # periods (1, 0, sqrt(2)) round to (1, 0, 17/12) within 0.01
-    path = write_json(tmp_path, f"sl{n}.json", dump_foliation_spec(unipotent_spec(n)))
+    spec = unipotent_torus_spec(n, 4, (1.0, 1.0, math.sqrt(2)))
+    path = write_json(tmp_path, f"sl{n}.json", dump_foliation_spec(spec))
     code, rep = run(capsys, ["check-foliation", path])
     mc = rep["maurer_cartan"]
     assert code == 3 and mc["flat"] and not mc["surjective"]  # d = 3 < dim sl(n)
@@ -636,6 +611,35 @@ def test_unipotent_sln_spec_end_to_end(capsys, tmp_path, n):
     assert stages["rationalize"]["q"] == 12
     assert stages["circle_map"]["pullback_periods"] == [12, 0, 17]
     assert stages["fiber_census"]["components"] == [1] * 10
+
+
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    m=st.sampled_from([3, 4]),
+    coeffs=st.tuples(nonzero_rationals, nonzero_rationals, nonzero_rationals),
+)
+def test_unipotent_sln_census_equals_the_gcd(n, m, coeffs):
+    # the chart coordinates (a z0 + c z2)/m and b z1/m have the exact periods
+    # (a, 0, c) and (0, b, 0); within epsilon = 0.01 every period with
+    # denominator <= 4 rationalizes to itself
+    spec = unipotent_torus_spec(n, m, [float(x) for x in coeffs])
+    report = pipeline_sln(spec, RationalizeConfig(0.01)).to_dict()
+    stages = {s["stage"]: s for s in report["stages"]}
+    assert report["ok"] and "failure" not in stages
+    a, b, c = coeffs
+    k1, k2 = stages["component_selection"]["coefficients"]
+    periods = [k1 * a, k2 * b, k1 * c]
+    assert stages["rationalize"]["periods"] == [str(p) for p in periods]
+    q = stages["circle_map"]["q"]
+    pullback = [int(p * q) for p in periods]
+    assert stages["circle_map"]["pullback_periods"] == pullback
+    assert stages["fiber_census"]["components"] == [math.gcd(*pullback)] * 10
 
 
 class TestGolden:
@@ -680,6 +684,28 @@ class TestGolden:
             ],
         )
         assert code == 2
+
+    @staticmethod
+    def unusable_golden(capsys, option, path):
+        """verify-brackets --n 2 with a golden file it cannot write or read:
+        exit 2, the report on stdout, and the path in the error."""
+        code = main(["verify-brackets", "--n", "2", option, str(path.parent)])
+        out, err = capsys.readouterr()
+        assert code == 2 and json.loads(out)["ok"]
+        assert err.startswith("input error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_write_golden_into_a_file_exit_2(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        self.unusable_golden(capsys, "--write-golden", tmp_path / "file" / "brackets-n2.json")
+
+    def test_golden_that_is_a_directory_exit_2(self, capsys, tmp_path):
+        (tmp_path / "brackets-n2.json").mkdir()
+        self.unusable_golden(capsys, "--golden", tmp_path / "brackets-n2.json")
+
+    def test_golden_that_is_not_utf8_exit_2(self, capsys, tmp_path):
+        (tmp_path / "brackets-n2.json").write_bytes(b"\xff\xfe{}")
+        self.unusable_golden(capsys, "--golden", tmp_path / "brackets-n2.json")
 
     def test_brackets_golden(self, capsys, tmp_path):
         gold = tmp_path / "golden"
@@ -952,6 +978,59 @@ def test_report_writer_refuses_what_json_dumps_refuses(bad):
         json.dumps(bad, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         cli._json_text(bad)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+def table_dict(n, coeffs):
+    """The oracle's table: '[i,j]x[k,l]' -> the coefficient strings."""
+    keys = [
+        f"[{a.i},{a.j}]" if isinstance(a, OffDiag) else f"[{a.i}]" for a in basis_indices(n)
+    ]
+    return {
+        f"{a}x{b}": [str(int(v)) for v in coeffs[p, q]]
+        for p, a in enumerate(keys)
+        for q, b in enumerate(keys)
+    }
+
+
+def assert_table_text(n, coeffs):
+    got = cli._json_text({"n": n, "table": StructureTable(n, coeffs)})
+    want = json.dumps({"n": n, "table": table_dict(n, coeffs)}, indent=2, sort_keys=True)
+    if got != want:  # name the first differing line, not a diff of megabytes
+        lines = itertools.zip_longest(got.split("\n"), want.split("\n"))
+        k, a, b = next((k, a, b) for k, (a, b) in enumerate(lines) if a != b)
+        pytest.fail(f"line {k + 1}: {a!r} != {b!r}")
+
+
+@st.composite
+def int64_tables(draw):
+    """(n, coeffs): a (D, D, D) int64 array for n in {2, 3}, from 0, +-1, +-2,
+    the int64 extremes and any int64, with some rows all zero."""
+    n = draw(st.sampled_from([2, 3]))
+    dim = n * n - 1
+    value = st.sampled_from([0, 1, -1, 2, -2, INT64.min, INT64.max]) | st.integers(
+        INT64.min, INT64.max
+    )
+    coeffs = draw(arrays(np.int64, (dim, dim, dim), elements=value))
+    coeffs[draw(arrays(bool, (dim, dim)))] = 0
+    return n, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_tables())
+def test_table_text_matches_the_stdlib_encoder(table):
+    assert_table_text(*table)
+
+
+def test_table_text_matches_the_stdlib_encoder_at_max_dim():
+    dim = MAX_DIM ** 2 - 1
+    rng = np.random.default_rng(8)
+    values = [0, 1, -1, 2, -2, INT64.min, INT64.max, 12345]
+    coeffs = rng.choice(np.array(values, np.int64), size=(dim, dim, dim))
+    coeffs[rng.random((dim, dim)) < 0.5] = 0
+    assert_table_text(MAX_DIM, coeffs)
 
 
 def t2_form(m=8):
