@@ -2,13 +2,14 @@
 
 Shows the GA x S^1 factorization of an SL(2) matrix (the AN-left
 decomposition g = R . K), the vector chart of the Iwasawa decomposition
-g = K . R for n = 3, and the product-of-factors coordinate split.
+g = K . R for n = 3, and its split into a leading block and the R^2
+factor, the last two coordinates.
 """
 import math
 
 import numpy as np
 
-from slnfib.groups import GA, factor_split, iwasawa_sln, iwasawa_sln_ank
+from slnfib.groups import GA, iwasawa_sln, iwasawa_sln_ank
 from slnfib.linalg import matrix_exp
 
 
@@ -48,8 +49,9 @@ def main():
     print("  " + ", ".join(f"{c:+.6f}" for c in chart))
     print(f"roundtrip error: {np.abs(k @ r_from_chart(3, chart) - g3).max():.2e}")
 
-    s = factor_split(3)
-    print(f"coordinate split: g1 = {s.g1_coords}, g2 (abelian) = {s.g2_coords}")
+    length = len(chart)
+    g1, g2 = tuple(range(length - 2)), (length - 2, length - 1)
+    print(f"coordinate split: g1 = {g1}, g2 (abelian R^2) = {g2}")
 
 
 if __name__ == "__main__":

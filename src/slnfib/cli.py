@@ -29,7 +29,7 @@ from .algebra import (
     expected_offdiag_table,
     structure_table_json,
 )
-from .groups import factor_split, iwasawa_sln
+from .groups import iwasawa_sln
 from .foliation import check_equivariance, check_mc
 from .tischler import RationalizeConfig, fibration_ok, pipeline_sln, tischler_fibration
 from . import serialize
@@ -140,15 +140,13 @@ def cmd_verify_brackets(args) -> int:
 def cmd_decompose(args) -> int:
     m = serialize.load_matrix(_load_json(args.matrix))
     k, chart = iwasawa_sln(m.arr)
-    chart, split = chart.tolist(), factor_split(m.n)
+    chart = chart.tolist()
     report = {
         "n": m.n,
         "k": k.tolist(),
         "chart": chart,
-        "split": {
-            "g1": [chart[i] for i in split.g1_coords],
-            "g2": [chart[i] for i in split.g2_coords],
-        },
+        # the leading block and the R^2 factor, the last two coordinates
+        "split": {"g1": chart[:-2], "g2": chart[-2:]},
     }
     return _emit(report, args, f"decompose-{Path(args.matrix).stem}")
 

@@ -15,10 +15,12 @@ and closedness are array expressions over the complex's int incidence
 arrays.  H_1 of the torus has the basis of the d axis loops through vertex
 0, and the period on axis loop k is read off m edge indices by arithmetic;
 the coordinate cochains dx_k are the dual basis.  A Lie cochain is one
-read-only float64 array of shape (E, n, n) in that order, and its triangle
-holonomies come from one stacked exponential.  The complex maps oriented
-edges (u, v), one pair or arrays of them, to edge indices and signs, +1 if
-the edge is stored as (u, v) and -1 if it is stored as (v, u).
+read-only float64 array in that order: (E, n, n) for a matrix group, whose
+triangle holonomies come from one stacked exponential, or (E, k) for R^k,
+one column per component, whose coboundary is one (T, k) array.  The
+complex maps oriented edges (u, v), one pair or arrays of them, to edge
+indices and signs, +1 if the edge is stored as (u, v) and -1 if it is
+stored as (v, u).
 """
 from __future__ import annotations
 
@@ -230,16 +232,17 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     return ScalarCochain1(complex, np.tile(steps / complex.covering.m, complex.n_vertices))
 
 
-def coboundary(w: ScalarCochain1) -> np.ndarray:
-    """Per-triangle values (dw)(u,v,w) = (w(u,v) + w(v,w)) - w(u,w)."""
+def coboundary(w) -> np.ndarray:
+    """Per-triangle values (dw)(u,v,w) = (w(u,v) + w(v,w)) - w(u,w) of a
+    scalar cochain, or of each column of an R^k Lie cochain: (T,) or (T, k)."""
     along = w.values[w.complex.triangle_edges]
     with np.errstate(over="ignore", invalid="ignore"):
         return (along[:, 0] + along[:, 1]) - along[:, 2]
 
 
-def max_coboundary(w: ScalarCochain1) -> float:
-    """Closedness measure: the largest |dw| over triangles (0.0 without any),
-    NaN if any |dw| is NaN."""
+def max_coboundary(w) -> float:
+    """Closedness measure: the largest |dw| over triangles and columns (0.0
+    without any), NaN if any |dw| is NaN."""
     return float(np.max(np.abs(coboundary(w)), initial=0.0))
 
 
@@ -257,8 +260,10 @@ def period(w: ScalarCochain1, axis: int) -> float:
 
 
 class LieCochain1:
-    """Traceless-matrix values, one per edge in complex.edges order, as one
-    read-only float64 array of shape (E, n, n)."""
+    """Lie algebra values, one per edge in complex.edges order, as one
+    read-only float64 array: (E, n, n) traceless matrices, which must be
+    finite, or (E, k) for R^k, one column per component, judged later by
+    closedness and periods like a scalar cochain.  n is the matrix size, or k."""
 
     def __init__(self, complex: SimplicialComplex, values):
         edges = len(complex.edges)
@@ -266,15 +271,18 @@ class LieCochain1:
             arr = np.array(values, dtype=np.float64)
         except ValueError as e:
             raise InputError(f"Lie cochain needs {edges} n x n values: {e}") from e
-        if arr.ndim != 3 or arr.shape[0] != edges or arr.shape[1] != arr.shape[2]:
+        matrices = arr.ndim == 3 and arr.shape[1] == arr.shape[2]
+        if arr.shape[:1] != (edges,) or not (matrices or arr.ndim == 2):
             raise InputError(f"Lie cochain needs {edges} n x n values, got {arr.shape}")
 
         def value(i):
             return "Lie cochain value on edge {}-{}".format(*complex.edges[i])
 
-        require_finite(arr, value).flags.writeable = False
+        if matrices:
+            require_finite(arr, value)
+        arr.flags.writeable = False
         self.complex = complex
-        self.n = arr.shape[1]
+        self.n = arr.shape[-1]
         self.values = arr
 
 

@@ -10,8 +10,9 @@ surjectivity, and equivariance D(deck_g . x) = h(g) . D(x).
 
 The target group is one of the types GA, SL(n) and R^k of slnfib.groups; it
 supplies the group law on stacks, the algebra dimension and the JSON form of
-elements.  Matrix groups carry a Lie cochain, one (E, n, n) array, R^k
-carries k scalar cochains.  Every Lie cochain built from a developing map
+elements.  Every spec carries one Lie cochain: one (E, n, n) array for a
+matrix group, one (E, k) array for R^k, a column per component, whose
+flatness is closedness.  Every matrix cochain built from a developing map
 comes from one routine, edge_logarithms, which takes log(D(zu)^-1 D(zv))
 over all edge lifts (zu, zv) as stacks; flatness, surjectivity,
 equivariance and the Iwasawa charts of the projection are stacked too.
@@ -32,7 +33,6 @@ from .groups import (
     GAElement,
     Group,
     Rk,
-    factor_split,
     iwasawa_sln_ank,
     require_ga,
     require_unimodular,
@@ -40,7 +40,6 @@ from .groups import (
 from .complexes import (
     WINDOW_COPIES,
     LieCochain1,
-    ScalarCochain1,
     SimplicialComplex,
     coboundary,
     coordinate_cochain,
@@ -57,12 +56,13 @@ from .complexes import (
 class LieFoliationSpec:
     """A complex, a flat cochain, a holonomy rep, and developing samples.
 
-    holonomy holds the images of the Z^d deck generators, which must commute;
-    developing holds the developing map at the rows of window, an (N, d) int
-    array of grid points that holds every base vertex in [0, m)^d.  Both are
-    read-only stacks of elements in the group's array form: for SL(n)
-    every element has det 1 within 100 EQ_TOL, and for GA every row (a, b)
-    has a > 0.
+    The cochain holds the group's algebra values on the edges: (E, n, n)
+    matrices for GA and SL(n), (E, k) for R^k.  holonomy holds the images of
+    the Z^d deck generators, which must commute; developing holds the
+    developing map at the rows of window, an (N, d) int array of grid points
+    that holds every base vertex in [0, m)^d.  Both are read-only stacks of
+    elements in the group's array form: for SL(n) every element has det 1
+    within 100 EQ_TOL, and for GA every row (a, b) has a > 0.
     """
 
     complex: SimplicialComplex
@@ -70,19 +70,15 @@ class LieFoliationSpec:
     holonomy: np.ndarray
     window: np.ndarray
     developing: np.ndarray
-    cochain: Optional[LieCochain1] = None
-    scalar_cochains: Optional[List[ScalarCochain1]] = None
+    cochain: Optional[LieCochain1]
 
     def __post_init__(self):
         group = self.group
         if isinstance(group, Rk):
-            want = f"{group.k} scalar cochains"
-            ok = self.cochain is None and len(self.scalar_cochains or ()) == group.k
+            want, shape = f"{group.k} scalar cochains", (group.k,)
         else:
-            want = f"a cochain of {group.n}x{group.n} matrices"
-            n = getattr(self.cochain, "n", 0)
-            ok = self.scalar_cochains is None and n == group.n
-        if not ok:
+            want, shape = f"a cochain of {group.n}x{group.n} matrices", (group.n,) * 2
+        if self.cochain is None or self.cochain.values.shape[1:] != shape:
             raise InputError(f"{group.tag} spec needs {want} and no other cochain")
         d = self.complex.covering.d
         hol = np.array(self.holonomy, dtype=np.float64)
@@ -121,9 +117,6 @@ class LieFoliationSpec:
                 f"first {first}"
             )
 
-    def is_abelian(self) -> bool:
-        return self.scalar_cochains is not None
-
     def rows(self, points) -> np.ndarray:
         """The window row of every point of a (..., d) int array, -1 off it;
         of two rows with one key, the later."""
@@ -156,12 +149,12 @@ class LieFoliationSpec:
     def validate_consistency(self) -> float:
         """Max deviation between the cochain and developing increments."""
         ends = self.developing_value(self.complex.lifts)
-        if not self.is_abelian():
-            logs = edge_logarithms(self.complex, self.group.matrix(ends))
-            return float(np.max(np.abs(logs.values - self.cochain.values)))
-        got = np.stack([w.values for w in self.scalar_cochains], axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.max(np.abs(got - (ends[:, 1] - ends[:, 0]))))
+        if isinstance(self.group, Rk):
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = ends[:, 1] - ends[:, 0]
+                return float(np.max(np.abs(self.cochain.values - steps)))
+        logs = edge_logarithms(self.complex, self.group.matrix(ends))
+        return float(np.max(np.abs(logs.values - self.cochain.values)))
 
 
 def _row_keys(points: np.ndarray) -> np.ndarray:
@@ -212,7 +205,7 @@ HOLONOMY_TOL = 1e-8  # flatness limit on the triangle holonomy residual
 def check_mc(spec: LieFoliationSpec) -> MCReport:
     """Discrete Maurer-Cartan conditions.
 
-    Flatness: abelian cochains must have vanishing coboundary within EQ_TOL;
+    Flatness: R^k cochains must have vanishing coboundary within EQ_TOL;
     matrix-valued cochains are judged by the triangle holonomy residual (the
     discretization-free oracle) within HOLONOMY_TOL.  Surjectivity: the
     cochain values on the edges incident to each vertex must span the target
@@ -233,10 +226,10 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     `surjective` only says that the edge logarithms at each vertex span the
     algebra.  SL(n), n >= 3, is not yet argued.
     """
-    if spec.is_abelian():
+    if isinstance(spec.group, Rk):
         limit = EQ_TOL
-        per_tri = np.max(np.abs([coboundary(w) for w in spec.scalar_cochains]), axis=0)
-        coords = np.stack([w.values for w in spec.scalar_cochains], axis=1)
+        per_tri = np.abs(coboundary(spec.cochain)).max(axis=1)
+        coords = spec.cochain.values
     else:
         limit = HOLONOMY_TOL
         per_tri = _holonomy_residuals(spec.cochain)
@@ -310,14 +303,11 @@ def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSp
     k = len(rows)
     d = len(rows[0])
     complex = torus_complex(d, m)
-    cochains = []
-    dx = [coordinate_cochain(complex, ax) for ax in range(d)]
-    for row in rows:
-        w = dx[0].scale(row[0])
-        for ax in range(1, d):
-            w = w + dx[ax].scale(row[ax])
-        cochains.append(w)
     window, a = complex.covering.window(), np.array(rows, dtype=float)
+    # a_0 dx_0 + ... + a_(d-1) dx_(d-1), in axis order from the first term
+    values = coordinate_cochain(complex, 0).values[:, None] * a[:, 0]
+    for ax in range(1, d):
+        values = values + coordinate_cochain(complex, ax).values[:, None] * a[:, ax]
     samples = np.zeros((len(window), k))
     for ax in range(d):  # (0 + a_0 z_0 + ... + a_(d-1) z_(d-1)) / m, in axis order
         samples = samples + window[:, ax, None] * a[:, ax]
@@ -327,7 +317,7 @@ def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSp
         holonomy=a.T,
         window=window,
         developing=samples / m,
-        scalar_cochains=cochains,
+        cochain=LieCochain1(complex, values),
     )
 
 
@@ -439,12 +429,20 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     """Project an SL(n) foliation onto one factor of the Iwasawa product.
 
     Factor 1 is the GA part (SL(2) only): R is the embedding of the GA row
-    (exp(2 c_0), c_1 exp(2 c_0)) for the chart c.  Factor 2 is the final two
-    coordinates of the triangular-left vector chart.  One iwasawa_sln_ank
-    call charts the window, the edge ends outside it and the holonomy.  Projected scalar
-    cochains are rebuilt from chart differences of the developing map and
+    (exp(2 c_0), c_1 exp(2 c_0)) for the chart c.  Factor 2 is the R^2
+    factor, the final two coordinates of the triangular-left vector chart:
+    r_(n-3, n-1)/r_(n-3, n-3) and r_(n-2, n-1)/r_(n-2, n-2) for n >= 3.
+    One iwasawa_sln_ank call charts the window, the edge ends outside it and
+    the holonomy.  The projected R^2 cochain is rebuilt from chart
+    differences of the developing map, one column per coordinate, and
     re-verified for closedness; a violation raises CheckFailed rather than
     propagating an unsound fibration input.
+
+    Both R^2 coordinates are invariant under left translation by a
+    diagonal matrix, so an SL(3) spec with diagonal holonomy projects to
+    components that descend to the torus and no combination of them is a
+    submersion: pipeline_sln correctly ends at "no submersive component
+    combination found".
     """
     if which not in (1, 2):
         raise InputError("factor index must be 1 or 2")
@@ -473,18 +471,17 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
             cochain=edge_logarithms(spec.complex, GA().matrix(ends)),
         )
 
-    ij = list(factor_split(group.n).g2_coords)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = ends[:, 1, ij] - ends[:, 0, ij]
+        steps = ends[:, 1, -2:] - ends[:, 0, -2:]
     out = LieFoliationSpec(
         complex=spec.complex,
         group=Rk(2),
-        holonomy=hol[:, ij],
+        holonomy=hol[:, -2:],
         window=spec.window,
-        developing=window[:, ij],
-        scalar_cochains=[ScalarCochain1(spec.complex, x) for x in steps.T],
+        developing=window[:, -2:],
+        cochain=LieCochain1(spec.complex, steps),
     )
-    worst = float(np.max([max_coboundary(w) for w in out.scalar_cochains]))
+    worst = max_coboundary(out.cochain)
     if not worst <= RESIDUAL_TOL:
         raise CheckFailed(
             f"projected cochain is not closed: max coboundary {worst:.3e}"

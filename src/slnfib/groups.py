@@ -4,7 +4,6 @@
 * SL(n, R) = SO(n) x R^{n(n+1)/2 - 1} via positive-diagonal QR, with the
   mirrored AN-left variant used when left holonomy must act on the vector
   chart; both take (..., n, n) stacks.
-* The split of the vector chart into a leading block and a final R^2 factor.
 * One type per target group of a foliation (GA, SL(n), R^k), acting on
   float arrays of elements: (..., 2) rows (a, b), (..., n, n) matrices or
   (..., k) vectors; and the parser of the JSON "group" value that names it.
@@ -19,7 +18,7 @@ from typing import ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError, InputError, SingularInput
+from .errors import InputError, SingularInput
 from .linalg import (
     EQ_TOL, matrices_from_json, numbers_from_json, qr_positive, require_finite
 )
@@ -61,7 +60,7 @@ def chart_length(n: int) -> int:
     """The length of the vector chart of the AN part of SL(n): n - 1
     log-diagonal coordinates of R (the last one is implied by det R = 1),
     then the strictly-upper entries of R divided by their row diagonal,
-    row-major."""
+    row-major.  Its last two coordinates are the R^2 factor."""
     return n * (n + 1) // 2 - 1
 
 
@@ -113,41 +112,6 @@ def iwasawa_sln_ank(g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _inverse(_) -> str:
     return "an inverse in the AN-left chart"
-
-
-@dataclass(frozen=True)
-class FactorSplit:
-    """Designation of the last two chart coordinates as the R^2 factor."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2 or chart_length(self.n) < 2:
-            raise DimensionError(f"no R^2 factor available for n={self.n}")
-
-    @property
-    def chart_len(self) -> int:
-        return chart_length(self.n)
-
-    @property
-    def g1_coords(self) -> Tuple[int, ...]:
-        return tuple(range(self.chart_len - 2))
-
-    @property
-    def g2_coords(self) -> Tuple[int, int]:
-        return (self.chart_len - 2, self.chart_len - 1)
-
-
-def factor_split(n: int) -> FactorSplit:
-    """The R^2 factor of the SL(n) vector chart: its last two coordinates,
-    r_(n-3, n-1)/r_(n-3, n-3) and r_(n-2, n-1)/r_(n-2, n-2) for n >= 3.
-
-    Both are invariant under left translation by a diagonal matrix, so an
-    SL(3) spec with diagonal holonomy projects to components that descend to
-    the torus and no combination of them is a submersion: pipeline_sln
-    correctly ends at "no submersive component combination found".
-    """
-    return FactorSplit(n)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +207,8 @@ class SL:
 
 @dataclass(frozen=True)
 class Rk:
-    """The abelian group R^k; elements are k-vectors, and the cochain is
-    given as k scalar cochains."""
+    """The abelian group R^k; elements are k-vectors, and edge values an
+    (E, k) array, one column per component."""
 
     k: int
 

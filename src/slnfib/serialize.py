@@ -13,6 +13,8 @@ first bad item, key before value.
 Developing samples, keyed by covering coordinates "x,y", are read in one
 pass into an (N, d) int key array and one element array (of two keys on one
 point the later wins); the spec refuses by key an SL(n) sample of det != 1.
+A spec has one Lie cochain: matrix groups give it as "cochain", and R^k as
+"scalar_cochains", k scalar cochains read and written as its k columns.
 
 Each loader turns a malformed or missing top-level field into one InputError
 that names the field; the checks that run on the parsed objects raise their
@@ -31,7 +33,7 @@ from .linalg import (
 )
 from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
 from .foliation import LieFoliationSpec, _row_keys
-from .groups import parse_group
+from .groups import Rk, parse_group
 
 
 def _field(obj: Dict, name: str, parse: Callable):
@@ -176,8 +178,17 @@ def load_scalar_cochain(obj) -> ScalarCochain1:
     return _field(obj, "cochain", lambda c: scalar_cochain_from_json(complex, c))
 
 
+def _rk_cochain_from_json(complex: SimplicialComplex, objs) -> LieCochain1:
+    """The R^k cochain of k scalar cochains, one column each."""
+    columns = [scalar_cochain_from_json(complex, c).values for c in objs]
+    return LieCochain1(complex, np.reshape(columns, (-1, len(complex.edges))).T)
+
+
 def load_foliation_spec(obj) -> LieFoliationSpec:
-    """Spec bundle: complex, group, cochain(s), holonomy, developing."""
+    """Spec bundle: complex, group, holonomy, developing, and one cochain:
+    "cochain", a matrix on every edge, or for R^k "scalar_cochains", k
+    scalar cochains read as the columns of one Lie cochain.  A spec that
+    gives both fields gets no cochain, which the spec refuses."""
     complex = load_complex(obj)
     cochain = (
         _field(obj, "cochain", lambda c: lie_cochain_from_json(complex, c))
@@ -190,15 +201,11 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
     d = complex.covering.d
     window, samples = _field(obj, "developing", lambda s: _developing_samples(s, d))
     developing = group.stack_from_json(samples)
-    scalar_cochains = (
-        _field(
-            obj,
-            "scalar_cochains",
-            lambda cs: [scalar_cochain_from_json(complex, c) for c in cs],
+    if "scalar_cochains" in obj:
+        columns = _field(
+            obj, "scalar_cochains", lambda cs: _rk_cochain_from_json(complex, cs)
         )
-        if "scalar_cochains" in obj
-        else None
-    )
+        cochain = None if cochain else columns
     return LieFoliationSpec(
         complex=complex,
         group=group,
@@ -206,14 +213,14 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
         window=window,
         developing=developing,
         cochain=cochain,
-        scalar_cochains=scalar_cochains,
     )
 
 
 def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
     """The JSON form of a spec, which load_foliation_spec reads back: the
     developing samples in the order of their points and the cochain values in
-    the order of their edges (u, v), each compared as a list of ints."""
+    the order of their edges (u, v), each compared as a list of ints; an R^k
+    cochain as "scalar_cochains", one scalar cochain per column."""
     cov = spec.complex.covering
     order, keys = _sorted_keys(spec.window, ",")
     out = {
@@ -222,11 +229,10 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
         "holonomy": spec.holonomy.tolist(),
         "developing": dict(zip(keys, spec.developing[order].tolist())),
     }
-    if spec.is_abelian():
-        out["scalar_cochains"] = [
-            scalar_cochain_to_json(w) for w in spec.scalar_cochains
-        ]
+    order, keys = _sorted_keys(spec.complex.edges, "-")
+    values = spec.cochain.values[order]
+    if isinstance(spec.group, Rk):
+        out["scalar_cochains"] = [dict(zip(keys, x)) for x in values.T.tolist()]
     else:
-        order, keys = _sorted_keys(spec.complex.edges, "-")
-        out["cochain"] = dict(zip(keys, spec.cochain.values[order].tolist()))
+        out["cochain"] = dict(zip(keys, values.tolist()))
     return out

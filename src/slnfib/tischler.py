@@ -44,7 +44,7 @@ from .complexes import (
     period,
 )
 from .foliation import LieFoliationSpec, check_mc, project_foliation
-from .groups import Rk, factor_split
+from .groups import Rk, chart_length
 
 
 @dataclass(frozen=True)
@@ -555,13 +555,6 @@ def _candidate_combinations(k: int):
                             yield (a, b)
 
 
-def _combine(cochains: Sequence[ScalarCochain1], coeffs) -> ScalarCochain1:
-    out = cochains[0].scale(coeffs[0])
-    for w, c in zip(cochains[1:], coeffs[1:]):
-        out = out + w.scale(c)
-    return out
-
-
 def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
     """Deterministic sample of levels avoiding all vertex images: a candidate
     within 1e-6 of round(x % 1.0, 12) for an image x is refused."""
@@ -625,7 +618,7 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
         report.add("failure", reason="spec cochain is not flat")
         return report
 
-    if spec.is_abelian():
+    if isinstance(spec.group, Rk):
         if spec.group != Rk(2):
             reason = f"abelian spec must be R2, got {spec.group.tag}"
             report.add("failure", reason=reason)
@@ -633,13 +626,13 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
         projected = spec
         report.add("factor_split", kind="abelian-bypass", components=2)
     else:
-        split = factor_split(spec.group.n)
+        length = chart_length(spec.group.n)
         report.add(
             "factor_split",
             kind="iwasawa-chart",
-            n=split.n,
-            chart_length=split.chart_len,
-            g2_coords=list(split.g2_coords),
+            n=spec.group.n,
+            chart_length=length,
+            g2_coords=[length - 2, length - 1],
         )
         try:
             projected = project_foliation(spec, 2)
@@ -647,7 +640,7 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
             report.add("failure", reason=str(e))
             return report
 
-    closed_res = float(np.max([max_coboundary(w) for w in projected.scalar_cochains]))
+    closed_res = max_coboundary(projected.cochain)
     report.add("closedness", max_coboundary=closed_res)
     if not closed_res <= RESIDUAL_TOL:
         report.add("failure", reason="projected components are not closed")
@@ -655,8 +648,16 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
 
     chosen = None
     tried = []
-    for coeffs in _candidate_combinations(len(projected.scalar_cochains)):
-        cand = _combine(projected.scalar_cochains, coeffs)
+    columns = projected.cochain.values.T
+    for coeffs in _candidate_combinations(len(columns)):
+        # the columns summed in coefficient order from the first term (a
+        # sum from 0 turns -0.0 into +0.0); a non-finite component makes
+        # inf or NaN values, left to the checks that follow
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = columns[0] * coeffs[0]
+            for x, c in zip(columns[1:], coeffs[1:]):
+                values = values + x * c
+        cand = ScalarCochain1(projected.complex, values)
         tried.append(list(coeffs))
         if check_submersion(cand).passed():
             chosen = (coeffs, cand)

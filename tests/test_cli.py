@@ -144,6 +144,19 @@ class TestDecompose:
         assert len(rep["chart"]) == 5
         assert len(rep["split"]["g1"]) == 3 and len(rep["split"]["g2"]) == 2
 
+    def test_split_sizes_n2_to_n8(self, capsys, tmp_path):
+        # g1 then g2 is the chart, and g2, the R^2 factor, its last two
+        # coordinates; the inputs are L U for unit triangular integer L and U
+        rng = np.random.default_rng(5)
+        for n in range(2, 9):
+            lower = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.eye(n)
+            upper = np.triu(rng.integers(-2, 3, (n, n)), 1) + np.eye(n)
+            path = write_json(tmp_path, f"n{n}.json", (lower @ upper).tolist())
+            code, rep = run(capsys, ["decompose", path])
+            assert code == 0 and len(rep["chart"]) == n * (n + 1) // 2 - 1
+            assert rep["split"]["g1"] + rep["split"]["g2"] == rep["chart"]
+            assert len(rep["split"]["g2"]) == 2
+
     def test_non_unimodular_exit_2(self, capsys, tmp_path):
         path = write_json(tmp_path, "bad.json", [[2.0, 0.0], [0.0, 1.0]])
         code, _ = run(capsys, ["decompose", path])
@@ -536,6 +549,81 @@ def test_overflowing_rk_coboundary_is_not_flat(capsys, tmp_path, command):
     mc = rep["maurer_cartan"] if command == "check-foliation" else rep["stages"][0]
     assert not mc["flat"] and 0 in mc["failing_triangles"]
     assert mc["max_flatness_residual"] == "Infinity"
+
+
+def sl2_product_m8():
+    """The dumped SL(2) product spec of GA holonomy (1.5, 0.3) at m = 8."""
+    return dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(1.5, 0.3))))
+
+
+def overflowing_t1_spec():
+    """An SL(2) spec on T^1, m = 4: zero cochain, identity holonomy and
+    identity samples, but for shears of +-1.5e308 at the points 0 and 1,
+    whose R^2 chart steps overflow."""
+    ident = [[1.0, 0.0], [0.0, 1.0]]
+    developing = {str(x): ident for x in range(12)}
+    developing["0"] = [[1, 1.5e308], [0, 1]]
+    developing["1"] = [[1, -1.5e308], [0, 1]]
+    return {
+        "torus": {"d": 1, "m": 4},
+        "group": "SL2",
+        "cochain": {f"{u}-{(u + 1) % 4}": [[0.0, 0.0], [0.0, 0.0]] for u in range(4)},
+        "holonomy": [ident],
+        "developing": developing,
+    }
+
+
+def test_non_finite_projected_component_is_not_submersive(capsys, tmp_path):
+    # the candidate combinations of an infinite component are inf or NaN,
+    # built with no numpy warning, and none of them passes
+    path = write_json(tmp_path, "t1.json", overflowing_t1_spec())
+    code = main(["pipeline", path, "--epsilon", "0.01"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    failure = json.loads(out)["stages"][-1]
+    assert failure["reason"] == "no submersive component combination found"
+
+
+def test_overflowing_projected_step_is_not_closed(capsys, tmp_path):
+    # a valid T^2 spec whose projected R^2 cochain has infinite values: the
+    # closedness check refuses it, and building it refuses nothing
+    spec = sl2_product_m8()
+    spec["developing"]["0,0"] = [[1, 1.5e308], [0, 1]]
+    spec["developing"]["1,0"] = [[1, -1.5e308], [0, 1]]
+    path = write_json(tmp_path, "t2.json", spec)
+    code = main(["pipeline", path, "--epsilon", "0.01"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    assert json.loads(out)["stages"][-1] == {
+        "stage": "failure",
+        "reason": "projected cochain is not closed: max coboundary inf",
+    }
+
+
+R2_NEEDS = "input error: R2 spec needs 2 scalar cochains and no other cochain\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda spec: spec.update(cochain=sl2_product_m8()["cochain"]), R2_NEEDS),
+        (lambda spec: spec.pop("scalar_cochains"), R2_NEEDS),
+        (lambda spec: spec.update(scalar_cochains=spec["scalar_cochains"][:1]), R2_NEEDS),
+        (lambda spec: spec.update(scalar_cochains=[]), R2_NEEDS),
+        (
+            lambda spec: spec.update(group="GA"),
+            "input error: GA spec needs a cochain of 2x2 matrices and no other cochain\n",
+        ),
+    ],
+    ids=["both fields", "neither field", "one of two", "empty list", "relabelled GA"],
+)
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+def test_spec_reads_one_cochain_field(capsys, tmp_path, edit, message, command):
+    spec = dump_foliation_spec(linear_torus_spec(8, [[1, math.sqrt(2)], [0.3, 1]]))
+    edit(spec)
+    argv = [command, write_json(tmp_path, "spec.json", spec)]
+    code = main(argv + (["--epsilon", "0.01"] if command == "pipeline" else []))
+    assert (code, *capsys.readouterr()) == (2, "", message)
 
 
 @pytest.mark.parametrize("command", ["check-foliation", "pipeline"])

@@ -8,9 +8,9 @@ import pytest
 import scipy.linalg
 
 from conftest import bumped, ga_and_angle, sup
-from slnfib import foliation, groups, linalg
+from slnfib import complexes, foliation, groups, linalg
 from slnfib.cli import main
-from slnfib.complexes import coboundary, period
+from slnfib.complexes import LieCochain1, ScalarCochain1, coboundary, period
 from slnfib.errors import CheckFailed, InputError
 from slnfib.foliation import (
     LieFoliationSpec,
@@ -67,7 +67,7 @@ class TestLinearSpec:
             holonomy=[(1.0,), (alpha + 0.125,)],
             window=spec.window,
             developing=spec.developing,
-            scalar_cochains=spec.scalar_cochains,
+            cochain=spec.cochain,
         )
         rep = check_equivariance(spec2)
         assert abs(rep.max_deviation - 0.125) < 1e-9
@@ -256,11 +256,12 @@ class TestProjectFoliation:
     def test_abelian_factor_closed_with_log_period(self, product_spec):
         ab = project_foliation(product_spec, 2)
         assert ab.group == Rk(2)
-        for w in ab.scalar_cochains:
-            assert max(abs(float(x)) for x in coboundary(w)) < 1e-12
+        assert ab.cochain.values.shape == (len(ab.complex.edges), 2)
+        assert sup(coboundary(ab.cochain)) < 1e-12
         # the log-scale coordinate picks up log(2)/2 around the base circle
-        assert abs(period(ab.scalar_cochains[0], 0) - math.log(2) / 2) < 1e-9
-        assert abs(period(ab.scalar_cochains[0], 1)) < 1e-12
+        w = ScalarCochain1(ab.complex, ab.cochain.values[:, 0])
+        assert abs(period(w, 0) - math.log(2) / 2) < 1e-9
+        assert abs(period(w, 1)) < 1e-12
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_lifts_outside_a_partial_window(self, product_spec, which):
@@ -278,12 +279,7 @@ class TestProjectFoliation:
         got = project_foliation(partial, which)
         ref = project_foliation(product_spec, which)
         assert len(got.developing) == m * m
-        for i, (u, v) in enumerate(product_spec.complex.edges):
-            if which == 1:
-                assert sup(got.cochain.values[i] - ref.cochain.values[i]) < 1e-12
-            else:
-                for w, w_ref in zip(got.scalar_cochains, ref.scalar_cochains):
-                    assert abs(w(u, v) - w_ref(u, v)) < 1e-12
+        assert sup(got.cochain.values - ref.cochain.values) < 1e-12
 
     def test_invalid_factor_index(self, product_spec):
         with pytest.raises(InputError):
@@ -347,7 +343,7 @@ class TestKernelCounts:
         spec = linear_torus_spec(8, [[1.0, math.sqrt(2)], [0.3, 1.0]])
         rep = check_mc(spec)
         assert rep.flat
-        assert calls == spec.scalar_cochains
+        assert calls == [spec.cochain]
 
 
     def test_every_expm_runs_once_inside_matrix_exp(self, monkeypatch, tmp_path, capsys):
@@ -435,6 +431,13 @@ class TestSpecInvariants:
                 holonomy=product_spec.holonomy,
                 window=product_spec.window,
                 developing=product_spec.developing,
+                cochain=None,
+            )
+        # an R^2 cochain of the right edges on an SL(2) spec
+        values = np.zeros((len(product_spec.complex.edges), 2))
+        with pytest.raises(InputError, match="^SL2 spec needs a cochain of 2x2"):
+            dataclasses.replace(
+                product_spec, cochain=LieCochain1(product_spec.complex, values)
             )
 
     def test_noncommuting_holonomy_rejected(self, product_spec):
@@ -473,16 +476,17 @@ class TestNaNVerdicts:
 
     def test_nan_coboundary_is_not_flat(self, monkeypatch):
         spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
-        nan_at_0 = np.zeros(len(spec.complex.triangles))
-        nan_at_0[0] = math.nan
+        nan_at_0 = np.zeros((len(spec.complex.triangles), 2))
+        nan_at_0[0, 1] = math.nan
         monkeypatch.setattr(foliation, "coboundary", lambda w: nan_at_0)
         rep = check_mc(spec)
         assert not rep.flat and rep.failing_triangles == [0]
         assert math.isnan(rep.max_flatness_residual)
 
     def test_nan_projected_coboundary_is_not_closed(self, monkeypatch, product_spec):
-        # NaN on the second of the two projected cochains
-        residuals = iter([0.0, math.nan])
-        monkeypatch.setattr(foliation, "max_coboundary", lambda w: next(residuals))
+        # NaN on the second of the two projected components
+        nan_at_0 = np.zeros((len(product_spec.complex.triangles), 2))
+        nan_at_0[0, 1] = math.nan
+        monkeypatch.setattr(complexes, "coboundary", lambda w: nan_at_0)
         with pytest.raises(CheckFailed, match="not closed: max coboundary nan"):
             project_foliation(product_spec, 2)

@@ -1,14 +1,15 @@
 """Stored reports of `tischler`, `pipeline`, `verify-brackets`, `decompose`
 and `check-foliation`, compared byte for byte.
 
-Each `tischler` input and the R^2 `pipeline` input is written here from its
-closed form, with no slnfib code: the linear form sum_i c_i dx_i takes the
-value sum_i c_i * e_i / m on the edge (z, z + e) of the standard
-triangulation of T^d (e a nonzero 0/1 vector), summed in axis order.  Each
-`decompose` input is a matrix of plain numbers written below.  The SL(2)
-product spec is built and dumped by the library constructors at test time.
-Each command then runs with --golden tests/golden, which exits 3 on any byte
-of difference from the stored report.
+Each `tischler` input and each R^k `check-foliation` and `pipeline` input
+is written here from its closed form, with no slnfib code: the linear form
+sum_i c_i dx_i takes the value sum_i c_i * e_i / m on the edge (z, z + e)
+of the standard triangulation of T^d (e a nonzero 0/1 vector), summed in
+axis order.  Each `decompose` input is a matrix of plain numbers written
+below.  The SL(2) product spec is built and dumped by the library
+constructors at test time.  Each command then runs with --golden
+tests/golden, which exits 3 on any byte of difference from the stored
+report.
 """
 import itertools
 import json
@@ -92,9 +93,28 @@ def test_tischler_golden(capsys, tmp_path, stem, d, m, coeffs):
     assert json.loads(out)["ok"]
 
 
+# (stem, m, coefficient rows) of each stored R^k `check-foliation` report;
+# linear_m8 is also the `pipeline` input
+LINEAR = [
+    ("linear_m8", 8, [[1, SQRT2], [0.3, 1]]),
+    ("r1_t2_m8", 8, [[1, SQRT2]]),
+    ("r3_t3_m4", 4, [[1, 0.5, SQRT2], [0.3, 1, 0.0], [0, 0.2, 1]]),
+]
+
+
+@pytest.mark.parametrize("stem, m, rows", LINEAR, ids=[case[0] for case in LINEAR])
+def test_check_foliation_rk_golden(capsys, tmp_path, stem, m, rows):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(linear_spec(m, rows)))
+    code = main(["check-foliation", str(path), "--golden", str(GOLDEN)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"]
+
+
 def test_pipeline_golden(capsys, tmp_path):
     path = tmp_path / "linear_m8.json"
-    path.write_text(json.dumps(linear_spec(8, [[1, SQRT2], [0.3, 1]])))
+    path.write_text(json.dumps(linear_spec(*LINEAR[0][1:])))
     code = main(["pipeline", str(path), "--epsilon", "0.01", "--golden", str(GOLDEN)])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")

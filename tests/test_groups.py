@@ -9,10 +9,8 @@ from conftest import ga_and_angle, r_from_chart, random_sl, rotation, sup
 from slnfib.errors import InputError, SingularInput
 from slnfib.groups import (
     GA,
-    FactorSplit,
     GAElement,
     chart_length,
-    factor_split,
     iwasawa_sln,
     iwasawa_sln_ank,
 )
@@ -153,29 +151,14 @@ class TestIwasawaSLn:
 
 
 class TestFactorSplit:
-    def test_n2_all_in_g2(self):
-        s = factor_split(2)
-        assert s.g1_coords == ()
-        assert s.g2_coords == (0, 1)
-
-    def test_n3(self):
-        s = factor_split(3)
-        assert len(s.g1_coords) == 3
-        assert s.g2_coords == (3, 4)
-
-    def test_n4_sizes(self):
-        s = factor_split(4)
-        assert (len(s.g1_coords), 2) == (7, 2)
-        assert s.chart_len == 9
-
     def test_abelian_coordinates_vary_independently(self, rng):
-        # perturbing only the g2 chart coordinates moves only those
+        # perturbing only the R^2 factor, the last two chart coordinates,
+        # moves only those
         n = 3
         g = random_sl(n, rng)
         k, chart = iwasawa_sln(g)
-        s = factor_split(n)
-        chart[s.g2_coords[0]] += 0.125
-        chart[s.g2_coords[1]] -= 0.25
+        chart[-2] += 0.125
+        chart[-1] -= 0.25
         got = iwasawa_sln(k @ r_from_chart(n, chart))[1]
         for i, (a, b) in enumerate(zip(got, chart)):
             assert abs(a - b) < 1e-9, i

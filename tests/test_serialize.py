@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from slnfib.complexes import torus_complex
 from slnfib.errors import InputError
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
-from slnfib.groups import GAElement
+from slnfib.groups import GAElement, Rk
 from slnfib.serialize import (
     _developing_samples,
     _edge_keys,
@@ -155,9 +155,9 @@ def dump_by_sorted_keys(spec):
         "holonomy": spec.holonomy.tolist(),
         "developing": by_key(spec.window, spec.developing.tolist(), ","),
     }
-    if spec.is_abelian():
+    if isinstance(spec.group, Rk):
         out["scalar_cochains"] = [
-            by_key(edges, w.values.tolist(), "-") for w in spec.scalar_cochains
+            by_key(edges, x, "-") for x in spec.cochain.values.T.tolist()
         ]
     else:
         out["cochain"] = by_key(edges, spec.cochain.values.tolist(), "-")

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from slnfib.cli import main
 from slnfib.complexes import (
+    LieCochain1,
     ScalarCochain1,
     coordinate_cochain,
     period,
@@ -912,8 +913,11 @@ class TestPipeline:
         h = np.zeros(k.n_vertices)
         h[k.covering.base_index((0, 7))] = 0.5
         tail, head = k.edges.T
-        w = ScalarCochain1(k, spec.scalar_cochains[0].values + h[head] - h[tail])
-        spec = dataclasses.replace(spec, scalar_cochains=[w, spec.scalar_cochains[1]])
+        first, second = spec.cochain.values.T
+        w = ScalarCochain1(k, first + h[head] - h[tail])
+        spec = dataclasses.replace(
+            spec, cochain=LieCochain1(k, np.stack([w.values, second], axis=1))
+        )
         spec_path, cochain_path = tmp_path / "spec.json", tmp_path / "cochain.json"
         spec_path.write_text(json.dumps(dump_foliation_spec(spec)))
         cochain = {"torus": {"d": 2, "m": 16}, "cochain": scalar_cochain_to_json(w)}
