@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import ga_and_angle, r_from_chart, random_sl, rotation, sup
+from slnfib.cli import main
 from slnfib.errors import InputError, SingularInput
 from slnfib.groups import (
     GA,
@@ -150,7 +152,31 @@ class TestIwasawaSLn:
             iwasawa_sln(np.diag([2.0, 1.0, 1.0]))
 
 
+def decompose_split(capsys, tmp_path, g):
+    """The chart and the (g1, g2) split that `decompose` reports for g."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(g.tolist()))
+    assert main(["decompose", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    return rep["chart"], rep["split"]["g1"], rep["split"]["g2"]
+
+
 class TestFactorSplit:
+    # the split is the AN-left chart cut before its last two coordinates,
+    # the R^2 factor
+    def test_n2_all_in_g2(self, capsys, tmp_path, rng):
+        chart, g1, g2 = decompose_split(capsys, tmp_path, random_sl(2, rng))
+        assert g1 == [] and g2 == chart and len(g2) == 2
+
+    def test_n3(self, capsys, tmp_path, rng):
+        chart, g1, g2 = decompose_split(capsys, tmp_path, random_sl(3, rng))
+        assert len(g1) == 3 and g2 == chart[3:5]
+
+    def test_n4_sizes(self, capsys, tmp_path, rng):
+        chart, g1, g2 = decompose_split(capsys, tmp_path, random_sl(4, rng))
+        assert (len(g1), len(g2)) == (7, 2)
+        assert len(chart) == chart_length(4) == 9 and g1 + g2 == chart
+
     def test_abelian_coordinates_vary_independently(self, rng):
         # perturbing only the R^2 factor, the last two chart coordinates,
         # moves only those
