@@ -14,10 +14,10 @@ array, and no per-edge or per-vertex Python list is kept.  A scalar
 and closedness are array expressions over the complex's int incidence
 arrays.  H_1 of the torus has the basis of the d axis loops through vertex
 0, and the period on axis loop k is read off m edge indices by arithmetic;
-the coordinate cochains dx_k are the dual basis.  A Lie cochain is one
-read-only float64 array in that order: (E, n, n) for a matrix group, whose
-triangle holonomies come from one stacked exponential, or (E, k) for R^k,
-one column per component, whose coboundary is one (T, k) array.  The
+the coordinate cochains dx_k are the dual basis.  A Lie cochain is a plain
+float64 array in that order: (E, n, n) for a matrix group, whose triangle
+holonomies come from one stacked exponential, or (E, k) for R^k, one column
+per component, whose coboundary is one (T, k) array.  The
 complex maps oriented edges (u, v), one pair or arrays of them, to edge
 indices and signs, +1 if the edge is stored as (u, v) and -1 if it is
 stored as (v, u).
@@ -232,18 +232,19 @@ def coordinate_cochain(complex: SimplicialComplex, axis: int) -> ScalarCochain1:
     return ScalarCochain1(complex, np.tile(steps / complex.covering.m, complex.n_vertices))
 
 
-def coboundary(w) -> np.ndarray:
-    """Per-triangle values (dw)(u,v,w) = (w(u,v) + w(v,w)) - w(u,w) of a
-    scalar cochain, or of each column of an R^k Lie cochain: (T,) or (T, k)."""
-    along = w.values[w.complex.triangle_edges]
+def coboundary(complex: SimplicialComplex, values: np.ndarray) -> np.ndarray:
+    """Per-triangle values (dw)(u,v,w) = (w(u,v) + w(v,w)) - w(u,w) of the
+    (E,) values of a scalar cochain, or of each column of an (E, k) R^k
+    cochain: (T,) or (T, k)."""
+    along = values[complex.triangle_edges]
     with np.errstate(over="ignore", invalid="ignore"):
         return (along[:, 0] + along[:, 1]) - along[:, 2]
 
 
-def max_coboundary(w) -> float:
+def max_coboundary(complex: SimplicialComplex, values: np.ndarray) -> float:
     """Closedness measure: the largest |dw| over triangles and columns (0.0
     without any), NaN if any |dw| is NaN."""
-    return float(np.max(np.abs(coboundary(w)), initial=0.0))
+    return float(np.max(np.abs(coboundary(complex, values)), initial=0.0))
 
 
 def period(w: ScalarCochain1, axis: int) -> float:
@@ -259,56 +260,29 @@ def period(w: ScalarCochain1, axis: int) -> float:
     return total
 
 
-class LieCochain1:
-    """Lie algebra values, one per edge in complex.edges order, as one
-    read-only float64 array: (E, n, n) traceless matrices, which must be
-    finite, or (E, k) for R^k, one column per component, judged later by
-    closedness and periods like a scalar cochain.  n is the matrix size, or k."""
-
-    def __init__(self, complex: SimplicialComplex, values):
-        edges = len(complex.edges)
-        try:
-            arr = np.array(values, dtype=np.float64)
-        except ValueError as e:
-            raise InputError(f"Lie cochain needs {edges} n x n values: {e}") from e
-        matrices = arr.ndim == 3 and arr.shape[1] == arr.shape[2]
-        if arr.shape[:1] != (edges,) or not (matrices or arr.ndim == 2):
-            raise InputError(f"Lie cochain needs {edges} n x n values, got {arr.shape}")
-
-        def value(i):
-            return "Lie cochain value on edge {}-{}".format(*complex.edges[i])
-
-        if matrices:
-            require_finite(arr, value)
-        arr.flags.writeable = False
-        self.complex = complex
-        self.n = arr.shape[-1]
-        self.values = arr
-
-
-def holonomy_residual(w: LieCochain1) -> np.ndarray:
-    """Per triangle (u, v, x): exp(w(uv)) exp(w(vx)) exp(w(xu)) - I, as a
-    (T, n, n) array from one stacked exponential, taken once per distinct
-    (edge, sign) among the 3T edge values: on a closed surface each such
-    pair borders two triangles.
+def holonomy_residual(complex: SimplicialComplex, values: np.ndarray) -> np.ndarray:
+    """Per triangle (u, v, x) of complex: exp(w(uv)) exp(w(vx)) exp(w(xu)) - I
+    for the (E, n, n) edge values w, as a (T, n, n) array from one stacked
+    exponential, taken once per distinct (edge, sign) among the 3T edge
+    values: on a closed surface each such pair borders two triangles.
 
     Independent flatness oracle: exact discrete-connection flatness makes the
     triangle holonomy the identity regardless of any Maurer-Cartan
     discretization convention.  A non-finite residual, as from an
     exponential that overflows, raises InputError naming its first triangle.
     """
-    index = w.complex.triangle_edges
+    index = complex.triangle_edges
     # w(uv), w(vx) and w(xu) = -w(ux) of every triangle (slot edges are
     # stored as they run), gathered from the distinct signed exponentials
     pairs, at = np.unique(2 * index + [1, 1, 0], return_inverse=True)
-    signed = w.values[pairs // 2] * np.where(pairs % 2, 1.0, -1.0)[:, None, None]
+    signed = values[pairs // 2] * np.where(pairs % 2, 1.0, -1.0)[:, None, None]
     a, b, c = np.moveaxis(matrix_exp(signed)[at.reshape(index.shape)], 1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = a @ b @ c - np.eye(w.n)
+        residual = a @ b @ c - np.eye(values.shape[-1])
 
     def triangle(t):
         return "holonomy residual of triangle {} (vertices {}, {}, {})".format(
-            t, *w.complex.triangles[t]
+            t, *complex.triangles[t]
         )
 
     return require_finite(residual, triangle)

@@ -10,18 +10,18 @@ surjectivity, and equivariance D(deck_g . x) = h(g) . D(x).
 
 The target group is one of the types GA, SL(n) and R^k of slnfib.groups; it
 supplies the group law on stacks, the algebra dimension and the JSON form of
-elements.  Every spec carries one Lie cochain: one (E, n, n) array for a
-matrix group, one (E, k) array for R^k, a column per component, whose
-flatness is closedness.  Every matrix cochain built from a developing map
-comes from one routine, edge_logarithms, which takes log(D(zu)^-1 D(zv))
-over all edge lifts (zu, zv) as stacks; flatness, surjectivity,
-equivariance and the Iwasawa charts of the projection are stacked too.
+elements.  Every spec carries one Lie cochain, a plain edge array: (E, n, n)
+for a matrix group, (E, k) for R^k, a column per component, whose flatness
+is closedness.  Every matrix cochain built from a developing map comes from
+one routine, edge_logarithms, which takes log(D(zu)^-1 D(zv)) over all edge
+lifts (zu, zv) as stacks; flatness, surjectivity, equivariance and the
+Iwasawa charts of the projection are stacked too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .linalg import EQ_TOL, RESIDUAL_TOL, matrix_log, require_finite
 from .groups import (
     GA,
     SL,
-    GAElement,
     Group,
     Rk,
     iwasawa_sln_ank,
@@ -39,7 +38,6 @@ from .groups import (
 )
 from .complexes import (
     WINDOW_COPIES,
-    LieCochain1,
     SimplicialComplex,
     coboundary,
     coordinate_cochain,
@@ -56,11 +54,12 @@ from .complexes import (
 class LieFoliationSpec:
     """A complex, a flat cochain, a holonomy rep, and developing samples.
 
-    The cochain holds the group's algebra values on the edges: (E, n, n)
-    matrices for GA and SL(n), (E, k) for R^k.  holonomy holds the images of
-    the Z^d deck generators, which must commute; developing holds the
-    developing map at the rows of window, an (N, d) int array of grid points
-    that holds every base vertex in [0, m)^d.  Both are read-only stacks of
+    The cochain holds the group's algebra values on the edges of complex as
+    one read-only float64 array: (E, n, n) finite matrices for GA and SL(n),
+    (E, k) for R^k.  holonomy holds the images of the Z^d deck generators,
+    which must commute; developing holds the developing map at the rows of
+    window, an (N, d) int array of grid points that holds every base vertex
+    in [0, m)^d.  Both are read-only stacks of
     elements in the group's array form: for SL(n) every element has det 1
     within 100 EQ_TOL, and for GA every row (a, b) has a > 0.
     """
@@ -70,16 +69,23 @@ class LieFoliationSpec:
     holonomy: np.ndarray
     window: np.ndarray
     developing: np.ndarray
-    cochain: Optional[LieCochain1]
+    cochain: np.ndarray
 
     def __post_init__(self):
-        group = self.group
+        group, edges = self.group, self.complex.edges
         if isinstance(group, Rk):
             want, shape = f"{group.k} scalar cochains", (group.k,)
         else:
             want, shape = f"a cochain of {group.n}x{group.n} matrices", (group.n,) * 2
-        if self.cochain is None or self.cochain.values.shape[1:] != shape:
+        try:  # a ragged list raises ValueError, and None reads as a 0-d NaN
+            values = np.array(self.cochain, dtype=np.float64)
+        except (TypeError, ValueError):
+            values = np.empty(0)
+        if values.shape != (len(edges),) + shape:
             raise InputError(f"{group.tag} spec needs {want} and no other cochain")
+        if not isinstance(group, Rk):
+            value = "Lie cochain value on edge {}-{}".format
+            require_finite(values, lambda i: value(*edges[i]))
         d = self.complex.covering.d
         hol = np.array(self.holonomy, dtype=np.float64)
         keys = np.array(self.window)
@@ -88,9 +94,10 @@ class LieFoliationSpec:
             raise InputError(f"holonomy needs {d} images, got {len(hol)}")
         if keys.dtype.kind not in "iu" or keys.shape != (len(dev), d):
             raise InputError(f"window needs one row of {d} ints per developing sample")
-        for x in (hol, keys, dev):
+        for x in (values, hol, keys, dev):
             x.flags.writeable = False
-        self.holonomy, self.window, self.developing = hol, keys, dev
+        self.cochain, self.holonomy, self.window = values, hol, keys
+        self.developing = dev
 
         def sample(i):
             return 'developing sample "%s"' % ",".join(map(str, keys[i]))
@@ -152,9 +159,9 @@ class LieFoliationSpec:
         if isinstance(self.group, Rk):
             with np.errstate(over="ignore", invalid="ignore"):
                 steps = ends[:, 1] - ends[:, 0]
-                return float(np.max(np.abs(self.cochain.values - steps)))
+                return float(np.max(np.abs(self.cochain - steps)))
         logs = edge_logarithms(self.complex, self.group.matrix(ends))
-        return float(np.max(np.abs(logs.values - self.cochain.values)))
+        return float(np.max(np.abs(logs - self.cochain)))
 
 
 def _row_keys(points: np.ndarray) -> np.ndarray:
@@ -164,19 +171,19 @@ def _row_keys(points: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).ravel()
 
 
-def edge_logarithms(complex: SimplicialComplex, ends: np.ndarray) -> LieCochain1:
-    """log(D(zu)^-1 D(zv)) over the edge lifts (zu, zv) as one Lie cochain,
-    from the (E, 2, n, n) stack ends of D at both ends of every lift.  A
-    non-finite step raises InputError naming its first edge, the first edge
-    outside the log ball LogDomain; every D is invertible (det 1, or the
-    embedding of a GA element)."""
+def edge_logarithms(complex: SimplicialComplex, ends: np.ndarray) -> np.ndarray:
+    """log(D(zu)^-1 D(zv)) over the edge lifts (zu, zv) as one (E, n, n) Lie
+    cochain, from the (E, 2, n, n) stack ends of D at both ends of every
+    lift.  A non-finite step raises InputError naming its first edge, the
+    first edge outside the log ball LogDomain; every D is invertible (det 1,
+    or the embedding of a GA element)."""
     with np.errstate(over="ignore", invalid="ignore"):
         step = np.linalg.inv(ends[:, 0]) @ ends[:, 1]
 
     def edge(i):
         return "developing step on edge {}-{}".format(*complex.edges[i])
 
-    return LieCochain1(complex, matrix_log(require_finite(step, edge)))
+    return matrix_log(require_finite(step, edge))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +235,12 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     """
     if isinstance(spec.group, Rk):
         limit = EQ_TOL
-        per_tri = np.abs(coboundary(spec.cochain)).max(axis=1)
-        coords = spec.cochain.values
+        per_tri = np.abs(coboundary(spec.complex, spec.cochain)).max(axis=1)
+        coords = spec.cochain
     else:
         limit = HOLONOMY_TOL
-        per_tri = _holonomy_residuals(spec.cochain)
-        coords = spec.group.coords(spec.cochain.values)
+        per_tri = _holonomy_residuals(spec.complex, spec.cochain)
+        coords = spec.group.coords(spec.cochain)
     failing_triangles = np.flatnonzero(~(per_tri <= limit)).tolist()
 
     s = np.linalg.svd(coords[spec.complex.incidence], compute_uv=False)
@@ -249,9 +256,9 @@ def check_mc(spec: LieFoliationSpec) -> MCReport:
     )
 
 
-def _holonomy_residuals(w: LieCochain1) -> np.ndarray:
+def _holonomy_residuals(complex: SimplicialComplex, values: np.ndarray) -> np.ndarray:
     """The largest |entry| of the holonomy residual of every triangle."""
-    return np.abs(holonomy_residual(w)).max(axis=(1, 2))
+    return np.abs(holonomy_residual(complex, values)).max(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +324,7 @@ def linear_torus_spec(m: int, rows: Sequence[Sequence[float]]) -> LieFoliationSp
         holonomy=a.T,
         window=window,
         developing=samples / m,
-        cochain=LieCochain1(complex, values),
+        cochain=values,
     )
 
 
@@ -346,29 +353,32 @@ def unipotent_torus_spec(n: int, m: int, coeffs: Sequence[float]) -> LieFoliatio
         holonomy=develop(m * np.eye(3, dtype=int)),
         window=window,
         developing=develop(window),
-        cochain=LieCochain1(complex, develop(lifts[:, 1]) - develop(lifts[:, 0])),
+        cochain=develop(lifts[:, 1]) - develop(lifts[:, 0]),
     )
 
 
-def ga_suspension(m: int, hol: GAElement) -> LieFoliationSpec:
-    """GA foliation on a circle, suspended from one holonomy element.
+def ga_suspension(m: int, hol: Sequence[float]) -> LieFoliationSpec:
+    """GA foliation on a circle, suspended from one holonomy element, a row
+    (a, b) such as a groups.GAElement; a not > 0 raises InputError.
 
     The developing map follows the one-parameter subgroup through hol, so the
     deck shift by m multiplies by hol on the left.
     """
+    ha, hb = map(float, hol)
+    require_ga(np.array([ha, hb]), "holonomy image {}".format)
     complex = torus_complex(1, m)
     window = complex.covering.window()
     t = window[:, 0] / m
-    if abs(hol.a - 1.0) < 1e-14:  # the unipotent subgroup t -> (1, t b)
-        a, b = np.ones_like(t), t * hol.b
+    if abs(ha - 1.0) < 1e-14:  # the unipotent subgroup t -> (1, t b)
+        a, b = np.ones_like(t), t * hb
     else:  # Python's a ** t: numpy's power differs from it in the last bit
-        a = np.array([hol.a ** x for x in t.tolist()])
-        b = hol.b * (a - 1.0) / (hol.a - 1.0)
+        a = np.array([ha ** x for x in t.tolist()])
+        b = hb * (a - 1.0) / (ha - 1.0)
     samples = np.stack([a, b], axis=-1)
     return LieFoliationSpec(
         complex=complex,
         group=GA(),
-        holonomy=[(hol.a, hol.b)],
+        holonomy=[(ha, hb)],
         window=window,
         developing=samples,
         cochain=edge_logarithms(complex, GA().matrix(_at_lifts(complex, samples))),
@@ -416,7 +426,7 @@ def product_foliation(base: LieFoliationSpec) -> LieFoliationSpec:
     )
     # constructor contract: never emit a spec that fails the holonomy oracle,
     # the flatness verdict of check_mc
-    if not np.all(_holonomy_residuals(cochain) <= HOLONOMY_TOL):
+    if not np.all(_holonomy_residuals(complex, spec.cochain) <= HOLONOMY_TOL):
         raise CheckFailed("product foliation failed the flatness check")
     return spec
 
@@ -479,9 +489,9 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
         holonomy=hol[:, -2:],
         window=spec.window,
         developing=window[:, -2:],
-        cochain=LieCochain1(spec.complex, steps),
+        cochain=steps,
     )
-    worst = max_coboundary(out.cochain)
+    worst = max_coboundary(out.complex, out.cochain)
     if not worst <= RESIDUAL_TOL:
         raise CheckFailed(
             f"projected cochain is not closed: max coboundary {worst:.3e}"

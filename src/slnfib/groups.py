@@ -1,6 +1,7 @@
 """Group-level decompositions of SL(n, R).
 
-* GAElement, the checked (a, b) of one affine map x -> ax + b (a > 0).
+* GAElement, the plain (a, b) row of one affine map x -> ax + b; whatever
+  takes it as a GA element checks a > 0 by require_ga.
 * SL(n, R) = SO(n) x R^{n(n+1)/2 - 1} via positive-diagonal QR, with the
   mirrored AN-left variant used when left holonomy must act on the vector
   chart; both take (..., n, n) stacks.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple, Union
+from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,16 +25,11 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class GAElement:
-    """Affine map x -> a*x + b with a > 0."""
+class GAElement(NamedTuple):
+    """The (a, b) row of the affine map x -> a*x + b, unchecked."""
 
     a: float
     b: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise InputError(f"GA element needs a > 0, got a={self.a}")
 
 
 def require_unimodular(g: np.ndarray, name=lambda i: "matrix", error=SingularInput):

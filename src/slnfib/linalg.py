@@ -197,7 +197,7 @@ def matrix_log(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape)
     for k in np.ndindex(a.shape[:-2]):
         if not gaps[k] < 1.0:
-            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.4f} >= 1")
+            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.6g} >= 1")
         x = scipy.linalg.logm(a[k])
         if not np.max(np.abs(np.imag(x))) <= RESIDUAL_TOL:
             raise LogDomain("matrix_log: non-real principal logarithm")
@@ -233,7 +233,7 @@ def _log2(a: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(far | ~((d > 0) & (u < 1.0)))
     if bad.size:
         if far[bad[0]]:
-            raise LogDomain(f"matrix_log: ||a - I|| = {gaps.flat[bad[0]]:.4f} >= 1")
+            raise LogDomain(f"matrix_log: ||a - I|| = {gaps.flat[bad[0]]:.6g} >= 1")
         raise LogDomain("matrix_log: non-real principal logarithm")
     f = np.empty_like(u)
     series = np.abs(u) < LOG2_SERIES_CUTOFF

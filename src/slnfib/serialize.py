@@ -13,8 +13,10 @@ first bad item, key before value.
 Developing samples, keyed by covering coordinates "x,y", are read in one
 pass into an (N, d) int key array and one element array (of two keys on one
 point the later wins); the spec refuses by key an SL(n) sample of det != 1.
-A spec has one Lie cochain: matrix groups give it as "cochain", and R^k as
-"scalar_cochains", k scalar cochains read and written as its k columns.
+A spec has one Lie cochain, read as a plain edge array: matrix groups give
+it as "cochain", (E, n, n), whose values must all have one size, an
+overwritten one too, and R^k as "scalar_cochains", k scalar cochains read
+and written as the k columns of an (E, k) array.
 
 Each loader turns a malformed or missing top-level field into one InputError
 that names the field; the checks that run on the parsed objects raise their
@@ -31,7 +33,7 @@ from .errors import InputError, SlnfibError
 from .linalg import (
     FMatrix, matrices_from_json, matrix_from_json, scalar_from_json, scalars_from_json
 )
-from .complexes import LieCochain1, ScalarCochain1, SimplicialComplex, torus_complex
+from .complexes import ScalarCochain1, SimplicialComplex, torus_complex
 from .foliation import LieFoliationSpec, _row_keys
 from .groups import Rk, parse_group
 
@@ -153,23 +155,21 @@ def scalar_cochain_to_json(w: ScalarCochain1) -> Dict:
     return dict(zip(keys, w.values[order].tolist()))
 
 
-def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> LieCochain1:
-    """Lie cochain with a matrix on every edge, all of one size; of two keys
-    on one edge the later wins."""
+def lie_cochain_from_json(complex: SimplicialComplex, obj: Dict) -> np.ndarray:
+    """The (E, n, n) edge array of a Lie cochain with a matrix on every edge;
+    every value given, an overwritten one too, must have one size, and of
+    two keys on one edge the later wins."""
     (u, v), stack = _cochain_items(obj, matrices_from_json, matrix_from_json)
     if isinstance(stack, list):  # no values, or values of different sizes
-        last = dict(zip(zip(u, v), stack))  # of two keys on one (u, v), the later
-        dims = {len(a) for a in last.values()}
-        if len(dims) != 1:
-            raise InputError(f"Lie cochain values must share one dimension, got {dims}")
-        (u, v), stack = zip(*last), np.array(list(last.values()))
+        dims = {len(a) for a in stack}
+        raise InputError(f"Lie cochain values must share one dimension, got {dims}")
     edges, n = len(complex.edges), stack.shape[1]
     # an edge no key names stays NaN, which no value read from JSON can be
     out = complex.indexed(u, v, stack, np.full((edges, n, n), np.nan))
     missing = int(np.isnan(out[:, 0, 0]).sum())
     if missing:
         raise InputError(f"Lie cochain missing values on {missing} of {edges} edges")
-    return LieCochain1(complex, out)
+    return out
 
 
 def load_scalar_cochain(obj) -> ScalarCochain1:
@@ -178,10 +178,10 @@ def load_scalar_cochain(obj) -> ScalarCochain1:
     return _field(obj, "cochain", lambda c: scalar_cochain_from_json(complex, c))
 
 
-def _rk_cochain_from_json(complex: SimplicialComplex, objs) -> LieCochain1:
-    """The R^k cochain of k scalar cochains, one column each."""
+def _rk_cochain_from_json(complex: SimplicialComplex, objs) -> np.ndarray:
+    """The (E, k) edge array of k scalar cochains, one column each."""
     columns = [scalar_cochain_from_json(complex, c).values for c in objs]
-    return LieCochain1(complex, np.reshape(columns, (-1, len(complex.edges))).T)
+    return np.reshape(columns, (-1, len(complex.edges))).T
 
 
 def load_foliation_spec(obj) -> LieFoliationSpec:
@@ -195,7 +195,7 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
         if "cochain" in obj
         else None
     )
-    n = cochain.n if cochain else None
+    n = None if cochain is None else cochain.shape[-1]
     group = _field(obj, "group", lambda g: parse_group(g, n))
     holonomy = _field(obj, "holonomy", group.stack_from_json)
     d = complex.covering.d
@@ -205,7 +205,7 @@ def load_foliation_spec(obj) -> LieFoliationSpec:
         columns = _field(
             obj, "scalar_cochains", lambda cs: _rk_cochain_from_json(complex, cs)
         )
-        cochain = None if cochain else columns
+        cochain = columns if cochain is None else None
     return LieFoliationSpec(
         complex=complex,
         group=group,
@@ -230,7 +230,7 @@ def dump_foliation_spec(spec: LieFoliationSpec) -> Dict:
         "developing": dict(zip(keys, spec.developing[order].tolist())),
     }
     order, keys = _sorted_keys(spec.complex.edges, "-")
-    values = spec.cochain.values[order]
+    values = spec.cochain[order]
     if isinstance(spec.group, Rk):
         out["scalar_cochains"] = [dict(zip(keys, x)) for x in values.T.tolist()]
     else:

@@ -116,7 +116,7 @@ def rationalize(w: ScalarCochain1, cfg: RationalizeConfig) -> RationalizedCochai
     finite float, raises InputError; a perturbation over epsilon in
     sup-norm (NaN included) raises BudgetInfeasible.
     """
-    bad = max_coboundary(w)
+    bad = max_coboundary(w.complex, w.values)
     if not bad <= EQ_TOL:
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
     out = w
@@ -640,7 +640,7 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
             report.add("failure", reason=str(e))
             return report
 
-    closed_res = max_coboundary(projected.cochain)
+    closed_res = max_coboundary(projected.complex, projected.cochain)
     report.add("closedness", max_coboundary=closed_res)
     if not closed_res <= RESIDUAL_TOL:
         report.add("failure", reason="projected components are not closed")
@@ -648,7 +648,7 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
 
     chosen = None
     tried = []
-    columns = projected.cochain.values.T
+    columns = projected.cochain.T
     for coeffs in _candidate_combinations(len(columns)):
         # the columns summed in coefficient order from the first term (a
         # sum from 0 turns -0.0 into +0.0); a non-finite component makes

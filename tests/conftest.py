@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slnfib.complexes import LieCochain1, torus_complex
+from slnfib.complexes import torus_complex
 from slnfib.foliation import ga_suspension, product_foliation
 from slnfib.groups import GAElement, iwasawa_sln_ank
 
@@ -67,12 +67,12 @@ def triangles_of_edge(complex, edge: int) -> list:
     return np.flatnonzero((complex.triangle_edges == edge).any(axis=1)).tolist()
 
 
-def bumped(cochain: LieCochain1, edge: int, bump) -> LieCochain1:
-    """cochain with bump added to its value on the edge with index edge, in
-    that edge's stored orientation."""
-    values = cochain.values.copy()
+def bumped(cochain: np.ndarray, edge: int, bump) -> np.ndarray:
+    """A copy of the edge array cochain with bump added to its value on the
+    edge with index edge, in that edge's stored orientation."""
+    values = cochain.copy()
     values[edge] += bump
-    return LieCochain1(cochain.complex, values)
+    return values
 
 
 @pytest.fixture

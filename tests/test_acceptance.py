@@ -147,10 +147,10 @@ def test_criterion_05_ga_homomorphism(rng):
 
 
 def test_criterion_06_maurer_cartan(product_spec):
-    res = holonomy_residual(product_spec.cochain)
+    res = holonomy_residual(product_spec.complex, product_spec.cochain)
     ok = all(np.abs(r).max() < 1e-8 for r in res)
     w2 = bumped(product_spec.cochain, 11, [[0.0, 0.01], [0.0, 0.0]])
-    res2 = holonomy_residual(w2)
+    res2 = holonomy_residual(product_spec.complex, w2)
     for t in triangles_of_edge(product_spec.complex, 11):
         ok = ok and np.abs(res2[t]).max() > 1e-8
     report(6, "MC holonomy residual < 1e-8 on T^2 m=8, 0.01 bump flagged", ok)

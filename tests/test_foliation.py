@@ -10,7 +10,7 @@ import scipy.linalg
 from conftest import bumped, ga_and_angle, sup
 from slnfib import complexes, foliation, groups, linalg
 from slnfib.cli import main
-from slnfib.complexes import LieCochain1, ScalarCochain1, coboundary, period
+from slnfib.complexes import ScalarCochain1, coboundary, period
 from slnfib.errors import CheckFailed, InputError
 from slnfib.foliation import (
     LieFoliationSpec,
@@ -222,8 +222,8 @@ class TestProductFoliation:
     ):
         """The constructor refuses its spec exactly when check_mc reads the
         holonomy residual as not flat, and takes no surjectivity SVD."""
-        def residual(w):
-            out = np.zeros((len(w.complex.triangles), 2, 2))
+        def residual(complex, values):
+            out = np.zeros((len(complex.triangles), 2, 2))
             out[7, 0, 1] = scale * foliation.HOLONOMY_TOL
             return out
 
@@ -256,10 +256,10 @@ class TestProjectFoliation:
     def test_abelian_factor_closed_with_log_period(self, product_spec):
         ab = project_foliation(product_spec, 2)
         assert ab.group == Rk(2)
-        assert ab.cochain.values.shape == (len(ab.complex.edges), 2)
-        assert sup(coboundary(ab.cochain)) < 1e-12
+        assert ab.cochain.shape == (len(ab.complex.edges), 2)
+        assert sup(coboundary(ab.complex, ab.cochain)) < 1e-12
         # the log-scale coordinate picks up log(2)/2 around the base circle
-        w = ScalarCochain1(ab.complex, ab.cochain.values[:, 0])
+        w = ScalarCochain1(ab.complex, ab.cochain[:, 0])
         assert abs(period(w, 0) - math.log(2) / 2) < 1e-9
         assert abs(period(w, 1)) < 1e-12
 
@@ -279,7 +279,7 @@ class TestProjectFoliation:
         got = project_foliation(partial, which)
         ref = project_foliation(product_spec, which)
         assert len(got.developing) == m * m
-        assert sup(got.cochain.values - ref.cochain.values) < 1e-12
+        assert sup(got.cochain - ref.cochain) < 1e-12
 
     def test_invalid_factor_index(self, product_spec):
         with pytest.raises(InputError):
@@ -335,15 +335,15 @@ class TestKernelCounts:
     def test_abelian_flatness_takes_one_coboundary_per_cochain(self, monkeypatch):
         calls = []
 
-        def counted(w):
-            calls.append(w)
-            return coboundary(w)
+        def counted(complex, values):
+            calls.append(values)
+            return coboundary(complex, values)
 
         monkeypatch.setattr(foliation, "coboundary", counted)
         spec = linear_torus_spec(8, [[1.0, math.sqrt(2)], [0.3, 1.0]])
         rep = check_mc(spec)
         assert rep.flat
-        assert calls == [spec.cochain]
+        assert len(calls) == 1 and calls[0] is spec.cochain
 
 
     def test_every_expm_runs_once_inside_matrix_exp(self, monkeypatch, tmp_path, capsys):
@@ -385,7 +385,7 @@ def smallest_third_ratio(spec):
     for i, (u, v) in enumerate(complex.edges):
         rows[u].append(i)
         rows[v].append(i)
-    coords = spec.cochain.values.reshape(len(complex.edges), -1)
+    coords = spec.cochain.reshape(len(complex.edges), -1)
     ratios = []
     for at in rows:
         s = np.linalg.svd(coords[at], compute_uv=False)
@@ -423,6 +423,16 @@ class TestSpecInvariants:
             dataclasses.replace(spec, developing=developing)
         assert str(e.value) == f'developing sample "3" has a={a:.12g}, not in GA'
 
+    def test_cochain_is_judged_on_the_spec_complex(self, rng):
+        # 192 edge values fit T^2 at m = 8 and T^1 at m = 192 alike; a spec
+        # holds no second complex to judge them on
+        spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
+        values = rng.normal(size=(192, 2))
+        rep = check_mc(dataclasses.replace(spec, cochain=values))
+        assert not rep.flat
+        assert rep.max_flatness_residual == complexes.max_coboundary(spec.complex, values)
+        assert rep.max_flatness_residual > 1.0
+
     def test_requires_exactly_one_cochain_kind(self, product_spec):
         with pytest.raises(InputError):
             LieFoliationSpec(
@@ -436,9 +446,7 @@ class TestSpecInvariants:
         # an R^2 cochain of the right edges on an SL(2) spec
         values = np.zeros((len(product_spec.complex.edges), 2))
         with pytest.raises(InputError, match="^SL2 spec needs a cochain of 2x2"):
-            dataclasses.replace(
-                product_spec, cochain=LieCochain1(product_spec.complex, values)
-            )
+            dataclasses.replace(product_spec, cochain=values)
 
     def test_noncommuting_holonomy_rejected(self, product_spec):
         a = GA().matrix(np.array([2.0, 0.0]))
@@ -478,7 +486,7 @@ class TestNaNVerdicts:
         spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
         nan_at_0 = np.zeros((len(spec.complex.triangles), 2))
         nan_at_0[0, 1] = math.nan
-        monkeypatch.setattr(foliation, "coboundary", lambda w: nan_at_0)
+        monkeypatch.setattr(foliation, "coboundary", lambda complex, values: nan_at_0)
         rep = check_mc(spec)
         assert not rep.flat and rep.failing_triangles == [0]
         assert math.isnan(rep.max_flatness_residual)
@@ -487,6 +495,6 @@ class TestNaNVerdicts:
         # NaN on the second of the two projected components
         nan_at_0 = np.zeros((len(product_spec.complex.triangles), 2))
         nan_at_0[0, 1] = math.nan
-        monkeypatch.setattr(complexes, "coboundary", lambda w: nan_at_0)
+        monkeypatch.setattr(complexes, "coboundary", lambda complex, values: nan_at_0)
         with pytest.raises(CheckFailed, match="not closed: max coboundary nan"):
             project_foliation(product_spec, 2)

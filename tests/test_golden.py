@@ -6,7 +6,7 @@ is written here from its closed form, with no slnfib code: the linear form
 sum_i c_i dx_i takes the value sum_i c_i * e_i / m on the edge (z, z + e)
 of the standard triangulation of T^d (e a nonzero 0/1 vector), summed in
 axis order.  Each `decompose` input is a matrix of plain numbers written
-below.  The SL(2) product spec is built and dumped by the library
+below.  The SL(2) product specs are built and dumped by the library
 constructors at test time.  Each command then runs with --golden
 tests/golden, which exits 3 on any byte of difference from the stored
 report.
@@ -70,6 +70,9 @@ def linear_spec(m, rows):
 TISCHLER = [
     ("t2_m16", 2, 16, (1.0, SQRT2)),
     ("t2_m64", 2, 64, (1.0, SQRT2)),
+    ("t2_m128", 2, 128, (1.0, SQRT2)),
+    # m = 256 is the largest T^2 under MAX_VERTICES that the loader accepts
+    ("t2_m256", 2, 256, (1.0, SQRT2)),
     # fiber crossings land halfway between 9th-digit values (3 components)
     ("repro_m5", 2, 5, (0.9886863694964385, 1.6376747351482408)),
     ("t1_m4", 1, 4, (1.0,)),
@@ -150,12 +153,15 @@ def test_decompose_golden(capsys, tmp_path, stem, matrix):
 
 
 @pytest.fixture(scope="module")
-def sl2_product_m8(tmp_path_factory):
-    """The SL(2) product spec of GA holonomy (1.5, 0.3) at m = 8, as a file."""
-    spec = product_foliation(ga_suspension(8, GAElement(1.5, 0.3)))
-    path = tmp_path_factory.mktemp("specs") / "sl2_product_m8.json"
-    path.write_text(json.dumps(dump_foliation_spec(spec)))
-    return str(path)
+def sl2_products(tmp_path_factory):
+    """The SL(2) product specs of GA holonomy (1.5, 0.3) at m = 8 and at
+    m = 32 (96^2 developing samples, 3,072 edge logarithms), as files named
+    by their golden stems."""
+    out = tmp_path_factory.mktemp("specs")
+    for m, stem in ((8, "sl2_product_m8"), (32, "sl2_m32")):
+        spec = product_foliation(ga_suspension(m, GAElement(1.5, 0.3)))
+        (out / f"{stem}.json").write_text(json.dumps(dump_foliation_spec(spec)))
+    return [str(out / "sl2_product_m8.json"), str(out / "sl2_m32.json")]
 
 
 @pytest.mark.parametrize(
@@ -163,11 +169,12 @@ def sl2_product_m8(tmp_path_factory):
     [["check-foliation"], ["pipeline", "--epsilon", "0.01"]],
     ids=["check-foliation", "pipeline"],
 )
-def test_sl2_product_golden(capsys, sl2_product_m8, argv):
-    code = main(argv[:1] + [sl2_product_m8] + argv[1:] + ["--golden", str(GOLDEN)])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert json.loads(out)["ok"]
+def test_sl2_product_golden(capsys, sl2_products, argv):
+    for path in sl2_products:
+        code = main(argv[:1] + [path] + argv[1:] + ["--golden", str(GOLDEN)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ok"]
 
 
 def test_brackets_golden(capsys):
@@ -178,7 +185,7 @@ def test_brackets_golden(capsys):
 
 
 def test_ci_golden_holds_the_acceptance_numbers():
-    # the report that CI compares `tischler` on dx + sqrt(2) dy, m = 128 with
+    # the report of `tischler` on dx + sqrt(2) dy, m = 128 (TISCHLER above)
     rep = json.loads((GOLDEN / "tischler-t2_m128.json").read_text())
     assert rep["ok"] and rep["pullback_periods"] == [12, 17]
     assert rep["fiber_components"] == [1] * 10

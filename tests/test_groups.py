@@ -18,6 +18,7 @@ from slnfib.groups import (
 )
 from slnfib.foliation import ga_suspension, product_foliation
 from slnfib.linalg import qr_positive
+from slnfib.serialize import dump_foliation_spec
 
 
 def ga_rows(rng, size):
@@ -61,8 +62,18 @@ class TestGA:
         assert sup(lhs - rhs) < 1e-9
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(InputError):
-            GAElement(0.0, 1.0)
+        # GAElement is a plain row; the suspension refuses it by require_ga
+        # before it takes any power a ** t
+        for a in (0.0, -1.5, math.nan):
+            with pytest.raises(InputError) as e:
+                ga_suspension(8, GAElement(a, 1.0))
+            assert str(e.value) == f"holonomy image 0 has a={a:.12g}, not in GA"
+
+    def test_row_and_ga_element_dump_the_same_spec(self):
+        assert GAElement(1.5, 0.3) == (1.5, 0.3)
+        row = json.dumps(dump_foliation_spec(ga_suspension(8, (1.5, 0.3))))
+        named = json.dumps(dump_foliation_spec(ga_suspension(8, GAElement(1.5, 0.3))))
+        assert row == named
 
     def test_power_interpolates(self):
         # the suspension's developing map at z = 2 of m = 4 is g ** (1/2)

@@ -147,6 +147,14 @@ class TestExpLog:
         with pytest.raises(LogDomain):
             matrix_log(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_log_domain_gap_prints_six_significant_digits(self, n):
+        # a gap of 1e300 prints as 1e+300, not as its 301 digits
+        a = np.diag([1e300] + [1.0] * (n - 2) + [1e-300])
+        with pytest.raises(LogDomain) as e:
+            matrix_log(a)
+        assert str(e.value) == "matrix_log: ||a - I|| = 1e+300 >= 1"
+
 
 def assert_matches_logm(a):
     """The closed-form 2x2 log against scipy's inverse scaling and squaring,
@@ -234,7 +242,7 @@ def log2_loop(a):
     out = np.empty(a.shape)
     for k in np.ndindex(a.shape[:-2]):
         if not gaps[k] < 1.0:
-            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.4f} >= 1")
+            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.6g} >= 1")
         out[k] = log2_scalar(a[k].tolist())
     return out
 

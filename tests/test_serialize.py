@@ -133,8 +133,31 @@ def test_later_key_on_one_edge_wins(edge, pick, a, b):
     zero = [[0.0, 0.0], [0.0, 0.0]]
     rest = {f"{x}-{y}": zero for x, y in k.edges.tolist() if (x, y) != (u, v)}
     obj = {first: [[a, 1.0], [0.0, -a]], **rest, second: [[b, 2.0], [0.0, -b]]}
-    got = lie_cochain_from_json(k, obj).values[edge]
+    got = lie_cochain_from_json(k, obj)[edge]
     assert got.tolist() == (sign * np.array([[b, 2.0], [0.0, -b]])).tolist()
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_lie_cochain_values_share_one_size_overwritten_ones_too(size):
+    # edge 0 is (0, 3), keyed by "0-3", then "3-0", then "0-03": the last
+    # key wins only if every value given, the overwritten one too, is 2x2
+    k = torus_complex(2, 3)
+    assert k.edges[0].tolist() == [0, 3]
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    rest = {f"{x}-{y}": zero for x, y in k.edges[1:].tolist()}
+    obj = {
+        "0-3": np.eye(size).tolist(),
+        "3-0": [[2.0, 0.0], [0.0, -2.0]],
+        **rest,
+        "0-03": [[3.0, 0.0], [0.0, -3.0]],
+    }
+    if size == 2:
+        assert lie_cochain_from_json(k, obj)[0].tolist() == [[3.0, 0.0], [0.0, -3.0]]
+    else:
+        with pytest.raises(
+            InputError, match=r"^Lie cochain values must share one dimension, got \{2, 3\}$"
+        ):
+            lie_cochain_from_json(k, obj)
 
 
 def dump_by_sorted_keys(spec):
@@ -157,10 +180,10 @@ def dump_by_sorted_keys(spec):
     }
     if isinstance(spec.group, Rk):
         out["scalar_cochains"] = [
-            by_key(edges, x, "-") for x in spec.cochain.values.T.tolist()
+            by_key(edges, x, "-") for x in spec.cochain.T.tolist()
         ]
     else:
-        out["cochain"] = by_key(edges, spec.cochain.values.tolist(), "-")
+        out["cochain"] = by_key(edges, spec.cochain.tolist(), "-")
     return out
 
 
