@@ -174,16 +174,16 @@ def _row_keys(points: np.ndarray) -> np.ndarray:
 def edge_logarithms(complex: SimplicialComplex, ends: np.ndarray) -> np.ndarray:
     """log(D(zu)^-1 D(zv)) over the edge lifts (zu, zv) as one (E, n, n) Lie
     cochain, from the (E, 2, n, n) stack ends of D at both ends of every
-    lift.  A non-finite step raises InputError naming its first edge, the
-    first edge outside the log ball LogDomain; every D is invertible (det 1,
-    or the embedding of a GA element)."""
+    lift.  A non-finite step raises InputError naming its first edge, and
+    the first edge outside the log ball a LogDomain that names it too;
+    every D is invertible (det 1, or the embedding of a GA element)."""
     with np.errstate(over="ignore", invalid="ignore"):
         step = np.linalg.inv(ends[:, 0]) @ ends[:, 1]
 
     def edge(i):
         return "developing step on edge {}-{}".format(*complex.edges[i])
 
-    return matrix_log(require_finite(step, edge))
+    return matrix_log(require_finite(step, edge), edge)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import contextlib
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -179,7 +179,9 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
         return scipy.linalg.expm(a)
 
 
-def matrix_log(a: np.ndarray) -> np.ndarray:
+def matrix_log(
+    a: np.ndarray, name: Optional[Callable[[int], str]] = None
+) -> np.ndarray:
     """Principal logarithm of every matrix of a (..., n, n) float array,
     restricted to the ball ||a - I||_2 < 1.
 
@@ -187,20 +189,29 @@ def matrix_log(a: np.ndarray) -> np.ndarray:
     uses scipy's logm (inverse scaling and squaring, Al-Mohy & Higham 2012)
     on each matrix.  Both have the same domain.  The first matrix in stack
     order that fails a domain test raises LogDomain: the ball first, then a
-    non-real logarithm.
+    non-real logarithm.  The message starts "matrix_log:", or, given name,
+    "matrix_log of <name(i)>:" for the index i of that matrix along the
+    first axis of a stack.
     """
     n = a.shape[-1]
     gaps = np.asarray(np.linalg.norm(a - np.eye(n), 2, axis=(-2, -1)))
+
+    def refuse(k, far: bool) -> LogDomain:  # k: the index of the matrix
+        where = "matrix_log" if name is None else f"matrix_log of {name(k[0])}"
+        if far:
+            return LogDomain(f"{where}: ||a - I|| = {gaps[k]:.6g} >= 1")
+        return LogDomain(f"{where}: non-real principal logarithm")
+
     if n == 2:
-        return _log2(a, gaps)
+        return _log2(a, gaps, refuse)
     import scipy.linalg
     out = np.empty(a.shape)
     for k in np.ndindex(a.shape[:-2]):
         if not gaps[k] < 1.0:
-            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.6g} >= 1")
+            raise refuse(k, True)
         x = scipy.linalg.logm(a[k])
         if not np.max(np.abs(np.imag(x))) <= RESIDUAL_TOL:
-            raise LogDomain("matrix_log: non-real principal logarithm")
+            raise refuse(k, False)
         out[k] = np.real(x)
     return out
 
@@ -208,7 +219,7 @@ def matrix_log(a: np.ndarray) -> np.ndarray:
 LOG2_SERIES_CUTOFF = 1e-2  # |u| below which _log2 sums the series of F(u)
 
 
-def _log2(a: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+def _log2(a: np.ndarray, gaps: np.ndarray, refuse) -> np.ndarray:
     """Principal logarithm of every matrix of a real (..., 2, 2) stack a, whose
     distances ||a - I||_2 are gaps, from Cayley-Hamilton.
 
@@ -221,7 +232,8 @@ def _log2(a: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     Each matrix gets the bits of this formula in Python floats: numpy's
     + - * / and sqrt round correctly, as Python's do, and math.log,
     math.atanh and math.atan run over lists.  The first matrix in stack
-    order with a gap >= 1 (or NaN) or a non-real logarithm raises LogDomain.
+    order with a gap >= 1 (or NaN) or a non-real logarithm raises the
+    LogDomain refuse(index, outside the ball) of matrix_log.
     """
     p, q, r, t = np.reshape(a, (-1, 4)).T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
@@ -232,9 +244,7 @@ def _log2(a: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     # u < 1 iff s > 0 and d > 0, up to rounding
     bad = np.flatnonzero(far | ~((d > 0) & (u < 1.0)))
     if bad.size:
-        if far[bad[0]]:
-            raise LogDomain(f"matrix_log: ||a - I|| = {gaps.flat[bad[0]]:.6g} >= 1")
-        raise LogDomain("matrix_log: non-real principal logarithm")
+        raise refuse(np.unravel_index(bad[0], gaps.shape), far[bad[0]])
     f = np.empty_like(u)
     series = np.abs(u) < LOG2_SERIES_CUTOFF
     x, acc = u[series], 0.0

@@ -9,8 +9,8 @@ condition per top simplex, and count fiber components at generic levels.
 The census lifts the triangles once per run (census_frame), with each
 triangle's long edge slot, from its lowest lifted corner to its highest,
 held apart from its two short slots.  Each level then pairs its crossings
-along the long slots and numbers its nodes by one run of levels per edge,
-with no sort.
+along the long slots, numbers its nodes by one run of levels per edge,
+with no sort, and counts the components by round contraction.
 
 Cochains are float64 edge arrays and the circle map a float64 vertex array.
 Only the rationalized periods are exact Fraction convergents; each period is
@@ -353,26 +353,42 @@ def _runs(a, b, length):
     return np.repeat(a - back, length) + i, np.repeat(b - back, length) + i
 
 
-def _count_components(n: int, a, b) -> int:
-    """Components of the graph on nodes 0..n-1 with edges (a[j], b[j]).
+def _count_components(n: int, lo, hi) -> int:
+    """Components of the graph on nodes 0..n-1 with edges (lo[j], hi[j]),
+    where lo[j] < hi[j].
 
-    Each round hooks the larger root of every edge under the smaller one,
-    then jumps pointers until every node points at its root.
+    Round contraction: each round hooks the high end of every edge under
+    its low end, jumps pointers until every node points at its root, then
+    numbers the roots 0..n'-1 in order and keeps the edges that still join
+    two roots, low end first.  Every write lowers a parent, whichever write
+    wins on a repeated node, so a node is a root exactly when no edge hooks
+    it.  Each round after the first runs on the roots of the one before,
+    typically a few times fewer nodes, and the rounds end when no edge is
+    left; each surviving root is then one component.
     """
-    label = np.arange(n)
     while True:
-        la, lb = label[a], label[b]
-        apart = la != lb
-        if not np.count_nonzero(apart):
-            return int(np.count_nonzero(label == np.arange(n)))
-        # every write lowers a root, whichever write wins on a repeated one
-        la, lb = la[apart], lb[apart]
-        label[np.maximum(la, lb)] = np.minimum(la, lb)
+        parent = np.arange(n)
+        parent[hi] = lo
+        root = np.ones(n, dtype=bool)
+        root[hi] = False
+        # jump twice per test; once the second jump changes nothing, every
+        # node points at its root
         while True:
-            up = label[label]
-            if not np.count_nonzero(up != label):
+            parent = parent[parent]
+            up = parent[parent]
+            if not np.count_nonzero(up != parent):
                 break
-            label = up
+            parent = up
+        lo, hi = parent[lo], parent[hi]
+        apart = lo != hi
+        if not np.count_nonzero(apart):
+            return int(np.count_nonzero(root))
+        # parent, no longer needed, maps each root to its new number
+        root = np.flatnonzero(root)
+        n = root.size
+        parent[root] = np.arange(n)
+        lo, hi = parent[lo[apart]], parent[hi[apart]]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
 def _realign(frame: CensusFrame, c: float, odd, first, count, slot):
@@ -455,9 +471,11 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     anything is refused.  The pairs are then read off the long slots, one
     row per pair.  Every slot on an edge must carry the same run of levels,
     so the slots that carry crossings number the nodes by one cumulative
-    sum over the edges (_number_runs), and pointer jumping counts the
-    components.  Beside one row per pair, which MAX_CROSSINGS bounds, a
-    level holds arrays no larger than the frame's (3, T) and (E,) ones.
+    sum over the edges (_number_runs).  Each short slot's run of pairs is
+    ordered once, low node first, before it is expanded, and round
+    contraction (_count_components) counts the components.  Beside one row
+    per pair, which MAX_CROSSINGS bounds, a level holds arrays no larger
+    than the frame's (3, T) and (E,) ones.
     """
     c = float(value) % 1.0
     with np.errstate(invalid="ignore", over="ignore"):
@@ -512,11 +530,12 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     long_node = np.empty(crossed.size, dtype=np.int64)
     long_node[live[:n_long]] = node[:n_long] - first[:n_long]
     short = slice(n_long, None)
-    a, b = _runs(
-        long_node[live[short] % crossed.size] + first[short], node[short], count[short]
-    )
+    # a run's pairs (a + i, b + i) all have the order of (a, b), and a and
+    # b lie on two edges of one triangle, so they differ
+    a, b = long_node[live[short] % crossed.size] + first[short], node[short]
+    lo, hi = _runs(np.minimum(a, b), np.maximum(a, b), count[short])
     n += int(loose_count.sum())
-    return FiberCensus(c, _count_components(n, a, b), n)
+    return FiberCensus(c, _count_components(n, lo, hi), n)
 
 
 # ---------------------------------------------------------------------------

@@ -643,6 +643,33 @@ def test_overflowing_holonomy_names_its_first_triangle(capsys, tmp_path, command
     )
 
 
+def test_log_ball_refusal_names_its_first_edge(capsys, tmp_path):
+    # each edge step is I + cochain exactly, and edge 0, (0, 9), is the first
+    # whose cochain value has 2-norm 1: on the boundary of the log ball
+    spec = unipotent_torus_spec(3, 3, (1.0, 2.0, 3.0))
+    gaps = np.linalg.norm(spec.cochain, 2, axis=(-2, -1))
+    assert np.flatnonzero(gaps >= 1)[0] == 0
+    assert spec.complex.edges[0].tolist() == [0, 9]
+    path = write_json(tmp_path, "unipotent.json", dump_foliation_spec(spec))
+    assert main(["check-foliation", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: matrix_log of developing step on edge 0-9: ||a - I|| = 1 >= 1\n",
+    )
+
+
+def test_log_ball_refusal_of_a_huge_sample_names_its_first_edge(capsys, tmp_path):
+    # D(0, 0) = diag(1e300, 1e-300) makes each step from vertex 0 finite but
+    # far from I; edge 0, (0, 8), is the first of them
+    spec = dump_foliation_spec(product_foliation(ga_suspension(8, GAElement(1.5, 0.3))))
+    spec["developing"]["0,0"] = [[1e300, 0], [0, 1e-300]]
+    assert main(["check-foliation", write_json(tmp_path, "huge.json", spec)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: matrix_log of developing step on edge 0-8: ||a - I|| = 1e+300 >= 1\n",
+    )
+
+
 class TestPipeline:
     def test_product_spec_ok(self, capsys, tmp_path, product_spec):
         path = write_json(tmp_path, "prod.json", dump_foliation_spec(product_spec))

@@ -216,6 +216,17 @@ class TestProductFoliation:
         with pytest.raises(InputError):
             product_foliation(spec)
 
+    def test_coarse_subdivision_is_refused_by_its_step(self):
+        # a rotation step of 2 pi / 4 puts edge steps outside the log ball;
+        # the constructor names the subdivision, not the edge
+        with pytest.raises(InputError) as e:
+            product_foliation(ga_suspension(4, GAElement(1.5, 0.3)))
+        assert str(e.value) == (
+            "subdivision m=4 too coarse for edge logarithms "
+            "(rotation step 2*pi/4); use m >= 8"
+        )
+        assert str(e.value.__cause__).startswith("matrix_log of developing step on edge ")
+
     @pytest.mark.parametrize("scale, flat", [(0.5, True), (1.0, True), (2.0, False), (math.nan, False)])
     def test_contract_is_the_flatness_verdict_of_check_mc(
         self, monkeypatch, product_spec, scale, flat
@@ -323,9 +334,9 @@ class TestKernelCounts:
     def test_constructors_take_one_log_per_edge(self, monkeypatch):
         calls = []
 
-        def counted(a):
+        def counted(a, name=None):
             calls.append(a)
-            return matrix_log(a)
+            return matrix_log(a, name)
 
         monkeypatch.setattr(foliation, "matrix_log", counted)
         product_foliation(ga_suspension(8, GAElement(2.0, 0.5)))

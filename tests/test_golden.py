@@ -25,6 +25,7 @@ from slnfib.serialize import dump_foliation_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 SQRT2 = math.sqrt(2)
+SQRT3 = math.sqrt(3)
 
 
 def base_index(z, m):
@@ -66,31 +67,36 @@ def linear_spec(m, rows):
     }
 
 
-# (stem, d, m, coefficients) of each stored `tischler` report
+# (stem, d, m, coefficients, epsilon) of each stored `tischler` report
 TISCHLER = [
-    ("t2_m16", 2, 16, (1.0, SQRT2)),
-    ("t2_m64", 2, 64, (1.0, SQRT2)),
-    ("t2_m128", 2, 128, (1.0, SQRT2)),
+    ("t2_m16", 2, 16, (1.0, SQRT2), 0.01),
+    ("t2_m64", 2, 64, (1.0, SQRT2), 0.01),
+    ("t2_m128", 2, 128, (1.0, SQRT2), 0.01),
     # m = 256 is the largest T^2 under MAX_VERTICES that the loader accepts
-    ("t2_m256", 2, 256, (1.0, SQRT2)),
+    ("t2_m256", 2, 256, (1.0, SQRT2), 0.01),
     # fiber crossings land halfway between 9th-digit values (3 components)
-    ("repro_m5", 2, 5, (0.9886863694964385, 1.6376747351482408)),
-    ("t1_m4", 1, 4, (1.0,)),
-    ("t3_m4", 3, 4, (1.0, 0.5, SQRT2)),
+    ("repro_m5", 2, 5, (0.9886863694964385, 1.6376747351482408), 0.01),
+    ("t1_m4", 1, 4, (1.0,), 0.01),
+    ("t3_m4", 3, 4, (1.0, 0.5, SQRT2), 0.01),
     # crossing-bound: q = 88, 18,496 fiber nodes per level on 3,072 edges
-    ("t2_m32_dense", 2, 32, (1.37, 1.91)),
+    ("t2_m32_dense", 2, 32, (1.37, 1.91), 0.01),
+    # crossing-bound on T^3: q = 20, pullback periods [20, 28, 35], fiber
+    # nodes of degree up to 6
+    ("t3_m16_dense", 3, 16, (1.0, SQRT2, SQRT3), 0.05),
 ]
 
 
 @pytest.mark.parametrize(
-    "stem, d, m, coeffs", TISCHLER, ids=[case[0] for case in TISCHLER]
+    "stem, d, m, coeffs, epsilon", TISCHLER, ids=[case[0] for case in TISCHLER]
 )
-def test_tischler_golden(capsys, tmp_path, stem, d, m, coeffs):
+def test_tischler_golden(capsys, tmp_path, stem, d, m, coeffs, epsilon):
     path = tmp_path / f"{stem}.json"
     path.write_text(
         json.dumps({"torus": {"d": d, "m": m}, "cochain": linear_form(d, m, coeffs)})
     )
-    code = main(["tischler", str(path), "--epsilon", "0.01", "--golden", str(GOLDEN)])
+    code = main(
+        ["tischler", str(path), "--epsilon", str(epsilon), "--golden", str(GOLDEN)]
+    )
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert json.loads(out)["ok"]

@@ -155,6 +155,25 @@ class TestExpLog:
             matrix_log(a)
         assert str(e.value) == "matrix_log: ||a - I|| = 1e+300 >= 1"
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("far", [True, False], ids=["ball", "non-real"])
+    def test_log_domain_names_the_first_bad_row_of_a_stack(self, n, far, monkeypatch):
+        # rows 0 and 2 of a (3, 2, n, n) stack hold a bad matrix; the name
+        # gets the index of the first along the first axis.  A real matrix in
+        # the ball has a real logarithm, so the non-real case reads every
+        # distance to I as 0, as TestLog2Stack does
+        a = np.broadcast_to(np.eye(n), (3, 2, n, n)).copy()
+        a[0, 1, -1, -1] = a[2, 0, -1, -1] = 2.5 if far else -1.0
+        a[0, 1, 0, 0] = a[2, 0, 0, 0] = 1.0 if far else -1.0
+        message = "||a - I|| = 1.5 >= 1" if far else "non-real principal logarithm"
+        if not far:
+            monkeypatch.setattr(
+                np.linalg, "norm", lambda x, *args, **kwargs: np.zeros(np.shape(x)[:-2])
+            )
+        with pytest.raises(LogDomain) as e:
+            matrix_log(a, lambda i: f"row {i}")
+        assert str(e.value) == f"matrix_log of row 0: {message}"
+
 
 def assert_matches_logm(a):
     """The closed-form 2x2 log against scipy's inverse scaling and squaring,

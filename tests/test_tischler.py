@@ -757,6 +757,93 @@ def test_run_numbering_matches_unique(n_edges, runs, order, flaw):
     assert numbers[first_row].tolist() == list(range(n))
 
 
+def bfs_components(n, pairs):
+    """Components of the graph on nodes 0..n-1, by breadth-first search."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in pairs:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = collections.deque([start])
+        while queue:
+            for v in adjacent[queue.popleft()]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+    return count
+
+
+def count_components(n, pairs):
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return tischler._count_components(n, np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+@given(
+    isolated=st.integers(0, 5),
+    cycles=st.lists(st.integers(2, 300), max_size=4),
+    dense=st.tuples(st.integers(0, 80), st.integers(0, 240)),
+    repeats=st.integers(0, 20),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_component_count_matches_breadth_first_search(
+    isolated, cycles, dense, repeats, seed
+):
+    # a multigraph of isolated nodes, cycles (a T^2 level is a union of
+    # cycles) and a random part of degree at most 6 (as at a T^3 level),
+    # with repeated pairs, under a seeded node numbering and pair order
+    order = random.Random(seed)
+    pairs, n = [], isolated
+    for length in cycles:
+        pairs += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    size, tries = dense
+    degree = [0] * size
+    for _ in range(tries if size > 1 else 0):
+        u, v = order.sample(range(size), 2)
+        if degree[u] < 6 and degree[v] < 6:
+            degree[u] += 1
+            degree[v] += 1
+            pairs.append((n + u, n + v))
+    n += size
+    for _ in range(repeats if pairs else 0):
+        pairs.append(order.choice(pairs)[:: order.choice((1, -1))])
+    label = list(range(n))
+    order.shuffle(label)
+    pairs = [(label[u], label[v]) for u, v in pairs]
+    order.shuffle(pairs)
+    assert count_components(n, pairs) == bfs_components(n, pairs)
+
+
+@pytest.mark.parametrize(
+    "n, pairs, components",
+    [
+        (0, [], 0),
+        (4, [], 4),
+        (6, [(1, 4)], 5),
+        # each node hooks under the one before: a chain as deep as the path
+        (200, [(i, i + 1) for i in range(199)], 1),
+        # the same path with its hooks in the other order
+        (200, [(i + 1, i) for i in reversed(range(199))], 1),
+        # a star whose centre has the largest number: one write wins on the
+        # centre, so each round hooks one leaf
+        (41, [(i, 40) for i in range(40)], 1),
+        # two stars and an isolated node
+        (9, [(0, 7), (2, 7), (5, 7), (1, 8), (3, 8), (6, 8)], 3),
+    ],
+    ids=["empty", "no_pairs", "one_pair", "path", "path_reversed", "star", "stars"],
+)
+def test_component_count_examples(n, pairs, components):
+    assert bfs_components(n, pairs) == components
+    assert count_components(n, pairs) == components
+
+
 def test_fibration_calls_census_through_module_attribute(monkeypatch):
     # bench/tracer.py rebinds tischler.fiber_census to count crossings
     calls, frames = [], []
