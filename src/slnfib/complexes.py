@@ -60,22 +60,23 @@ class SimplicialComplex:
     """Oriented 1- and 2-skeleton of a torus, with the edges of each top
     simplex.
 
-    Built from the covering alone, as int arrays.  Vertex v has grid
+    Built from the covering alone, as int64 arrays.  Vertex v has grid
     coordinates vertex_coords[v] (a V x d array; v = covering.base_index of
     them); edge u * (2^d - 1) + j is (u, u + e_j) for the j-th nonzero e_j
     in {0,1}^d (_monotone_vectors order), with covering lift lifts[i] (an
-    E x 2 x d array, the one lift table) and base edge edges[i] (an E x 2
-    array, read off the lift by torus arithmetic).  A grid cell is
-    cut along increasing chains 0 < a < b (< c) of such vectors, so each
-    simplex is (z, z + a, z + b, ...) and each of its edges is stored in the
-    direction it is walked.
+    E x 2 x d array, the one lift table) and base edge edges[i] (E x 2).
+    A grid cell is cut along increasing chains 0 < a < b (< c) of such
+    vectors, so each simplex is (z, z + a, z + b, ...) and each of its
+    edges is stored in the direction it is walked.
 
-    The incidence is held once, as int arrays: triangles (T x 3) lists
-    vertices; triangle_edges (T x 3) gives the edge indices of the slots
-    (a, b), (b, c) and (a, c) of each triangle (a, b, c), each edge stored
-    the way its slot runs; top_edges gives the edge indices of each top
-    simplex (edge, triangle or tetrahedron); incidence (V x 2(2^d - 1))
-    gives the edges at each vertex in ascending order.
+    The incidence is held once: triangles (T x 3) lists vertices;
+    triangle_edges (T x 3) gives the edge indices of the slots (a, b),
+    (b, c) and (a, c) of each triangle (a, b, c), each edge stored the way
+    its slot runs; top_edges gives the edge indices of each top simplex
+    (edge, triangle or tetrahedron); incidence (V x 2(2^d - 1)) gives the
+    edges at each vertex in ascending order.  Row z * chains + chain of a
+    table holds chain `chain` of the cell at base vertex z, and each table
+    is one broadcast sum of per-axis id arithmetic for z + a, written once.
     """
 
     def __init__(self, covering: TorusCovering):
@@ -83,84 +84,95 @@ class SimplicialComplex:
         self.covering = covering
         vecs = _monotone_vectors(d)
         vec_index = {e: j for j, e in enumerate(vecs)}
-        n = m ** d
-        powers = m ** np.arange(d)
-        self.vertex_coords = np.arange(n)[:, None] // powers % m
+        width, n = len(vecs), m ** d
+        self.vertex_coords = np.arange(n)[:, None] // m ** np.arange(d) % m
         self.n_vertices = n
-        tails = np.repeat(self.vertex_coords, len(vecs), axis=0)
-        self.lifts = np.stack([tails, tails + np.tile(vecs, (n, 1))], axis=1)
-        heads = self.lifts[:, 1] % m @ powers
-        self.edges = np.stack([np.repeat(np.arange(n), len(vecs)), heads], axis=1)
-        # a stable sort of the edge ends by vertex keeps each row ascending
-        ends = np.argsort(self.edges.ravel(), kind="stable")
-        self.incidence = (ends // 2).reshape(n, 2 * len(vecs))
+        zero = (0,) * d
+        self.lifts = (
+            self.vertex_coords[:, None, None] + np.array([[zero, e] for e in vecs])
+        ).reshape(-1, 2, d)
 
-        grid = np.arange(n).reshape((m,) * d)  # grid[c_(d-1), ..., c_0] = v
-        # the vertex z + a, for every base vertex z and every a in {0,1}^d
-        shifted = {
-            a: np.roll(grid, [-x for x in reversed(a)], axis=tuple(range(d))).ravel()
-            for a in itertools.product((0, 1), repeat=d)
-        }
-        vertex = shifted.__getitem__
+        def per_cell(a, cols, scale=1, offset=0):  # row z * chains + chain
+            # (z + a) * scale + offset for the shift a of each column, summed
+            # axis by axis into one C-ordered grid[c_(d-1), ..., c_0, column]
+            a = np.array(a, dtype=np.int64).reshape(-1, d)
+            table = np.array(offset, dtype=np.int64)
+            for k in range(d):
+                ids = (np.arange(m)[:, None] + a[:, k]) % m * (m ** k * scale)
+                table = table + ids.reshape((m,) + (1,) * k + (-1,))
+            return table.reshape(-1, cols)
 
-        def edge(a, b):  # the index of the edge (z + a, z + b)
-            step = tuple(y - x for x, y in zip(a, b))
-            return vertex(a) * len(vecs) + vec_index[step]
-
-        def per_cell(columns, width):  # row z * chains + chain, per base vertex z
-            if not columns:
-                return np.zeros((0, width), dtype=np.int64)
-            return np.stack(columns, axis=1).reshape(-1, width)
+        def edges_of(chains, pairs):  # the edge (z + ch[s], z + ch[t]) per pair
+            tails = [ch[s] for ch in chains for s, _ in pairs]
+            steps = [
+                vec_index[tuple(y - x for x, y in zip(ch[s], ch[t]))]
+                for ch in chains
+                for s, t in pairs
+            ]
+            return per_cell(tails, len(pairs), width, steps)
 
         def below(a, b):
             return a != b and all(x <= y for x, y in zip(a, b))
 
-        zero = (0,) * d
+        edge_chains = [(zero, e) for e in vecs]
+        self.edges = per_cell(edge_chains, 2)
+        # the edges at z: (z, z + e_j) and (z - e_j, z), in ascending order
+        back = [[-x for x in e] for e in vecs]
+        ends = per_cell([zero] * width + back, 2 * width, width, list(range(width)) * 2)
+        self.incidence = np.sort(ends, axis=1)
+
         tri_chains = [(zero, a, b) for a in vecs for b in vecs if below(a, b)]
         tet_chains = [ch + (c,) for ch in tri_chains for c in vecs if below(ch[2], c)]
-        top_chains = (None, [(zero, e) for e in vecs], tri_chains, tet_chains)[d]
-        self.triangles = per_cell([vertex(a) for ch in tri_chains for a in ch], 3)
-        slots = ((0, 1), (1, 2), (0, 2))
-        along = [edge(ch[s], ch[t]) for ch in tri_chains for s, t in slots]
-        self.triangle_edges = per_cell(along, 3)
+        top_chains = (None, edge_chains, tri_chains, tet_chains)[d]
+        self.triangles = per_cell(tri_chains, 3)
+        self.triangle_edges = edges_of(tri_chains, ((0, 1), (1, 2), (0, 2)))
         pairs = list(itertools.combinations(range(d + 1), 2))
-        self.top_edges = per_cell(
-            [edge(ch[s], ch[t]) for ch in top_chains for s, t in pairs], len(pairs)
-        )
+        self.top_edges = edges_of(top_chains, pairs)
 
     def orient(self, u, v):
         """(index, sign) of the edge from u to v, elementwise for arrays of
         vertices: (u, v) is edge u * (2^d - 1) + j if coords[v] - coords[u]
         = e_j mod m, and (v, u) is that edge with sign -1.  The first pair
-        that is no edge raises InputError."""
+        that is no edge raises InputError.  Coordinate k of a vertex is its
+        id // m^k % m, and e_j has bit d-1-k of j + 1 on axis k."""
         u, v = _vertex_array(u), _vertex_array(v)
         inside = (0 <= u) & (u < self.n_vertices) & (0 <= v) & (v < self.n_vertices)
         u_at, v_at = (np.where(inside, x, 0).astype(np.int64) for x in (u, v))
-        step = self.vertex_coords[v_at] - self.vertex_coords[u_at]
-        ahead = _step_index(step % self.covering.m)
-        back = _step_index(-step % self.covering.m)
-        bad = np.flatnonzero(~inside | ((ahead < 0) & (back < 0)))
+        d, m = self.covering.d, self.covering.m
+        ahead = back = 0  # j + 1 of coords[v] - coords[u] and of its negative
+        off = off_back = False  # an axis step of either off {0, 1}
+        at_u, at_v = u_at, v_at
+        for k in range(d):
+            step = (at_v - at_u) % m
+            ahead, back = 2 * ahead + step, 2 * back + (m - step) % m
+            off, off_back = off | (step > 1), off_back | (step != 0) & (step != m - 1)
+            at_u, at_v = at_u // m, at_v // m
+        forward = ~off & (ahead > 0)
+        bad = np.flatnonzero(~inside | ~forward & (off_back | (back == 0)))
         if bad.size:
             raise InputError(f"no edge ({u.flat[bad[0]]},{v.flat[bad[0]]})")
-        width = 2 ** self.covering.d - 1
-        index = np.where(ahead >= 0, u_at * width + ahead, v_at * width + back)
+        width = 2 ** d - 1
+        index = np.where(forward, u_at * width + ahead, v_at * width + back) - 1
         # [()] gives scalars for one pair and the arrays themselves otherwise
-        return index[()], np.where(ahead >= 0, 1, -1)[()]
+        return index[()], np.where(forward, 1, -1)[()]
 
     def indexed(self, u, v, values, base) -> np.ndarray:
         """A float64 copy of the edge-indexed array base, overwritten by
         values[k] on the oriented edge (u[k], v[k]) (negated when keyed
         against the stored orientation), all resolved by one orient call; of
-        two keys on one edge the later wins."""
+        two keys on one edge the later wins: the position of each edge's
+        last key is one np.maximum.at over the edges, with no sort."""
         out = np.array(base, dtype=np.float64)
         if len(values):
             index, sign = self.orient(u, v)
             # the last key on each edge, explicitly: a fancy assignment
             # does not promise which of two writes to one slot lands
-            last = len(index) - 1 - np.unique(index[::-1], return_index=True)[1]
+            last = np.full(len(out), -1)
+            np.maximum.at(last, index, np.arange(len(index)))
+            edge = np.flatnonzero(last >= 0)
+            last = last[edge]
             values = np.asarray(values, dtype=np.float64)[last]
-            sign = sign[last].reshape((-1,) + (1,) * (values.ndim - 1))
-            out[index[last]] = values * sign
+            out[edge] = values * sign[last].reshape((-1,) + (1,) * (values.ndim - 1))
         return out
 
 
@@ -173,14 +185,6 @@ def _vertex_array(x):
     does not fit int64 (a JSON key can name any integer vertex)."""
     a = np.asarray(x)
     return a if a.dtype.kind in "iu" else np.array(x, dtype=object)
-
-
-def _step_index(steps):
-    """Per row of the int array steps (... x d): the j with row = e_j, the
-    j-th of _monotone_vectors(d), or -1 if the row is no such vector."""
-    d = steps.shape[-1]
-    j = (steps << np.arange(d - 1, -1, -1)).sum(axis=-1) - 1
-    return np.where((steps <= 1).all(axis=-1), j, -1)
 
 
 def torus_complex(d: int, m: int) -> SimplicialComplex:

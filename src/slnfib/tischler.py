@@ -22,6 +22,7 @@ emit a deterministic report.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,8 +212,10 @@ class SubmersionReport:
 def check_submersion(w: ScalarCochain1) -> SubmersionReport:
     """No-singularity check: the cochain must be nonzero on some edge of
     every top-dimensional simplex (zero increments on single edges are fine,
-    a whole simplex in a fiber is not)."""
-    size = np.max(np.abs(w.values)[w.complex.top_edges], axis=1)
+    a whole simplex in a fiber is not).  A max over the columns of
+    top_edges: along rows of 2 to 6 it costs several times as much."""
+    size = np.abs(w.values)  # the max over columns keeps a NaN, which fails
+    size = functools.reduce(np.maximum, (size[at] for at in w.complex.top_edges.T))
     return SubmersionReport(np.flatnonzero(~(size > EQ_TOL)).tolist())
 
 
@@ -491,15 +494,17 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
         first, count = _crossings(
             c, np.take(frame.slot_low, crossed, 1), np.take(frame.slot_high, crossed, 1)
         )
-        loose_count = _crossings(c, frame.loose_low, frame.loose_high)[1]
-        total = count.sum() + loose_count.sum()
+        loose = 0.0  # T^2 and T^3 have no loose edges
+        if frame.loose.size:
+            loose = _crossings(c, frame.loose_low, frame.loose_high)[1].sum()
+        total = count.sum() + loose
         if not total <= MAX_CROSSINGS:
             # past 2**53 a sum rounds by its order: add in (triangle, slot)
             # order
             at = np.take(frame.slot, crossed, 1)
             by_slot = np.empty((crossed.size, 3))
             np.put_along_axis(by_slot, at.T, count.T, 1)
-            total = by_slot.sum() + loose_count.sum()
+            total = by_slot.sum() + loose
             raise InputError(
                 f"level {c} has {total:.0f} edge crossings, "
                 f"over the cap {MAX_CROSSINGS}"
@@ -534,7 +539,7 @@ def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
     # b lie on two edges of one triangle, so they differ
     a, b = long_node[live[short] % crossed.size] + first[short], node[short]
     lo, hi = _runs(np.minimum(a, b), np.maximum(a, b), count[short])
-    n += int(loose_count.sum())
+    n += int(loose)
     return FiberCensus(c, _count_components(n, lo, hi), n)
 
 
@@ -576,20 +581,25 @@ def _candidate_combinations(k: int):
 
 def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
     """Deterministic sample of levels avoiding all vertex images: a candidate
-    within 1e-6 of round(x % 1.0, 12) for an image x is refused."""
+    within 1e-6 of round(x % 1.0, 12) for an image x is refused.  The
+    candidates i = 0, ..., 10 count - 1 are tested in blocks, one (block, V)
+    gap array each, of at most 2^14 gaps: past that the array leaves the
+    cache and a gap costs more than in a test of one candidate."""
     image = f.values % 1.0
+    rows = max(1, min(count, 2 ** 14 // image.size))
     out = []
-    i = 0
-    while len(out) < count and i < 10 * count:
-        cand = ((i + 0.5) / count + 0.261799) % 1.0
-        i += 1
+    for start in range(0, 10 * count, rows):
+        if len(out) == count:
+            break
+        block = range(start, min(start + rows, 10 * count))
+        cand = np.array([((i + 0.5) / count + 0.261799) % 1.0 for i in block])
+        gap = _circle_gap(cand[:, None], image)
         # round moves an image by at most 5e-13: only gaps near 1e-6 need it
-        gap = _circle_gap(cand, image)
-        near = np.flatnonzero(np.abs(gap - 1e-6) < 1e-11)
-        exact = [round(x, 12) for x in image[near].tolist()]
-        gap[near] = _circle_gap(cand, np.array(exact))
-        if np.all(gap > 1e-6):
-            out.append(round(cand, 12))
+        row, col = np.divmod(np.flatnonzero(np.abs(gap - 1e-6) < 1e-11), image.size)
+        exact = [round(x, 12) for x in image[col].tolist()]
+        gap[row, col] = _circle_gap(cand[row], np.array(exact))
+        ok = np.all(gap > 1e-6, axis=1)
+        out += [round(c, 12) for c in cand[ok].tolist()][: count - len(out)]
     if len(out) < count:
         raise NonGenericValue("could not find enough generic levels")
     return out

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -124,6 +125,35 @@ class TestEdgeIndex:
         assert (w(v, u), w(u, v)) == (0.625, -0.625)
         assert base == [0.0] * len(t2_8.edges)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.booleans(), st.floats(-4, 4)),
+            min_size=3,
+            max_size=40,
+        ),
+        st.sampled_from([2, 3]),
+    )
+    def test_later_key_wins_over_many_keys_on_one_edge(self, keys, d):
+        # three or more keys on each of a few edges, in both orientations;
+        # the oracle applies the keys in order, one at a time
+        k = torus_complex(d, 3)
+        keys = keys + [(keys[0][0], not keys[0][1], 0.25)] * 2
+        edge = [0, 1, len(k.edges) // 2, len(k.edges) - 2, len(k.edges) - 1, 5]
+        ends = [k.edges[edge[e]].tolist() for e, _, _ in keys]
+        u, v = zip(*(e[::-1] if back else e for e, (_, back, _) in zip(ends, keys)))
+        scalar = np.arange(len(k.edges), dtype=float)
+        matrix = np.arange(4 * len(k.edges), dtype=float).reshape(-1, 2, 2)
+        for base, values in [
+            (scalar, [x for _, _, x in keys]),
+            (matrix, [[[x, 1.0], [-x, 2.0]] for _, _, x in keys]),
+        ]:
+            expect = base.copy()
+            for (e, back, _), value in zip(keys, values):
+                expect[edge[e]] = -np.array(value) if back else value
+            got = k.indexed(u, v, values, base)
+            assert got.tolist() == expect.tolist()
+
     def test_cochain_needs_one_value_per_edge(self, t2_8):
         with pytest.raises(InputError):
             ScalarCochain1(t2_8, [Fraction(0)] * (len(t2_8.edges) - 1))
@@ -157,6 +187,76 @@ class TestArithmeticOrientation:
         assert (index.tolist(), sign.tolist()) == ([1, 1], [1, -1])
         with pytest.raises(InputError, match=rf"^no edge \({huge},1\)$"):
             t2_8.orient([0, huge, 5], [1, 1, 5])
+
+
+def loop_tables(d, m):
+    """The torus tables by a plain loop over the grid cells and monotone
+    chains, as the SimplicialComplex docstring states the construction:
+    vertex v = sum c_k m^k, edge u * (2^d - 1) + j = (u, u + e_j) for the
+    j-th nonzero e_j of {0,1}^d in product order, one row per cell z and
+    chain 0 < a < b (< c), chains in the order of their vectors."""
+    vecs = [e for e in itertools.product((0, 1), repeat=d) if any(e)]
+
+    def vertex(c):
+        return sum((x % m) * m ** k for k, x in enumerate(c))
+
+    def shift(c, a):
+        return [x + y for x, y in zip(c, a)]
+
+    def edge(c, a, b):  # the edge (c + a, c + b), stored as it runs
+        step = tuple(y - x for x, y in zip(a, b))
+        return vertex(shift(c, a)) * len(vecs) + vecs.index(step)
+
+    def below(a, b):
+        return a != b and all(x <= y for x, y in zip(a, b))
+
+    zero = (0,) * d
+    tri = [(zero, a, b) for a in vecs for b in vecs if below(a, b)]
+    tet = [ch + (c,) for ch in tri for c in vecs if below(ch[2], c)]
+    top = (None, [(zero, e) for e in vecs], tri, tet)[d]
+    pairs = list(itertools.combinations(range(d + 1), 2))
+    shapes = {
+        "vertex_coords": (d,),
+        "lifts": (2, d),
+        "edges": (2,),
+        "triangles": (3,),
+        "triangle_edges": (3,),
+        "top_edges": (len(pairs),),
+        "incidence": (2 * len(vecs),),
+    }
+    out = {name: [] for name in shapes}
+    for z in range(m ** d):
+        c = [z // m ** k % m for k in range(d)]
+        out["vertex_coords"].append(c)
+        for e in vecs:
+            out["lifts"].append([c, shift(c, e)])
+            out["edges"].append([z, vertex(shift(c, e))])
+        for ch in tri:
+            out["triangles"].append([vertex(shift(c, a)) for a in ch])
+            slots = ((0, 1), (1, 2), (0, 2))
+            out["triangle_edges"].append([edge(c, ch[s], ch[t]) for s, t in slots])
+        for ch in top:
+            out["top_edges"].append([edge(c, ch[s], ch[t]) for s, t in pairs])
+    out["incidence"] = [[] for _ in range(m ** d)]
+    for i, (u, v) in enumerate(out["edges"]):
+        out["incidence"][u].append(i)
+        out["incidence"][v].append(i)
+    return {
+        k: np.array(v, dtype=np.int64).reshape((-1,) + shapes[k]) for k, v in out.items()
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_torus_tables_in_the_order_of_the_cell_loop(d, m):
+    # the row order matters: triangle order sets the census slot order and
+    # the triangle that a refusal names
+    k = torus_complex(d, m)
+    for name, expect in loop_tables(d, m).items():
+        got = getattr(k, name)
+        assert got.dtype == np.int64, name
+        assert got.shape == expect.shape, name
+        assert np.array_equal(got, expect), name
 
 
 class TestEdgeLifts:

@@ -169,6 +169,19 @@ class TestSubmersion:
         assert len(rep.failing_simplices) <= 2
 
 
+def reference_levels(cm, count=10):
+    """generic_levels one candidate at a time: the vertex-by-vertex rule on
+    round(x % 1.0, 12), or "refused"."""
+    taken = sorted({round(x % 1.0, 12) for x in cm.values.tolist()})
+    out, i = [], 0
+    while len(out) < count and i < 10 * count:
+        cand = ((i + 0.5) / count + 0.261799) % 1.0
+        i += 1
+        if all(abs((cand - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in taken):
+            out.append(round(cand, 12))
+    return out if len(out) == count else "refused"
+
+
 class TestFiberCensus:
     def circle_map_dx(self, m):
         k = torus_complex(2, m)
@@ -238,22 +251,39 @@ class TestFiberCensus:
             values.append((math.floor(x * 1e12) + 0.5) / 1e12 if tie else x)
         m = max(3, len(values))
         cm = CircleMap(torus_complex(1, m), np.resize(values, m), [1], 1)
-
-        def reference(count=10):
-            taken = sorted({round(x % 1.0, 12) for x in cm.values.tolist()})
-            out, i = [], 0
-            while len(out) < count and i < 10 * count:
-                cand = ((i + 0.5) / count + 0.261799) % 1.0
-                i += 1
-                if all(abs((cand - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in taken):
-                    out.append(round(cand, 12))
-            return out if len(out) == count else "refused"
-
         try:
             got = generic_levels(cm)
         except NonGenericValue:
             got = "refused"
-        assert got == reference()
+        assert got == reference_levels(cm)
+
+    @pytest.mark.parametrize("m", [100, 2000, 6000])
+    @pytest.mark.parametrize(
+        "count, blocked",
+        [
+            (10, [0, 3, 7]),
+            (10, [12, 19]),
+            (4, [1]),
+            (4, [0, 2, 3]),
+            (10, list(range(10))),
+            (4, [0, 1, 2, 3]),
+        ],
+    )
+    def test_generic_levels_past_the_first_candidates(self, m, count, blocked):
+        # images on some candidates, so the choice runs past the first count
+        # of them; m sets how many candidates one gap array holds.
+        # Candidate i + count is candidate i up to rounding, so with every
+        # one of the first count blocked no candidate survives.
+        cand = [((i + 0.5) / count + 0.261799) % 1.0 for i in blocked]
+        cm = CircleMap(torus_complex(1, m), np.resize(cand, m), [1], 1)
+        expect = reference_levels(cm, count)
+        if len({i % count for i in blocked}) == count:
+            assert expect == "refused"
+            with pytest.raises(NonGenericValue, match="could not find enough"):
+                generic_levels(cm, count)
+        else:
+            assert len(expect) == count
+            assert generic_levels(cm, count) == expect
 
     def test_circle_fiber_is_one_point(self):
         # T^1 has no triangles: every edge is loose and crossings are points
