@@ -6,10 +6,13 @@ dual basis (Tischler's construction; continued-fraction convergents keep
 the perturbation within budget), integrate the scaled cochain along an axis
 walk of the torus grid into a circle map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
-The census lifts the triangles once per run (census_frame), with each
-triangle's long edge slot, from its lowest lifted corner to its highest,
-held apart from its two short slots.  Each level then pairs its crossings
-along the long slots, numbers its nodes by one run of levels per edge,
+The census holds the circle map once per run as one exact integer lift
+(census_frame): a height in [0, N] per vertex and an int64 rise per edge,
+closed on every triangle, so a map that does not lift is refused there,
+once.  Each triangle keeps its long edge slot, from its lowest lifted
+corner to its highest, apart from its two short slots.  Each level is a
+half-integer height, which no corner can hit; it numbers its nodes by one
+cumulative sum of the crossings per edge, pairs them along the long slots,
 with no sort, and counts the components by round contraction.
 
 Cochains are float64 edge arrays and the circle map a float64 vertex array.
@@ -157,42 +160,54 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
     along axis 0 last: f(c) sums q * w'(z, z + e_k) over k and t < c_k at
     z = (0, ..., 0, t, c_(k+1), ..., c_(d-1)), one cumulative sum per axis.
     q * w' has integer periods, so the sums descend to R/Z whatever the
-    tree.  A sum that is not finite raises InputError, naming the lowest
-    such vertex.  Edge increments must reproduce q * w' mod 1 within
-    RESIDUAL_TOL, and the pullback periods must be integers.
+    tree.  The pullback periods must be integers, and the map must pass
+    _wraps: a value that is not finite raises InputError, and edge
+    increments must reproduce q * w' mod 1 within RESIDUAL_TOL.
     """
     w, q = rz.cochain, rz.q
     complex = w.complex
     d, m = complex.covering.d, complex.covering.m
-    # steps[c_(d-1), ..., c_0, 2^a - 1] = w'(c, c + e_(d-1-a)), by the edge order
-    steps = w.values.reshape((m,) * d + (2 ** d - 1,))
-    grid = np.zeros((m,) * d)  # grid[c_(d-1), ..., c_0] = f(c): axis a is c_(d-1-a)
-    for a in range(d):
-        # the vertices with 0 on every axis after a, axis a last
-        slab = (slice(None),) * (a + 1) + (0,) * (d - 1 - a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = q * steps[slab + (2 ** a - 1,)][..., :-1]
-            grid[slab] = np.cumsum(np.concatenate([grid[slab][..., :1], step], -1), -1)
-    bad = np.flatnonzero(~np.isfinite(grid))
-    if bad.size:
-        raise InputError(f"circle map value at vertex {bad[0]} is not finite")
-    values = grid.ravel() % 1.0
-    values.flags.writeable = False
-
     periods = [q * r for r in rz.periods]
     for r, scaled in zip(rz.periods, periods):
         if scaled.denominator != 1:
             raise InputError(f"period {r} did not scale to an integer under q={q}")
-    # edge increments must reproduce q * w' mod 1
+    # steps[c_(d-1), ..., c_0, 2^a - 1] = w'(c, c + e_(d-1-a)), by the edge order
+    steps = w.values.reshape((m,) * d + (2 ** d - 1,))
+    grid = np.zeros((m,) * d)  # grid[c_(d-1), ..., c_0] = f(c): axis a is c_(d-1-a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(d):
+            # the vertices with 0 on every axis after a, axis a last
+            slab = (slice(None),) * (a + 1) + (0,) * (d - 1 - a)
+            step = q * steps[slab + (2 ** a - 1,)][..., :-1]
+            grid[slab] = np.cumsum(np.concatenate([grid[slab][..., :1], step], -1), -1)
+        values = grid.ravel() % 1.0  # inf becomes NaN
+    _wraps(complex, values, q, w.values)
+    values.flags.writeable = False
+    return CircleMap(complex, values, [int(p) for p in periods], q)
+
+
+def _wraps(complex: SimplicialComplex, values, q: int, w_values):
+    """The wrap rint(q * w(s, t) - (f(t) - f(s))) of each edge (s, t), as
+    floats, for the map f with the given vertex values mod 1.
+
+    A value that is not finite raises InputError, naming the lowest such
+    vertex.  q * w must reproduce the increments of f mod 1: a residual
+    |q * w(s, t) - (f(t) - f(s)) - wrap| over RESIDUAL_TOL * max(1, q), NaN
+    included, raises CheckFailed, naming the first such edge.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputError(f"circle map value at vertex {bad[0]} is not finite")
     tail, head = complex.edges.T
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = (values[head] - values[tail] - float(q) * w.values) % 1.0
-    diff = np.minimum(diff, 1.0 - diff)
-    bad = np.flatnonzero(~(diff <= RESIDUAL_TOL * max(1.0, q)))
+        rise = float(q) * w_values - (values[head] - values[tail])
+        wrap = np.rint(rise)
+        residual = np.abs(rise - wrap)
+    bad = np.flatnonzero(~(residual <= RESIDUAL_TOL * max(1.0, q)))
     if bad.size:
         u, v = complex.edges[bad[0]]
-        raise CheckFailed(f"edge increment mismatch {diff[bad[0]]:.3e} on ({u},{v})")
-    return CircleMap(complex, values, [int(p) for p in periods], q)
+        raise CheckFailed(f"edge increment mismatch {residual[bad[0]]:.3e} on ({u},{v})")
+    return wrap
 
 
 @dataclass
@@ -227,130 +242,123 @@ class FiberCensus:
 
 
 MAX_CROSSINGS = 1 << 22  # crossings that one census level accepts
-
-
-def _sweep(start, rise):
-    """The ends, low then high, of the lifted interval from start to
-    start + rise."""
-    end = start + rise
-    return np.minimum(start, end), np.maximum(start, end)
-
-
-def _crossings(c: float, low, high):
-    """Per open interval (low, high): the first integer k with c + k inside
-    it, and how many such k there are."""
-    first = low - c
-    np.floor(first, out=first)
-    first += 1
-    count = high - c
-    np.ceil(count, out=count)
-    count -= first
-    return first, np.maximum(count, 0, out=count)
+HEIGHT_BITS = 30
+HEIGHT_SCALE = 1 << HEIGHT_BITS  # N: integer heights per turn of the circle
+MAX_WRAPS = 1 << 31  # bound on |wrap| that keeps every lifted corner in int64
 
 
 @dataclass(frozen=True)
 class CensusFrame:
-    """The level-independent part of the fiber census of a circle map f.
+    """The level-independent part of the fiber census of a circle map f,
+    held as one exact integer lift.
 
-    Each triangle (u, v, x) lifts its corners affinely from f(u) along
-    (u, v) and (v, x) and sweeps (low, high).  Its edge slots join corners
-    (0, 1), (1, 2) and (0, 2), and the stored edge (s, t) of each slot
-    (slot_edge) runs the same way: its lift starts at the corner of s and
-    sweeps (slot_low, slot_high), and offset is the integer rint(lift of
-    s - f(s)).  The slot arrays are (3, T), one contiguous row per role:
-    row 0 holds the long slot, from the lowest lifted corner to the
-    highest, row 1 the short slot from the lowest corner to the middle one
-    and row 2 the short slot from the middle corner to the highest, and
-    slot gives the position (0, 1 or 2) of each in the triangle.  A sweep
-    can differ from its corners in the last bit, so the census of each
-    level checks the roles.  The loose edges lie on no triangle; each
-    lifts from f(s) along q * w(s, t) and sweeps (loose_low, loose_high).
+    Each vertex v has the height H(v) = floor(N * (f(v) mod 1)) with
+    N = HEIGHT_SCALE, and each edge (s, t) the rise H(t) - H(s) + N * k,
+    where k is its wrap (_wraps); heights and rise are the map in
+    integers.  Edge (s, t) lifts from H(s) to H(s) + rise, with ends
+    (low, high).  Each triangle (u, v, x) lifts its corners from H(u) along
+    (u, v) and (v, x); the wraps close, so its slot (u, x) ends where (v, x)
+    does.  The triangle arrays are (3, T), one contiguous row per role:
+    corner holds the lowest, middle and highest lifted corner, and
+    slot_edge the edge of the long slot, from the lowest corner to the
+    highest, then of the short slot from the lowest corner to the middle
+    one and of the short slot from the middle corner to the highest.  Each
+    slot is the lift of its edge moved up by N * offset.  weight counts the
+    slots on each edge, 1 for a loose edge, which lies on no triangle: a
+    level's crossings of one edge count weight times against MAX_CROSSINGS.
     """
 
-    f: CircleMap
-    on_edge: np.ndarray  # triangles on each edge, (E,)
-    slot: np.ndarray  # (3, T) int8 triangle slot positions
+    heights: np.ndarray  # (V,) int64
+    rise: np.ndarray  # (E,) int64
+    low: np.ndarray  # (E,) int64
+    high: np.ndarray  # (E,) int64
+    weight: np.ndarray  # (E,) int64
+    corner: np.ndarray  # (3, T) int64
     slot_edge: np.ndarray  # (3, T) edge indices
     offset: np.ndarray  # (3, T) int64
-    slot_low: np.ndarray  # (3, T)
-    slot_high: np.ndarray  # (3, T)
-    low: np.ndarray  # (T,)
-    high: np.ndarray  # (T,)
-    loose: np.ndarray  # edge indices
-    loose_low: np.ndarray
-    loose_high: np.ndarray
 
 
 def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
-    """Lift the triangles and loose edges of f's complex along q * w, once
-    for every level of a census.  A lift that is not finite is kept: the
-    census of each level refuses it by its crossing count."""
-    complex = f.complex
-    tri, slot_edge = complex.triangles, complex.triangle_edges
-    on_edge = np.bincount(slot_edge.ravel(), minlength=len(complex.edges))
-    loose = np.flatnonzero(on_edge == 0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        step = float(f.q) * w.values
-        lift = np.empty(tri.shape)
-        lift[:, 0] = f.values[tri[:, 0]]
-        lift[:, 1] = lift[:, 0] + step[slot_edge[:, 0]]
-        lift[:, 2] = lift[:, 1] + step[slot_edge[:, 1]]
-        start = lift[:, [0, 1, 0]]
-        offset = np.rint(start - f.values[tri[:, [0, 1, 0]]]).astype(np.int64)
-        # the slot without corner x is slot (x + 1) % 3: the long slot lacks
-        # the middle corner, the low short slot the highest, the high one
-        # the lowest
-        corner = np.argsort(lift, axis=1, kind="stable")
-        role = (corner[:, [1, 2, 0]] + 1) % 3
-        # (3, T): the flat index into a (T, 3) slot array of each role
-        at = (role + 3 * np.arange(len(tri))[:, None]).T
-        # over the corner columns: a reduction along rows of 3 costs ten
-        # times as much
-        low = np.minimum(np.minimum(lift[:, 0], lift[:, 1]), lift[:, 2])
-        high = np.maximum(np.maximum(lift[:, 0], lift[:, 1]), lift[:, 2])
-        return CensusFrame(
-            f,
-            on_edge,
-            np.ascontiguousarray(role.T, dtype=np.int8),
-            np.take(slot_edge, at),
-            np.take(offset, at),
-            *(np.take(a, at) for a in _sweep(start, lift[:, [1, 2, 2]] - start)),
-            *_sweep(low, high - low),
-            loose,
-            *_sweep(f.values[complex.edges[loose, 0]], step[loose]),
-        )
+    """Lift f's complex along q * w to integer heights, once for every
+    level of a census.
 
-
-def _number_runs(edge, first, count, on_edge):
-    """Number the nodes crossed by slots that each cross one run of levels.
-
-    Slot j crosses edge[j] at the levels first[j], ..., first[j] + count[j]
-    - 1, with count[j] >= 1.  Each edge takes the run of one of its slots;
-    the slots agree when every slot on an edge carries that run and each of
-    the on_edge[e] triangles on edge e has a slot there.  Then the nodes
-    are numbered in (edge, level) order, as np.unique numbers the distinct
-    (edge, level) rows, by one cumulative sum of the run lengths.  Returns
-    the number of nodes, the node of each slot's first crossing, and
-    whether the slots agree.
+    The map is checked here, once: a value of f that is not finite raises
+    InputError and a wrap residual over tolerance CheckFailed (_wraps), a
+    wrap of MAX_WRAPS or more InputError, naming the edge, and a triangle
+    whose wraps do not close CheckFailed, naming the triangle.
     """
-    run = np.zeros(on_edge.size, dtype=np.int64)
-    run[edge] = count
-    run_first = np.empty_like(run)  # read only where written
-    run_first[edge] = first
-    # a triangle has each edge once, so an edge with fewer slots than
-    # triangles lowers the sum of its slots' runs below on_edge * run
-    agree = (
-        np.array_equal(run[edge], count)
-        and np.array_equal(run_first[edge], first)
-        and int(on_edge @ run) == int(count.sum())
+    complex = f.complex
+    with np.errstate(invalid="ignore"):
+        values = f.values % 1.0  # inf becomes NaN
+    wrap = _wraps(complex, values, f.q, w.values)
+    bad = np.flatnonzero(np.abs(wrap) >= MAX_WRAPS)
+    if bad.size:
+        u, v = complex.edges[bad[0]]
+        raise InputError(
+            f"circle map wraps {wrap[bad[0]]:.0f} times on edge ({u},{v}), "
+            f"beyond the integer height range"
+        )
+    wrap = wrap.astype(np.int64)
+    heights = np.floor(values * HEIGHT_SCALE).astype(np.int64)
+    tail, head = complex.edges.T
+    start = heights[tail]
+    rise = heights[head] - start + HEIGHT_SCALE * wrap
+
+    tri, slot_edge = complex.triangles, complex.triangle_edges
+    uv, vx, ux = (wrap[e] for e in slot_edge.T)
+    bad = np.flatnonzero(uv + vx != ux)
+    if bad.size:
+        raise CheckFailed(
+            f"circle map lift does not close on triangle {tuple(tri[bad[0]].tolist())}"
+        )
+    lift = np.empty(tri.shape, dtype=np.int64)
+    lift[:, 0] = heights[tri[:, 0]]
+    lift[:, 1] = lift[:, 0] + rise[slot_edge[:, 0]]
+    lift[:, 2] = lift[:, 1] + rise[slot_edge[:, 1]]
+    # the slot without corner x is slot (x + 1) % 3: the long slot lacks
+    # the middle corner, the low short slot the highest, the high one the
+    # lowest
+    corner = np.argsort(lift, axis=1, kind="stable").T
+    role = (corner[[1, 2, 0]] + 1) % 3
+    # (3, T) flat indices into the (T, 3) arrays
+    row = 3 * np.arange(len(tri))
+    return CensusFrame(
+        heights,
+        rise,
+        np.minimum(start, start + rise),
+        np.maximum(start, start + rise),
+        np.maximum(np.bincount(slot_edge.ravel(), minlength=len(complex.edges)), 1),
+        np.take(lift, corner + row),
+        np.take(slot_edge, role + row),
+        # slot (v, x) starts at corner 1, N * wrap(u, v) above H(v)
+        np.where(role == 1, uv, 0),
     )
-    end = np.cumsum(run)
-    return int(end[-1]) if end.size else 0, end[edge] - count, agree
+
+
+def _number_crossings(low, high, top: int):
+    """Number the crossings of the levels top - 1/2 + j N with the open
+    intervals (low[e], high[e]) of integer heights, low <= high.
+
+    Interval e crosses the j with (low[e] - top) // N < j <= (high[e] -
+    top) // N, a shift by HEIGHT_BITS.  The nodes are numbered in (e, j)
+    order, as np.unique numbers the distinct (e, j) rows, by one cumulative
+    sum of the counts: crossing j of interval e is node base[e] + j.
+    Returns the counts and base.
+    """
+    below = low - top
+    below >>= HEIGHT_BITS
+    above = high - top
+    above >>= HEIGHT_BITS
+    count = above - below
+    base = np.cumsum(count)
+    base -= above
+    base -= 1
+    return count, base
 
 
 def _runs(a, b, length):
     """The rows (a[j] + i, b[j] + i) for i = 0, ..., length[j] - 1, run by
-    run; every length is at least 1."""
+    run; a length may be 0."""
     back = np.cumsum(length) - length
     i = np.arange(int(length.sum()))
     return np.repeat(a - back, length) + i, np.repeat(b - back, length) + i
@@ -394,152 +402,51 @@ def _count_components(n: int, lo, hi) -> int:
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def _realign(frame: CensusFrame, c: float, odd, first, count, slot):
-    """Judge the crossed triangles odd, which fail the alignment test, by
-    the exact rule: each lifted level crosses 0 or 2 of a triangle's edges
-    exactly when the slot with the most crossings is tiled by the other
-    two.  Make that slot the long one (row 0) of first, count and slot, in
-    place; raise CheckFailed for the first triangle that breaks the rule,
-    naming its first such level in (slot, k) order."""
-    perm = (np.argmax(count[:, odd], axis=0) + np.arange(3)[:, None]) % 3
-    f, n = (np.take_along_axis(a[:, odd], perm, 0) for a in (first, count))
-
-    def starts(x, at):  # short slot x is empty or starts at level at
-        return (n[x] == 0) | (f[x] == at)
-
-    tiles = (n[1] + n[2] == n[0]) & (
-        starts(1, f[0]) & starts(2, f[0] + n[1]) | starts(2, f[0]) & starts(1, f[0] + n[2])
-    )
-    bad = np.flatnonzero(~tiles)
-    if bad.size:
-        j = odd[bad[0]]
-        t = slot[0, j] % frame.low.size
-        order = frame.slot.ravel()[slot[:, j]]
-        k = np.concatenate(
-            [np.arange(first[r, j], first[r, j] + count[r, j]) for r in np.argsort(order)]
-        )
-        level, at, size = np.unique(k, return_index=True, return_counts=True)
-        g = np.flatnonzero(size != 2)
-        g = g[np.argmin(at[g])]
-        raise CheckFailed(
-            f"level {c + int(level[g])} crosses {int(size[g])} edges of "
-            f"triangle {tuple(frame.f.complex.triangles[t].tolist())}"
-        )
-    for a in (first, count, slot):
-        a[:, odd] = np.take_along_axis(a[:, odd], perm, 0)
-
-
-def _degree_refusal(frame: CensusFrame, c: float, slot, edge, first, count, offset):
-    """The CheckFailed for the first crossing, in (triangle, slot, k)
-    order, whose node (edge, level) is not met once by each triangle on its
-    edge; the frame slot slot[j] (a flat (3, T) index) crosses edge[j] at
-    the lifted levels first[j], ..., first[j] + count[j] - 1."""
-    complex = frame.f.complex
-    seg = np.repeat(np.arange(count.size), count)
-    k = first[seg] + np.arange(seg.size) - (np.cumsum(count) - count)[seg]
-    rows = np.stack([edge[seg], k - offset[seg]], axis=1)
-    _, node, degree = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
-    degree = degree[node.ravel()]
-    wrong = np.flatnonzero(degree != frame.on_edge[rows[:, 0]])
-    t, position = slot[seg] % frame.low.size, frame.slot.ravel()[slot[seg]]
-    j = wrong[np.lexsort((k[wrong], position[wrong], t[wrong]))[0]]
-    e, level = rows[j]
-    return CheckFailed(
-        f"fiber at level {c} (lift index {int(level)}) meets edge "
-        f"{tuple(complex.edges[e].tolist())} in {int(degree[j])} of its "
-        f"{int(frame.on_edge[e])} triangles"
-    )
-
-
 def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
-    """Extract the level set of f at a generic value and count components.
+    """Extract the level set of f at a value c and count components.
 
-    A node is a crossing of the level with an edge (s, t) of complex.edges,
-    keyed by the edge index and the integer level with c + level crossed by
-    the lift of (s, t) that starts at f(s).  Each edge slot of a triangle
-    is crossed at every c + k strictly inside its lifted interval (see
-    CensusFrame), at level k - offset.  The two crossings of each lifted
-    level of a triangle are joined; edges in no triangle contribute
-    isolated nodes.  Every node must be met once by each triangle on its
-    edge, else CheckFailed.  More than MAX_CROSSINGS crossings, or a lift
-    that is not finite, raise InputError.
+    The level is the half-integer height floor(c N) + 1/2, with N =
+    HEIGHT_SCALE, and its lifts by j N, so no height can hit it: a value on
+    a vertex image counts the level just above it.  A node is a crossing of
+    a level with an edge, keyed by the edge index and the j of the level
+    crossed by the edge's lift (see CensusFrame).  The two crossings of
+    each lifted level of a triangle are joined; loose edges contribute
+    isolated nodes.  More than MAX_CROSSINGS slot and loose-edge crossings
+    raise InputError before any crossing is expanded.
 
-    This is array code over the frame, with no sort.  Each level takes
-    the crossed triangles and their (3, T) slot rows.  The long slot of a
-    triangle is crossed at each of its lifted levels k, and each such k is
-    crossed once more on exactly one short slot, so the rule that each k
-    crosses 0 or 2 edges is a range test per triangle: the low short slot
-    starts at the long slot's first k and the high one right after it.  A
-    triangle that fails it is judged by the exact rule (_realign) before
-    anything is refused.  The pairs are then read off the long slots, one
-    row per pair.  Every slot on an edge must carry the same run of levels,
-    so the slots that carry crossings number the nodes by one cumulative
-    sum over the edges (_number_runs).  Each short slot's run of pairs is
-    ordered once, low node first, before it is expanded, and round
-    contraction (_count_components) counts the components.  Beside one row
-    per pair, which MAX_CROSSINGS bounds, a level holds arrays no larger
-    than the frame's (3, T) and (E,) ones.
+    This is array code over the frame, with no sort.  One cumulative sum of
+    the crossings per edge numbers the nodes (_number_crossings); a slot
+    crosses the levels of its edge moved by its offset.  The long slot of a
+    triangle crosses each of its lifted levels, the low short slot the
+    first of them and the high short slot the rest, so the pairs are two
+    runs per crossed triangle, each ordered once, low node first, before it
+    is expanded (_runs).  Round contraction (_count_components) counts the
+    components.  Beside one row per pair, which MAX_CROSSINGS bounds, a
+    level holds arrays no larger than the frame's (3, T) and (E,) ones.
     """
     c = float(value) % 1.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        # x - floor(x) has the bits of x % 1.0, with no float remainder
-        gap = frame.f.values - c + 0.5
-        gap -= np.floor(gap)
-        hit = np.flatnonzero(np.abs(gap - 0.5) < 1e-9)
-        if hit.size:
-            raise NonGenericValue(f"level {c} hits the image of vertex {hit[0]}")
-        # skip the triangles whose lifted range meets no level; a NaN count
-        # stays, for the cap below to refuse
-        crossed = np.flatnonzero(_crossings(c, frame.low, frame.high)[1] != 0)
-        first, count = _crossings(
-            c, np.take(frame.slot_low, crossed, 1), np.take(frame.slot_high, crossed, 1)
+    top = math.floor(c * HEIGHT_SCALE) + 1  # the lowest height above level c
+    count, base = _number_crossings(frame.low, frame.high, top)
+    total = int(frame.weight @ count)
+    if total > MAX_CROSSINGS:
+        raise InputError(
+            f"level {c} has {total} edge crossings, over the cap {MAX_CROSSINGS}"
         )
-        loose = 0.0  # T^2 and T^3 have no loose edges
-        if frame.loose.size:
-            loose = _crossings(c, frame.loose_low, frame.loose_high)[1].sum()
-        total = count.sum() + loose
-        if not total <= MAX_CROSSINGS:
-            # past 2**53 a sum rounds by its order: add in (triangle, slot)
-            # order
-            at = np.take(frame.slot, crossed, 1)
-            by_slot = np.empty((crossed.size, 3))
-            np.put_along_axis(by_slot, at.T, count.T, 1)
-            total = by_slot.sum() + loose
-            raise InputError(
-                f"level {c} has {total:.0f} edge crossings, "
-                f"over the cap {MAX_CROSSINGS}"
-            )
-    first, count = first.astype(np.int64), count.astype(np.int64)
-    # the index of each slot in the frame's flattened (3, T) arrays
-    slot = np.arange(3)[:, None] * frame.low.size + crossed
-
-    # a lifted level meets each triangle it crosses on exactly two edges
-    odd = np.flatnonzero(
-        (count[1] + count[2] != count[0])
-        | (first[1] != first[0])
-        | (first[2] != first[0] + count[1])
+    below = frame.corner - top
+    below >>= HEIGHT_BITS
+    crossed = np.flatnonzero(below[0] != below[2])
+    below = np.take(below, crossed, 1)
+    node = base[np.take(frame.slot_edge, crossed, 1)] - np.take(frame.offset, crossed, 1)
+    # the long slot crosses j = below[0] + 1, ..., below[2]: with the low
+    # short slot up to below[1], with the high short slot after it; a run's
+    # pairs (a + i, b + i) all have the order of (a, b), and a and b lie on
+    # two edges of one triangle, so they differ
+    first = below[:2] + 1
+    a, b = node[0] + first, node[1:] + first
+    lo, hi = _runs(
+        np.minimum(a, b).ravel(), np.maximum(a, b).ravel(), np.diff(below, axis=0).ravel()
     )
-    if odd.size:
-        _realign(frame, c, odd, first, count, slot)
-
-    # the slots that carry crossings, long slots first
-    live = np.flatnonzero(count)
-    first, count, slot = first.ravel()[live], count.ravel()[live], slot.ravel()[live]
-    edge, offset = frame.slot_edge.ravel()[slot], frame.offset.ravel()[slot]
-    n, node, agree = _number_runs(edge, first - offset, count, frame.on_edge)
-    if not agree:
-        raise _degree_refusal(frame, c, slot, edge, first, count, offset)
-
-    # pair each short slot's crossings with the long slot's at the same k
-    n_long = np.searchsorted(live, crossed.size)
-    long_node = np.empty(crossed.size, dtype=np.int64)
-    long_node[live[:n_long]] = node[:n_long] - first[:n_long]
-    short = slice(n_long, None)
-    # a run's pairs (a + i, b + i) all have the order of (a, b), and a and
-    # b lie on two edges of one triangle, so they differ
-    a, b = long_node[live[short] % crossed.size] + first[short], node[short]
-    lo, hi = _runs(np.minimum(a, b), np.maximum(a, b), count[short])
-    n += int(loose)
+    n = int(count.sum())
     return FiberCensus(c, _count_components(n, lo, hi), n)
 
 
@@ -581,10 +488,12 @@ def _candidate_combinations(k: int):
 
 def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
     """Deterministic sample of levels avoiding all vertex images: a candidate
-    within 1e-6 of round(x % 1.0, 12) for an image x is refused.  The
-    candidates i = 0, ..., 10 count - 1 are tested in blocks, one (block, V)
-    gap array each, of at most 2^14 gaps: past that the array leaves the
-    cache and a gap costs more than in a test of one candidate."""
+    within 1e-6 of round(x % 1.0, 12) for an image x is refused.  Candidate
+    i = 0, ..., 10 count - 1 sits (i % count + 1/2 + (i // count) / 10) / count
+    past 0.261799 on the circle, so all of them differ, and the first count
+    are spaced evenly.  They are tested in blocks, one (block, V) gap array
+    each, of at most 2^14 gaps: past that the array leaves the cache and a
+    gap costs more than in a test of one candidate."""
     image = f.values % 1.0
     rows = max(1, min(count, 2 ** 14 // image.size))
     out = []
@@ -592,7 +501,9 @@ def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
         if len(out) == count:
             break
         block = range(start, min(start + rows, 10 * count))
-        cand = np.array([((i + 0.5) / count + 0.261799) % 1.0 for i in block])
+        cand = np.array(
+            [((i % count + 0.5 + i // count / 10) / count + 0.261799) % 1.0 for i in block]
+        )
         gap = _circle_gap(cand[:, None], image)
         # round moves an image by at most 5e-13: only gaps near 1e-6 need it
         row, col = np.divmod(np.flatnonzero(np.abs(gap - 1e-6) < 1e-11), image.size)
