@@ -9,7 +9,8 @@ Z^d acts on integer grid coordinates by shifts of m.
 Each edge is stored once, as a row of the (E, 2) int array complex.edges,
 together with its covering lift (z, z + e), e in {0,1}^d, a row of the
 (E, 2, d) int array complex.lifts; vertex coordinates are one (V, d) int
-array, and no per-edge or per-vertex Python list is kept.  A scalar
+array, and no per-edge or per-vertex Python list is kept.  The lift,
+vertex-coordinate and incidence tables are built on first read.  A scalar
 1-cochain is one read-only float64 array in edge order, and its coboundary
 and closedness are array expressions over the complex's int incidence
 arrays.  H_1 of the torus has the basis of the d axis loops through vertex
@@ -24,6 +25,7 @@ stored as (v, u).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -77,30 +79,18 @@ class SimplicialComplex:
     edges at each vertex in ascending order.  Row z * chains + chain of a
     table holds chain `chain` of the cell at base vertex z, and each table
     is one broadcast sum of per-axis id arithmetic for z + a, written once.
+    edges, triangles, triangle_edges and top_edges are built with the
+    complex; vertex_coords, lifts and incidence, which only the foliation
+    code reads, are built on first read, so a tischler run builds none.
     """
 
     def __init__(self, covering: TorusCovering):
-        d, m = covering.d, covering.m
+        d = covering.d
         self.covering = covering
+        self.n_vertices = covering.m ** d
         vecs = _monotone_vectors(d)
         vec_index = {e: j for j, e in enumerate(vecs)}
-        width, n = len(vecs), m ** d
-        self.vertex_coords = np.arange(n)[:, None] // m ** np.arange(d) % m
-        self.n_vertices = n
-        zero = (0,) * d
-        self.lifts = (
-            self.vertex_coords[:, None, None] + np.array([[zero, e] for e in vecs])
-        ).reshape(-1, 2, d)
-
-        def per_cell(a, cols, scale=1, offset=0):  # row z * chains + chain
-            # (z + a) * scale + offset for the shift a of each column, summed
-            # axis by axis into one C-ordered grid[c_(d-1), ..., c_0, column]
-            a = np.array(a, dtype=np.int64).reshape(-1, d)
-            table = np.array(offset, dtype=np.int64)
-            for k in range(d):
-                ids = (np.arange(m)[:, None] + a[:, k]) % m * (m ** k * scale)
-                table = table + ids.reshape((m,) + (1,) * k + (-1,))
-            return table.reshape(-1, cols)
+        width, zero = len(vecs), (0,) * d
 
         def edges_of(chains, pairs):  # the edge (z + ch[s], z + ch[t]) per pair
             tails = [ch[s] for ch in chains for s, _ in pairs]
@@ -109,25 +99,53 @@ class SimplicialComplex:
                 for ch in chains
                 for s, t in pairs
             ]
-            return per_cell(tails, len(pairs), width, steps)
+            return self._per_cell(tails, len(pairs), width, steps)
 
         def below(a, b):
             return a != b and all(x <= y for x, y in zip(a, b))
 
         edge_chains = [(zero, e) for e in vecs]
-        self.edges = per_cell(edge_chains, 2)
-        # the edges at z: (z, z + e_j) and (z - e_j, z), in ascending order
-        back = [[-x for x in e] for e in vecs]
-        ends = per_cell([zero] * width + back, 2 * width, width, list(range(width)) * 2)
-        self.incidence = np.sort(ends, axis=1)
-
+        self.edges = self._per_cell(edge_chains, 2)
         tri_chains = [(zero, a, b) for a in vecs for b in vecs if below(a, b)]
         tet_chains = [ch + (c,) for ch in tri_chains for c in vecs if below(ch[2], c)]
         top_chains = (None, edge_chains, tri_chains, tet_chains)[d]
-        self.triangles = per_cell(tri_chains, 3)
+        self.triangles = self._per_cell(tri_chains, 3)
         self.triangle_edges = edges_of(tri_chains, ((0, 1), (1, 2), (0, 2)))
         pairs = list(itertools.combinations(range(d + 1), 2))
         self.top_edges = edges_of(top_chains, pairs)
+
+    def _per_cell(self, a, cols, scale=1, offset=0):
+        """The table of row z * chains + chain: (z + a) * scale + offset for
+        the shift a of each column, summed axis by axis into one C-ordered
+        grid[c_(d-1), ..., c_0, column]."""
+        d, m = self.covering.d, self.covering.m
+        a = np.array(a, dtype=np.int64).reshape(-1, d)
+        table = np.array(offset, dtype=np.int64)
+        for k in range(d):
+            ids = (np.arange(m)[:, None] + a[:, k]) % m * (m ** k * scale)
+            table = table + ids.reshape((m,) + (1,) * k + (-1,))
+        return table.reshape(-1, cols)
+
+    @functools.cached_property
+    def vertex_coords(self) -> np.ndarray:
+        d, m = self.covering.d, self.covering.m
+        return np.arange(self.n_vertices)[:, None] // m ** np.arange(d) % m
+
+    @functools.cached_property
+    def lifts(self) -> np.ndarray:
+        d = self.covering.d
+        steps = np.array([[(0,) * d, e] for e in _monotone_vectors(d)])
+        return (self.vertex_coords[:, None, None] + steps).reshape(-1, 2, d)
+
+    @functools.cached_property
+    def incidence(self) -> np.ndarray:
+        # the edges at z: (z, z + e_j) and (z - e_j, z), in ascending order
+        vecs = _monotone_vectors(self.covering.d)
+        width, zero = len(vecs), (0,) * self.covering.d
+        back = [[-x for x in e] for e in vecs]
+        shifts, steps = [zero] * width + back, list(range(width)) * 2
+        ends = self._per_cell(shifts, 2 * width, width, steps)
+        return np.sort(ends, axis=1)
 
     def orient(self, u, v):
         """(index, sign) of the edge from u to v, elementwise for arrays of

@@ -24,7 +24,6 @@ own errors.
 """
 from __future__ import annotations
 
-import re
 from typing import Callable, Dict
 
 import numpy as np
@@ -75,17 +74,42 @@ def _edge_key_parse(key: str):
         raise InputError(f"bad edge key {key!r}, expected 'u-v'") from e
 
 
+def _plain(text: str, sep: str, width: int, count: int) -> bool:
+    """Whether text, count keys joined by ";", is plain: every key is width
+    integers of 1 to 18 ASCII digits joined by sep, each with an optional "-"
+    sign when sep is ",".  One check on the bytes: the separators (sep and
+    ";") come in the order sep, ..., ";" of count keys, so no key holds a
+    ";", and the bytes between two of them are digits after an optional
+    "-".  Text that is not ASCII (a lone surrogate would not even encode) is
+    not plain."""
+    if not text.isascii():
+        return False
+    b = np.frombuffer(text.encode(), np.uint8)
+    cuts = np.flatnonzero((b == ord(sep)) | (b == ord(";")))
+    order = np.full(width * count - 1, ord(sep), np.uint8)
+    order[width - 1 :: width] = ord(";")
+    if not np.array_equal(b[cuts], order):
+        return False
+    starts, ends = np.append(0, cuts + 1), np.append(cuts, len(b))
+    if not np.all(starts < ends):  # an empty integer
+        return False
+    # a "-" first in an integer is a sign; with sep "-" every "-" is a cut
+    digits = ends - starts - (b[starts] == ord("-"))
+    return (
+        1 <= digits.min()
+        and digits.max() <= 18
+        and np.count_nonzero((b >= ord("0")) & (b <= ord("9"))) == digits.sum()
+    )
+
+
 def _int_keys(keys, sep: str, width: int, read: Callable):
     """The width integers joined by sep of every key, as an (N, width) array:
-    one numpy parse into int64 if every integer is 1 to 18 ASCII digits (with
-    a "-" sign unless sep is "-") and no key holds a ";", else read(keys)."""
-    num = "[0-9]{1,18}" if sep == "-" else "-?[0-9]{1,18}"
-    key = num + (re.escape(sep) + num) * (width - 1)
+    one numpy parse into int64 if the keys are plain (_plain), else
+    read(keys)."""
     text = ";".join(keys)
-    if re.fullmatch(f"(?:{key};)*{key}", text):
+    if keys and _plain(text, sep, width, len(keys)):
         rows = np.fromstring(text.replace(sep, ";"), np.int64, sep=";")
-        if len(rows) == width * len(keys):  # else a key holds a ";"
-            return rows.reshape(-1, width)
+        return rows.reshape(-1, width)
     return np.array(read(keys), dtype=object).reshape(-1, width)
 
 

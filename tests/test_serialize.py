@@ -15,6 +15,7 @@ from slnfib.groups import GAElement, Rk
 from slnfib.serialize import (
     _developing_samples,
     _edge_keys,
+    _int_keys,
     dump_foliation_spec,
     lie_cochain_from_json,
     scalar_cochain_from_json,
@@ -76,6 +77,18 @@ def developing_outcome(samples, d):
 @example(["1,2", "-1,2", "01,2", "3,4"])  # the later of two keys on (1, 2) wins
 @example(["1,2,3", "x,1"])  # an int refusal before a key of the wrong width
 @example(["1,2;3,4", "5,6"])  # plain digits, but a ";" inside one key
+@example(["-1,2", "1,-2"])  # a sign first in an integer of a "," key
+@example(["1,2", "-,1"])  # a sign with no digits
+@example(["1,2", "1,-"])
+@example(["--1,2", "3,4"])  # two signs
+@example(["1-,2", "3,4"])  # a sign after the digits
+@example(["999999999999999999-0", "0-123456789012345678"])  # 18 digits
+@example(["0-1", "9999999999999999999-0"])  # 19 digits, past int64
+@example(["007-0010", "00-0"])  # leading zeros
+@example(["0-1", "\u0663-1"])  # a non-ASCII digit, which int reads
+@example(["0-1", "\ud800-1"])  # a lone surrogate, which JSON can spell
+@example(["0-1", "", "2-3"])  # an empty key among plain ones
+@example(["0-1", "2-3;"])  # a trailing ";"
 def test_edge_keys_read_as_split_and_int(keys):
     expect = [split_and_int(k) for k in keys]
     if None in expect:
@@ -90,6 +103,27 @@ def test_edge_keys_read_as_split_and_int(keys):
     samples = {k: [i] for i, k in enumerate(keys)}
     for d in (1, 2, 3):
         assert developing_outcome(samples, d) == split_and_int_samples(samples, d)
+
+
+def refuse(keys):
+    raise AssertionError(f"plain keys reached the per-key reader: {keys}")
+
+
+@pytest.mark.parametrize(
+    "keys, sep, width",
+    [
+        ([f"{u}-{v}" for u, v in torus_complex(2, 16).edges.tolist()], "-", 2),
+        ([f"{u}-{v}" for u, v in torus_complex(3, 4).edges.tolist()], "-", 2),
+        (["999999999999999999-0", "0-100000000000000000", "007-08"], "-", 2),
+        (["-1,2", "3,-4", "-0,0", "-999999999999999999,5"], ",", 2),
+        (["-1", "2"], ",", 1),
+        (["-5,6,-7", "0,0,0"], ",", 3),
+    ],
+)
+def test_plain_keys_never_reach_the_per_key_reader(keys, sep, width):
+    rows = _int_keys(keys, sep, width, refuse)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [list(map(int, k.split(sep))) for k in keys]
 
 
 @pytest.mark.parametrize("keys", [["0-1", "2-3"], ["+3-4", " 3-4", "3_0-4", "03-04"]])

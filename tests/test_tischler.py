@@ -21,7 +21,11 @@ from slnfib.complexes import (
 from slnfib.errors import BudgetInfeasible, CheckFailed, InputError, NonGenericValue
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
-from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
+from slnfib.serialize import (
+    dump_foliation_spec,
+    load_scalar_cochain,
+    scalar_cochain_to_json,
+)
 from slnfib import tischler
 from slnfib.tischler import (
     CircleMap,
@@ -1087,6 +1091,17 @@ class TestPipeline:
         assert rep["fiber_components"] == census["components"]
         assert rep["submersion"]["pass"]
         assert code == 3 and rep["ok"] is False
+
+
+def test_tischler_run_builds_no_foliation_tables():
+    # vertex_coords, lifts and incidence are built on first read, and only
+    # the foliation checks read them
+    k = torus_complex(2, 16)
+    w = coordinate_cochain(k, 0) + coordinate_cochain(k, 1).scale(math.sqrt(2))
+    obj = {"torus": {"d": 2, "m": 16}, "cochain": scalar_cochain_to_json(w)}
+    loaded = load_scalar_cochain(json.loads(json.dumps(obj)))
+    tischler_fibration(loaded, RationalizeConfig(0.01))
+    assert not {"vertex_coords", "lifts", "incidence"} & set(vars(loaded.complex))
 
 
 def test_rationalize_config_validation():
