@@ -6,18 +6,20 @@ dual basis (Tischler's construction; continued-fraction convergents keep
 the perturbation within budget), integrate the scaled cochain along an axis
 walk of the torus grid into a circle map, check the discrete no-singularity
 condition per top simplex, and count fiber components at generic levels.
-The census holds the circle map once per run as one exact integer lift
-(census_frame): a height in [0, N] per vertex and an int64 rise per edge,
-closed on every triangle, so a map that does not lift is refused there,
-once.  Each triangle keeps its long edge slot, from its lowest lifted
-corner to its highest, apart from its two short slots.  Each level is a
-half-integer height, which no corner can hit; it numbers its nodes by one
-cumulative sum of the crossings per edge, pairs them along the long slots,
-with no sort, and counts the components by round contraction.
+The circle map holds its exact integer lift, built and checked once where
+the map is made (CircleMap.lift): a height in [0, N) per vertex and an
+int64 wrap per edge, closed on every triangle, so a map that does not lift
+is refused there.  The census reads the lift.  Each triangle keeps its
+long edge slot, from its lowest lifted corner to its highest, apart from
+its two short slots.  Each level is a half-integer height, which no corner
+can hit; it numbers its nodes by one cumulative sum of the crossings per
+edge, pairs them along the long slots, with no sort, and counts the
+components by round contraction.
 
-Cochains are float64 edge arrays and the circle map a float64 vertex array.
-Only the rationalized periods are exact Fraction convergents; each period is
-summed edge by edge in loop order, so reports reproduce to the last bit.
+Cochains are float64 edge arrays, and the circle map a float64 vertex array
+in [0, 1) beside its int64 heights and wraps.  Only the rationalized periods
+are exact Fraction convergents; each period is summed edge by edge in loop
+order, so reports reproduce to the last bit.
 
 The end-to-end entry point runs the whole chain on an SL(n) (or abelian)
 foliation spec: project to the R^2 factor, pick a submersive component, and
@@ -143,30 +145,87 @@ def rationalize(w: ScalarCochain1, cfg: RationalizeConfig) -> RationalizedCochai
     return RationalizedCochain(out, periods, q, sup_change)
 
 
+HEIGHT_BITS = 30
+HEIGHT_SCALE = 1 << HEIGHT_BITS  # N: integer heights per turn of the circle
+MAX_WRAPS = 1 << 31  # bound on |wrap| that keeps every lifted corner in int64
+
+
 @dataclass
 class CircleMap:
-    """Vertex map into R/Z with integer periods on the axis loops."""
+    """Vertex map f into R/Z with integer periods on the axis loops, held
+    with its exact integer lift (build it with CircleMap.lift): each vertex
+    v has its image values[v] in [0, 1) and height H(v) = floor(N values[v])
+    in [0, N), N = HEIGHT_SCALE, and each edge (s, t) the wrap k = rint(q
+    w(s, t) - (f(t) - f(s))) for the cochain w that f integrates.  Edge
+    (s, t) rises by H(t) - H(s) + N k; the rises close on every triangle
+    and add up to N periods[a] around axis loop a."""
 
     complex: SimplicialComplex
-    values: np.ndarray  # the image of each vertex, read-only (V,) float64
+    values: np.ndarray  # (V,) float64 in [0, 1), read-only
+    heights: np.ndarray  # (V,) int64 in [0, N), read-only
+    wraps: np.ndarray  # (E,) int64, read-only
     periods: List[int]
     q: int
 
+    @classmethod
+    def lift(cls, w: ScalarCochain1, values, periods: List[int], q: int) -> "CircleMap":
+        """The map with the given vertex values mod 1 that integrates q * w,
+        checked once, in this order: a value that is not finite raises
+        InputError, naming the lowest such vertex; a residual |q w(s, t) -
+        (f(t) - f(s)) - k| over RESIDUAL_TOL * max(1, q), NaN included,
+        CheckFailed, naming the first such edge; a wrap of MAX_WRAPS or more
+        InputError, naming the edge; a triangle whose wraps do not close
+        CheckFailed, naming the triangle."""
+        complex = w.complex
+        with np.errstate(invalid="ignore"):
+            values = np.asarray(values, dtype=np.float64) % 1.0  # inf becomes NaN
+        # a tiny negative value reduces to 1.0, which is 0 on the circle
+        values[values == 1.0] = 0.0
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InputError(f"circle map value at vertex {bad[0]} is not finite")
+        tail, head = complex.edges.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            rise = float(q) * w.values - (values[head] - values[tail])
+            wraps = np.rint(rise)
+            residual = np.abs(rise - wraps)
+        bad = np.flatnonzero(~(residual <= RESIDUAL_TOL * max(1.0, q)))
+        if bad.size:
+            u, v = complex.edges[bad[0]]
+            raise CheckFailed(f"edge increment mismatch {residual[bad[0]]:.3e} on ({u},{v})")
+        bad = np.flatnonzero(np.abs(wraps) >= MAX_WRAPS)
+        if bad.size:
+            u, v = complex.edges[bad[0]]
+            raise InputError(
+                f"circle map wraps {wraps[bad[0]]:.0f} times on edge ({u},{v}), "
+                f"beyond the integer height range"
+            )
+        wraps = wraps.astype(np.int64)
+        uv, vx, ux = (wraps[e] for e in complex.triangle_edges.T)
+        bad = np.flatnonzero(uv + vx != ux)
+        if bad.size:
+            raise CheckFailed(
+                "circle map lift does not close on triangle "
+                f"{tuple(complex.triangles[bad[0]].tolist())}"
+            )
+        heights = np.floor(values * HEIGHT_SCALE).astype(np.int64)
+        for a in (values, heights, wraps):
+            a.flags.writeable = False
+        return cls(complex, values, heights, wraps, periods, q)
+
 
 def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
-    """Integrate q * w' along the axis-walk tree and reduce mod 1.
+    """Integrate q * w' along the axis-walk tree into a circle map.
 
     The tree runs from vertex 0 along axis d-1, then along axis d-2, and
     along axis 0 last: f(c) sums q * w'(z, z + e_k) over k and t < c_k at
     z = (0, ..., 0, t, c_(k+1), ..., c_(d-1)), one cumulative sum per axis.
     q * w' has integer periods, so the sums descend to R/Z whatever the
-    tree.  The pullback periods must be integers, and the map must pass
-    _wraps: a value that is not finite raises InputError, and edge
-    increments must reproduce q * w' mod 1 within RESIDUAL_TOL.
+    tree.  The pullback periods must be integers (InputError); CircleMap.lift
+    reduces the sums mod 1, lifts them along q * w' and checks the map.
     """
     w, q = rz.cochain, rz.q
-    complex = w.complex
-    d, m = complex.covering.d, complex.covering.m
+    d, m = w.complex.covering.d, w.complex.covering.m
     periods = [q * r for r in rz.periods]
     for r, scaled in zip(rz.periods, periods):
         if scaled.denominator != 1:
@@ -180,34 +239,7 @@ def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
             slab = (slice(None),) * (a + 1) + (0,) * (d - 1 - a)
             step = q * steps[slab + (2 ** a - 1,)][..., :-1]
             grid[slab] = np.cumsum(np.concatenate([grid[slab][..., :1], step], -1), -1)
-        values = grid.ravel() % 1.0  # inf becomes NaN
-    _wraps(complex, values, q, w.values)
-    values.flags.writeable = False
-    return CircleMap(complex, values, [int(p) for p in periods], q)
-
-
-def _wraps(complex: SimplicialComplex, values, q: int, w_values):
-    """The wrap rint(q * w(s, t) - (f(t) - f(s))) of each edge (s, t), as
-    floats, for the map f with the given vertex values mod 1.
-
-    A value that is not finite raises InputError, naming the lowest such
-    vertex.  q * w must reproduce the increments of f mod 1: a residual
-    |q * w(s, t) - (f(t) - f(s)) - wrap| over RESIDUAL_TOL * max(1, q), NaN
-    included, raises CheckFailed, naming the first such edge.
-    """
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise InputError(f"circle map value at vertex {bad[0]} is not finite")
-    tail, head = complex.edges.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        rise = float(q) * w_values - (values[head] - values[tail])
-        wrap = np.rint(rise)
-        residual = np.abs(rise - wrap)
-    bad = np.flatnonzero(~(residual <= RESIDUAL_TOL * max(1.0, q)))
-    if bad.size:
-        u, v = complex.edges[bad[0]]
-        raise CheckFailed(f"edge increment mismatch {residual[bad[0]]:.3e} on ({u},{v})")
-    return wrap
+    return CircleMap.lift(w, grid.ravel(), [int(p) for p in periods], q)
 
 
 @dataclass
@@ -242,34 +274,26 @@ class FiberCensus:
 
 
 MAX_CROSSINGS = 1 << 22  # crossings that one census level accepts
-HEIGHT_BITS = 30
-HEIGHT_SCALE = 1 << HEIGHT_BITS  # N: integer heights per turn of the circle
-MAX_WRAPS = 1 << 31  # bound on |wrap| that keeps every lifted corner in int64
 
 
 @dataclass(frozen=True)
 class CensusFrame:
     """The level-independent part of the fiber census of a circle map f,
-    held as one exact integer lift.
+    read from its integer lift (CircleMap).
 
-    Each vertex v has the height H(v) = floor(N * (f(v) mod 1)) with
-    N = HEIGHT_SCALE, and each edge (s, t) the rise H(t) - H(s) + N * k,
-    where k is its wrap (_wraps); heights and rise are the map in
-    integers.  Edge (s, t) lifts from H(s) to H(s) + rise, with ends
-    (low, high).  Each triangle (u, v, x) lifts its corners from H(u) along
-    (u, v) and (v, x); the wraps close, so its slot (u, x) ends where (v, x)
-    does.  The triangle arrays are (3, T), one contiguous row per role:
-    corner holds the lowest, middle and highest lifted corner, and
-    slot_edge the edge of the long slot, from the lowest corner to the
-    highest, then of the short slot from the lowest corner to the middle
-    one and of the short slot from the middle corner to the highest.  Each
-    slot is the lift of its edge moved up by N * offset.  weight counts the
-    slots on each edge, 1 for a loose edge, which lies on no triangle: a
-    level's crossings of one edge count weight times against MAX_CROSSINGS.
+    Edge (s, t) lifts from H(s) by its rise, with ends (low, high).
+    Each triangle (u, v, x) lifts its corners from H(u) along (u, v) and
+    (v, x); the wraps close, so its slot (u, x) ends where (v, x) does.
+    The triangle arrays are (3, T), one contiguous row per role: corner
+    holds the lowest, middle and highest lifted corner, and slot_edge the
+    edge of the long slot, from the lowest corner to the highest, then of
+    the short slot from the lowest corner to the middle one and of the
+    short slot from the middle corner to the highest.  Each slot is the
+    lift of its edge moved up by N * offset.  weight counts the slots on
+    each edge, 1 for a loose edge, which lies on no triangle: a level's
+    crossings of one edge count weight times against MAX_CROSSINGS.
     """
 
-    heights: np.ndarray  # (V,) int64
-    rise: np.ndarray  # (E,) int64
     low: np.ndarray  # (E,) int64
     high: np.ndarray  # (E,) int64
     weight: np.ndarray  # (E,) int64
@@ -278,39 +302,15 @@ class CensusFrame:
     offset: np.ndarray  # (3, T) int64
 
 
-def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
-    """Lift f's complex along q * w to integer heights, once for every
-    level of a census.
-
-    The map is checked here, once: a value of f that is not finite raises
-    InputError and a wrap residual over tolerance CheckFailed (_wraps), a
-    wrap of MAX_WRAPS or more InputError, naming the edge, and a triangle
-    whose wraps do not close CheckFailed, naming the triangle.
-    """
-    complex = f.complex
-    with np.errstate(invalid="ignore"):
-        values = f.values % 1.0  # inf becomes NaN
-    wrap = _wraps(complex, values, f.q, w.values)
-    bad = np.flatnonzero(np.abs(wrap) >= MAX_WRAPS)
-    if bad.size:
-        u, v = complex.edges[bad[0]]
-        raise InputError(
-            f"circle map wraps {wrap[bad[0]]:.0f} times on edge ({u},{v}), "
-            f"beyond the integer height range"
-        )
-    wrap = wrap.astype(np.int64)
-    heights = np.floor(values * HEIGHT_SCALE).astype(np.int64)
+def census_frame(f: CircleMap) -> CensusFrame:
+    """Read f's integer lift into slots, once for every level of a census;
+    CircleMap.lift has checked it."""
+    complex, heights = f.complex, f.heights
     tail, head = complex.edges.T
     start = heights[tail]
-    rise = heights[head] - start + HEIGHT_SCALE * wrap
+    rise = heights[head] - start + HEIGHT_SCALE * f.wraps
 
     tri, slot_edge = complex.triangles, complex.triangle_edges
-    uv, vx, ux = (wrap[e] for e in slot_edge.T)
-    bad = np.flatnonzero(uv + vx != ux)
-    if bad.size:
-        raise CheckFailed(
-            f"circle map lift does not close on triangle {tuple(tri[bad[0]].tolist())}"
-        )
     lift = np.empty(tri.shape, dtype=np.int64)
     lift[:, 0] = heights[tri[:, 0]]
     lift[:, 1] = lift[:, 0] + rise[slot_edge[:, 0]]
@@ -323,15 +323,13 @@ def census_frame(f: CircleMap, w: ScalarCochain1) -> CensusFrame:
     # (3, T) flat indices into the (T, 3) arrays
     row = 3 * np.arange(len(tri))
     return CensusFrame(
-        heights,
-        rise,
         np.minimum(start, start + rise),
         np.maximum(start, start + rise),
         np.maximum(np.bincount(slot_edge.ravel(), minlength=len(complex.edges)), 1),
         np.take(lift, corner + row),
         np.take(slot_edge, role + row),
         # slot (v, x) starts at corner 1, N * wrap(u, v) above H(v)
-        np.where(role == 1, uv, 0),
+        np.where(role == 1, f.wraps[slot_edge[:, 0]], 0),
     )
 
 
@@ -488,13 +486,13 @@ def _candidate_combinations(k: int):
 
 def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
     """Deterministic sample of levels avoiding all vertex images: a candidate
-    within 1e-6 of round(x % 1.0, 12) for an image x is refused.  Candidate
-    i = 0, ..., 10 count - 1 sits (i % count + 1/2 + (i // count) / 10) / count
+    within 1e-6 of round(x, 12) for an image x in [0, 1) is refused.
+    Candidate i = 0, ..., 10 count - 1 sits (i % count + 1/2 + (i // count) / 10) / count
     past 0.261799 on the circle, so all of them differ, and the first count
     are spaced evenly.  They are tested in blocks, one (block, V) gap array
     each, of at most 2^14 gaps: past that the array leaves the cache and a
     gap costs more than in a test of one candidate."""
-    image = f.values % 1.0
+    image = f.values
     rows = max(1, min(count, 2 ** 14 // image.size))
     out = []
     for start in range(0, 10 * count, rows):
@@ -537,7 +535,7 @@ def tischler_fibration(
     rz = rationalize(w, cfg)
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
-    frame = census_frame(cm, rz.cochain)
+    frame = census_frame(cm)
     censuses = [fiber_census(frame, lvl) for lvl in generic_levels(cm)]
     return cm, rz, sub, censuses
 
@@ -633,12 +631,12 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
     if not sub.passed():
         report.add("failure", reason="rationalized cochain fails submersion")
         return report
-    counts = [c.component_count for c in censuses]
+    # the submersion passed, so the verdict is the census agreement
+    report.ok = fibration_ok(sub, censuses)
     report.add(
         "fiber_census",
         levels=[c.value for c in censuses],
-        components=counts,
-        constant=len(set(counts)) == 1,
+        components=[c.component_count for c in censuses],
+        constant=report.ok,
     )
-    report.ok = fibration_ok(sub, censuses)
     return report

@@ -37,6 +37,7 @@ from slnfib.groups import GAElement
 from slnfib.linalg import MAX_DIM
 from slnfib.serialize import dump_foliation_spec, scalar_cochain_to_json
 from slnfib.tischler import RationalizeConfig, pipeline_sln
+from test_golden import linear_form
 
 
 def run(capsys, argv):
@@ -489,6 +490,28 @@ class TestTischler:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == "input error: circle map value at vertex 1 is not finite\n"
+
+    @pytest.mark.parametrize(
+        "a, code, err",
+        [
+            (
+                1e12,
+                2,
+                "input error: circle map wraps 3000000000000 times on edge (0,1), "
+                "beyond the integer height range\n",
+            ),
+            (1e300, 3, "check failed: edge increment mismatch 2.500e-01 on (1,5)\n"),
+        ],
+        ids=["past-the-heights", "past-the-increments"],
+    )
+    def test_wide_form_refused_by_the_circle_map(self, capsys, tmp_path, a, code, err):
+        # a dx + sqrt(2) dy on T^2 at m = 4: at 1e12 each x edge wraps 3e12
+        # times, past the int64 lift; at 1e300 the edge increments no longer
+        # fit the map; no numpy warning may reach the run
+        w = linear_form(2, 4, (a, math.sqrt(2)))
+        path = write_json(tmp_path, "wide.json", {"torus": {"d": 2, "m": 4}, "cochain": w})
+        assert main(["tischler", path, "--epsilon", "0.01"]) == code
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize(
         "coeffs, exact",

@@ -148,6 +148,41 @@ class TestIntegrate:
         assert all(0.0 <= x < 1.0 for x in cm.values)
         assert cm.values.shape == (t2_8.n_vertices,)
         assert cm.values.dtype == np.float64 and not cm.values.flags.writeable
+        assert cm.heights.shape == (t2_8.n_vertices,)
+        assert cm.wraps.shape == (len(t2_8.edges),)
+        for lift in (cm.heights, cm.wraps):
+            assert lift.dtype == np.int64 and not lift.flags.writeable
+
+    def test_tiny_negative_value_reduces_to_zero(self, capsys, tmp_path):
+        # T^1, m = 4: the axis walk sums 0.3 - 0.1 - 0.2 to -2.8e-17 at
+        # vertex 3, and (-2.8e-17) % 1.0 is 1.0; the map holds 0.0 there,
+        # and its census, levels and report are those of the map with 1.0
+        k = torus_complex(1, 4)
+        w = ScalarCochain1(k, [0.3, -0.1, -0.2, 0.0])
+        rz = rationalize(w, RationalizeConfig(0.01))
+        cm = integrate_to_circle(rz)
+        assert cm.values.tolist() == [0.0, 0.3, 0.19999999999999998, 0.0]
+        assert cm.heights.tolist() == [0, 322122547, 214748364, 0]
+        assert cm.wraps.tolist() == [0, 0, 0, 0]
+        levels = generic_levels(cm)
+        assert levels == [round(0.011799 + i / 10, 12) for i in (3, 4, 5, 6, 7, 8, 9, 0, 1, 2)]
+        frame = census_frame(cm)
+        censuses = [fiber_census(frame, lvl) for lvl in levels]
+        expect = [(0, 0)] * 7 + [(2, 2)] * 3
+        assert [(c.component_count, c.crossing_edges) for c in censuses] == expect
+        path = tmp_path / "t1.json"
+        cochain = scalar_cochain_to_json(w)
+        path.write_text(json.dumps({"torus": {"d": 1, "m": 4}, "cochain": cochain}))
+        assert main(["tischler", str(path), "--epsilon", "0.01"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "fiber_components": [0] * 7 + [2] * 3,
+            "ok": False,
+            "periods": ["0"],
+            "pullback_periods": [0],
+            "q": 1,
+            "submersion": {"failing_simplices": [3], "pass": False},
+            "sup_change": 6.938893903907228e-18,
+        }
 
 
 class TestSubmersion:
@@ -184,14 +219,15 @@ def consistent_map(k, rng, slope):
     """A random circle map on k, with q = 1, that lifts: random vertex
     values f and the closed integer wraps slope . (z_t - z_s) + g(t) - g(s)
     of a random integer vertex function g, so that w(s, t) = f(t) - f(s) +
-    wrap.  Returns the map, w and the wraps as Python ints."""
+    wrap.  Returns the map, built by CircleMap.lift, and the wraps as
+    Python ints."""
     f = rng.random(k.n_vertices)
     g = rng.integers(-3, 4, k.n_vertices)
     tail, head = k.edges.T
     wraps = (k.lifts[:, 1] - k.lifts[:, 0]) @ np.asarray(slope) + g[head] - g[tail]
     w = ScalarCochain1(k, f[head] - f[tail] + wraps)
     periods = [k.covering.m * int(a) for a in slope]
-    return CircleMap(k, f, periods, 1), w, wraps.tolist()
+    return CircleMap.lift(w, f, periods, 1), wraps.tolist()
 
 
 def integer_corners(f, wraps, k, t):
@@ -204,6 +240,15 @@ def integer_corners(f, wraps, k, t):
         v: heights[v] + n * wraps[uv],
         x: heights[x] + n * (wraps[uv] + wraps[vx]),
     }
+
+
+def image_map(k, values):
+    """The circle map on k with the given vertex values, q = 1, no wraps
+    and periods 0, built by CircleMap.lift from w(s, t) = f(t) - f(s)."""
+    values = np.asarray(values, dtype=float)
+    tail, head = k.edges.T
+    w = ScalarCochain1(k, values[head] - values[tail])
+    return CircleMap.lift(w, values, [0] * k.covering.d, 1)
 
 
 def reference_levels(cm, count=10):
@@ -227,8 +272,8 @@ class TestFiberCensus:
         return integrate_to_circle(rz), rz.cochain
 
     def test_coordinate_level_is_one_circle(self):
-        cm, w = self.circle_map_dx(5)
-        census = fiber_census(census_frame(cm, w), 0.5)
+        cm, _ = self.circle_map_dx(5)
+        census = fiber_census(census_frame(cm), 0.5)
         assert census.component_count == 1
         # the vertical line x = 0.5 crosses one horizontal and one diagonal
         # edge per row
@@ -240,7 +285,7 @@ class TestFiberCensus:
         rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == [2, 3]
-        frame = census_frame(cm, rz.cochain)
+        frame = census_frame(cm)
         for lvl in generic_levels(cm, 5):
             assert fiber_census(frame, lvl).component_count == 1
 
@@ -250,7 +295,7 @@ class TestFiberCensus:
         w = coordinate_cochain(k, 0).scale(2)
         rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
-        frame = census_frame(cm, rz.cochain)
+        frame = census_frame(cm)
         for lvl in generic_levels(cm, 5):
             assert fiber_census(frame, lvl).component_count == 2
 
@@ -259,7 +304,7 @@ class TestFiberCensus:
         # counts the vertical circle just right of x = 0, which crosses one
         # horizontal and one diagonal edge per row
         cm, w = self.circle_map_dx(5)
-        census = fiber_census(census_frame(cm, w), 0.0)
+        census = fiber_census(census_frame(cm), 0.0)
         assert (census.component_count, census.crossing_edges) == (1, 2 * 5)
         # a bump of 0.3 at grid vertex (2, 2) makes it a local maximum at
         # 0.7: the level just above it misses it, and the one just below
@@ -271,7 +316,7 @@ class TestFiberCensus:
         rz = rationalize(ScalarCochain1(k, w.values + h[head] - h[tail]), RationalizeConfig(0.01))
         bumped = integrate_to_circle(rz)
         peak = bumped.values[k.covering.base_index((2, 2))]
-        frame = census_frame(bumped, rz.cochain)
+        frame = census_frame(bumped)
         assert fiber_census(frame, peak).component_count == 1
         assert fiber_census(frame, peak - 1e-6).component_count == 2
 
@@ -303,7 +348,7 @@ class TestFiberCensus:
             x = (candidate_level(i, 10) + side * (1e-6 + delta)) % 1.0
             values.append((math.floor(x * 1e12) + 0.5) / 1e12 if tie else x)
         m = max(3, len(values))
-        cm = CircleMap(torus_complex(1, m), np.resize(values, m), [1], 1)
+        cm = image_map(torus_complex(1, m), np.resize(values, m))
         try:
             got = generic_levels(cm)
         except NonGenericValue:
@@ -327,7 +372,7 @@ class TestFiberCensus:
         # of them, past all of them for [0, ..., count - 1]; m sets how many
         # candidates one gap array holds
         cand = [candidate_level(i, count) for i in blocked]
-        cm = CircleMap(torus_complex(1, m), np.resize(cand, m), [1], 1)
+        cm = image_map(torus_complex(1, m), np.resize(cand, m))
         expect = reference_levels(cm, count)
         assert len(set(expect)) == len(expect) == count
         assert generic_levels(cm, count) == expect
@@ -337,7 +382,7 @@ class TestFiberCensus:
         # every image on candidate 3 % count: the levels run one past the
         # first count candidates, and none of them repeats
         cand = candidate_level(3 % count, count)
-        levels = generic_levels(CircleMap(torus_complex(1, 3), np.full(3, cand), [1], 1), count)
+        levels = generic_levels(image_map(torus_complex(1, 3), np.full(3, cand)), count)
         assert len(set(levels)) == len(levels) == count
         assert round(cand, 12) not in levels
 
@@ -359,12 +404,12 @@ class TestFiberCensus:
     )
     def test_census_refused_before_expanding(self, vertex, rise, message):
         # T^1, m = 3: three loose edges that each rise 1e7 from images 0 cross
-        # 1e7 levels each; a NaN image is refused when the frame is built
+        # 1e7 levels each; a NaN image is refused when the map is built
         k = torus_complex(1, 3)
-        cm = CircleMap(k, np.array([0.0, vertex, 0.0]), [30000000], 1)
         w = ScalarCochain1(k, [rise] * 3)
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            fiber_census(census_frame(cm, w), 0.1)
+            cm = CircleMap.lift(w, [0.0, vertex, 0.0], [30000000], 1)
+            fiber_census(census_frame(cm), 0.1)
 
     @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (2, 4, 1), (3, 3, 2)])
     def test_refused_total_is_summed_in_triangle_slot_order(self, d, m, seed):
@@ -374,7 +419,7 @@ class TestFiberCensus:
         rng = np.random.default_rng(seed)
         k = torus_complex(d, m)
         slope = rng.integers(200_000, 500_000, d) * rng.choice([-1, 1], d)
-        cm, w, wraps = consistent_map(k, rng, slope)
+        cm, wraps = consistent_map(k, rng, slope)
         c, n = 0.123, tischler.HEIGHT_SCALE
         level = math.floor(c * n)
 
@@ -389,11 +434,11 @@ class TestFiberCensus:
         assert total > tischler.MAX_CROSSINGS
         message = f"level {c} has {total} edge crossings, over the cap {tischler.MAX_CROSSINGS}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            fiber_census(census_frame(cm, w), c)
+            fiber_census(census_frame(cm), c)
 
     def test_nan_lift_on_triangles_refused(self):
         # a value of w that is not finite on an edge of the triangles: the
-        # frame refuses the first such edge
+        # map refuses the first such edge
         cm, w = self.circle_map_dx(3)
         for bad in (math.nan, math.inf):
             values = w.values.copy()
@@ -405,14 +450,13 @@ class TestFiberCensus:
             )
             message = f"edge increment mismatch nan on ({u},{v})"
             with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
-                census_frame(cm, ScalarCochain1(cm.complex, values))
+                CircleMap.lift(ScalarCochain1(cm.complex, values), cm.values, cm.periods, cm.q)
 
-    def test_inconsistent_lift_refused_by_the_frame(self):
+    def test_inconsistent_lift_refused_by_the_map(self):
         # a vertex moved by 0.3: the first edge at it, in edge order, is named
         cm, w = self.circle_map_dx(5)
         values = cm.values.copy()
         values[7] = (values[7] + 0.3) % 1.0
-        cm = CircleMap(cm.complex, values, cm.periods, cm.q)
         u, v = next(
             (u, v)
             for (u, v), x in zip(cm.complex.edges.tolist(), w.values.tolist())
@@ -421,7 +465,7 @@ class TestFiberCensus:
         assert 7 in (u, v)
         message = f"edge increment mismatch 3.000e-01 on ({u},{v})"
         with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
-            census_frame(cm, w)
+            CircleMap.lift(w, values, cm.periods, cm.q)
 
     @pytest.mark.parametrize(
         "extra, error, message",
@@ -453,7 +497,7 @@ class TestFiberCensus:
         u, v = k.edges[e].tolist()
         message = message.format(triangle=triangle, u=u, v=v)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            census_frame(cm, ScalarCochain1(k, values))
+            CircleMap.lift(ScalarCochain1(k, values), cm.values, cm.periods, cm.q)
 
     @pytest.mark.parametrize(
         "d, m", [(d, m) for d in (1, 2, 3) for m in (3, 4, 8)] + [(3, 12)]
@@ -466,8 +510,8 @@ class TestFiberCensus:
         # on to the highest
         rng = np.random.default_rng(10 * d + m)
         k = torus_complex(d, m)
-        cm, w, wraps = consistent_map(k, rng, rng.integers(-2, 3, d))
-        frame = census_frame(cm, w)
+        cm, wraps = consistent_map(k, rng, rng.integers(-2, 3, d))
+        frame = census_frame(cm)
         shape = (3, len(k.triangles))
         assert frame.slot_edge.shape == frame.corner.shape == frame.offset.shape == shape
         assert np.array_equal(np.sort(frame.slot_edge, 0), np.sort(k.triangle_edges.T, 0))
@@ -621,12 +665,8 @@ def loop_census(f, w, value):
     return FiberCensus(c, len({find(x) for x in parent}), len(parent))
 
 
-def array_census(f, w, value):
-    return fiber_census(census_frame(f, w), value)
-
-
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@example(  # moved vertices, refused by the frame
+@example(  # moved vertices, refused by the map
     d=2,
     m=5,
     coeffs=(Fraction(3, 4), Fraction(-5, 2), Fraction(3, 4)),
@@ -634,7 +674,7 @@ def array_census(f, w, value):
     moves=[(73444, -0.129), (445161, -0.094)],
     levels=[0.871],
 )
-@example(  # T^3 with a moved vertex, refused by the frame
+@example(  # T^3 with a moved vertex, refused by the map
     d=3,
     m=4,
     coeffs=(Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4)),
@@ -666,6 +706,14 @@ def array_census(f, w, value):
     moves=[],
     levels=[0.5],
 )
+@example(  # a vertex moved by 6e-8: under 1e-6, over the residual tolerance
+    d=1,
+    m=3,
+    coeffs=(Fraction(1), Fraction(0), Fraction(0)),
+    scale=1,
+    moves=[(0, 5.960464477539063e-08)],
+    levels=[0.0],
+)
 @given(
     d=st.sampled_from([1, 2, 2, 3]),
     m=st.integers(3, 7),
@@ -689,22 +737,23 @@ def test_array_census_matches_the_loop_census(d, m, coeffs, scale, moves, levels
     values = cm.values.copy()
     for v, shift in moves:
         values[v % k.n_vertices] = (values[v % k.n_vertices] + shift) % 1.0
-    moved = CircleMap(k, values, cm.periods, cm.q)
-    # how far each edge is from fitting the moved map mod 1
+    # how far each edge is from fitting the moved map mod 1, against the
+    # tolerance of the map's increment check
     tail, head = k.edges.T
     misfit = np.abs((values - cm.values)[head] - (values - cm.values)[tail])
     misfit = np.abs(misfit - np.rint(misfit))
-    if misfit.max() > 1e-6:
+    if misfit.max() > tischler.RESIDUAL_TOL * max(1, cm.q):
         with pytest.raises(CheckFailed, match="^edge increment mismatch"):
-            census_frame(moved, rz.cochain)
+            CircleMap.lift(rz.cochain, values, cm.periods, cm.q)
         return
+    moved = CircleMap.lift(rz.cochain, values, cm.periods, cm.q)
     # levels 1e-6 or more from every image, where the float lifts of the
     # loop census cross as the integer heights do
     images = moved.values.tolist()
     for value in levels + generic_levels(moved, 2):
         if all(abs((value - x + 0.5) % 1.0 - 0.5) >= 1e-6 for x in images):
             expect = loop_census(moved, rz.cochain, value)
-            assert array_census(moved, rz.cochain, value) == expect
+            assert fiber_census(census_frame(moved), value) == expect
 
 
 def crossing_oracle(m, d, periods):
@@ -790,9 +839,10 @@ def test_run_numbering_matches_unique(ends, top):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_integer_rises_close_and_sum_to_the_periods(d, m, coeffs, bump, seed):
-    # a linear form plus the coboundary of a random vertex bump: the frame's
-    # rises close exactly on every triangle, and every loop along axis a
-    # rises by N times the pullback period P_a, walked here in Python ints
+    # a linear form plus the coboundary of a random vertex bump: the map's
+    # heights are floor(N f(v)) in [0, N), its rises H(v) - H(u) + N k close
+    # exactly on every triangle, and every loop along axis a rises by N
+    # times the pullback period P_a, all walked here in Python ints
     m = min(m, 4) if d == 3 else m
     k = torus_complex(d, m)
     w = coordinate_cochain(k, 0).scale(float(coeffs[0]))
@@ -802,9 +852,13 @@ def test_integer_rises_close_and_sum_to_the_periods(d, m, coeffs, bump, seed):
     tail, head = k.edges.T
     rz = rationalize(ScalarCochain1(k, w.values + h[head] - h[tail]), RationalizeConfig(0.01))
     cm = integrate_to_circle(rz)
-    frame = census_frame(cm, rz.cochain)
-    rise = frame.rise.tolist()
-    assert frame.rise.dtype == np.int64
+    heights = cm.heights.tolist()
+    assert heights == [math.floor(N * x) for x in cm.values.tolist()]
+    assert all(0 <= h < N for h in heights)
+    rise = [
+        heights[v] - heights[u] + N * wrap
+        for (u, v), wrap in zip(k.edges.tolist(), cm.wraps.tolist())
+    ]
     for uv, vx, ux in k.triangle_edges.tolist():
         assert rise[uv] + rise[vx] == rise[ux]
     step = {}
@@ -920,9 +974,9 @@ def test_fibration_calls_census_through_module_attribute(monkeypatch):
         calls.append((value, out.crossing_edges))
         return out
 
-    def framing(f, w):
+    def framing(f):
         frames.append(f)
-        return frame_of(f, w)
+        return frame_of(f)
 
     monkeypatch.setattr(tischler, "fiber_census", counting)
     monkeypatch.setattr(tischler, "census_frame", framing)
