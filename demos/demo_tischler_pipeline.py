@@ -26,7 +26,7 @@ def main():
     print(f"  sup-norm perturbation: {rz.sup_change:.2e}")
     print(f"  integer pullback periods: {cm.periods}")
     print(f"  submersion: {'pass' if sub.passed() else 'FAIL'}")
-    print(f"  fiber components at 10 generic levels: "
+    print(f"  fiber components at the 10 census levels: "
           f"{[c.component_count for c in censuses]}")
 
     spec = product_foliation(ga_suspension(8, GAElement(2.0, 0.0)))

@@ -227,7 +227,7 @@ class ScalarCochain1:
         arr = np.array(values, dtype=np.float64)
         if arr.shape != (len(complex.edges),):
             raise InputError(
-                f"cochain needs {len(complex.edges)} edge values, got {len(values)}"
+                f"cochain needs {len(complex.edges)} edge values, got shape {arr.shape}"
             )
         arr.flags.writeable = False
         self.complex = complex

@@ -27,7 +27,3 @@ class CheckFailed(SlnfibError, RuntimeError):
 
 class BudgetInfeasible(SlnfibError, RuntimeError):
     """No rational approximation exists within the requested budget."""
-
-
-class NonGenericValue(SlnfibError, ValueError):
-    """A level-set value collides with a vertex image."""

@@ -5,16 +5,17 @@ torus to rationals by adding multiples of the coordinate cochains, their
 dual basis (Tischler's construction; continued-fraction convergents keep
 the perturbation within budget), integrate the scaled cochain along an axis
 walk of the torus grid into a circle map, check the discrete no-singularity
-condition per top simplex, and count fiber components at generic levels.
+condition per top simplex, and count fiber components at ten fixed levels.
 The circle map holds its exact integer lift, built and checked once where
 the map is made (CircleMap.lift): a height in [0, N) per vertex and an
 int64 wrap per edge, closed on every triangle, so a map that does not lift
 is refused there.  The census reads the lift.  Each triangle keeps its
 long edge slot, from its lowest lifted corner to its highest, apart from
 its two short slots.  Each level is a half-integer height, which no corner
-can hit; it numbers its nodes by one cumulative sum of the crossings per
-edge, pairs them along the long slots, with no sort, and counts the
-components by round contraction.
+can hit, so every value is a regular level and the census reads the same
+ten, LEVELS, on every map.  A level numbers its nodes by one cumulative sum
+of the crossings per edge, pairs them along the long slots, with no sort,
+and counts the components by round contraction.
 
 Cochains are float64 edge arrays, and the circle map a float64 vertex array
 in [0, 1) beside its int64 heights and wraps.  Only the rationalized periods
@@ -35,12 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    BudgetInfeasible,
-    CheckFailed,
-    InputError,
-    NonGenericValue,
-)
+from .errors import BudgetInfeasible, CheckFailed, InputError
 from .linalg import EQ_TOL, RESIDUAL_TOL
 from .complexes import (
     ScalarCochain1,
@@ -484,42 +480,8 @@ def _candidate_combinations(k: int):
                             yield (a, b)
 
 
-def generic_levels(f: CircleMap, count: int = 10) -> List[float]:
-    """Deterministic sample of levels avoiding all vertex images: a candidate
-    within 1e-6 of round(x, 12) for an image x in [0, 1) is refused.
-    Candidate i = 0, ..., 10 count - 1 sits (i % count + 1/2 + (i // count) / 10) / count
-    past 0.261799 on the circle, so all of them differ, and the first count
-    are spaced evenly.  They are tested in blocks, one (block, V) gap array
-    each, of at most 2^14 gaps: past that the array leaves the cache and a
-    gap costs more than in a test of one candidate."""
-    image = f.values
-    rows = max(1, min(count, 2 ** 14 // image.size))
-    out = []
-    for start in range(0, 10 * count, rows):
-        if len(out) == count:
-            break
-        block = range(start, min(start + rows, 10 * count))
-        cand = np.array(
-            [((i % count + 0.5 + i // count / 10) / count + 0.261799) % 1.0 for i in block]
-        )
-        gap = _circle_gap(cand[:, None], image)
-        # round moves an image by at most 5e-13: only gaps near 1e-6 need it
-        row, col = np.divmod(np.flatnonzero(np.abs(gap - 1e-6) < 1e-11), image.size)
-        exact = [round(x, 12) for x in image[col].tolist()]
-        gap[row, col] = _circle_gap(cand[row], np.array(exact))
-        ok = np.all(gap > 1e-6, axis=1)
-        out += [round(c, 12) for c in cand[ok].tolist()][: count - len(out)]
-    if len(out) < count:
-        raise NonGenericValue("could not find enough generic levels")
-    return out
-
-
-def _circle_gap(level: float, x: np.ndarray) -> np.ndarray:
-    """|level - x| on the circle R/Z, in [0, 1/2], for every value of x:
-    x - floor(x) has the bits of x % 1.0, with no float remainder."""
-    gap = level - x + 0.5
-    gap -= np.floor(gap)
-    return np.abs(gap - 0.5)
+# fixed, since every value c is a regular level: no vertex has height floor(c N) + 1/2
+LEVELS = tuple(round(((i + 0.5) / 10 + 0.261799) % 1.0, 12) for i in range(10))
 
 
 def fibration_ok(sub: SubmersionReport, censuses: Sequence[FiberCensus]) -> bool:
@@ -531,12 +493,13 @@ def fibration_ok(sub: SubmersionReport, censuses: Sequence[FiberCensus]) -> bool
 def tischler_fibration(
     w: ScalarCochain1, cfg: RationalizeConfig
 ) -> Tuple[CircleMap, RationalizedCochain, SubmersionReport, List[FiberCensus]]:
-    """Closed cochain -> circle map, with submersion check and fiber census."""
+    """Closed cochain -> circle map, with submersion check and fiber census
+    at LEVELS."""
     rz = rationalize(w, cfg)
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
     frame = census_frame(cm)
-    censuses = [fiber_census(frame, lvl) for lvl in generic_levels(cm)]
+    censuses = [fiber_census(frame, lvl) for lvl in LEVELS]
     return cm, rz, sub, censuses
 
 

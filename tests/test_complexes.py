@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -154,9 +155,16 @@ class TestEdgeIndex:
             got = k.indexed(u, v, values, base)
             assert got.tolist() == expect.tolist()
 
-    def test_cochain_needs_one_value_per_edge(self, t2_8):
-        with pytest.raises(InputError):
-            ScalarCochain1(t2_8, [Fraction(0)] * (len(t2_8.edges) - 1))
+    @pytest.mark.parametrize(
+        "values, shape",
+        [(0.5, "()"), (np.zeros((48, 2)), "(48, 2)"), ([Fraction(0)] * 47, "(47,)")],
+        ids=["scalar", "two-columns", "short"],
+    )
+    def test_cochain_needs_one_value_per_edge(self, values, shape):
+        # T^2 at m = 4 has 48 edges; the refusal names the shape it read
+        message = f"cochain needs 48 edge values, got shape {shape}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ScalarCochain1(torus_complex(2, 4), values)
 
 
 class TestArithmeticOrientation:

@@ -18,7 +18,7 @@ from slnfib.complexes import (
     period,
     torus_complex,
 )
-from slnfib.errors import BudgetInfeasible, CheckFailed, InputError, NonGenericValue
+from slnfib.errors import BudgetInfeasible, CheckFailed, InputError
 from slnfib.foliation import ga_suspension, linear_torus_spec, product_foliation
 from slnfib.groups import GAElement
 from slnfib.serialize import (
@@ -28,6 +28,7 @@ from slnfib.serialize import (
 )
 from slnfib import tischler
 from slnfib.tischler import (
+    LEVELS,
     CircleMap,
     FiberCensus,
     RationalizeConfig,
@@ -36,7 +37,6 @@ from slnfib.tischler import (
     check_submersion,
     continued_fraction_approx,
     fiber_census,
-    generic_levels,
     integrate_to_circle,
     pipeline_sln,
     rationalize,
@@ -164,10 +164,8 @@ class TestIntegrate:
         assert cm.values.tolist() == [0.0, 0.3, 0.19999999999999998, 0.0]
         assert cm.heights.tolist() == [0, 322122547, 214748364, 0]
         assert cm.wraps.tolist() == [0, 0, 0, 0]
-        levels = generic_levels(cm)
-        assert levels == [round(0.011799 + i / 10, 12) for i in (3, 4, 5, 6, 7, 8, 9, 0, 1, 2)]
         frame = census_frame(cm)
-        censuses = [fiber_census(frame, lvl) for lvl in levels]
+        censuses = [fiber_census(frame, lvl) for lvl in LEVELS]
         expect = [(0, 0)] * 7 + [(2, 2)] * 3
         assert [(c.component_count, c.crossing_edges) for c in censuses] == expect
         path = tmp_path / "t1.json"
@@ -209,12 +207,6 @@ class TestSubmersion:
         assert len(rep.failing_simplices) <= 2
 
 
-def candidate_level(i, count):
-    """Candidate i of generic_levels: the first count spaced evenly, each
-    later block of count moved a tenth of a spacing past the one before."""
-    return ((i % count + 0.5 + i // count / 10) / count + 0.261799) % 1.0
-
-
 def consistent_map(k, rng, slope):
     """A random circle map on k, with q = 1, that lifts: random vertex
     values f and the closed integer wraps slope . (z_t - z_s) + g(t) - g(s)
@@ -242,28 +234,6 @@ def integer_corners(f, wraps, k, t):
     }
 
 
-def image_map(k, values):
-    """The circle map on k with the given vertex values, q = 1, no wraps
-    and periods 0, built by CircleMap.lift from w(s, t) = f(t) - f(s)."""
-    values = np.asarray(values, dtype=float)
-    tail, head = k.edges.T
-    w = ScalarCochain1(k, values[head] - values[tail])
-    return CircleMap.lift(w, values, [0] * k.covering.d, 1)
-
-
-def reference_levels(cm, count=10):
-    """generic_levels one candidate at a time: the vertex-by-vertex rule on
-    round(x % 1.0, 12), or "refused"."""
-    taken = sorted({round(x % 1.0, 12) for x in cm.values.tolist()})
-    out, i = [], 0
-    while len(out) < count and i < 10 * count:
-        cand = candidate_level(i, count)
-        i += 1
-        if all(abs((cand - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in taken):
-            out.append(round(cand, 12))
-    return out if len(out) == count else "refused"
-
-
 class TestFiberCensus:
     def circle_map_dx(self, m):
         k = torus_complex(2, m)
@@ -286,7 +256,7 @@ class TestFiberCensus:
         cm = integrate_to_circle(rz)
         assert cm.periods == [2, 3]
         frame = census_frame(cm)
-        for lvl in generic_levels(cm, 5):
+        for lvl in LEVELS:
             assert fiber_census(frame, lvl).component_count == 1
 
     def test_multiple_components_for_scaled_map(self):
@@ -296,7 +266,7 @@ class TestFiberCensus:
         rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         frame = census_frame(cm)
-        for lvl in generic_levels(cm, 5):
+        for lvl in LEVELS:
             assert fiber_census(frame, lvl).component_count == 2
 
     def test_vertex_level_counts_the_level_above(self):
@@ -320,71 +290,46 @@ class TestFiberCensus:
         assert fiber_census(frame, peak).component_count == 1
         assert fiber_census(frame, peak - 1e-6).component_count == 2
 
-    def test_generic_levels_avoid_vertex_images(self):
-        cm, _ = self.circle_map_dx(5)
-        images = {round(x, 12) for x in cm.values.tolist()}
-        for lvl in generic_levels(cm):
-            assert all(abs((lvl - v + 0.5) % 1.0 - 0.5) > 1e-6 for v in images)
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 19),
-                st.sampled_from([-1, 1]),
-                st.sampled_from([-1e-11, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1e-11]),
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=12,
+    def test_levels_are_ten_fixed_decimals(self):
+        # the rule of bench/oracles.py census_levels: (i + 1/2) / 10 past
+        # 0.261799 on the circle, rounded to 12 digits
+        assert LEVELS == (
+            0.311799, 0.411799, 0.511799, 0.611799, 0.711799,
+            0.811799, 0.911799, 0.011799, 0.111799, 0.211799,
         )
-    )
-    def test_generic_levels_round_images_as_python_does(self, near):
-        # images 1e-6 (give or take a last digit) from a candidate level, some
-        # halfway between two 12-digit decimals; the reference is the
-        # vertex-by-vertex rule on round(x % 1.0, 12)
-        values = []
-        for i, side, delta, tie in near:
-            x = (candidate_level(i, 10) + side * (1e-6 + delta)) % 1.0
-            values.append((math.floor(x * 1e12) + 0.5) / 1e12 if tie else x)
-        m = max(3, len(values))
-        cm = image_map(torus_complex(1, m), np.resize(values, m))
-        try:
-            got = generic_levels(cm)
-        except NonGenericValue:
-            got = "refused"
-        assert got == reference_levels(cm)
-
-    @pytest.mark.parametrize("m", [100, 2000, 6000])
-    @pytest.mark.parametrize(
-        "count, blocked",
-        [
-            (10, [0, 3, 7]),
-            (10, [2, 9, 10, 11]),
-            (4, [1]),
-            (4, [0, 2, 3]),
-            (10, list(range(10))),
-            (4, [0, 1, 2, 3]),
-        ],
-    )
-    def test_generic_levels_past_the_first_candidates(self, m, count, blocked):
-        # images on some candidates, so the choice runs past the first count
-        # of them, past all of them for [0, ..., count - 1]; m sets how many
-        # candidates one gap array holds
-        cand = [candidate_level(i, count) for i in blocked]
-        cm = image_map(torus_complex(1, m), np.resize(cand, m))
-        expect = reference_levels(cm, count)
-        assert len(set(expect)) == len(expect) == count
-        assert generic_levels(cm, count) == expect
+        assert len(set(LEVELS)) == 10
 
     @pytest.mark.parametrize("count", [1, 4, 10])
     def test_generic_levels_are_distinct(self, count):
-        # every image on candidate 3 % count: the levels run one past the
-        # first count candidates, and none of them repeats
-        cand = candidate_level(3 % count, count)
-        levels = generic_levels(image_map(torus_complex(1, 3), np.full(3, cand)), count)
-        assert len(set(levels)) == len(levels) == count
-        assert round(cand, 12) not in levels
+        # T^1 with vertex images on the first count levels in sorted order:
+        # the census still reads the ten distinct LEVELS, none moved off an
+        # image, and every fiber is one point
+        images = [0.0] + sorted(LEVELS)[:count] + [0.95]
+        k = torus_complex(1, len(images))
+        w = ScalarCochain1(k, np.diff(images).tolist() + [1 - images[-1]])
+        cm, _, sub, censuses = tischler_fibration(w, RationalizeConfig(0.01))
+        assert cm.values.tolist() == images and sub.passed()
+        levels = [c.value for c in censuses]
+        assert levels == list(LEVELS) and len(set(levels)) == 10
+        assert [(c.component_count, c.crossing_edges) for c in censuses] == [(1, 1)] * 10
+
+    def test_vertex_on_every_level(self):
+        # T^1, m = 11: vertex i > 0 has the i-th level in sorted order as its
+        # image, and the last edge closes the turn from 0.911799 to 0; a
+        # level on an image counts the level just above it, one point
+        images = [0.0] + sorted(LEVELS)
+        k = torus_complex(1, 11)
+        w = ScalarCochain1(k, np.diff(images).tolist() + [1 - 0.911799])
+        cm, _, sub, censuses = tischler_fibration(w, RationalizeConfig(0.01))
+        assert cm.values.tolist() == images and sub.passed()
+        assert [c.component_count for c in censuses] == [1] * 10
+        frame = census_frame(cm)
+        for census in censuses:
+            above = fiber_census(frame, census.value + 1e-6)
+            assert (census.component_count, census.crossing_edges) == (
+                above.component_count,
+                above.crossing_edges,
+            )
 
     def test_circle_fiber_is_one_point(self):
         # T^1 has no triangles: every edge is loose and crossings are points
@@ -466,6 +411,21 @@ class TestFiberCensus:
         message = f"edge increment mismatch 3.000e-01 on ({u},{v})"
         with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
             CircleMap.lift(w, values, cm.periods, cm.q)
+
+    def test_lift_tolerance_scales_with_q(self):
+        # q = 4 on T^1, m = 3, the map 0, 1/4, 1/2 with one wrap on edge
+        # (2, 0): a residual of 2 RESIDUAL_TOL there lies under q times the
+        # tolerance and lifts, one just over q times it is refused
+        k, tol = torus_complex(1, 3), tischler.RESIDUAL_TOL
+
+        def lift(residual):
+            w = ScalarCochain1(k, [0.0625, 0.0625, (0.5 + residual) / 4])
+            return CircleMap.lift(w, [0.0, 0.25, 0.5], [1], 4)
+
+        assert lift(2 * tol).wraps.tolist() == [0, 0, 1]
+        message = "edge increment mismatch 4.040e-09 on (2,0)"
+        with pytest.raises(CheckFailed, match=f"^{re.escape(message)}$"):
+            lift(4.04 * tol)
 
     @pytest.mark.parametrize(
         "extra, error, message",
@@ -610,7 +570,7 @@ def loop_census(f, w, value):
     step = [f.q * float(x) for x in w.values]
     for vtx, x in enumerate(f.values.tolist()):
         if abs((float(x) - c + 0.5) % 1.0 - 0.5) < 1e-9:
-            raise NonGenericValue(f"level {c} hits the image of vertex {vtx}")
+            raise ValueError(f"level {c} hits the image of vertex {vtx}")
 
     def crossed(start, inc):
         lo, hi = (start, start + inc) if inc > 0 else (start + inc, start)
@@ -750,7 +710,7 @@ def test_array_census_matches_the_loop_census(d, m, coeffs, scale, moves, levels
     # levels 1e-6 or more from every image, where the float lifts of the
     # loop census cross as the integer heights do
     images = moved.values.tolist()
-    for value in levels + generic_levels(moved, 2):
+    for value in levels + list(LEVELS):
         if all(abs((value - x + 0.5) % 1.0 - 0.5) >= 1e-6 for x in images):
             expect = loop_census(moved, rz.cochain, value)
             assert fiber_census(census_frame(moved), value) == expect
@@ -982,7 +942,7 @@ def test_fibration_calls_census_through_module_attribute(monkeypatch):
     monkeypatch.setattr(tischler, "census_frame", framing)
     cm, _, _, censuses = tischler_fibration(mixed_cochain(8), RationalizeConfig(0.01))
     assert len(frames) == 1 and frames[0] is cm
-    assert [value for value, _ in calls] == generic_levels(cm)
+    assert [value for value, _ in calls] == list(LEVELS)
     assert [n for _, n in calls] == [c.crossing_edges for c in censuses]
     assert all(isinstance(n, int) and n > 0 for _, n in calls)
 
