@@ -2,10 +2,12 @@
 
 Stages: perturb the periods of a closed cochain on the axis loops of the
 torus to rationals by adding multiples of the coordinate cochains, their
-dual basis (Tischler's construction; continued-fraction convergents keep
-the perturbation within budget), integrate the scaled cochain along an axis
-walk of the torus grid into a circle map, check the discrete no-singularity
-condition per top simplex, and count fiber components at ten fixed levels.
+dual basis (Tischler's construction; the rationals share the least common
+denominator q that keeps every period within budget, so the scaled map
+winds as little as the budget allows), integrate the scaled cochain along
+an axis walk of the torus grid into a circle map, check the discrete
+no-singularity condition per top simplex, and count fiber components at
+ten fixed levels.
 The circle map holds its exact integer lift, built and checked once where
 the map is made (CircleMap.lift): a height in [0, N) per vertex and an
 int64 wrap per edge, closed on every triangle, so a map that does not lift
@@ -19,8 +21,8 @@ and counts the components by round contraction.
 
 Cochains are float64 edge arrays, and the circle map a float64 vertex array
 in [0, 1) beside its int64 heights and wraps.  Only the rationalized periods
-are exact Fraction convergents; each period is summed edge by edge in loop
-order, so reports reproduce to the last bit.
+are exact Fractions; each period is summed edge by edge in loop order, so
+reports reproduce to the last bit.
 
 The end-to-end entry point runs the whole chain on an SL(n) (or abelian)
 foliation spec: project to the R^2 factor, pick a submersive component, and
@@ -107,28 +109,70 @@ class RationalizedCochain:
     sup_change: float
 
 
-def rationalize(w: ScalarCochain1, cfg: RationalizeConfig) -> RationalizedCochain:
-    """Perturb each period to a nearby rational without breaking closedness.
+SCAN_LIMIT = 1 << 20  # largest common denominator that rationalize scans
+SCAN_BLOCK = 4096  # denominators per numpy block of the scan
 
-    The period p_k of w on axis loop k is replaced by a continued-fraction
-    convergent r_k, and (r_k - p_k) dx_k is added, one axis at a time: dx_k
-    has period 1 on loop k and 0 on the others, and the correction is a sum
-    of closed cochains, so closedness is preserved up to float rounding.  A
-    cochain that is not closed within EQ_TOL, or a period that is not a
-    finite float, raises InputError; a perturbation over epsilon in
-    sup-norm (NaN included) raises BudgetInfeasible.
+
+def _least_common_denominator(periods: List[float], epsilon: float, top: int):
+    """The least q <= top with |p - round(q p)/q| <= epsilon for every period
+    p, and those rationals, in exact Fraction arithmetic on the float
+    periods (round is half to even); None if no q <= top qualifies.
+
+    A numpy prefilter scans q in blocks over the fractional parts fmod(p,
+    1), which are exact and below 1 in size, so q * fmod(p, 1) stays below
+    q and cannot overflow.  It widens the bound by q 2^-52, past the
+    rounding of q * fmod(p, 1) (epsilon < 1/2 whenever top >= 2), so it can
+    only over-accept; each candidate is then confirmed exactly, in
+    increasing q.
+    """
+    frac = np.fmod(periods, 1.0)
+    exact = [Fraction(p) for p in periods]
+    for start in range(1, top + 1, SCAN_BLOCK):
+        q = np.arange(start, min(start + SCAN_BLOCK, top + 1), dtype=np.float64)[:, None]
+        x = q * frac
+        near = (np.abs(x - np.rint(x)) <= q * (epsilon + 2.0 ** -52)).all(axis=1)
+        for i in np.flatnonzero(near).tolist():
+            rs = [Fraction(round((start + i) * e), start + i) for e in exact]
+            if all(abs(e - r) <= epsilon for e, r in zip(exact, rs)):
+                return rs
+    return None
+
+
+def rationalize(w: ScalarCochain1, cfg: RationalizeConfig) -> RationalizedCochain:
+    """Perturb the periods to nearby rationals with the least common
+    denominator, without breaking closedness.
+
+    Each period p_k of w on axis loop k first gets its continued-fraction
+    convergent within epsilon; q_L, the lcm of their denominators, is a
+    common denominator that keeps every period within epsilon.  The periods
+    then move to r_k = round(q p_k)/q for the least q < q_L with |p_k - r_k|
+    <= epsilon for every k (_least_common_denominator), and keep their
+    convergents if there is none.  Every q >= 1/(2 epsilon) qualifies, so
+    the scan stops at min(q_L - 1, ceil(1/(2 epsilon)), SCAN_LIMIT); q never
+    grows past q_L.  Then (r_k - p_k) dx_k is added, one axis at a time:
+    dx_k has period 1 on loop k and 0 on the others, and the correction is
+    a sum of closed cochains, so closedness is preserved up to float
+    rounding.  A cochain that is not closed within EQ_TOL, or a period that
+    is not a finite float, raises InputError; a period without a convergent
+    within epsilon, or a perturbation over epsilon in sup-norm (NaN
+    included), raises BudgetInfeasible.
     """
     bad = max_coboundary(w.complex, w.values)
     if not bad <= EQ_TOL:
         raise InputError(f"rationalize requires a closed cochain, coboundary {bad:.3e}")
-    out = w
+    raw: List[float] = []
     periods: List[Fraction] = []
     for k in range(w.complex.covering.d):
         p = period(w, k)
         if not math.isfinite(p):
             raise InputError(f"period {k} of the cochain is not a finite number")
-        r = continued_fraction_approx(p, cfg.epsilon, cfg.max_denominator)
-        periods.append(r)
+        raw.append(p)
+        periods.append(continued_fraction_approx(p, cfg.epsilon, cfg.max_denominator))
+    enough = 1 if math.isinf(cfg.epsilon) else math.ceil(1 / (2 * Fraction(cfg.epsilon)))
+    top = min(math.lcm(*[r.denominator for r in periods]) - 1, enough, SCAN_LIMIT)
+    periods = _least_common_denominator(raw, cfg.epsilon, top) or periods
+    out = w
+    for k, (p, r) in enumerate(zip(raw, periods)):
         delta = float(r) - p
         if delta != 0.0:
             out = out + coordinate_cochain(w.complex, k).scale(delta)

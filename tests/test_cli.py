@@ -514,6 +514,57 @@ class TestTischler:
         assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize(
+        "a, m, epsilon, code, report, err",
+        [
+            (1.0, 8, "inf", 0, (["1", "1"], 1), ""),
+            (1.0, 8, "1e308", 0, (["1", "1"], 1), ""),
+            *[
+                (
+                    1.0,
+                    8,
+                    epsilon,
+                    2,
+                    None,
+                    f"error: no convergent of 1.4142135623730954 within {epsilon} under "
+                    "denominator cap 1000000 (best error 1.595e-12)\n",
+                )
+                for epsilon in ("5e-324", "1e-300")
+            ],
+            (
+                1e308,
+                4,
+                "0.01",
+                2,
+                None,
+                "input error: circle map value at vertex 1 is not finite\n",
+            ),
+            (
+                2.0 ** 60,
+                4,
+                "0.01",
+                3,
+                None,
+                "check failed: edge increment mismatch 2.500e-01 on (1,5)\n",
+            ),
+        ],
+        ids=["eps-inf", "eps-1e308", "eps-5e-324", "eps-1e-300", "period-1e308", "period-2^60"],
+    )
+    def test_float_range_edges_keep_their_reports(
+        self, capsys, tmp_path, a, m, epsilon, code, report, err
+    ):
+        # a dx + sqrt(2) dy on T^2 at the ends of the float range, in budget
+        # and in period; the common-denominator scan must neither overflow
+        # nor warn, and must leave every exit code and message as it was
+        w = linear_form(2, m, (a, math.sqrt(2)))
+        path = write_json(tmp_path, "edge.json", {"torus": {"d": 2, "m": m}, "cochain": w})
+        assert main(["tischler", path, "--epsilon", epsilon]) == code
+        out, got = capsys.readouterr()
+        assert got == err
+        if report is not None:
+            rep = json.loads(out)
+            assert (rep["periods"], rep["q"]) == report
+
+    @pytest.mark.parametrize(
         "coeffs, exact",
         [
             ((Fraction(1, 3), Fraction(3, 2)), lambda x: f"{x.numerator}/{x.denominator}"),

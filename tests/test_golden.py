@@ -74,14 +74,17 @@ TISCHLER = [
     ("t2_m128", 2, 128, (1.0, SQRT2), 0.01),
     # m = 256 is the largest T^2 under MAX_VERTICES that the loader accepts
     ("t2_m256", 2, 256, (1.0, SQRT2), 0.01),
-    # fiber crossings land halfway between 9th-digit values (3 components)
+    # its convergents share q = 88, whose fiber crossings land halfway
+    # between 9th-digit values (test_tischler builds that map by hand); the
+    # least common denominator within budget is 47
     ("repro_m5", 2, 5, (0.9886863694964385, 1.6376747351482408), 0.01),
     ("t1_m4", 1, 4, (1.0,), 0.01),
     ("t3_m4", 3, 4, (1.0, 0.5, SQRT2), 0.01),
-    # crossing-bound: q = 88, 18,496 fiber nodes per level on 3,072 edges
+    # q = 11 where the convergents' lcm is 88: pullback periods [15, 21],
+    # 2,304 fiber nodes per level on 3,072 edges, 3 components
     ("t2_m32_dense", 2, 32, (1.37, 1.91), 0.01),
-    # crossing-bound on T^3: q = 20, pullback periods [20, 28, 35], fiber
-    # nodes of degree up to 6
+    # crossing-bound on T^3: q = 7 where the convergents' lcm is 20,
+    # pullback periods [7, 10, 12], fiber nodes of degree up to 6
     ("t3_m16_dense", 3, 16, (1.0, SQRT2, SQRT3), 0.05),
 ]
 

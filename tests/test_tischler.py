@@ -108,6 +108,31 @@ class TestRationalize:
         with pytest.raises(BudgetInfeasible):
             rationalize(w, RationalizeConfig(1e-9, max_denominator=100))
 
+    @pytest.mark.parametrize(
+        "coeffs, epsilon, periods",
+        [
+            # the convergents 11/8 and 21/11 share q = 88; 11 keeps both in budget
+            ((1.37, 1.91), 0.01, [Fraction(15, 11), Fraction(21, 11)]),
+            ((-1.37, 1.91), 0.01, [Fraction(-15, 11), Fraction(21, 11)]),
+            # 4 * 0.125 is a tie, which goes to the even 0; the convergents
+            # 0 and 1/6 share q = 6, and no q < 4 takes 0.15 within 0.125
+            ((0.125, 0.15), 0.125, [Fraction(0), Fraction(1, 4)]),
+            # ceil(1/(2 epsilon)) is 2^1073: the convergents 1 and 1/2 stay
+            ((1.0, 0.5), 5e-324, [Fraction(1), Fraction(1, 2)]),
+            ((1.0, math.sqrt(2)), math.inf, [Fraction(1), Fraction(1)]),
+            # no q < 2 qualifies, so the convergents 1 and 1/2 stay, not the
+            # nearest halves 3/2 and 1/2
+            ((1.4, 0.5), 0.45, [Fraction(1), Fraction(1, 2)]),
+        ],
+        ids=["dense", "negative", "tie", "least-epsilon", "infinite-epsilon", "convergents"],
+    )
+    def test_least_common_denominator(self, coeffs, epsilon, periods):
+        k = torus_complex(2, 8)
+        w = coordinate_cochain(k, 0).scale(coeffs[0]) + coordinate_cochain(k, 1).scale(coeffs[1])
+        rz = rationalize(w, RationalizeConfig(epsilon))
+        assert rz.periods == periods
+        assert rz.q == math.lcm(*(r.denominator for r in periods))
+
 
 class TestIntegrate:
     @pytest.mark.parametrize(
@@ -115,7 +140,7 @@ class TestIntegrate:
         [
             (1, 7, [math.sqrt(2)], [17], False),
             (2, 16, [1.0, math.sqrt(2)], [12, 17], False),
-            (3, 5, [1.0, math.sqrt(2), math.sqrt(3)], [132, 187, 228], False),
+            (3, 5, [1.0, math.sqrt(2), math.sqrt(3)], [19, 27, 33], False),
             (2, 9, [1.0, math.sqrt(2)], [12, 17], True),
         ],
         ids=["t1", "t2", "t3", "t2-bumped"],
@@ -486,10 +511,29 @@ class TestFiberCensus:
                 assert sorted((lift[s], lift[x])) == list(ends)
                 assert (frame.low[e] + moved, frame.high[e] + moved) == ends
 
-    def test_half_digit_crossings_repro(self, capsys, tmp_path):
-        # crossing positions of this form land halfway between 9th-digit
-        # values, where the two triangles on an edge used to round apart
-        a, b = 0.9886863694964385, 1.6376747351482408
+    HALF_DIGIT_FORM = (0.9886863694964385, 1.6376747351482408)
+
+    def test_half_digit_crossings_repro(self):
+        # the form moved to its convergents 87/88 and 18/11 by dx_k
+        # corrections: crossing positions of this q = 88 map land halfway
+        # between 9th-digit values, where the two triangles on an edge used
+        # to round apart
+        a, b = self.HALF_DIGIT_FORM
+        k = torus_complex(2, 5)
+        w = coordinate_cochain(k, 0).scale(a) + coordinate_cochain(k, 1).scale(b)
+        periods = [Fraction(87, 88), Fraction(18, 11)]
+        moved = w
+        for axis, (r, p) in enumerate(zip(periods, (a, b))):
+            moved = moved + coordinate_cochain(k, axis).scale(float(r) - p)
+        cm = integrate_to_circle(RationalizedCochain(moved, periods, 88, 0.0))
+        assert cm.periods == [87, 144]
+        frame = census_frame(cm)
+        assert [fiber_census(frame, lvl).component_count for lvl in LEVELS] == [3] * 10
+
+    def test_half_digit_form_takes_the_least_common_denominator(self, capsys, tmp_path):
+        # the same form through the CLI: q = 47 keeps both periods within
+        # 0.01, where the convergents' lcm is 88
+        a, b = self.HALF_DIGIT_FORM
         k = torus_complex(2, 5)
         w = coordinate_cochain(k, 0).scale(a) + coordinate_cochain(k, 1).scale(b)
         path = tmp_path / "repro.json"
@@ -498,10 +542,10 @@ class TestFiberCensus:
         )
         code = main(["tischler", str(path), "--epsilon", "0.01"])
         rep = json.loads(capsys.readouterr().out)
-        assert rep["periods"] == ["87/88", "18/11"]
-        assert rep["q"] == 88
-        assert rep["pullback_periods"] == [87, 144]
-        assert rep["fiber_components"] == [3] * 10
+        assert rep["periods"] == ["46/47", "77/47"]
+        assert rep["q"] == 47
+        assert rep["pullback_periods"] == [46, 77]
+        assert rep["fiber_components"] == [1] * 10
         assert code == 0 and rep["ok"]
 
 
@@ -559,6 +603,66 @@ def test_t2_linear_census_is_gcd_of_pullback_periods(m, coeffs, jitter, epsilon)
 def test_t3_linear_census_is_gcd_of_pullback_periods(m, coeffs, jitter, epsilon):
     counts, expect = census_of_linear_form(3, m, coeffs, jitter, epsilon)
     assert counts == [expect] * len(counts)
+
+
+def spread_coefficients(d):
+    """d nonzero coefficients, each of |c| in [0.5, 1], [1.5, 2.5] or [4, 6]
+    on its own axis, in a drawn order and with drawn signs, so that every
+    sum over a nonempty set of them is at least 0.5 in size."""
+    ranges = [(0.5, 1.0), (1.5, 2.5), (4.0, 6.0)][:d]
+    sizes = st.tuples(*[st.floats(lo, hi) for lo, hi in ranges])
+    signs = st.tuples(*[st.sampled_from([-1.0, 1.0])] * d)
+    return st.tuples(sizes, signs, st.permutations(range(d))).map(
+        lambda t: tuple(t[1][i] * t[0][i] for i in t[2])
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    d=st.sampled_from([1, 2, 2, 3, 3]),
+    m=st.integers(3, 8),
+    bump=st.booleans(),
+    epsilon=st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.1]),
+)
+def test_rationalize_takes_the_least_common_denominator(data, d, m, bump, epsilon):
+    # Oracle: the least q under the convergents' lcm whose nearest
+    # multiples of 1/q put every float period within epsilon, by a plain
+    # loop in exact arithmetic; the convergents when there is none.  Each
+    # edge of the linear part moves a set of axes, so its increment is at
+    # least 0.5/m in size, and rationalization moves it by at most d
+    # epsilon/m <= 0.3/m; a vertex bump under 0.09/m then keeps the sign of
+    # every increment, so the map stays regular and its fiber has
+    # gcd(pullback periods) components at every level.
+    coeffs = data.draw(spread_coefficients(d))
+    k = torus_complex(d, m)
+    w = coordinate_cochain(k, 0).scale(coeffs[0])
+    for axis in range(1, d):
+        w = w + coordinate_cochain(k, axis).scale(coeffs[axis])
+    if bump:
+        h = np.zeros(k.n_vertices)
+        h[data.draw(st.integers(0, k.n_vertices - 1))] = data.draw(st.floats(-0.09, 0.09)) / m
+        tail, head = k.edges.T
+        w = ScalarCochain1(k, w.values + h[head] - h[tail])
+    raw = [period(w, axis) for axis in range(d)]
+    convergents = [continued_fraction_approx(p, epsilon, 10 ** 6) for p in raw]
+    top = math.lcm(*(r.denominator for r in convergents))
+    rz = rationalize(w, RationalizeConfig(epsilon))
+    exact = [Fraction(p) for p in raw]
+    for q in range(1, top):
+        periods = [Fraction(round(q * p), q) for p in exact]
+        if all(abs(p - r) <= epsilon for p, r in zip(exact, periods)):
+            break
+    else:
+        q, periods = top, convergents
+    assert (rz.q, rz.periods) == (q, periods)
+    assert rz.q <= top
+    assert all(abs(p - r) <= epsilon for p, r in zip(exact, rz.periods))
+    assert rz.sup_change <= epsilon
+    pullback = [int(q * r) for r in periods]
+    frame = census_frame(integrate_to_circle(rz))
+    counts = [fiber_census(frame, lvl).component_count for lvl in LEVELS]
+    assert counts == [math.gcd(*pullback)] * len(LEVELS)
 
 
 def loop_census(f, w, value):
