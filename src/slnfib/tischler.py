@@ -8,16 +8,17 @@ winds as little as the budget allows), integrate the scaled cochain along
 an axis walk of the torus grid into a circle map, check the discrete
 no-singularity condition per top simplex, and count fiber components at
 ten fixed levels.
-The circle map holds its exact integer lift, built and checked once where
-the map is made (CircleMap.lift): a height in [0, N) per vertex and an
-int64 wrap per edge, closed on every triangle, so a map that does not lift
-is refused there.  The census reads the lift.  Each triangle keeps its
-long edge slot, from its lowest lifted corner to its highest, apart from
-its two short slots.  Each level is a half-integer height, which no corner
-can hit, so every value is a regular level and the census reads the same
-ten, LEVELS, on every map.  A level numbers its nodes by one cumulative sum
-of the crossings per edge, pairs them along the long slots, with no sort,
-and counts the components by round contraction.
+The circle map holds its exact integer lift and its census slots, built
+and checked once where the map is made (CircleMap.lift): a height in [0,
+N) per vertex and an int64 wrap per edge, closed on every triangle, so a
+map that does not lift is refused there.  Each triangle keeps its long
+edge slot, from its lowest lifted corner to its highest, apart from its
+two short slots, and the census of each level reads them from the map.
+Each level is a half-integer height, which no corner can hit, so every
+value is a regular level and the census reads the same ten, LEVELS, on
+every map.  A level numbers its nodes by one cumulative sum of the
+crossings per edge, pairs them along the long slots, with no sort, and
+counts the components by round contraction.
 
 Cochains are float64 edge arrays, and the circle map a float64 vertex array
 in [0, 1) beside its int64 heights and wraps.  Only the rationalized periods
@@ -193,19 +194,40 @@ MAX_WRAPS = 1 << 31  # bound on |wrap| that keeps every lifted corner in int64
 @dataclass
 class CircleMap:
     """Vertex map f into R/Z with integer periods on the axis loops, held
-    with its exact integer lift (build it with CircleMap.lift): each vertex
-    v has its image values[v] in [0, 1) and height H(v) = floor(N values[v])
-    in [0, N), N = HEIGHT_SCALE, and each edge (s, t) the wrap k = rint(q
-    w(s, t) - (f(t) - f(s))) for the cochain w that f integrates.  Edge
-    (s, t) rises by H(t) - H(s) + N k; the rises close on every triangle
-    and add up to N periods[a] around axis loop a."""
+    with its exact integer lift and the level-independent part of its fiber
+    census (build it with CircleMap.lift).
+
+    Each vertex v has its image values[v] in [0, 1) and height H(v) =
+    floor(N values[v]) in [0, N), N = HEIGHT_SCALE, and each edge (s, t)
+    the wrap k = rint(q w(s, t) - (f(t) - f(s))) for the cochain w that f
+    integrates.  Edge (s, t) rises from H(s) by H(t) - H(s) + N k, with
+    ends (low, high); the rises close on every triangle and add up to N
+    periods[a] around axis loop a.
+
+    Each triangle (u, v, x) lifts its corners from H(u) along (u, v) and
+    (v, x); the rises close, so its slot (u, x) ends where (v, x) does.
+    The triangle arrays are (3, T), one contiguous row per role: corner
+    holds the lowest, middle and highest lifted corner, and slot_edge the
+    edge of the long slot, from the lowest corner to the highest, then of
+    the short slot from the lowest corner to the middle one and of the
+    short slot from the middle corner to the highest.  Each slot is the
+    lift of its edge moved up by N * offset.  weight counts the slots on
+    each edge, 1 for a loose edge, which lies on no triangle: a level's
+    crossings of one edge count weight times against MAX_CROSSINGS.
+    Every array is read-only."""
 
     complex: SimplicialComplex
-    values: np.ndarray  # (V,) float64 in [0, 1), read-only
-    heights: np.ndarray  # (V,) int64 in [0, N), read-only
-    wraps: np.ndarray  # (E,) int64, read-only
+    values: np.ndarray  # (V,) float64 in [0, 1)
+    heights: np.ndarray  # (V,) int64 in [0, N)
+    wraps: np.ndarray  # (E,) int64
     periods: List[int]
     q: int
+    low: np.ndarray  # (E,) int64
+    high: np.ndarray  # (E,) int64
+    weight: np.ndarray  # (E,) int64
+    corner: np.ndarray  # (3, T) int64
+    slot_edge: np.ndarray  # (3, T) edge indices
+    offset: np.ndarray  # (3, T) int64
 
     @classmethod
     def lift(cls, w: ScalarCochain1, values, periods: List[int], q: int) -> "CircleMap":
@@ -214,8 +236,9 @@ class CircleMap:
         InputError, naming the lowest such vertex; a residual |q w(s, t) -
         (f(t) - f(s)) - k| over RESIDUAL_TOL * max(1, q), NaN included,
         CheckFailed, naming the first such edge; a wrap of MAX_WRAPS or more
-        InputError, naming the edge; a triangle whose wraps do not close
-        CheckFailed, naming the triangle."""
+        InputError, naming the edge; a triangle whose rises do not close
+        CheckFailed, naming the triangle.  The census slots are read off
+        the rises of the triangles, gathered once."""
         complex = w.complex
         with np.errstate(invalid="ignore"):
             values = np.asarray(values, dtype=np.float64) % 1.0  # inf becomes NaN
@@ -241,17 +264,42 @@ class CircleMap:
                 f"beyond the integer height range"
             )
         wraps = wraps.astype(np.int64)
-        uv, vx, ux = (wraps[e] for e in complex.triangle_edges.T)
+        heights = np.floor(values * HEIGHT_SCALE).astype(np.int64)
+        start, end = heights[tail], heights[head] + HEIGHT_SCALE * wraps
+        # |rise| < N MAX_WRAPS = 2^61, so the sums below cannot overflow and
+        # the heights cancel exactly: a triangle's rises close as its wraps do
+        rise = end - start
+        tri, slot_edge = complex.triangles, complex.triangle_edges
+        uv, vx, ux = rise[slot_edge].T
         bad = np.flatnonzero(uv + vx != ux)
         if bad.size:
             raise CheckFailed(
                 "circle map lift does not close on triangle "
-                f"{tuple(complex.triangles[bad[0]].tolist())}"
+                f"{tuple(tri[bad[0]].tolist())}"
             )
-        heights = np.floor(values * HEIGHT_SCALE).astype(np.int64)
-        for a in (values, heights, wraps):
+        lift = np.empty(tri.shape, dtype=np.int64)
+        lift[:, 0] = heights[tri[:, 0]]
+        lift[:, 1] = lift[:, 0] + uv
+        lift[:, 2] = lift[:, 1] + vx
+        # the slot without corner x is slot (x + 1) % 3: the long slot lacks
+        # the middle corner, the low short slot the highest, the high one the
+        # lowest
+        corner = np.argsort(lift, axis=1, kind="stable").T
+        role = (corner[[1, 2, 0]] + 1) % 3
+        # (3, T) flat indices into the (T, 3) arrays
+        row = 3 * np.arange(len(tri))
+        slots = (
+            np.minimum(start, end),
+            np.maximum(start, end),
+            np.maximum(np.bincount(slot_edge.ravel(), minlength=len(complex.edges)), 1),
+            np.take(lift, corner + row),
+            np.take(slot_edge, role + row),
+            # slot (v, x) starts at corner 1, N * wrap(u, v) above H(v)
+            np.where(role == 1, wraps[slot_edge[:, 0]], 0),
+        )
+        for a in (values, heights, wraps) + slots:
             a.flags.writeable = False
-        return cls(complex, values, heights, wraps, periods, q)
+        return cls(complex, values, heights, wraps, periods, q, *slots)
 
 
 def integrate_to_circle(rz: RationalizedCochain) -> CircleMap:
@@ -314,63 +362,6 @@ class FiberCensus:
 
 
 MAX_CROSSINGS = 1 << 22  # crossings that one census level accepts
-
-
-@dataclass(frozen=True)
-class CensusFrame:
-    """The level-independent part of the fiber census of a circle map f,
-    read from its integer lift (CircleMap).
-
-    Edge (s, t) lifts from H(s) by its rise, with ends (low, high).
-    Each triangle (u, v, x) lifts its corners from H(u) along (u, v) and
-    (v, x); the wraps close, so its slot (u, x) ends where (v, x) does.
-    The triangle arrays are (3, T), one contiguous row per role: corner
-    holds the lowest, middle and highest lifted corner, and slot_edge the
-    edge of the long slot, from the lowest corner to the highest, then of
-    the short slot from the lowest corner to the middle one and of the
-    short slot from the middle corner to the highest.  Each slot is the
-    lift of its edge moved up by N * offset.  weight counts the slots on
-    each edge, 1 for a loose edge, which lies on no triangle: a level's
-    crossings of one edge count weight times against MAX_CROSSINGS.
-    """
-
-    low: np.ndarray  # (E,) int64
-    high: np.ndarray  # (E,) int64
-    weight: np.ndarray  # (E,) int64
-    corner: np.ndarray  # (3, T) int64
-    slot_edge: np.ndarray  # (3, T) edge indices
-    offset: np.ndarray  # (3, T) int64
-
-
-def census_frame(f: CircleMap) -> CensusFrame:
-    """Read f's integer lift into slots, once for every level of a census;
-    CircleMap.lift has checked it."""
-    complex, heights = f.complex, f.heights
-    tail, head = complex.edges.T
-    start = heights[tail]
-    rise = heights[head] - start + HEIGHT_SCALE * f.wraps
-
-    tri, slot_edge = complex.triangles, complex.triangle_edges
-    lift = np.empty(tri.shape, dtype=np.int64)
-    lift[:, 0] = heights[tri[:, 0]]
-    lift[:, 1] = lift[:, 0] + rise[slot_edge[:, 0]]
-    lift[:, 2] = lift[:, 1] + rise[slot_edge[:, 1]]
-    # the slot without corner x is slot (x + 1) % 3: the long slot lacks
-    # the middle corner, the low short slot the highest, the high one the
-    # lowest
-    corner = np.argsort(lift, axis=1, kind="stable").T
-    role = (corner[[1, 2, 0]] + 1) % 3
-    # (3, T) flat indices into the (T, 3) arrays
-    row = 3 * np.arange(len(tri))
-    return CensusFrame(
-        np.minimum(start, start + rise),
-        np.maximum(start, start + rise),
-        np.maximum(np.bincount(slot_edge.ravel(), minlength=len(complex.edges)), 1),
-        np.take(lift, corner + row),
-        np.take(slot_edge, role + row),
-        # slot (v, x) starts at corner 1, N * wrap(u, v) above H(v)
-        np.where(role == 1, f.wraps[slot_edge[:, 0]], 0),
-    )
 
 
 def _number_crossings(low, high, top: int):
@@ -440,41 +431,42 @@ def _count_components(n: int, lo, hi) -> int:
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def fiber_census(frame: CensusFrame, value: float) -> FiberCensus:
+def fiber_census(f: CircleMap, value: float) -> FiberCensus:
     """Extract the level set of f at a value c and count components.
 
     The level is the half-integer height floor(c N) + 1/2, with N =
     HEIGHT_SCALE, and its lifts by j N, so no height can hit it: a value on
     a vertex image counts the level just above it.  A node is a crossing of
     a level with an edge, keyed by the edge index and the j of the level
-    crossed by the edge's lift (see CensusFrame).  The two crossings of
+    crossed by the edge's lift (see CircleMap).  The two crossings of
     each lifted level of a triangle are joined; loose edges contribute
     isolated nodes.  More than MAX_CROSSINGS slot and loose-edge crossings
     raise InputError before any crossing is expanded.
 
-    This is array code over the frame, with no sort.  One cumulative sum of
-    the crossings per edge numbers the nodes (_number_crossings); a slot
-    crosses the levels of its edge moved by its offset.  The long slot of a
-    triangle crosses each of its lifted levels, the low short slot the
-    first of them and the high short slot the rest, so the pairs are two
-    runs per crossed triangle, each ordered once, low node first, before it
-    is expanded (_runs).  Round contraction (_count_components) counts the
-    components.  Beside one row per pair, which MAX_CROSSINGS bounds, a
-    level holds arrays no larger than the frame's (3, T) and (E,) ones.
+    This is array code over the census slots of f, with no sort.  One
+    cumulative sum of the crossings per edge numbers the nodes
+    (_number_crossings); a slot crosses the levels of its edge moved by its
+    offset.  The long slot of a triangle crosses each of its lifted levels,
+    the low short slot the first of them and the high short slot the rest,
+    so the pairs are two runs per crossed triangle, each ordered once, low
+    node first, before it is expanded (_runs).  Round contraction
+    (_count_components) counts the components.  Beside one row per pair,
+    which MAX_CROSSINGS bounds, a level holds arrays no larger than the
+    map's (3, T) and (E,) ones.
     """
     c = float(value) % 1.0
     top = math.floor(c * HEIGHT_SCALE) + 1  # the lowest height above level c
-    count, base = _number_crossings(frame.low, frame.high, top)
-    total = int(frame.weight @ count)
+    count, base = _number_crossings(f.low, f.high, top)
+    total = int(f.weight @ count)
     if total > MAX_CROSSINGS:
         raise InputError(
             f"level {c} has {total} edge crossings, over the cap {MAX_CROSSINGS}"
         )
-    below = frame.corner - top
+    below = f.corner - top
     below >>= HEIGHT_BITS
     crossed = np.flatnonzero(below[0] != below[2])
     below = np.take(below, crossed, 1)
-    node = base[np.take(frame.slot_edge, crossed, 1)] - np.take(frame.offset, crossed, 1)
+    node = base[np.take(f.slot_edge, crossed, 1)] - np.take(f.offset, crossed, 1)
     # the long slot crosses j = below[0] + 1, ..., below[2]: with the low
     # short slot up to below[1], with the high short slot after it; a run's
     # pairs (a + i, b + i) all have the order of (a, b), and a and b lie on
@@ -542,8 +534,7 @@ def tischler_fibration(
     rz = rationalize(w, cfg)
     cm = integrate_to_circle(rz)
     sub = check_submersion(rz.cochain)
-    frame = census_frame(cm)
-    censuses = [fiber_census(frame, lvl) for lvl in LEVELS]
+    censuses = [fiber_census(cm, lvl) for lvl in LEVELS]
     return cm, rz, sub, censuses
 
 
@@ -551,7 +542,7 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
     """SL(n) (or abelian R^2) foliation spec -> circle fibration report.
 
     Stages: Maurer-Cartan check, projection onto the abelian R^2 factor,
-    closedness verification, submersive component selection, rationalize,
+    closedness residual, submersive component selection, rationalize,
     integrate, submersion re-check, fiber census.  Deterministic: identical
     spec and config produce identical reports.
     """
@@ -586,10 +577,9 @@ def pipeline_sln(spec: LieFoliationSpec, cfg: RationalizeConfig) -> PipelineRepo
             return report
 
     closed_res = max_coboundary(projected.complex, projected.cochain)
+    # check_mc has bounded it by EQ_TOL on an R^2 spec, and project_foliation
+    # has refused it over RESIDUAL_TOL on an SL(n) one
     report.add("closedness", max_coboundary=closed_res)
-    if not closed_res <= RESIDUAL_TOL:
-        report.add("failure", reason="projected components are not closed")
-        return report
 
     chosen = None
     tried = []

@@ -759,6 +759,29 @@ class TestPipeline:
         assert code == 3
         assert not rep["ok"]
 
+    def test_rationalized_cochain_fails_submersion(self, capsys, tmp_path):
+        # R^2 on T^1 at m = 8: the first component, 8e-9 dx, rises 1e-9 on
+        # every edge, over EQ_TOL, so it is chosen; its period rationalizes
+        # to 0 within 0.01, and the moved cochain is 0 on all eight edges,
+        # the top simplices of T^1
+        spec = linear_torus_spec(8, [[8e-9], [0.3]])
+        path = write_json(tmp_path, "flat.json", dump_foliation_spec(spec))
+        code = main(["pipeline", path, "--epsilon", "0.01"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (3, "")
+        stages = json.loads(out)["stages"]
+        assert stages[-5] == {"stage": "component_selection", "coefficients": [1, 0]}
+        assert stages[-3] == {"stage": "circle_map", "q": 1, "pullback_periods": [0]}
+        assert stages[-2] == {
+            "stage": "submersion",
+            "pass": False,
+            "failing_simplices": list(range(8)),
+        }
+        assert stages[-1] == {
+            "stage": "failure",
+            "reason": "rationalized cochain fails submersion",
+        }
+
     def test_ga_spec_has_no_product_structure(self, capsys, tmp_path):
         spec = ga_suspension(8, GAElement(1.5, 0.3))
         path = write_json(tmp_path, "ga.json", dump_foliation_spec(spec))

@@ -33,7 +33,6 @@ from slnfib.tischler import (
     FiberCensus,
     RationalizeConfig,
     RationalizedCochain,
-    census_frame,
     check_submersion,
     continued_fraction_approx,
     fiber_census,
@@ -174,8 +173,10 @@ class TestIntegrate:
         assert cm.values.shape == (t2_8.n_vertices,)
         assert cm.values.dtype == np.float64 and not cm.values.flags.writeable
         assert cm.heights.shape == (t2_8.n_vertices,)
-        assert cm.wraps.shape == (len(t2_8.edges),)
-        for lift in (cm.heights, cm.wraps):
+        assert cm.wraps.shape == cm.low.shape == cm.high.shape == (len(t2_8.edges),)
+        assert cm.weight.shape == (len(t2_8.edges),)
+        slots = (cm.low, cm.high, cm.weight, cm.corner, cm.slot_edge, cm.offset)
+        for lift in (cm.heights, cm.wraps) + slots:
             assert lift.dtype == np.int64 and not lift.flags.writeable
 
     def test_tiny_negative_value_reduces_to_zero(self, capsys, tmp_path):
@@ -189,8 +190,7 @@ class TestIntegrate:
         assert cm.values.tolist() == [0.0, 0.3, 0.19999999999999998, 0.0]
         assert cm.heights.tolist() == [0, 322122547, 214748364, 0]
         assert cm.wraps.tolist() == [0, 0, 0, 0]
-        frame = census_frame(cm)
-        censuses = [fiber_census(frame, lvl) for lvl in LEVELS]
+        censuses = [fiber_census(cm, lvl) for lvl in LEVELS]
         expect = [(0, 0)] * 7 + [(2, 2)] * 3
         assert [(c.component_count, c.crossing_edges) for c in censuses] == expect
         path = tmp_path / "t1.json"
@@ -268,7 +268,7 @@ class TestFiberCensus:
 
     def test_coordinate_level_is_one_circle(self):
         cm, _ = self.circle_map_dx(5)
-        census = fiber_census(census_frame(cm), 0.5)
+        census = fiber_census(cm, 0.5)
         assert census.component_count == 1
         # the vertical line x = 0.5 crosses one horizontal and one diagonal
         # edge per row
@@ -280,9 +280,8 @@ class TestFiberCensus:
         rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
         assert cm.periods == [2, 3]
-        frame = census_frame(cm)
         for lvl in LEVELS:
-            assert fiber_census(frame, lvl).component_count == 1
+            assert fiber_census(cm, lvl).component_count == 1
 
     def test_multiple_components_for_scaled_map(self):
         # periods (2, 0): the fiber splits into two parallel circles
@@ -290,16 +289,15 @@ class TestFiberCensus:
         w = coordinate_cochain(k, 0).scale(2)
         rz = rationalize(w, RationalizeConfig(0.01))
         cm = integrate_to_circle(rz)
-        frame = census_frame(cm)
         for lvl in LEVELS:
-            assert fiber_census(frame, lvl).component_count == 2
+            assert fiber_census(cm, lvl).component_count == 2
 
     def test_vertex_level_counts_the_level_above(self):
         # the images of dx are 0, 0.2, ..., 0.8; at c = 0.0 the census
         # counts the vertical circle just right of x = 0, which crosses one
         # horizontal and one diagonal edge per row
         cm, w = self.circle_map_dx(5)
-        census = fiber_census(census_frame(cm), 0.0)
+        census = fiber_census(cm, 0.0)
         assert (census.component_count, census.crossing_edges) == (1, 2 * 5)
         # a bump of 0.3 at grid vertex (2, 2) makes it a local maximum at
         # 0.7: the level just above it misses it, and the one just below
@@ -311,9 +309,8 @@ class TestFiberCensus:
         rz = rationalize(ScalarCochain1(k, w.values + h[head] - h[tail]), RationalizeConfig(0.01))
         bumped = integrate_to_circle(rz)
         peak = bumped.values[k.covering.base_index((2, 2))]
-        frame = census_frame(bumped)
-        assert fiber_census(frame, peak).component_count == 1
-        assert fiber_census(frame, peak - 1e-6).component_count == 2
+        assert fiber_census(bumped, peak).component_count == 1
+        assert fiber_census(bumped, peak - 1e-6).component_count == 2
 
     def test_levels_are_ten_fixed_decimals(self):
         # the rule of bench/oracles.py census_levels: (i + 1/2) / 10 past
@@ -348,9 +345,8 @@ class TestFiberCensus:
         cm, _, sub, censuses = tischler_fibration(w, RationalizeConfig(0.01))
         assert cm.values.tolist() == images and sub.passed()
         assert [c.component_count for c in censuses] == [1] * 10
-        frame = census_frame(cm)
         for census in censuses:
-            above = fiber_census(frame, census.value + 1e-6)
+            above = fiber_census(cm, census.value + 1e-6)
             assert (census.component_count, census.crossing_edges) == (
                 above.component_count,
                 above.crossing_edges,
@@ -379,7 +375,7 @@ class TestFiberCensus:
         w = ScalarCochain1(k, [rise] * 3)
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             cm = CircleMap.lift(w, [0.0, vertex, 0.0], [30000000], 1)
-            fiber_census(census_frame(cm), 0.1)
+            fiber_census(cm, 0.1)
 
     @pytest.mark.parametrize("d, m, seed", [(2, 3, 0), (2, 4, 1), (3, 3, 2)])
     def test_refused_total_is_summed_in_triangle_slot_order(self, d, m, seed):
@@ -404,7 +400,7 @@ class TestFiberCensus:
         assert total > tischler.MAX_CROSSINGS
         message = f"level {c} has {total} edge crossings, over the cap {tischler.MAX_CROSSINGS}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            fiber_census(census_frame(cm), c)
+            fiber_census(cm, c)
 
     def test_nan_lift_on_triangles_refused(self):
         # a value of w that is not finite on an edge of the triangles: the
@@ -496,20 +492,19 @@ class TestFiberCensus:
         rng = np.random.default_rng(10 * d + m)
         k = torus_complex(d, m)
         cm, wraps = consistent_map(k, rng, rng.integers(-2, 3, d))
-        frame = census_frame(cm)
         shape = (3, len(k.triangles))
-        assert frame.slot_edge.shape == frame.corner.shape == frame.offset.shape == shape
-        assert np.array_equal(np.sort(frame.slot_edge, 0), np.sort(k.triangle_edges.T, 0))
+        assert cm.slot_edge.shape == cm.corner.shape == cm.offset.shape == shape
+        assert np.array_equal(np.sort(cm.slot_edge, 0), np.sort(k.triangle_edges.T, 0))
         n, edges = tischler.HEIGHT_SCALE, k.edges.tolist()
         for t in range(0, len(k.triangles), max(1, len(k.triangles) // 200)):
             lift = integer_corners(cm, wraps, k, t)
             low, mid, high = sorted(lift.values())
-            assert frame.corner[:, t].tolist() == [low, mid, high]
+            assert cm.corner[:, t].tolist() == [low, mid, high]
             for role, ends in enumerate([(low, high), (low, mid), (mid, high)]):
-                e, moved = frame.slot_edge[role, t], n * frame.offset[role, t]
+                e, moved = cm.slot_edge[role, t], n * cm.offset[role, t]
                 s, x = edges[e]
                 assert sorted((lift[s], lift[x])) == list(ends)
-                assert (frame.low[e] + moved, frame.high[e] + moved) == ends
+                assert (cm.low[e] + moved, cm.high[e] + moved) == ends
 
     HALF_DIGIT_FORM = (0.9886863694964385, 1.6376747351482408)
 
@@ -527,8 +522,7 @@ class TestFiberCensus:
             moved = moved + coordinate_cochain(k, axis).scale(float(r) - p)
         cm = integrate_to_circle(RationalizedCochain(moved, periods, 88, 0.0))
         assert cm.periods == [87, 144]
-        frame = census_frame(cm)
-        assert [fiber_census(frame, lvl).component_count for lvl in LEVELS] == [3] * 10
+        assert [fiber_census(cm, lvl).component_count for lvl in LEVELS] == [3] * 10
 
     def test_half_digit_form_takes_the_least_common_denominator(self, capsys, tmp_path):
         # the same form through the CLI: q = 47 keeps both periods within
@@ -660,8 +654,8 @@ def test_rationalize_takes_the_least_common_denominator(data, d, m, bump, epsilo
     assert all(abs(p - r) <= epsilon for p, r in zip(exact, rz.periods))
     assert rz.sup_change <= epsilon
     pullback = [int(q * r) for r in periods]
-    frame = census_frame(integrate_to_circle(rz))
-    counts = [fiber_census(frame, lvl).component_count for lvl in LEVELS]
+    cm = integrate_to_circle(rz)
+    counts = [fiber_census(cm, lvl).component_count for lvl in LEVELS]
     assert counts == [math.gcd(*pullback)] * len(LEVELS)
 
 
@@ -817,7 +811,7 @@ def test_array_census_matches_the_loop_census(d, m, coeffs, scale, moves, levels
     for value in levels + list(LEVELS):
         if all(abs((value - x + 0.5) % 1.0 - 0.5) >= 1e-6 for x in images):
             expect = loop_census(moved, rz.cochain, value)
-            assert fiber_census(census_frame(moved), value) == expect
+            assert fiber_census(moved, value) == expect
 
 
 def crossing_oracle(m, d, periods):
@@ -1030,25 +1024,19 @@ def test_component_count_examples(n, pairs, components):
 
 def test_fibration_calls_census_through_module_attribute(monkeypatch):
     # bench/tracer.py rebinds tischler.fiber_census to count crossings
-    calls, frames = [], []
-    census, frame_of = tischler.fiber_census, tischler.census_frame
+    calls, census = [], tischler.fiber_census
 
-    def counting(frame, value):
-        out = census(frame, value)
-        calls.append((value, out.crossing_edges))
+    def counting(f, value):
+        out = census(f, value)
+        calls.append((f, value, out.crossing_edges))
         return out
 
-    def framing(f):
-        frames.append(f)
-        return frame_of(f)
-
     monkeypatch.setattr(tischler, "fiber_census", counting)
-    monkeypatch.setattr(tischler, "census_frame", framing)
     cm, _, _, censuses = tischler_fibration(mixed_cochain(8), RationalizeConfig(0.01))
-    assert len(frames) == 1 and frames[0] is cm
-    assert [value for value, _ in calls] == list(LEVELS)
-    assert [n for _, n in calls] == [c.crossing_edges for c in censuses]
-    assert all(isinstance(n, int) and n > 0 for _, n in calls)
+    assert all(f is cm for f, _, _ in calls)
+    assert [value for _, value, _ in calls] == list(LEVELS)
+    assert [n for _, _, n in calls] == [c.crossing_edges for c in censuses]
+    assert all(isinstance(n, int) and n > 0 for _, _, n in calls)
 
 
 def diagonal_edge(k):
@@ -1105,16 +1093,6 @@ class TestNaNVerdicts:
         k = torus_complex(1, 3)
         w = ScalarCochain1(k, [math.nan, 1 / 3, 1 / 3])
         assert check_submersion(w).failing_simplices == [0]
-
-    def test_nan_closedness_fails_the_pipeline(self, monkeypatch):
-        monkeypatch.setattr(tischler, "max_coboundary", lambda complex, values: math.nan)
-        spec = linear_torus_spec(8, [[1.0, 0.0], [0.0, 1.0]])
-        rep = pipeline_sln(spec, RationalizeConfig(0.01))
-        assert not rep.ok
-        assert rep.stages[-1] == {
-            "stage": "failure",
-            "reason": "projected components are not closed",
-        }
 
 
 class TestTischlerFibration:
