@@ -442,11 +442,13 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
     (exp(2 c_0), c_1 exp(2 c_0)) for the chart c.  Factor 2 is the R^2
     factor, the final two coordinates of the triangular-left vector chart:
     r_(n-3, n-1)/r_(n-3, n-3) and r_(n-2, n-1)/r_(n-2, n-2) for n >= 3.
-    One iwasawa_sln_ank call charts the window, the edge ends outside it and
-    the holonomy.  The projected R^2 cochain is rebuilt from chart
-    differences of the developing map, one column per coordinate, and
-    re-verified for closedness; a violation raises CheckFailed rather than
-    propagating an unsound fibration input.
+    One iwasawa_sln_ank call charts the developing map on the lift grid
+    [0, m]^d, which holds both ends of every edge lift, and the holonomy;
+    window samples off that grid are not charted, and the projected spec
+    has the grid as its window.  The projected R^2 cochain is rebuilt from
+    chart differences of the developing map, one column per coordinate,
+    and re-verified for closedness; a violation raises CheckFailed rather
+    than propagating an unsound fibration input.
 
     Both R^2 coordinates are invariant under left translation by a
     diagonal matrix, so an SL(3) spec with diagonal holonomy projects to
@@ -461,23 +463,23 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
         raise InputError(f"no product structure on group {group.tag}")
     if which == 1 and group != SL(2):
         raise InputError("factor 1 (GA part) is only defined for SL(2) specs")
-    lifts, n = spec.complex.lifts, len(spec.developing)
-    rows = spec.rows(lifts)
-    outside = rows < 0
-    rows[outside] = n + np.arange(outside.sum())
-    extra = spec.developing_value(lifts[outside])
-    _, charts = iwasawa_sln_ank(np.concatenate([spec.developing, extra, spec.holonomy]))
+    cover = spec.complex.covering
+    side = cover.m + 1
+    # the lift grid [0, m]^d, first coordinate fastest: z is row z . side^k
+    grid = np.indices((side,) * cover.d).reshape(cover.d, -1).T[:, ::-1]
+    _, charts = iwasawa_sln_ank(np.concatenate([spec.developing_value(grid), spec.holonomy]))
     if which == 1:  # the GA parts (a, b) = (exp(2 c_0), c_1 a)
         a = np.exp(2.0 * charts[:, 0])
         charts = np.stack([a, charts[:, 1] * a], axis=-1)
-    window, ends, hol = charts[:n], charts[rows], charts[n + len(extra):]
+    at_grid, hol = charts[:len(grid)], charts[len(grid):]
+    ends = at_grid[spec.complex.lifts @ side ** np.arange(cover.d)]
     if which == 1:
         return LieFoliationSpec(
             complex=spec.complex,
             group=GA(),
             holonomy=hol,
-            window=spec.window,
-            developing=window,
+            window=grid,
+            developing=at_grid,
             cochain=edge_logarithms(spec.complex, GA().matrix(ends)),
         )
 
@@ -487,8 +489,8 @@ def project_foliation(spec: LieFoliationSpec, which: int) -> LieFoliationSpec:
         complex=spec.complex,
         group=Rk(2),
         holonomy=hol[:, -2:],
-        window=spec.window,
-        developing=window[:, -2:],
+        window=grid,
+        developing=at_grid[:, -2:],
         cochain=steps,
     )
     worst = max_coboundary(out.complex, out.cochain)

@@ -179,6 +179,12 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
         return scipy.linalg.expm(a)
 
 
+# A bound of ||a - I||_2 below BALL_SCREEN settles the ball test.  It lies
+# far enough below 1 that the rounding of a bound, a few ulps, cannot put in
+# the ball a matrix whose LAPACK 2-norm is 1 or more.
+BALL_SCREEN = 1.0 - 1e-9
+
+
 def matrix_log(
     a: np.ndarray, name: Optional[Callable[[int], str]] = None
 ) -> np.ndarray:
@@ -192,9 +198,26 @@ def matrix_log(
     non-real logarithm.  The message starts "matrix_log:", or, given name,
     "matrix_log of <name(i)>:" for the index i of that matrix along the
     first axis of a stack.
+
+    The ball test reads a bound of ||a - I||_2 first: for n = 2 its closed
+    form, the largest singular value, and for n >= 3 the Frobenius norm,
+    which is never smaller.  A bound below BALL_SCREEN puts a matrix in the
+    ball; every other matrix, NaN and inf included, gets LAPACK's 2-norm
+    (one SVD), which decides its test and prints in its refusal.
     """
     n = a.shape[-1]
-    gaps = np.asarray(np.linalg.norm(a - np.eye(n), 2, axis=(-2, -1)))
+    x = a - np.eye(n)
+    flat = np.reshape(x, (-1, n * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:  # (|(p + t, r - q)| + |(p - t, q + r)|) / 2 of [[p, q], [r, t]]
+            p, q, r, t = flat.T
+            gaps = 0.5 * (np.hypot(p + t, r - q) + np.hypot(p - t, q + r))
+        else:
+            gaps = np.sqrt(np.sum(flat * flat, axis=-1))
+    gaps = gaps.reshape(a.shape[:-2])
+    near = ~(gaps < BALL_SCREEN)
+    if near.any():
+        gaps[near] = np.linalg.norm(x[near], 2, axis=(-2, -1))
 
     def refuse(k, far: bool) -> LogDomain:  # k: the index of the matrix
         where = "matrix_log" if name is None else f"matrix_log of {name(k[0])}"
@@ -221,7 +244,8 @@ LOG2_SERIES_CUTOFF = 1e-2  # |u| below which _log2 sums the series of F(u)
 
 def _log2(a: np.ndarray, gaps: np.ndarray, refuse) -> np.ndarray:
     """Principal logarithm of every matrix of a real (..., 2, 2) stack a, whose
-    distances ||a - I||_2 are gaps, from Cayley-Hamilton.
+    distances ||a - I||_2, or bounds of them below BALL_SCREEN, are gaps,
+    from Cayley-Hamilton.
 
     With s = tr(a)/2, d = det(a) and N = a - s*I, N^2 = (s^2 - d)*I, so for
     u = (s^2 - d)/s^2 the log series of I + N/s sums to

@@ -256,6 +256,7 @@ class CircleMap:
         if bad.size:
             u, v = complex.edges[bad[0]]
             raise CheckFailed(f"edge increment mismatch {residual[bad[0]]:.3e} on ({u},{v})")
+        del rise, residual  # the float temporaries, freed ahead of the slot build
         bad = np.flatnonzero(np.abs(wraps) >= MAX_WRAPS)
         if bad.size:
             u, v = complex.edges[bad[0]]
@@ -266,11 +267,13 @@ class CircleMap:
         wraps = wraps.astype(np.int64)
         heights = np.floor(values * HEIGHT_SCALE).astype(np.int64)
         start, end = heights[tail], heights[head] + HEIGHT_SCALE * wraps
+        low, high = np.minimum(start, end), np.maximum(start, end)
         # |rise| < N MAX_WRAPS = 2^61, so the sums below cannot overflow and
         # the heights cancel exactly: a triangle's rises close as its wraps do
-        rise = end - start
         tri, slot_edge = complex.triangles, complex.triangle_edges
-        uv, vx, ux = rise[slot_edge].T
+        rises = (end - start)[slot_edge]  # (T, 3), by slot
+        del start, end
+        uv, vx, ux = rises.T
         bad = np.flatnonzero(uv + vx != ux)
         if bad.size:
             raise CheckFailed(
@@ -281,6 +284,7 @@ class CircleMap:
         lift[:, 0] = heights[tri[:, 0]]
         lift[:, 1] = lift[:, 0] + uv
         lift[:, 2] = lift[:, 1] + vx
+        del rises, uv, vx, ux
         # the slot without corner x is slot (x + 1) % 3: the long slot lacks
         # the middle corner, the low short slot the highest, the high one the
         # lowest
@@ -289,8 +293,8 @@ class CircleMap:
         # (3, T) flat indices into the (T, 3) arrays
         row = 3 * np.arange(len(tri))
         slots = (
-            np.minimum(start, end),
-            np.maximum(start, end),
+            low,
+            high,
             np.maximum(np.bincount(slot_edge.ravel(), minlength=len(complex.edges)), 1),
             np.take(lift, corner + row),
             np.take(slot_edge, role + row),

@@ -289,8 +289,54 @@ class TestProjectFoliation:
         )
         got = project_foliation(partial, which)
         ref = project_foliation(product_spec, which)
-        assert len(got.developing) == m * m
+        # the projected window is the lift grid [0, m]^2, first coordinate fastest
+        grid = [(x, y) for y in range(m + 1) for x in range(m + 1)]
+        assert got.window.tolist() == ref.window.tolist() == [list(z) for z in grid]
+        assert len(got.developing) == (m + 1) ** 2
         assert sup(got.cochain - ref.cochain) < 1e-12
+
+    @pytest.mark.parametrize(
+        "which, build",
+        [(1, "product-8"), (2, "product-8"), (1, "product-16"), (2, "product-16"),
+         (1, "partial"), (2, "partial"), (2, "unipotent-3"), (2, "unipotent-4")],
+    )
+    def test_grid_charts_equal_window_charts(self, product_spec, which, build):
+        """The lift-grid projection has the bits of charting the whole
+        window, the edge ends outside it and the holonomy in one stack, then
+        gathering the edge ends at their window rows."""
+        if build == "product-8":
+            spec = product_spec
+        elif build == "product-16":
+            spec = product_foliation(ga_suspension(16, GAElement(1.5, 0.3)))
+        elif build == "partial":
+            inside = product_spec.window.max(axis=1) < product_spec.complex.covering.m
+            spec = dataclasses.replace(
+                product_spec,
+                window=product_spec.window[inside],
+                developing=product_spec.developing[inside],
+            )
+        else:
+            spec = foliation.unipotent_torus_spec(int(build[-1]), 3, (1.0, 2.0, math.sqrt(2)))
+        lifts, n = spec.complex.lifts, len(spec.developing)
+        rows = spec.rows(lifts)
+        outside = rows < 0
+        rows[outside] = n + np.arange(outside.sum())
+        extra = spec.developing_value(lifts[outside])
+        _, charts = groups.iwasawa_sln_ank(
+            np.concatenate([spec.developing, extra, spec.holonomy])
+        )
+        if which == 1:
+            a = np.exp(2.0 * charts[:, 0])
+            charts = np.stack([a, charts[:, 1] * a], axis=-1)
+        ends, hol = charts[rows], charts[n + len(extra):]
+        if which == 1:
+            cochain = foliation.edge_logarithms(spec.complex, GA().matrix(ends))
+        else:
+            cochain, hol = ends[:, 1, -2:] - ends[:, 0, -2:], hol[:, -2:]
+        got = project_foliation(spec, which)
+        assert outside.any() == (build == "partial")
+        assert got.cochain.tobytes() == cochain.tobytes()
+        assert got.holonomy.tobytes() == hol.tobytes()
 
     def test_invalid_factor_index(self, product_spec):
         with pytest.raises(InputError):
@@ -317,7 +363,7 @@ class TestKernelCounts:
         matrix_log(np.diag([1.1, 1.0, 1.0 / 1.1]))
         assert calls == [(3, 3)]
 
-    def test_one_chart_per_sample_and_holonomy_image(self, monkeypatch, product_spec):
+    def test_one_chart_per_grid_point_and_holonomy_image(self, monkeypatch, product_spec):
         calls = []
         qr_positive = groups.qr_positive
 
@@ -328,8 +374,8 @@ class TestKernelCounts:
         monkeypatch.setattr(groups, "qr_positive", counted)
         project_foliation(product_spec, 2)
         assert len(product_spec.developing) == 24 * 24
-        # matrices charted, over all calls
-        assert sum(len(a) for a in calls) == 24 * 24 + len(product_spec.holonomy)
+        # matrices charted, over all calls: the lift grid [0, 8]^2 and 2 images
+        assert sum(len(a) for a in calls) == 9 * 9 + 2 == 83
 
     def test_constructors_take_one_log_per_edge(self, monkeypatch):
         calls = []
@@ -342,6 +388,14 @@ class TestKernelCounts:
         product_foliation(ga_suspension(8, GAElement(2.0, 0.5)))
         # 8 circle edges, then 3 * 8 * 8 torus edges, each logged once
         assert sum(len(a) for a in calls) == 8 + 192
+
+    @pytest.mark.parametrize("a, b", [(math.exp(0.2), -1.0), (math.exp(1.2), 1.0)])
+    def test_sl2_edge_steps_take_no_svd(self, monkeypatch, a, b):
+        # every step of an m = 8 product spec over the bench's (a, b) range
+        # lies well inside the log ball, so the closed-form bound settles it
+        monkeypatch.setattr(np.linalg, "norm", None)
+        spec = product_foliation(ga_suspension(8, GAElement(a, b)))
+        assert spec.validate_consistency() < 1e-12
 
     def test_abelian_flatness_takes_one_coboundary_per_cochain(self, monkeypatch):
         calls = []

@@ -267,15 +267,75 @@ def log2_loop(a):
 
 
 def log_outcome(log, a):
-    """The bytes and shape of log(a), or the message of its LogDomain; any
-    numpy warning raises."""
+    """The bytes and shape of log(a), or the message of its LogDomain (of a
+    LinAlgError, after its name); any numpy warning raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             got = log(a)
         except LogDomain as e:
             return str(e)
+        except np.linalg.LinAlgError as e:
+            return f"LinAlgError: {e}"
     return got.shape, got.tobytes()
+
+
+def logm_loop(a):
+    """matrix_log of a (..., n, n) stack, n >= 3, as one 2-norm per matrix
+    (each its own SVD), then a loop in stack order: the ball test, then
+    scipy's logm and its real part."""
+    n = a.shape[-1]
+    gaps = {k: np.linalg.norm(a[k] - np.eye(n), 2) for k in np.ndindex(a.shape[:-2])}
+    out = np.empty(a.shape)
+    for k, gap in gaps.items():
+        if not gap < 1.0:
+            raise LogDomain(f"matrix_log: ||a - I|| = {gap:.6g} >= 1")
+        x = scipy.linalg.logm(a[k])
+        if not np.max(np.abs(np.imag(x))) <= RESIDUAL_TOL:
+            raise LogDomain("matrix_log: non-real principal logarithm")
+        out[k] = np.real(x)
+    return out
+
+
+def near_ball_boundary(n):
+    """n x n matrices a at the edge of the ball ||a - I||_2 < 1, each named:
+    a bound of ||a - I||_2 in [BALL_SCREEN, 1) (closed form for n = 2,
+    Frobenius for n >= 3), 2-norms a few ulps from 1 on both sides, and NaN
+    and infinite entries.  Each reaches the LAPACK 2-norm of matrix_log."""
+    def at(x):
+        a = np.eye(n)
+        a[:len(x), :len(x)] += x
+        return a
+
+    turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+    if n == 2:  # a 2-norm 1 - 5e-10, off the axes
+        c, s = math.cos(0.3), math.sin(0.3)
+        edge = at((1.0 - 5e-10) * np.array([[c, -s], [s, c]]) @ np.diag([1.0, 0.4]) @ turn)
+    else:  # Frobenius norm 1 - 5e-10, 2-norm 0.8
+        edge = at(np.diag([0.6, math.sqrt(0.64 - 1e-9)]))
+    out = {"screen-edge": edge, "turn": at(turn), "turn-scaled": at(turn * (1 + 2.0 ** -52))}
+    for k in (-2, -1, 0, 1, 2):  # a_00 - 1 = 1 + k ulp, exactly
+        out[f"ulp{k:+d}"] = at(np.diag([1.0 + k * 2.0 ** (-52 if k < 0 else -51), 0.2]))
+    for v in (math.nan, math.inf, -math.inf):
+        a = np.eye(n)
+        a[0, 1] = v
+        out[f"entry-{v}"] = a
+    return out
+
+
+def boundary_stacks(n):
+    """(2, 3, n, n) stacks of the matrices of near_ball_boundary(n) and
+    matrices well inside and outside the ball; the last is in the ball."""
+    m = near_ball_boundary(n)
+    good, far = np.eye(n) + 0.1 * np.eye(n, k=1), np.diag([2.5] + [1.0] * (n - 1))
+    rows = [
+        [good, m["screen-edge"], m["ulp-1"], m["ulp+1"], good, m["turn"]],
+        [m["screen-edge"], m["ulp-2"], good, m["ulp+0"], far, m["turn-scaled"]],
+        [good, far, m["entry-inf"], good, m["ulp+2"], good],
+        [m["ulp-1"], m["entry--inf"], good, m["entry-nan"], good, far],
+        [good, m["screen-edge"], m["ulp-1"], m["ulp-2"], good, m["screen-edge"]],
+    ]
+    return {f"stack{i}": np.reshape(r, (2, 3, n, n)) for i, r in enumerate(rows)}
 
 
 # 2x2 matrices: I + scale * X with scale from 1e-12 to 0.9 and |X_ij| <= 2
@@ -364,6 +424,43 @@ class TestLog2Stack:
         assert log_outcome(matrix_log, a) == expect
 
 
+class TestBallBoundary:
+    """Matrices at the edge of the log ball, where matrix_log leaves the
+    ball test to LAPACK's 2-norm, against the loops that take that 2-norm
+    for every matrix: log2_loop for n = 2 and logm_loop for n = 3, bit for
+    bit, and refusal for refusal."""
+
+    @pytest.mark.parametrize("name", list(near_ball_boundary(2)) + list(boundary_stacks(2)))
+    def test_n2_against_the_scalar_closed_form(self, name, monkeypatch):
+        a = {**near_ball_boundary(2), **boundary_stacks(2)}[name]
+        self.assert_same(a, log2_loop, monkeypatch)
+
+    @pytest.mark.parametrize("name", list(near_ball_boundary(3)) + list(boundary_stacks(3)))
+    def test_n3_against_logm(self, name, monkeypatch):
+        a = {**near_ball_boundary(3), **boundary_stacks(3)}[name]
+        self.assert_same(a, logm_loop, monkeypatch)
+
+    @staticmethod
+    def assert_same(a, loop, monkeypatch):
+        expect = log_outcome(loop, a)
+        norms, norm = [], np.linalg.norm
+        monkeypatch.setattr(
+            np.linalg, "norm", lambda x, *args, **kw: norms.append(1) or norm(x, *args, **kw)
+        )
+        assert log_outcome(matrix_log, a) == expect
+        assert len(norms) == 1  # the bound did not settle every matrix
+
+    def test_screened_matrices_take_no_svd(self, monkeypatch):
+        # bounds below BALL_SCREEN: 1 - 2e-9 in closed form, and Frobenius
+        # 0.99 for 2-norm 0.7
+        c, s = math.cos(0.3), math.sin(0.3)
+        a2 = np.eye(2) + (1.0 - 2e-9) * np.array([[c, -s], [s, c]]) @ np.diag([1.0, 0.4])
+        a3 = np.eye(3) + np.diag([0.7, 0.7, 0.0])
+        expect = log_outcome(log2_loop, a2), log_outcome(logm_loop, a3)
+        monkeypatch.setattr(np.linalg, "norm", None)
+        assert (log_outcome(matrix_log, a2), log_outcome(matrix_log, a3)) == expect
+
+
 class TestDimensionCap:
     def test_rejects_large(self):
         with pytest.raises(DimensionError):
@@ -388,9 +485,10 @@ class TestNaNVerdicts:
             qr_positive(np.eye(2))
 
     def test_nan_distance_to_identity_is_outside_the_ball(self, monkeypatch):
+        # a - I = diag(1, -0.5): its bound, 1, leaves the test to the 2-norm
         monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: math.nan)
         with pytest.raises(LogDomain, match="= nan >= 1"):
-            matrix_log(np.eye(2))
+            matrix_log(np.diag([2.0, 0.5]))
 
     def test_nan_imaginary_part_is_not_real(self, monkeypatch):
         nan_imag = np.full((3, 3), complex(0.0, math.nan))
