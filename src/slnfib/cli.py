@@ -6,9 +6,8 @@ of json.dumps(report, indent=2, sort_keys=True) and a newline, with a
 non-finite float as the string "Infinity", "-Infinity" or "NaN".  The
 verify-brackets report holds the structure table itself, and the writer
 writes it from the int64 array by algebra.structure_table_json.
-Exit codes: 0 pass, 2 input error, 3 check failed.  --golden DIR compares the
-report byte-for-byte with the stored file named <command>-<input-stem>.json
-(or <command>-n<k>.json for verify-brackets); --write-golden DIR stores it.
+Exit codes: 0 pass, 2 input error, 3 check failed.  A command writes no
+file: to keep a report, redirect stdout; to compare two, cmp them.
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -80,32 +78,11 @@ def _json_text(x, indent: str = "") -> str:
     return ends[0] + ("\n" + inner + body + "\n" + indent if x else "") + ends[1]
 
 
-def _emit(report: dict, args, golden_stem: str) -> int:
+def _emit(report: dict) -> int:
     """Print _json_text(report) and a newline, the bytes of json.dumps(report,
-    indent=2, sort_keys=True) + "\n" with non-finite floats as strings, and
-    store or compare its golden file; one it cannot write or read raises
-    InputError.  The exit code: a failed golden comparison, else that of
-    report["ok"] (pass when the report has no "ok")."""
-    text = _json_text(report) + "\n"
-    sys.stdout.write(text)
-    if args.write_golden:
-        path = Path(args.write_golden) / f"{golden_stem}.json"
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        except OSError as e:
-            raise InputError(f"cannot write golden file {path}: {e}") from e
-    if args.golden:
-        path = Path(args.golden) / f"{golden_stem}.json"
-        if not path.exists():
-            raise InputError(f"golden file {path} does not exist")
-        try:
-            golden = path.read_text()
-        except (OSError, ValueError) as e:  # ValueError: not UTF-8
-            raise InputError(f"cannot read golden file {path}: {e}") from e
-        if golden != text:
-            sys.stderr.write(f"golden mismatch against {path}\n")
-            return EXIT_CHECK
+    indent=2, sort_keys=True) + "\n" with non-finite floats as strings; the
+    exit code of report["ok"] (pass when the report has no "ok")."""
+    sys.stdout.write(_json_text(report) + "\n")
     return EXIT_PASS if report.get("ok", True) else EXIT_CHECK
 
 
@@ -134,7 +111,7 @@ def cmd_verify_brackets(args) -> int:
         "ok": not violations,
         "table": table,
     }
-    return _emit(report, args, f"brackets-n{n}")
+    return _emit(report)
 
 
 def cmd_decompose(args) -> int:
@@ -148,7 +125,7 @@ def cmd_decompose(args) -> int:
         # the leading block and the R^2 factor, the last two coordinates
         "split": {"g1": chart[:-2], "g2": chart[-2:]},
     }
-    return _emit(report, args, f"decompose-{Path(args.matrix).stem}")
+    return _emit(report)
 
 
 def cmd_check_foliation(args) -> int:
@@ -163,7 +140,7 @@ def cmd_check_foliation(args) -> int:
         "cochain_consistency": consistency,
         "ok": ok,
     }
-    return _emit(report, args, f"check-{Path(args.spec).stem}")
+    return _emit(report)
 
 
 def cmd_tischler(args) -> int:
@@ -179,14 +156,14 @@ def cmd_tischler(args) -> int:
         "fiber_components": [c.component_count for c in censuses],
         "ok": fibration_ok(sub, censuses),
     }
-    return _emit(report, args, f"tischler-{Path(args.cochain).stem}")
+    return _emit(report)
 
 
 def cmd_pipeline(args) -> int:
     spec = serialize.load_foliation_spec(_load_json(args.spec))
     cfg = RationalizeConfig(args.epsilon, args.max_denominator)
     report = pipeline_sln(spec, cfg)
-    return _emit(report.to_dict(), args, f"pipeline-{Path(args.spec).stem}")
+    return _emit(report.to_dict())
 
 
 def _arg(*flags, **kwargs):
@@ -197,10 +174,6 @@ _SPEC = _arg("spec", help="JSON foliation spec file")
 _RATIONALIZE = (
     _arg("--epsilon", type=float, required=True),
     _arg("--max-denominator", type=int, default=10 ** 6),
-)
-_GOLDEN = (
-    _arg("--golden", help="directory of golden reports to compare"),
-    _arg("--write-golden", help="directory to store golden reports"),
 )
 
 
@@ -249,7 +222,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     for name in names:
         summary, func, arguments = commands[name]
         p = sub.add_parser(name, help=summary)
-        for flags, kwargs in arguments + _GOLDEN:
+        for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
     return parser

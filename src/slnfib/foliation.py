@@ -110,7 +110,10 @@ class LieFoliationSpec:
             require_ga(dev, sample)
         for i, a in enumerate(hol):
             for b in hol[i + 1:]:
-                if not group.dist(group.mul(a, b), group.mul(b, a)) <= EQ_TOL:
+                # an overflowing product gives inf or NaN, refused here
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gap = group.dist(group.mul(a, b), group.mul(b, a))
+                if not gap <= EQ_TOL:
                     raise InputError("deck generator images do not commute")
         # window rows sorted by key, equal keys in row order, for searchsorted
         row_keys = _row_keys(keys)

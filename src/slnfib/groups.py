@@ -148,9 +148,11 @@ class GA:
         return np.abs(g - h).max(axis=-1)
 
     def matrix(self, g: np.ndarray) -> np.ndarray:
-        """The unimodular embedding (1/sqrt(a)) [[a, b], [0, 1]] of every row."""
+        """The unimodular embedding (1/sqrt(a)) [[a, b], [0, 1]] of every row;
+        b/sqrt(a) past the float range is inf, which callers refuse."""
         s = np.sqrt(g[..., 0])
-        top = np.stack([s, g[..., 1] / s], axis=-1)
+        with np.errstate(over="ignore"):
+            top = np.stack([s, g[..., 1] / s], axis=-1)
         return np.stack([top, np.stack([np.zeros_like(s), 1.0 / s], axis=-1)], axis=-2)
 
     def coords(self, x: np.ndarray) -> np.ndarray:

@@ -202,8 +202,10 @@ def matrix_log(
     The ball test reads a bound of ||a - I||_2 first: for n = 2 its closed
     form, the largest singular value, and for n >= 3 the Frobenius norm,
     which is never smaller.  A bound below BALL_SCREEN puts a matrix in the
-    ball; every other matrix, NaN and inf included, gets LAPACK's 2-norm
-    (one SVD), which decides its test and prints in its refusal.
+    ball; every other finite matrix gets LAPACK's 2-norm (one SVD), which
+    decides its test and prints in its refusal.  A matrix with a NaN or inf
+    entry gets the distance NaN with no SVD, and is refused as outside the
+    ball.
     """
     n = a.shape[-1]
     x = a - np.eye(n)
@@ -217,7 +219,11 @@ def matrix_log(
     gaps = gaps.reshape(a.shape[:-2])
     near = ~(gaps < BALL_SCREEN)
     if near.any():
-        gaps[near] = np.linalg.norm(x[near], 2, axis=(-2, -1))
+        x = x[near]
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        norms = np.full(len(x), np.nan)
+        norms[finite] = np.linalg.norm(x[finite], 2, axis=(-2, -1))
+        gaps[near] = norms
 
     def refuse(k, far: bool) -> LogDomain:  # k: the index of the matrix
         where = "matrix_log" if name is None else f"matrix_log of {name(k[0])}"

@@ -717,6 +717,39 @@ def test_overflowing_holonomy_names_its_first_triangle(capsys, tmp_path, command
     )
 
 
+def overflowing_holonomy_rk():
+    s = dump_foliation_spec(linear_torus_spec(4, [[1.0, 0.5], [0.3, 1.0]]))
+    return {**s, "holonomy": [[1e308, 1e308], [1e308, 1e308]]}
+
+
+def overflowing_holonomy_sl2():
+    return {**sl2_product_m8(), "holonomy": [[[1e300, 0.0], [0.0, 1e-300]]] * 2}
+
+
+@pytest.mark.parametrize(
+    "spec", [overflowing_holonomy_rk, overflowing_holonomy_sl2], ids=["R2", "SL2"]
+)
+@pytest.mark.parametrize("command", ["check-foliation", "pipeline"])
+def test_overflowing_holonomy_products_do_not_commute(capsys, tmp_path, spec, command):
+    # the products of the two deck generator images overflow: refused as
+    # input, with no numpy warning
+    argv = [command, write_json(tmp_path, "spec.json", spec())]
+    code = main(argv + (["--epsilon", "0.01"] if command == "pipeline" else []))
+    assert (code, *capsys.readouterr()) == (
+        2, "", "input error: deck generator images do not commute\n"
+    )
+
+
+def test_overflowing_ga_embedding_is_not_finite(capsys, tmp_path):
+    # b / sqrt(a) of the sample (1e-300, 1e300) overflows to inf
+    spec = dump_foliation_spec(ga_suspension(8, GAElement(1.5, 0.3)))
+    spec["developing"] = {key: [1e-300, 1e300] for key in spec["developing"]}
+    code = main(["check-foliation", write_json(tmp_path, "ga.json", spec)])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "input error: developing step on edge 0-1 is not finite\n"
+    )
+
+
 def test_log_ball_refusal_names_its_first_edge(capsys, tmp_path):
     # each edge step is I + cochain exactly, and edge 0, (0, 9), is the first
     # whose cochain value has 2-norm 1: on the boundary of the log ball
@@ -852,82 +885,6 @@ def test_unipotent_sln_census_equals_the_gcd(n, m, coeffs):
     pullback = [int(p * q) for p in periods]
     assert stages["circle_map"]["pullback_periods"] == pullback
     assert stages["fiber_census"]["components"] == [math.gcd(*pullback)] * 10
-
-
-class TestGolden:
-    def test_roundtrip(self, capsys, tmp_path, product_spec):
-        spec_path = write_json(tmp_path, "prod.json", dump_foliation_spec(product_spec))
-        gold = tmp_path / "golden"
-        code, _ = run(
-            capsys,
-            ["pipeline", spec_path, "--epsilon", "0.01", "--write-golden", str(gold)],
-        )
-        assert code == 0
-        code, _ = run(
-            capsys, ["pipeline", spec_path, "--epsilon", "0.01", "--golden", str(gold)]
-        )
-        assert code == 0
-
-    def test_mismatch_exit_3(self, capsys, tmp_path, product_spec):
-        spec_path = write_json(tmp_path, "prod.json", dump_foliation_spec(product_spec))
-        gold = tmp_path / "golden"
-        run(
-            capsys,
-            ["pipeline", spec_path, "--epsilon", "0.01", "--write-golden", str(gold)],
-        )
-        target = gold / "pipeline-prod.json"
-        target.write_text(target.read_text().replace('"ok": true', '"ok": false'))
-        code, _ = run(
-            capsys, ["pipeline", spec_path, "--epsilon", "0.01", "--golden", str(gold)]
-        )
-        assert code == 3
-
-    def test_missing_golden_exit_2(self, capsys, tmp_path, product_spec):
-        spec_path = write_json(tmp_path, "prod.json", dump_foliation_spec(product_spec))
-        code, _ = run(
-            capsys,
-            [
-                "pipeline",
-                spec_path,
-                "--epsilon",
-                "0.01",
-                "--golden",
-                str(tmp_path / "empty"),
-            ],
-        )
-        assert code == 2
-
-    @staticmethod
-    def unusable_golden(capsys, option, path):
-        """verify-brackets --n 2 with a golden file it cannot write or read:
-        exit 2, the report on stdout, and the path in the error."""
-        code = main(["verify-brackets", "--n", "2", option, str(path.parent)])
-        out, err = capsys.readouterr()
-        assert code == 2 and json.loads(out)["ok"]
-        assert err.startswith("input error: ") and str(path) in err
-        assert "Traceback" not in err
-
-    def test_write_golden_into_a_file_exit_2(self, capsys, tmp_path):
-        (tmp_path / "file").write_text("")
-        self.unusable_golden(capsys, "--write-golden", tmp_path / "file" / "brackets-n2.json")
-
-    def test_golden_that_is_a_directory_exit_2(self, capsys, tmp_path):
-        (tmp_path / "brackets-n2.json").mkdir()
-        self.unusable_golden(capsys, "--golden", tmp_path / "brackets-n2.json")
-
-    def test_golden_that_is_not_utf8_exit_2(self, capsys, tmp_path):
-        (tmp_path / "brackets-n2.json").write_bytes(b"\xff\xfe{}")
-        self.unusable_golden(capsys, "--golden", tmp_path / "brackets-n2.json")
-
-    def test_brackets_golden(self, capsys, tmp_path):
-        gold = tmp_path / "golden"
-        code, _ = run(
-            capsys, ["verify-brackets", "--n", "2", "--write-golden", str(gold)]
-        )
-        assert code == 0
-        assert (gold / "brackets-n2.json").exists()
-        code, _ = run(capsys, ["verify-brackets", "--n", "2", "--golden", str(gold)])
-        assert code == 0
 
 
 def overflowing_edge(spec):

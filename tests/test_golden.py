@@ -7,9 +7,16 @@ sum_i c_i dx_i takes the value sum_i c_i * e_i / m on the edge (z, z + e)
 of the standard triangulation of T^d (e a nonzero 0/1 vector), summed in
 axis order.  Each `decompose` input is a matrix of plain numbers written
 below.  The SL(2) product specs are built and dumped by the library
-constructors at test time.  Each command then runs with --golden
-tests/golden, which exits 3 on any byte of difference from the stored
-report.
+constructors at test time.  Each command must exit 0, print nothing to
+stderr and print the stored report tests/golden/<command>-<stem>.json to
+stdout, byte for byte; on a mismatch pytest shows the diff.
+
+To regenerate a stored report, run its command on the same input:
+
+    PYTHONPATH=src python -m slnfib.cli <cmd> <input> ... > tests/golden/<cmd>-<stem>.json
+
+with the input written by the helpers below (the bracket report takes no
+input file: `verify-brackets --n 5 > tests/golden/brackets-n5.json`).
 """
 import itertools
 import json
@@ -26,6 +33,13 @@ from slnfib.serialize import dump_foliation_spec
 GOLDEN = Path(__file__).parent / "golden"
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)
+
+
+def assert_golden(capsys, argv, name):
+    """main(argv) exits 0, writes no stderr and prints tests/golden/<name>.json."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err, out) == (0, "", (GOLDEN / f"{name}.json").read_text())
 
 
 def base_index(z, m):
@@ -97,12 +111,9 @@ def test_tischler_golden(capsys, tmp_path, stem, d, m, coeffs, epsilon):
     path.write_text(
         json.dumps({"torus": {"d": d, "m": m}, "cochain": linear_form(d, m, coeffs)})
     )
-    code = main(
-        ["tischler", str(path), "--epsilon", str(epsilon), "--golden", str(GOLDEN)]
+    assert_golden(
+        capsys, ["tischler", str(path), "--epsilon", str(epsilon)], f"tischler-{stem}"
     )
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert json.loads(out)["ok"]
 
 
 # (stem, m, coefficient rows) of each stored R^k `check-foliation` report;
@@ -118,19 +129,13 @@ LINEAR = [
 def test_check_foliation_rk_golden(capsys, tmp_path, stem, m, rows):
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(linear_spec(m, rows)))
-    code = main(["check-foliation", str(path), "--golden", str(GOLDEN)])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert json.loads(out)["ok"]
+    assert_golden(capsys, ["check-foliation", str(path)], f"check-{stem}")
 
 
 def test_pipeline_golden(capsys, tmp_path):
     path = tmp_path / "linear_m8.json"
     path.write_text(json.dumps(linear_spec(*LINEAR[0][1:])))
-    code = main(["pipeline", str(path), "--epsilon", "0.01", "--golden", str(GOLDEN)])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert json.loads(out)["ok"]
+    assert_golden(capsys, ["pipeline", str(path), "--epsilon", "0.01"], "pipeline-linear_m8")
 
 
 # (stem, matrix) of each stored `decompose` report
@@ -155,42 +160,35 @@ DECOMPOSE = [
 def test_decompose_golden(capsys, tmp_path, stem, matrix):
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(matrix))
-    code = main(["decompose", str(path), "--golden", str(GOLDEN)])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert json.loads(out)["n"] == len(matrix)
+    assert_golden(capsys, ["decompose", str(path)], f"decompose-{stem}")
 
 
 @pytest.fixture(scope="module")
 def sl2_products(tmp_path_factory):
     """The SL(2) product specs of GA holonomy (1.5, 0.3) at m = 8 and at
     m = 32 (96^2 developing samples, 3,072 edge logarithms), as files named
-    by their golden stems."""
+    by their golden stems: {stem: path}."""
     out = tmp_path_factory.mktemp("specs")
+    paths = {}
     for m, stem in ((8, "sl2_product_m8"), (32, "sl2_m32")):
         spec = product_foliation(ga_suspension(m, GAElement(1.5, 0.3)))
-        (out / f"{stem}.json").write_text(json.dumps(dump_foliation_spec(spec)))
-    return [str(out / "sl2_product_m8.json"), str(out / "sl2_m32.json")]
+        paths[stem] = out / f"{stem}.json"
+        paths[stem].write_text(json.dumps(dump_foliation_spec(spec)))
+    return paths
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["check-foliation"], ["pipeline", "--epsilon", "0.01"]],
+    "argv, prefix",
+    [(["check-foliation"], "check"), (["pipeline", "--epsilon", "0.01"], "pipeline")],
     ids=["check-foliation", "pipeline"],
 )
-def test_sl2_product_golden(capsys, sl2_products, argv):
-    for path in sl2_products:
-        code = main(argv[:1] + [path] + argv[1:] + ["--golden", str(GOLDEN)])
-        out, err = capsys.readouterr()
-        assert (code, err) == (0, "")
-        assert json.loads(out)["ok"]
+def test_sl2_product_golden(capsys, sl2_products, argv, prefix):
+    for stem, path in sl2_products.items():
+        assert_golden(capsys, argv[:1] + [str(path)] + argv[1:], f"{prefix}-{stem}")
 
 
 def test_brackets_golden(capsys):
-    code = main(["verify-brackets", "--n", "5", "--golden", str(GOLDEN)])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert json.loads(out)["ok"]
+    assert_golden(capsys, ["verify-brackets", "--n", "5"], "brackets-n5")
 
 
 def test_ci_golden_holds_the_acceptance_numbers():

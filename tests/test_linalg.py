@@ -16,6 +16,7 @@ from slnfib.linalg import (
     RESIDUAL_TOL,
     FMatrix,
     RMatrix,
+    _log2,
     matrix_exp,
     matrix_log,
     qr_positive,
@@ -253,15 +254,21 @@ def log2_scalar(rows):
     return [[h + c * n, c * q], [c * r, h - c * n]]
 
 
-def log2_loop(a):
+def ball_gap(x):
+    """||x||_2 of one matrix by LAPACK, or NaN, with no SVD, when an entry of
+    x is NaN or inf: the distance ||a - I|| that matrix_log tests."""
+    return np.linalg.norm(x, 2) if np.isfinite(x).all() else math.nan
+
+
+def log2_loop(a, gap=ball_gap):
     """matrix_log of a (..., 2, 2) stack as a loop over its matrices in stack
-    order: the ball test, then log2_scalar, each matrix refused by the first
-    that fails."""
-    gaps = np.asarray(np.linalg.norm(a - np.eye(2), 2, axis=(-2, -1)))
+    order: the ball test on gap(a - I), then log2_scalar, each matrix refused
+    by the first that fails."""
     out = np.empty(a.shape)
     for k in np.ndindex(a.shape[:-2]):
-        if not gaps[k] < 1.0:
-            raise LogDomain(f"matrix_log: ||a - I|| = {gaps[k]:.6g} >= 1")
+        g = gap(a[k] - np.eye(2))
+        if not g < 1.0:
+            raise LogDomain(f"matrix_log: ||a - I|| = {g:.6g} >= 1")
         out[k] = log2_scalar(a[k].tolist())
     return out
 
@@ -281,11 +288,11 @@ def log_outcome(log, a):
 
 
 def logm_loop(a):
-    """matrix_log of a (..., n, n) stack, n >= 3, as one 2-norm per matrix
+    """matrix_log of a (..., n, n) stack, n >= 3, as one ball_gap per matrix
     (each its own SVD), then a loop in stack order: the ball test, then
     scipy's logm and its real part."""
     n = a.shape[-1]
-    gaps = {k: np.linalg.norm(a[k] - np.eye(n), 2) for k in np.ndindex(a.shape[:-2])}
+    gaps = {k: ball_gap(a[k] - np.eye(n)) for k in np.ndindex(a.shape[:-2])}
     out = np.empty(a.shape)
     for k, gap in gaps.items():
         if not gap < 1.0:
@@ -412,23 +419,28 @@ class TestLog2Stack:
             [[math.inf, 0.0], [0.0, 1.0]],
         ],
     )
-    def test_non_real_logarithm_inside_the_ball(self, bad, monkeypatch):
-        """With every distance to I read as 0, the first matrix with no real
-        logarithm is refused as non-real, with no numpy warning."""
-        monkeypatch.setattr(
-            np.linalg, "norm", lambda x, *args, **kwargs: np.zeros(np.shape(x)[:-2])
-        )
+    def test_non_real_logarithm_inside_the_ball(self, bad):
+        """Given every distance to I as 0, _log2 refuses the first matrix with
+        no real logarithm as non-real, with no numpy warning.  (matrix_log
+        gives a matrix with a NaN or inf entry the distance NaN, so it
+        refuses such a matrix as outside the ball before _log2.)"""
         a = np.array([self.GOOD, bad, [[2.5, 0.0], [0.0, 0.4]]])
-        expect = log_outcome(log2_loop, a)
+        expect = log_outcome(lambda a: log2_loop(a, gap=lambda x: 0.0), a)
         assert expect == "matrix_log: non-real principal logarithm"
-        assert log_outcome(matrix_log, a) == expect
+
+        def refuse(k, far):
+            assert (k, far) == ((1,), False)
+            return LogDomain("matrix_log: non-real principal logarithm")
+
+        assert log_outcome(lambda a: _log2(a, np.zeros(3), refuse), a) == expect
 
 
 class TestBallBoundary:
     """Matrices at the edge of the log ball, where matrix_log leaves the
-    ball test to LAPACK's 2-norm, against the loops that take that 2-norm
-    for every matrix: log2_loop for n = 2 and logm_loop for n = 3, bit for
-    bit, and refusal for refusal."""
+    ball test to LAPACK's 2-norm (or, for a NaN or inf entry, to the distance
+    NaN), against the loops that take ball_gap for every matrix: log2_loop
+    for n = 2 and logm_loop for n = 3, bit for bit, and refusal for
+    refusal."""
 
     @pytest.mark.parametrize("name", list(near_ball_boundary(2)) + list(boundary_stacks(2)))
     def test_n2_against_the_scalar_closed_form(self, name, monkeypatch):
@@ -489,6 +501,15 @@ class TestNaNVerdicts:
         monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: math.nan)
         with pytest.raises(LogDomain, match="= nan >= 1"):
             matrix_log(np.diag([2.0, 0.5]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_matrix_is_outside_the_ball_in_stack_order(self, n):
+        # NaN at index 1 and a matrix far from I at index 2: index 1 is
+        # named, with no SVD of the NaN matrix
+        a = np.stack([np.eye(n), np.eye(n), np.diag([2.5] + [1.0] * (n - 1))])
+        a[1, 0, 1] = math.nan
+        got = log_outcome(lambda a: matrix_log(a, name="matrix {}".format), a)
+        assert got == "matrix_log of matrix 1: ||a - I|| = nan >= 1"
 
     def test_nan_imaginary_part_is_not_real(self, monkeypatch):
         nan_imag = np.full((3, 3), complex(0.0, math.nan))
